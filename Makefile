@@ -23,8 +23,9 @@
 #   make timeline-check  record/replay observability-parity gate plus
 #                     the timeline-off byte-identity gate: a taped run
 #                     must yield the same artifact (timeline included)
-#                     as a live run, and attaching the sampler must not
-#                     move a single simulated counter
+#                     as a live run, attaching the sampler must not
+#                     move a single simulated counter, and a tape with a
+#                     bad header must fail with exit 2 and one line
 #   make hash-check   hashed-LLC gates: 1-slice/identity must be
 #                     byte-identical to the committed golden artifact
 #                     (and to a run with no slice flags at all), and
@@ -129,6 +130,16 @@ timeline-check:
 	  --timeline=100000 --metrics-out _build/timeline_replay.json
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/timeline_record.json \
 	  _build/timeline_replay.json --exact
+	@# Bad-header gate: a copy of the tape whose header names an unknown
+	@# benchmark ("tomcatX": byte 12 is the name's last letter) must be
+	@# refused with exit 2 and a single stderr line, never a backtrace.
+	cp _build/timeline_gate.pcbt _build/timeline_bad.pcbt
+	printf X | dd of=_build/timeline_bad.pcbt bs=1 seek=12 conv=notrunc status=none
+	@status=0; _build/default/bin/pcolor_cli.exe replay _build/timeline_bad.pcbt \
+	  2> _build/timeline_bad.err || status=$$?; cat _build/timeline_bad.err; \
+	if [ $$status -ne 2 ] || [ $$(wc -l < _build/timeline_bad.err) -ne 1 ]; then \
+	  echo "timeline-check: bad-header replay must exit 2 with one stderr line (exit $$status)"; \
+	  exit 1; fi
 	@# Timeline-off byte-identity gate: attaching the sampler must not
 	@# move a single simulated counter — the artifacts must match
 	@# exactly once the timeline section itself is ignored.

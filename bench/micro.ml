@@ -120,6 +120,71 @@ let test_partition =
     (Staged.stage (fun () ->
          ignore (Pcolor.Comp.Partition.range Even Forward ~n_cpus:16 ~cpu:7 ~trip:513)))
 
+(* btrace replay's decode layer alone: an in-memory batch-engine tape
+   streamed into a recorder that only counts pairs, so the time is the
+   codec's.  Reported per decoded reference pair; recording the tape
+   happens once, outside the timed loop. *)
+let btrace_decode () =
+  let module Btrace = Pcolor.Runtime.Btrace in
+  let module Run = Pcolor.Runtime.Run in
+  let setup =
+    {
+      (Run.default_setup ~cfg:cfg_small
+         ~make_program:(fun () -> Pcolor.Workloads.Tomcatv.program ~scale:16 ())
+         ~policy:Run.Page_coloring)
+      with
+      engine = Pcolor.Runtime.Engine.Batch;
+    }
+  in
+  let path = Filename.temp_file "pcolor_micro" ".pcbt" in
+  let tape =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out_bin path in
+        let w =
+          Btrace.create_writer oc
+            {
+              Btrace.bench = "tomcatv";
+              machine = "sgi";
+              n_cpus = cfg_small.n_cpus;
+              scale = 16;
+              policy = Run.policy_name setup.policy;
+              prefetch = false;
+              seed = setup.seed;
+              cap = setup.cap;
+              provenance = "";
+            }
+        in
+        ignore (Run.run ~recorder:(Btrace.recorder w) setup);
+        Btrace.finish w;
+        close_out oc;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let pairs = ref 0 in
+  let counter : Pcolor.Runtime.Engine.recorder =
+    {
+      rec_section = (fun ~cpu:_ ~nrefs:_ ~instr_per_iter:_ ~extra_onchip_stall:_ -> ());
+      rec_batch = (fun b -> pairs := !pairs + (b.len / 2));
+      rec_run_section =
+        (fun ~cpu:_ ~nrefs:_ ~instr_per_iter:_ ~extra_onchip_stall:_ ~strides:_ -> ());
+      rec_runs = (fun _ -> ());
+      rec_tick = (fun ~cpu:_ _ -> ());
+      rec_onchip = (fun ~cpu:_ _ -> ());
+      rec_barrier = (fun _ -> ());
+      rec_reset = (fun () -> ());
+      rec_touch = (fun ~cpu:_ ~vpage:_ -> ());
+      rec_phase_begin = (fun () -> ());
+      rec_phase_end = (fun () -> ());
+    }
+  in
+  Btrace.decode (Btrace.open_string tape) counter;
+  let per_tape = !pairs in
+  ( Test.make
+      ~name:(Printf.sprintf "replay: btrace decode (%d KiB tape)" (String.length tape / 1024))
+      (Staged.stage (fun () -> Btrace.decode (Btrace.open_string tape) counter)),
+    per_tape )
+
 let all_tests =
   [
     test_cache_access;
@@ -146,15 +211,18 @@ let run () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
+  (* each test with the operations one run performs and their unit *)
+  let decode, pairs = btrace_decode () in
   List.iter
-    (fun test ->
+    (fun (test, per_run, unit) ->
       let results = Benchmark.all cfg [ instance ] test in
       let stats = Analyze.all ols instance results in
       Hashtbl.iter
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-48s %10.1f ns/op\n" name est
+          | Some [ est ] ->
+            Printf.printf "  %-48s %10.1f ns/%s\n" name (est /. float_of_int per_run) unit
           | _ -> Printf.printf "  %-48s (no estimate)\n" name)
         stats)
-    all_tests;
+    (List.map (fun t -> (t, 1, "op")) all_tests @ [ (decode, pairs, "pair") ]);
   print_newline ()

@@ -702,28 +702,35 @@ let replay_cmd =
   in
   let action file trace_path metrics_out timeline =
     let ic = open_in_bin file in
+    (* a bad tape or header is a one-line message and exit 2, never a backtrace *)
+    let die fmt =
+      Printf.ksprintf
+        (fun msg ->
+          close_in_noerr ic;
+          Printf.eprintf "%s: %s\n" file msg;
+          exit 2)
+        fmt
+    in
     let r =
-      try Btrace.open_reader ic
-      with Btrace.Error c ->
-        Printf.eprintf "%s: %s\n" file (Btrace.corruption_message c);
-        exit 2
+      try Btrace.open_reader ic with Btrace.Error c -> die "%s" (Btrace.corruption_message c)
     in
     let h = Btrace.header r in
     let machine =
       match List.assoc_opt h.Btrace.machine machine_names with
       | Some m -> m
-      | None ->
-        Printf.eprintf "%s: unknown machine model %S in trace header\n" file h.Btrace.machine;
-        exit 2
+      | None -> die "unknown machine model %S in trace header" h.Btrace.machine
     in
     let policy =
       match parse_policy h.Btrace.policy with
       | Ok p -> p
-      | Error (`Msg m) ->
-        Printf.eprintf "%s: %s (trace header)\n" file m;
-        exit 2
+      | Error _ -> die "unknown policy %S in trace header" h.Btrace.policy
     in
-    let cfg = config_of machine h.Btrace.n_cpus h.Btrace.scale in
+    if not (List.mem h.Btrace.bench Spec.names) then
+      die "unknown benchmark %S in trace header" h.Btrace.bench;
+    let cfg =
+      try config_of machine h.Btrace.n_cpus h.Btrace.scale
+      with Invalid_argument m -> die "%s (trace header)" m
+    in
     let io = obs_io_of ~trace_path ~metrics_out ?timeline cfg in
     let obs, _ = io.fresh_ctx () in
     let setup =
@@ -735,11 +742,15 @@ let replay_cmd =
       }
     in
     let o =
-      try Btrace.replay r ~setup
-      with Btrace.Error c ->
-        Printf.eprintf "%s: %s\n" file (Btrace.corruption_message c);
+      try Btrace.replay r ~setup with
+      | Btrace.Error c ->
         close_obs io;
-        exit 2
+        die "%s" (Btrace.corruption_message c)
+      | Invalid_argument m ->
+        (* the header passed the reader's checks but the workload
+           cannot be built from it (e.g. a scale the kernel lacks) *)
+        close_obs io;
+        die "%s (trace header)" m
     in
     close_in ic;
     Printf.printf "replaying %s: %s on %s, %d CPUs, scale 1/%d, policy %s%s%s\n" file

@@ -48,6 +48,10 @@ exception Error of corruption
 (** [corruption_message c] renders [c] for diagnostics. *)
 val corruption_message : corruption -> string
 
+(** Reader and writer move bytes between the channel and the codec in
+    chunks of this many bytes, one channel call per chunk. *)
+val chunk_bytes : int
+
 (** {2 Recording} *)
 
 type writer
@@ -60,8 +64,11 @@ val create_writer : out_channel -> header -> writer
     {!Engine.create}); requires the batch or runs engine. *)
 val recorder : writer -> Engine.recorder
 
-(** [finish w] terminates the tape (END marker) and flushes.
-    Idempotent; does not close the channel. *)
+(** [finish w] terminates the tape (END marker), hands the writer's
+    buffered bytes to the channel and flushes it.  Until then up to
+    {!chunk_bytes} of the tape sit in the writer, not the channel (so
+    [pos_out] is only the tape size after [finish]).  Idempotent; does
+    not close the channel. *)
 val finish : writer -> unit
 
 (** {2 Replay} *)
@@ -70,8 +77,18 @@ type reader
 
 (** [open_reader ic] checks the preamble and decodes the header.
     Raises {!Error} ([Bad_magic], [Bad_version] or [Truncated]) on a
-    foreign, incompatible or cut-short file. *)
+    foreign, incompatible or cut-short file, and [Corrupt] on a header
+    naming fewer than one CPU, a scale that is not a positive power of
+    two or a window cap below one.
+
+    The reader owns [ic] from here on: it reads ahead in whole chunks,
+    past the END marker if the channel holds more, so the channel's
+    position is unspecified and the caller must not read from it again
+    (closing it stays the caller's job). *)
 val open_reader : in_channel -> reader
+
+(** [open_string tape] is {!open_reader} over a tape held in memory. *)
+val open_string : string -> reader
 
 val header : reader -> header
 
@@ -80,6 +97,14 @@ val header : reader -> header
     run-coalesced records. *)
 val format_version : reader -> int
 
+(** [decode r rc] streams the event tape into [rc] — the inverse of
+    {!recorder}: decoding a tape into a writer's recorder reproduces it
+    byte for byte.  Batches are handed over in a reused buffer, valid
+    only for the duration of the call.  Raises {!Error} on a corrupt or
+    truncated tape (also when [rc] raises [Invalid_argument] or
+    [Failure]). *)
+val decode : reader -> Engine.recorder -> unit
+
 (** [replay r ~setup] consumes the event tape against a fresh
     kernel/machine built from [setup] (construct it from {!header} —
     the recorded run's setup) and returns the outcome with counters
@@ -87,5 +112,6 @@ val format_version : reader -> int
     materialized: batches stream from disk straight into the consume
     loop.  The outcome carries the same metrics/attribution sections a
     live run would produce under the same observability context.
-    Raises {!Error} on a corrupt or truncated tape. *)
+    Raises {!Error} on a corrupt or truncated tape, or when [setup]'s
+    machine has a different CPU count than the header names. *)
 val replay : reader -> setup:Run.setup -> Run.outcome

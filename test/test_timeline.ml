@@ -10,7 +10,11 @@
    - a recorded tape replays to a byte-identical artifact under full
      observability (metrics + attribution + timeline);
    - malformed binary traces raise the typed {!Btrace.Error}, never a
-     bare [Failure] or garbage counters (unit cases + corruption fuzz);
+     bare [Failure] or garbage counters (unit cases + corruption fuzz),
+     including truncations around the codec's chunk boundaries, and
+     [pcolor replay] turns a bad header into exit 2 and one line;
+   - tapes stay byte-identical to format v2 as first written (golden
+     MD5s), and decoding re-encodes a tape byte for byte;
    - the change-point detector finds a clean mean shift;
    - a 2-job gang mix yields per-job rows, switch events and a
      reconciling timeline. *)
@@ -39,11 +43,14 @@ let obs_with_sampler ?(epoch_cycles = epoch_cycles) ?(full = false) cfg =
     Pcolor.Obs.Ctx.create ~metrics ~attrib ~sampler ()
   else Pcolor.Obs.Ctx.create ~sampler ()
 
-let setup ?(policy = Run.Page_coloring) ?(prefetch = false) ?obs ~engine () =
+let setup ?(policy = Run.Page_coloring) ?(prefetch = false) ?obs ?rows ?cols ~engine () =
   let cfg = Helpers.tiny_cfg ~n_cpus:2 () in
   let base =
     {
-      (Run.default_setup ~cfg ~make_program:(fun () -> Helpers.figure4_program ()) ~policy) with
+      (Run.default_setup ~cfg
+         ~make_program:(fun () -> Helpers.figure4_program ?rows ?cols ())
+         ~policy)
+      with
       prefetch;
       engine;
     }
@@ -191,8 +198,9 @@ let with_tape f =
   let path = Filename.temp_file "pcolor_tl" ".btrace" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let record_tape ~path ?obs ?(engine = Pcolor.Runtime.Engine.Batch) () =
-  let s = setup ?obs ~policy:Run.Page_coloring ~engine () in
+let record_tape ~path ?obs ?(engine = Pcolor.Runtime.Engine.Batch) ?rows ?cols
+    ?(provenance = "test") () =
+  let s = setup ?obs ~policy:Run.Page_coloring ?rows ?cols ~engine () in
   let oc = open_out_bin path in
   let w =
     Btrace.create_writer oc
@@ -205,7 +213,7 @@ let record_tape ~path ?obs ?(engine = Pcolor.Runtime.Engine.Batch) () =
         prefetch = false;
         seed = s.Run.seed;
         cap = s.Run.cap;
-        provenance = "test";
+        provenance;
       }
   in
   let o = Run.run ~recorder:(Btrace.recorder w) s in
@@ -213,8 +221,8 @@ let record_tape ~path ?obs ?(engine = Pcolor.Runtime.Engine.Batch) () =
   close_out oc;
   (s, o)
 
-let replay_tape ~path ?obs () =
-  let s = setup ?obs ~policy:Run.Page_coloring ~engine:Pcolor.Runtime.Engine.Batch () in
+let replay_tape ~path ?obs ?rows ?cols () =
+  let s = setup ?obs ~policy:Run.Page_coloring ?rows ?cols ~engine:Pcolor.Runtime.Engine.Batch () in
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -338,6 +346,200 @@ let test_btrace_corruption_fuzz =
               | exception Btrace.Error _ -> true
               | exception _ -> false)))
 
+(* ---------- bad header fields ---------- *)
+
+(* A tape that ends right after its header: enough for [open_reader]
+   and for [pcolor replay] to judge the header. *)
+let header_only ?(bench = "tomcatv") ?(n_cpus = 2) ?(scale = 64) ?(cap = 2) () =
+  with_tape (fun path ->
+      let oc = open_out_bin path in
+      let w =
+        Btrace.create_writer oc
+          {
+            Btrace.bench;
+            machine = "sgi";
+            n_cpus;
+            scale;
+            policy = "page-coloring";
+            prefetch = false;
+            seed = 0;
+            cap;
+            provenance = "";
+          }
+      in
+      Btrace.finish w;
+      close_out oc;
+      read_file path)
+
+let test_btrace_bad_header_corrupt () =
+  List.iter
+    (fun (label, tape) ->
+      match opens_as_error tape with
+      | Some (Btrace.Corrupt _) -> ()
+      | _ -> Alcotest.failf "%s must be Corrupt at open" label)
+    [
+      ("zero CPUs", header_only ~n_cpus:0 ());
+      ("scale 3", header_only ~scale:3 ());
+      ("scale 0", header_only ~scale:0 ());
+      ("window cap 0", header_only ~cap:0 ());
+    ]
+
+(* A varint running past 63 bits is Corrupt, not a wrapped value. *)
+let test_btrace_varint_overflow () =
+  let tape = header_only () in
+  (* drop the END marker; append TICK cpu 0 with a ten-byte count *)
+  let body = String.sub tape 0 (String.length tape - 1) in
+  with_tape (fun path ->
+      write_file path (body ^ "\001\000" ^ String.make 9 '\255' ^ "\001\000");
+      match replay_tape ~path () with
+      | _ -> Alcotest.fail "an overlong varint must not replay"
+      | exception Btrace.Error (Btrace.Corrupt msg) ->
+        Alcotest.(check string) "message" "varint wider than 63 bits" msg)
+
+(* The CLI sits next to this test binary in the build tree. *)
+let cli =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "pcolor_cli.exe" ]
+
+let test_replay_cli_bad_header () =
+  List.iter
+    (fun (label, tape) ->
+      with_tape (fun path ->
+          write_file path tape;
+          with_tape (fun err ->
+              let code =
+                Sys.command
+                  (Filename.quote_command cli [ "replay"; path ] ~stdout:Filename.null ~stderr:err)
+              in
+              let stderr = read_file err in
+              Alcotest.(check int) (label ^ ": exit code") 2 code;
+              match String.split_on_char '\n' stderr with
+              | [ line; "" ] ->
+                Alcotest.(check bool) (label ^ ": names the trace") true
+                  (String.starts_with ~prefix:(path ^ ": ") line)
+              | _ -> Alcotest.failf "%s: expected one stderr line, got %S" label stderr)))
+    [
+      ("unknown bench", header_only ~bench:"tomcatX" ());
+      ("zero CPUs", header_only ~n_cpus:0 ());
+      ("scale 3", header_only ~scale:3 ());
+      (* a power of two the kernels are not written for *)
+      ("scale 2", header_only ~scale:2 ());
+    ]
+
+(* ---------- pinned tape format ---------- *)
+
+(* MD5s of tapes written by the per-byte channel writer that defined
+   format v2.  The writer must keep producing them exactly: tapes
+   already on disk and fresh ones stay byte-identical. *)
+let test_btrace_golden_md5 () =
+  List.iter
+    (fun (label, engine, rows, cols, md5) ->
+      with_tape (fun path ->
+          let _ = record_tape ~path ~engine ~rows ~cols () in
+          Alcotest.(check string) label md5 (Digest.to_hex (Digest.file path))))
+    Pcolor.Runtime.Engine.
+      [
+        ("fig4 batch tape", Batch, 8, 128, "5ad59db95c303b7a0849a3649db71e2d");
+        ("fig4 runs tape", Runs, 8, 128, "fb28b6aded280e76f74098174c4fce93");
+        ("multi-chunk batch tape", Batch, 32, 512, "4256e4a9e19e9da82af9d7edbce6b64d");
+      ]
+
+(* ---------- chunk boundaries ---------- *)
+
+(* A batch tape of about 190 KiB: reads cross two refill boundaries
+   mid-record. *)
+let big_rows = 32
+
+let big_cols = 512
+
+let record_big ~path ?obs ?engine ?provenance () =
+  record_tape ~path ?obs ?engine ~rows:big_rows ~cols:big_cols ?provenance ()
+
+let replay_big ~path ?obs () = replay_tape ~path ?obs ~rows:big_rows ~cols:big_cols ()
+
+let big_tape = lazy (with_tape (fun path -> ignore (record_big ~path ()); read_file path))
+
+(* [None] when the [len]-byte prefix of [tape] fails as it must *)
+let cut_escapes tape len =
+  with_tape (fun cut ->
+      write_file cut (String.sub tape 0 len);
+      match replay_big ~path:cut () with
+      | _ -> Some "replayed without an END marker"
+      | exception Btrace.Error (Btrace.Truncated _ | Btrace.Corrupt _) -> None
+      | exception e -> Some (Printexc.to_string e))
+
+let test_btrace_truncation_window () =
+  let tape = Lazy.force big_tape in
+  let b = Btrace.chunk_bytes in
+  Alcotest.(check bool) "tape spans several chunks" true (String.length tape > 2 * b);
+  for len = b - 40 to b + 40 do
+    Option.iter (Alcotest.failf "tape cut at byte %d: %s" len) (cut_escapes tape len)
+  done
+
+let test_btrace_truncation_fuzz =
+  QCheck.Test.make ~name:"truncated tapes raise Truncated or Corrupt" ~count:30
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let tape = Lazy.force big_tape in
+      let len = seed mod String.length tape in
+      match cut_escapes tape len with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "tape cut at byte %d: %s" len what)
+
+(* Pad the header so that a multi-byte varint straddles the first
+   refill boundary; the replay must still be exact. *)
+let test_btrace_varint_split () =
+  let tape = Lazy.force big_tape in
+  let b = Btrace.chunk_bytes in
+  (* a continuation byte (high bit set) just before the boundary: the
+     next byte belongs to the same varint.  Tags and kind codes never
+     set the high bit, and header strings here are ASCII. *)
+  let rec continuation p =
+    if p < 64 then Alcotest.fail "no multi-byte varint in the first chunk"
+    else if Char.code tape.[p] >= 0x80 then p
+    else continuation (p - 1)
+  in
+  (* the provenance string and its length prefix replace the 5 bytes of
+     "test", moved [shift] bytes further *)
+  let target = b - 1 - continuation (b - 1) + 5 in
+  let rec prefix_bytes n = if n < 0x80 then 1 else 1 + prefix_bytes (n lsr 7) in
+  let rec padded len =
+    if len < 0 then Alcotest.fail "no padding lands the varint on the boundary"
+    else if len + prefix_bytes len = target then len
+    else padded (len - 1)
+  in
+  let provenance = String.make (padded target) 'x' in
+  let cfg = Helpers.tiny_cfg ~n_cpus:2 () in
+  with_tape (fun path ->
+      let _, direct = record_big ~path ~obs:(obs_with_sampler ~full:true cfg) ~provenance () in
+      let shifted = read_file path in
+      Alcotest.(check bool) "a varint continues across the boundary" true
+        (Char.code shifted.[b - 1] >= 0x80);
+      let replayed = replay_big ~path ~obs:(obs_with_sampler ~full:true cfg) () in
+      Alcotest.(check string) "artifacts byte-identical"
+        (Json.to_string (Run.artifact_json direct))
+        (Json.to_string (Run.artifact_json replayed)))
+
+(* The decoder is the writer's inverse: decoding an in-memory tape into
+   a fresh writer reproduces it byte for byte, across chunk boundaries
+   and for both record families. *)
+let test_btrace_decode_roundtrip () =
+  List.iter
+    (fun engine ->
+      with_tape (fun path ->
+          let _ = record_big ~path ~engine () in
+          let tape = read_file path in
+          let r = Btrace.open_string tape in
+          with_tape (fun copy ->
+              let oc = open_out_bin copy in
+              let w = Btrace.create_writer oc (Btrace.header r) in
+              Btrace.decode r (Btrace.recorder w);
+              Btrace.finish w;
+              close_out oc;
+              Alcotest.(check bool) "re-encoded tape is identical" true (read_file copy = tape))))
+    Pcolor.Runtime.Engine.[ Batch; Runs ]
+
 (* ---------- change-point detection ---------- *)
 
 let test_detect_step () =
@@ -402,6 +604,15 @@ let suite =
         Alcotest.test_case "run records in v1 tape are corrupt" `Quick
           test_btrace_v1_run_records_corrupt;
         QCheck_alcotest.to_alcotest test_btrace_corruption_fuzz;
+        Alcotest.test_case "bad header fields are corrupt" `Quick test_btrace_bad_header_corrupt;
+        Alcotest.test_case "replay CLI rejects bad headers" `Quick test_replay_cli_bad_header;
+        Alcotest.test_case "overlong varint is corrupt" `Quick test_btrace_varint_overflow;
+        Alcotest.test_case "tape format pinned by MD5" `Quick test_btrace_golden_md5;
+        Alcotest.test_case "truncation around a chunk edge" `Quick
+          test_btrace_truncation_window;
+        QCheck_alcotest.to_alcotest test_btrace_truncation_fuzz;
+        Alcotest.test_case "varint split across chunks" `Quick test_btrace_varint_split;
+        Alcotest.test_case "decode re-encodes identically" `Quick test_btrace_decode_roundtrip;
         Alcotest.test_case "change-point on a clean step" `Quick test_detect_step;
         Alcotest.test_case "no change-point on flat series" `Quick test_detect_flat;
         Alcotest.test_case "2-job mix timeline" `Quick test_mix_timeline;
