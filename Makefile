@@ -28,7 +28,9 @@
 #                     bad header must fail with exit 2 and one line
 #   make hash-check   hashed-LLC gates: 1-slice/identity must be
 #                     byte-identical to the committed golden artifact
-#                     (and to a run with no slice flags at all), and
+#                     (and to a run with no slice flags at all), a
+#                     4-slice sandybridge mix under reclaim must match
+#                     its golden artifact exactly, and
 #                     `pcolor probe` must recover each configured hash
 #                     from eviction sets exactly
 #   make bench        full reproduction harness at the default scale
@@ -113,6 +115,15 @@ hash-check:
 	  --scale 64 --metrics-out _build/hash_default.json
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/hash_default.json \
 	  _build/hash_identity.json --exact
+	@# Sliced-path byte-identity gate: a 4-slice sandybridge mix under
+	@# memory pressure (slice routing, coherence on peers, reclaim
+	@# evictions through invalidate_frame_everywhere) must reproduce
+	@# its committed golden artifact exactly.
+	$(DUNE) exec bin/pcolor_cli.exe -- mix tomcatv swim --scale 64 --cpus 4 --slices 4 \
+	  --llc-hash sandybridge --policy cdpc-hash --mem-frames 60 \
+	  --metrics-out _build/hash_sliced_mix.json
+	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/hash_sliced_mix.json \
+	  _build/hash_sliced_mix.json --exact
 	@# Probe self-tests: recover each configured hash from eviction
 	@# sets alone; `pcolor probe` exits 1 on any matrix mismatch.
 	$(DUNE) exec bin/pcolor_cli.exe -- probe --scale 64 --slices 2 --llc-hash xor-fold

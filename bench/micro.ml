@@ -114,6 +114,28 @@ let test_machine_access =
          i := !i + 8;
          Pcolor.Memsim.Machine.access m ~cpu:0 ~vaddr:(!i land 0xFFFFF) ~write:false ~translate))
 
+(* layer costs of the hashed LLC (DESIGN §16), on the 4-slice
+   sandybridge machine the perfbench mix workload runs: the slice hash
+   alone, and the page teardown every reclaim eviction performs *)
+let cfg_sliced =
+  Config.validate { cfg_small with l2_slices = 4; l2_hash = Pcolor.Memsim.Ahash.Sandybridge }
+
+let test_slice_hash =
+  let h = Config.resolved_hash cfg_sliced in
+  let i = ref 0 in
+  Test.make ~name:"hashed LLC: Ahash.slice_of (sandybridge, 4 slices)"
+    (Staged.stage (fun () ->
+         i := !i + 0x9E37;
+         ignore (Sys.opaque_identity (Pcolor.Memsim.Ahash.slice_of h (!i land 0xFFFFF)))))
+
+let test_invalidate_frame =
+  let m = Pcolor.Memsim.Machine.create cfg_sliced in
+  let i = ref 0 in
+  Test.make ~name:"reclaim: invalidate_frame_everywhere (8 CPUs, 4 slices)"
+    (Staged.stage (fun () ->
+         incr i;
+         Pcolor.Memsim.Machine.invalidate_frame_everywhere m ~frame:(!i land 0xFFF)))
+
 (* table2: partition arithmetic *)
 let test_partition =
   Test.make ~name:"table2: partition range (even)"
@@ -198,6 +220,8 @@ let all_tests =
     test_hint_generation;
     test_fault_path;
     test_machine_access;
+    test_slice_hash;
+    test_invalidate_frame;
     test_partition;
   ]
 
@@ -221,8 +245,8 @@ let run () =
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
           | Some [ est ] ->
-            Printf.printf "  %-48s %10.1f ns/%s\n" name (est /. float_of_int per_run) unit
-          | _ -> Printf.printf "  %-48s (no estimate)\n" name)
+            Printf.printf "  %-56s %10.1f ns/%s\n" name (est /. float_of_int per_run) unit
+          | _ -> Printf.printf "  %-56s (no estimate)\n" name)
         stats)
     (List.map (fun t -> (t, 1, "op")) all_tests @ [ (decode, pairs, "pair") ]);
   print_newline ()

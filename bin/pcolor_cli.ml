@@ -187,12 +187,10 @@ let write_json_file path json =
   output_char oc '\n';
   close_out oc
 
-(* [slices]/[llc_hash] (the hashed/sliced LLC, DESIGN §16) are applied
-   AFTER scaling — the scaled geometry determines the color count the
-   hash must divide — and re-validated, so an impossible combination
-   (slices > colors, rank-deficient masks) fails with a message rather
-   than a backtrace. *)
-let config_of ?slices ?llc_hash machine n_cpus scale =
+(* The scaled machine model, unchecked: raises [Invalid_argument] on a
+   geometry [Config] rejects.  [replay] calls it directly, so a tape's
+   header errors name the tape instead of a flag. *)
+let machine_config machine n_cpus scale =
   let base =
     match machine with
     | `Sgi -> Config.sgi_base ~n_cpus ()
@@ -200,7 +198,35 @@ let config_of ?slices ?llc_hash machine n_cpus scale =
     | `Sgi4 -> Config.sgi_4mb ~n_cpus ()
     | `Alpha -> Config.alphaserver ~n_cpus ()
   in
-  let cfg = Config.scale base scale in
+  Config.scale base scale
+
+(* A bad command-line value is one stderr line naming the flag and exit
+   2, never an uncaught exception. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+let find_bench bench =
+  match Spec.find bench with d -> d | exception Invalid_argument msg -> usage_error "%s" msg
+
+let check_scale scale =
+  if not (List.mem scale Pcolor.Workloads.Gen.scales) then
+    usage_error "--scale: %s (got %d)" Pcolor.Workloads.Gen.scales_doc scale
+
+(* The CPU count and scale are checked here, before anything is built,
+   because every command that simulates goes through [config_of].
+   [slices]/[llc_hash] (the hashed/sliced LLC, DESIGN §16) are applied
+   AFTER scaling — the scaled geometry determines the color count the
+   hash must divide — and re-validated, so an impossible combination
+   (slices > colors, rank-deficient masks) fails with a message rather
+   than a backtrace. *)
+let config_of ?slices ?llc_hash machine n_cpus scale =
+  if n_cpus < 1 then usage_error "--cpus: need at least one CPU (got %d)" n_cpus;
+  check_scale scale;
+  let cfg = machine_config machine n_cpus scale in
   match (slices, llc_hash) with
   | None, None -> cfg
   | _ -> (
@@ -211,9 +237,7 @@ let config_of ?slices ?llc_hash machine n_cpus scale =
           Config.l2_slices = Option.value slices ~default:cfg.Config.l2_slices;
           l2_hash = Option.value llc_hash ~default:cfg.Config.l2_hash;
         }
-    with Invalid_argument msg ->
-      Printf.eprintf "--slices/--llc-hash: %s\n" msg;
-      exit 2)
+    with Invalid_argument msg -> usage_error "--slices/--llc-hash: %s" msg)
 
 let slices_arg =
   Arg.(
@@ -241,9 +265,8 @@ let llc_hash_arg =
           "Slice-selection hash: $(b,identity) (classic positional colors), $(b,xor-fold), \
            $(b,sandybridge), or $(b,masks:0x..,..) (explicit GF(2) mask rows over frame bits).")
 
-let setup_of ?slices ?llc_hash bench machine n_cpus scale policy prefetch seed cap ~trace =
-  let d = Spec.find bench in
-  let cfg = config_of ?slices ?llc_hash machine n_cpus scale in
+let setup_of ~cfg bench scale policy prefetch seed cap ~trace =
+  let d = find_bench bench in
   {
     (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy) with
     prefetch;
@@ -286,9 +309,7 @@ let run_cmd =
     let obs, _metrics = io.fresh_ctx () in
     let setup =
       {
-        (setup_of ?slices ?llc_hash bench machine n_cpus scale policy prefetch seed cap
-           ~trace:false)
-        with
+        (setup_of ~cfg bench scale policy prefetch seed cap ~trace:false) with
         obs;
         engine;
       }
@@ -335,6 +356,8 @@ let compare_cmd =
       @ (if hashed then [ Run.Cdpc_hash { fallback = `Page_coloring } ] else [])
     in
     let cfg = config_of ?slices ?llc_hash machine n_cpus scale in
+    (* look the bench up before fanning out, so a bad name is reported once *)
+    ignore (find_bench bench);
     let io = obs_io_of ~trace_path ~metrics_out ?timeline cfg in
     let jobs = min (Pcolor.Util.Pool.default_jobs ()) (List.length policies) in
     (* each policy is an independent simulation: fan them out across
@@ -349,9 +372,7 @@ let compare_cmd =
           let obs, _ = io.fresh_ctx () in
           Run.run
             {
-              (setup_of ?slices ?llc_hash bench machine n_cpus scale policy prefetch seed cap
-                 ~trace:false)
-              with
+              (setup_of ~cfg bench scale policy prefetch seed cap ~trace:false) with
               obs;
               engine;
             })
@@ -494,6 +515,9 @@ let mix_cmd =
         Printf.eprintf "--policy: %d policies for %d jobs\n" (List.length ps) k;
         exit 2
     in
+    (match mem_frames with
+    | Some n when n < 1 -> usage_error "--mem-frames: need at least one frame (got %d)" n
+    | _ -> ());
     let cfg = config_of ?slices ?llc_hash machine n_cpus scale in
     let prof = prof_of prof_flag in
     let io = obs_io_of ~trace_path ~metrics_out ?timeline ?prof cfg in
@@ -501,7 +525,7 @@ let mix_cmd =
     let specs =
       List.map2
         (fun bench policy ->
-          let d = Spec.find bench in
+          let d = find_bench bench in
           Pcolor.Sched.Job.spec ~policy ~prefetch ~seed ~engine_kind:engine ~name:bench (fun () ->
               d.build ~scale ()))
         benches policies
@@ -657,13 +681,13 @@ let record_cmd =
         provenance = Option.value ~default:"" (Pcolor.Obs.Provenance.git_describe ());
       }
     in
+    let cfg = config_of machine n_cpus scale in
     let oc = open_out_bin out in
     let w = Btrace.create_writer oc header in
-    let cfg = config_of machine n_cpus scale in
     let io = obs_io_of ~trace_path ~metrics_out ?timeline cfg in
     let obs, _ = io.fresh_ctx () in
     let setup =
-      { (setup_of bench machine n_cpus scale policy prefetch seed cap ~trace:false) with obs }
+      { (setup_of ~cfg bench scale policy prefetch seed cap ~trace:false) with obs }
     in
     let o = Run.run ~recorder:(Btrace.recorder w) setup in
     Btrace.finish w;
@@ -728,15 +752,15 @@ let replay_cmd =
     if not (List.mem h.Btrace.bench Spec.names) then
       die "unknown benchmark %S in trace header" h.Btrace.bench;
     let cfg =
-      try config_of machine h.Btrace.n_cpus h.Btrace.scale
+      try machine_config machine h.Btrace.n_cpus h.Btrace.scale
       with Invalid_argument m -> die "%s (trace header)" m
     in
     let io = obs_io_of ~trace_path ~metrics_out ?timeline cfg in
     let obs, _ = io.fresh_ctx () in
     let setup =
       {
-        (setup_of h.Btrace.bench machine h.Btrace.n_cpus h.Btrace.scale policy h.Btrace.prefetch
-           h.Btrace.seed h.Btrace.cap ~trace:false)
+        (setup_of ~cfg h.Btrace.bench h.Btrace.scale policy h.Btrace.prefetch h.Btrace.seed
+           h.Btrace.cap ~trace:false)
         with
         obs;
       }
@@ -792,7 +816,7 @@ let pattern_cmd =
                 (Figure 5).")
   in
   let action bench machine n_cpus scale order =
-    let d = Spec.find bench in
+    let d = find_bench bench in
     let cfg = config_of machine n_cpus scale in
     let p = d.build ~scale () in
     let summary = Pcolor.Comp.Summary.extract ~page_size:cfg.page_size p in
@@ -843,7 +867,7 @@ let pattern_cmd =
 
 let hints_cmd =
   let action bench machine n_cpus scale =
-    let d = Spec.find bench in
+    let d = find_bench bench in
     let cfg = config_of machine n_cpus scale in
     let p = d.build ~scale () in
     let summary = Pcolor.Comp.Summary.extract ~page_size:cfg.page_size p in
@@ -896,7 +920,8 @@ let run_file_cmd =
 
 let dump_cmd =
   let action bench scale =
-    print_string (Pcolor.Comp.Text.to_string ((Spec.find bench).build ~scale ()))
+    check_scale scale;
+    print_string (Pcolor.Comp.Text.to_string ((find_bench bench).build ~scale ()))
   in
   Cmd.v
     (Cmd.info "dump" ~doc:"Print a built-in benchmark in the textual program format.")
@@ -906,7 +931,8 @@ let dump_cmd =
 
 let summary_cmd =
   let action bench scale =
-    let d = Spec.find bench in
+    check_scale scale;
+    let d = find_bench bench in
     let p = d.build ~scale () in
     let summary = Pcolor.Comp.Summary.extract p in
     Format.printf "%s (%.1f MB at scale 1/%d)@.%a@." p.name
@@ -1292,9 +1318,10 @@ let perf_backfill_cmd =
 let perf_prof_cmd =
   let action bench machine n_cpus scale policy prefetch seed cap engine =
     let prof = Pcolor.Obs.Prof.create () in
+    let cfg = config_of machine n_cpus scale in
     let setup =
       {
-        (setup_of bench machine n_cpus scale policy prefetch seed cap ~trace:false) with
+        (setup_of ~cfg bench scale policy prefetch seed cap ~trace:false) with
         obs = Pcolor.Obs.Ctx.create ~prof ();
         engine;
       }

@@ -197,10 +197,20 @@ let n_slices t = 1 lsl t.slice_bits
 
 let groups t = 1 lsl t.group_bits
 
-(* ---- evaluation (hot path: one call per external-cache access on a
+(* ---- evaluation (hot path: one call per external-cache event on a
    multi-slice machine; allocation-free) ---- *)
 
-let[@inline] parity x = Bits.popcount x land 1
+(* Branch-free XOR-fold: each step folds the upper half of the live
+   bits onto the lower half, so after six steps bit 0 holds the XOR of
+   all 63 bits — constant time, whatever the highest tapped bit. *)
+let[@inline] parity x =
+  let x = x lxor (x lsr 32) in
+  let x = x lxor (x lsr 16) in
+  let x = x lxor (x lsr 8) in
+  let x = x lxor (x lsr 4) in
+  let x = x lxor (x lsr 2) in
+  let x = x lxor (x lsr 1) in
+  x land 1
 
 (** [slice_of t frame] is the slice index of a physical frame. *)
 let slice_of t frame =

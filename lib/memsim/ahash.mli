@@ -42,7 +42,7 @@ val n_slices : t -> int
 val groups : t -> int
 
 (** [slice_of t frame] is the slice index of a physical frame
-    (allocation-free; one parity per slice bit). *)
+    (allocation-free; one constant-time parity per slice bit). *)
 val slice_of : t -> int -> int
 
 (** [bin_of t frame] is the true conflict bin — slice in the high bits,

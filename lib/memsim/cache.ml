@@ -177,17 +177,15 @@ let probe t ~addr =
   if slot < 0 then 0
   else 1 lor (if Array.unsafe_get t.dirty slot then 2 else 0)
 
-(** [invalidate t addr] drops the line if present, returning whether it
-    was dirty (the coherence layer uses this for remote-dirty fetches). *)
+(** [invalidate t addr] drops the line if present, whatever its dirty
+    state: callers (coherence invalidations, frame teardown) discard the
+    copy, so nothing is returned and nothing is allocated. *)
 let invalidate t addr =
   let line = line_of t addr in
   let slot = find_way t.tags line (base_of_set t line) t.assoc 0 in
-  if slot < 0 then None
-  else begin
-    let was_dirty = t.dirty.(slot) in
+  if slot >= 0 then begin
     t.tags.(slot) <- -1;
-    t.dirty.(slot) <- false;
-    Some was_dirty
+    t.dirty.(slot) <- false
   end
 
 (** [set_dirty_if_present t addr] marks the line dirty when resident and

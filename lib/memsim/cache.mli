@@ -47,9 +47,9 @@ val contains : t -> int -> bool
     LRU update, no statistics — safe on the hot path between accesses. *)
 val probe : t -> addr:int -> int
 
-(** [invalidate t addr] drops the line if present, returning whether it
-    was dirty. *)
-val invalidate : t -> int -> bool option
+(** [invalidate t addr] drops the line if present, whatever its dirty
+    state. *)
+val invalidate : t -> int -> unit
 
 (** [set_dirty_if_present t addr] marks the line dirty when resident,
     reporting whether it was found. *)

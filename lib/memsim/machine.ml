@@ -324,20 +324,23 @@ let translate_addr t c ~translate vaddr =
 
 (* Invalidate every other CPU's cached copies of a line the writer just
    acquired exclusively. L1 is virtually indexed, so it is invalidated by
-   virtual address (all CPUs share one address space); L2 by physical. *)
-let invalidate_others t ~writer ~vaddr ~paddr ~mask =
+   virtual address (all CPUs share one address space); L2 by physical,
+   in slice [sl] — the line's {!Slice.route}, the same on every CPU
+   because all CPUs share one external-cache geometry and hash. *)
+let invalidate_others t ~writer ~vaddr ~paddr ~sl ~mask =
   if mask <> 0 then
     for i = 0 to t.cfg.n_cpus - 1 do
       if i <> writer && mask land (1 lsl i) <> 0 then begin
         let peer = t.cpus.(i) in
-        ignore (Cache.invalidate peer.l1 vaddr);
-        ignore (Slice.invalidate peer.l2 paddr)
+        Cache.invalidate peer.l1 vaddr;
+        Cache.invalidate (Slice.slice peer.l2 sl) paddr
       end
     done
 
 (* Service an external-cache miss: classify, charge latency and bus
-   occupancy, update directory. [pline] is the physical line number. *)
-let l2_miss t c ~vaddr ~paddr ~pline ~write ~fa_hit ~evicted ~evicted_dirty =
+   occupancy, update directory. [pline] is the physical line number and
+   [sl] its slice route. *)
+let l2_miss t c ~vaddr ~paddr ~pline ~sl ~write ~fa_hit ~evicted ~evicted_dirty =
   let s = c.stats in
   (* victim write-back *)
   if evicted_dirty then begin
@@ -386,7 +389,7 @@ let l2_miss t c ~vaddr ~paddr ~pline ~write ~fa_hit ~evicted ~evicted_dirty =
   (* directory update *)
   if write then begin
     let mask = Directory.record_write t.dir ~cpu:c.id ~line:pline ~addr:paddr in
-    invalidate_others t ~writer:c.id ~vaddr ~paddr ~mask
+    invalidate_others t ~writer:c.id ~vaddr ~paddr ~sl ~mask
   end
   else if Directory.record_read t.dir ~cpu:c.id ~line:pline then
     (* remote dirty copy supplied the data and became clean; the owner's
@@ -395,18 +398,18 @@ let l2_miss t c ~vaddr ~paddr ~pline ~write ~fa_hit ~evicted ~evicted_dirty =
     Array.iter
       (fun peer ->
         if peer.id <> c.id then begin
-          Slice.clean peer.l2 paddr;
+          Cache.clean (Slice.slice peer.l2 sl) paddr;
           Cache.clean peer.l1 vaddr
         end)
       t.cpus;
   Pcolor_util.Bitset.set c.seen pline
 
 (* A write that hit a clean line may need a shared->exclusive upgrade. *)
-let upgrade_on_write t c ~vaddr ~paddr ~pline =
+let upgrade_on_write t c ~vaddr ~paddr ~pline ~sl =
   let mask = Directory.record_write t.dir ~cpu:c.id ~line:pline ~addr:paddr in
   if mask <> 0 then begin
     Bus.add_upgrade t.bus t.cfg.upgrade_bus_cycles;
-    invalidate_others t ~writer:c.id ~vaddr ~paddr ~mask
+    invalidate_others t ~writer:c.id ~vaddr ~paddr ~sl ~mask
   end
 
 (* The access path parameterized on the per-CPU record, so the batched
@@ -420,8 +423,9 @@ let access_cpu t c ~vaddr ~write ~translate =
       (* Possible shared->exclusive upgrade; L2 must learn the dirty state. *)
       let paddr = translate_addr t c ~translate vaddr in
       let pline = paddr lsr t.l2_line_bits in
-      ignore (Slice.set_dirty_if_present c.l2 paddr);
-      upgrade_on_write t c ~vaddr ~paddr ~pline
+      let sl = Slice.route c.l2 paddr in
+      ignore (Cache.set_dirty_if_present (Slice.slice c.l2 sl) paddr);
+      upgrade_on_write t c ~vaddr ~paddr ~pline ~sl
     end
   end
   else begin
@@ -432,7 +436,10 @@ let access_cpu t c ~vaddr ~write ~translate =
        not retain the victim's own address mapping, so we skip it; the
        original write already set the L2 dirty bit on its own path). *)
     let fa_hit = Shadow.access c.shadow pline in
-    let r2 = Slice.access c.l2 ~addr:paddr ~write in
+    (* one route per external-cache event: the access, the coherence
+       actions on peers and the upgrade all reuse it *)
+    let sl = Slice.route c.l2 paddr in
+    let r2 = Cache.access (Slice.slice c.l2 sl) ~addr:paddr ~write in
     if Cache.res_hit r2 then begin
       s.l2_hits <- s.l2_hits + 1;
       s.stall_onchip <- s.stall_onchip + t.cfg.l2_hit_cycles;
@@ -453,12 +460,12 @@ let access_cpu t c ~vaddr ~write ~translate =
         s.pf_useful <- s.pf_useful + 1;
         Pcolor_util.Itab.remove c.pf_ready pline
       end;
-      if write && not (Cache.res_dirty r2) then upgrade_on_write t c ~vaddr ~paddr ~pline
+      if write && not (Cache.res_dirty r2) then upgrade_on_write t c ~vaddr ~paddr ~pline ~sl
       (* no [seen] insert here: every path that put the line into L2 (a
          demand miss or a prefetch fill) already recorded it *)
     end
     else
-      l2_miss t c ~vaddr ~paddr ~pline ~write ~fa_hit ~evicted:(Cache.res_victim r2)
+      l2_miss t c ~vaddr ~paddr ~pline ~sl ~write ~fa_hit ~evicted:(Cache.res_victim r2)
         ~evicted_dirty:(Cache.res_dirty r2)
   end
 
@@ -505,7 +512,9 @@ let prefetch_cpu t c ~vaddr =
   else begin
     let paddr = paddr_of t ~frame ~vaddr in
     let pline = paddr lsr t.l2_line_bits in
-    if Slice.contains c.l2 paddr || Pcolor_util.Itab.mem c.pf_ready pline then
+    let sl = Slice.route c.l2 paddr in
+    let l2 = Slice.slice c.l2 sl in
+    if Cache.contains l2 paddr || Pcolor_util.Itab.mem c.pf_ready pline then
       s.pf_useless <- s.pf_useless + 1
     else begin
       (* Retire completed prefetches, then enforce the slot limit. *)
@@ -530,13 +539,15 @@ let prefetch_cpu t c ~vaddr =
       Pcolor_util.Itab.set c.pf_ready pline done_at;
       Bus.add_data t.bus t.line_bus;
       ignore (Shadow.access c.shadow pline);
-      let r = Slice.access c.l2 ~addr:paddr ~write:false in
+      let r = Cache.access l2 ~addr:paddr ~write:false in
       if (not (Cache.res_hit r)) && Cache.res_dirty r then begin
         Bus.add_writeback t.bus t.line_bus;
         Directory.writeback t.dir ~cpu ~line:(Cache.res_victim r)
       end;
       if Directory.record_read t.dir ~cpu ~line:pline then
-        Array.iter (fun peer -> if peer.id <> cpu then Slice.clean peer.l2 paddr) t.cpus;
+        Array.iter
+          (fun peer -> if peer.id <> cpu then Cache.clean (Slice.slice peer.l2 sl) paddr)
+          t.cpus;
       Pcolor_util.Bitset.set c.seen pline
     end
   end
@@ -881,14 +892,19 @@ let harvest_conflicts t ~min_count =
 
 (** [invalidate_frame_everywhere t ~frame] drops every line of a
     physical page from every CPU's external cache (the page's data
-    moved to a different frame during recoloring). *)
+    moved to a different frame during recoloring, or the frame was
+    reclaimed).  The page is routed once: all of its lines live in the
+    same slice on every CPU. *)
 let invalidate_frame_everywhere t ~frame =
   let base = frame lsl t.page_bits in
-  let lines = t.cfg.page_size / t.cfg.l2.line in
+  let line = t.cfg.l2.line in
+  let lines = t.cfg.page_size / line in
+  let sl = Slice.route t.cpus.(0).l2 base in
   Array.iter
     (fun c ->
+      let l2 = Slice.slice c.l2 sl in
       for l = 0 to lines - 1 do
-        ignore (Slice.invalidate c.l2 (base + (l * t.cfg.l2.line)))
+        Cache.invalidate l2 (base + (l * line))
       done)
     t.cpus
 

@@ -190,8 +190,9 @@ val emit_timeline_counters : t -> Pcolor_obs.Trace.buffer -> unit
 val harvest_conflicts : t -> min_count:int -> (int * int) list
 
 (** [invalidate_frame_everywhere t ~frame] drops every line of a
-    physical page from every external cache (recoloring moved the
-    data). *)
+    physical page from every external cache (recoloring moved the data,
+    or reclaim freed the frame).  One slice route serves the whole
+    page on every CPU. *)
 val invalidate_frame_everywhere : t -> frame:int -> unit
 
 (** [touch_page t ~cpu ~vaddr ~translate] forces translation (first

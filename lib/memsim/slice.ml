@@ -46,9 +46,11 @@ let create (g : Config.cache_geom) ~n_slices ~hash ~page_bits =
     local_sets = Cache.n_sets slices.(0);
   }
 
-let[@inline] slice_of_addr t addr =
-  (* addr lsr page_bits = (addr lsr line_bits) lsr page_line_bits; we
-     route from the byte address, so shift by both *)
+(* Every line of a page routes to the same slice: the hash reads only
+   frame bits.  [route] is therefore computed once per page-granular
+   event and reused for all of its lines and for every CPU (all CPUs
+   share one geometry and one hash). *)
+let[@inline] route t addr =
   if t.n_slices = 1 then 0
   else Ahash.slice_of t.hash (Cache.line_of t.slices.(0) addr lsr t.page_line_bits)
 
@@ -78,17 +80,9 @@ let set_of_line t line =
   let local = Cache.set_of_line t.slices.(s) line in
   (s * t.local_sets) + local
 
-let access t ~addr ~write = Cache.access t.slices.(slice_of_addr t addr) ~addr ~write
+let access t ~addr ~write = Cache.access t.slices.(route t addr) ~addr ~write
 
-let contains t addr = Cache.contains t.slices.(slice_of_addr t addr) addr
-
-let probe t ~addr = Cache.probe t.slices.(slice_of_addr t addr) ~addr
-
-let invalidate t addr = Cache.invalidate t.slices.(slice_of_addr t addr) addr
-
-let set_dirty_if_present t addr = Cache.set_dirty_if_present t.slices.(slice_of_addr t addr) addr
-
-let clean t addr = Cache.clean t.slices.(slice_of_addr t addr) addr
+let contains t addr = Cache.contains t.slices.(route t addr) addr
 
 let flush t = Array.iter Cache.flush t.slices
 

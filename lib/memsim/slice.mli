@@ -13,8 +13,16 @@ val n_slices : t -> int
 
 val hash : t -> Ahash.t
 
-(** [slice t i] exposes slice [i]'s underlying cache (probe/tests). *)
+(** [slice t i] is slice [i]'s underlying cache. *)
 val slice : t -> int -> Cache.t
+
+(** [route t addr] is the index of the slice physical address [addr]
+    maps to (0 when there is one slice, without hashing).  Every line
+    of a page routes to the same slice, and every CPU's slice set
+    shares one geometry and hash, so one route serves a whole
+    page-granular event: all of its lines, on every CPU
+    ([Cache] operations on [slice t (route t addr)]). *)
+val route : t -> int -> int
 
 (** {1 Cache API mirror} — semantics as in {!Cache}, with set ids
     numbered slice-major across slices ([n_sets] equals the unsliced
@@ -31,14 +39,6 @@ val set_of_line : t -> int -> int
 val access : t -> addr:int -> write:bool -> int
 
 val contains : t -> int -> bool
-
-val probe : t -> addr:int -> int
-
-val invalidate : t -> int -> bool option
-
-val set_dirty_if_present : t -> int -> bool
-
-val clean : t -> int -> unit
 
 val flush : t -> unit
 

@@ -56,9 +56,9 @@ let attribution_json_spaces ~(spaces : (Pcolor_vm.Kernel.t * Ir.program) list) ~
     let rec go = function
       | [] -> None
       | (k, p) :: rest -> (
-        match Pcolor_vm.Page_table.find_by_frame (Pcolor_vm.Kernel.page_table k) frame with
-        | Some vp -> Some (vp, p)
-        | None -> go rest)
+        match Pcolor_vm.Page_table.vpage_of (Pcolor_vm.Kernel.page_table k) frame with
+        | -1 -> go rest
+        | vp -> Some (vp, p))
     in
     go spaces
   in

@@ -66,9 +66,9 @@ let round t ~trigger_cpu =
   let base_shift = (n_colors / 2) + Pcolor_util.Rng.int t.rng (max 1 (n_colors / 8)) in
   List.iteri
     (fun i (frame, _count) ->
-      match Pcolor_vm.Page_table.find_by_frame table frame with
-      | None -> ()
-      | Some vpage ->
+      match Pcolor_vm.Page_table.vpage_of table frame with
+      | -1 -> ()
+      | vpage ->
         let old_color = Pcolor_vm.Frame_pool.color_of pool frame in
         let preferred = (old_color + base_shift + i) mod n_colors in
         (match Pcolor_vm.Kernel.recolor t.kernel ~vpage ~preferred with

@@ -49,14 +49,13 @@ let create ?(batch = 16) ~machine ~pool ~kernels () =
     evictions = 0;
   }
 
-(* which address space maps [frame], if any *)
+(* which address space maps [frame]: its index in [kernels], or -1 (a
+   frame of the shared pool is mapped by at most one of them) *)
 let owner t frame =
   let rec go i =
-    if i >= Array.length t.kernels then None
-    else
-      match Pcolor_vm.Page_table.find_by_frame (Kernel.page_table t.kernels.(i)) frame with
-      | Some vpage -> Some (t.kernels.(i), vpage)
-      | None -> go (i + 1)
+    if i >= Array.length t.kernels then -1
+    else if Pcolor_vm.Page_table.vpage_of (Kernel.page_table t.kernels.(i)) frame >= 0 then i
+    else go (i + 1)
   in
   go 0
 
@@ -96,9 +95,10 @@ let reclaim t ~cpu =
     let frame = t.hand in
     t.hand <- (t.hand + 1) mod total;
     incr steps;
-    match owner t frame with
-    | None -> ()
-    | Some (kernel, vpage) ->
+    let i = owner t frame in
+    if i >= 0 then begin
+      let kernel = t.kernels.(i) in
+      let vpage = Pcolor_vm.Page_table.vpage_of (Kernel.page_table kernel) frame in
       if tlb_resident t vpage then begin
         drop_translations t vpage;
         incr shootdowns;
@@ -109,6 +109,7 @@ let reclaim t ~cpu =
         incr shootdowns;
         incr freed
       end
+    end
   done;
   t.scanned <- t.scanned + !steps;
   t.evictions <- t.evictions + !freed;

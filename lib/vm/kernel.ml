@@ -81,9 +81,9 @@ let set_reclaim t f = t.reclaim <- Some f
     reclaimer (if any) is invoked and the allocation retried while it
     makes progress; raises {!Out_of_frames} once nothing can be freed. *)
 let translate t ~cpu ~vpage =
-  match Page_table.find t.table vpage with
-  | Some frame -> (frame, 0)
-  | None ->
+  let frame = Page_table.frame_of t.table vpage in
+  if frame >= 0 then (frame, 0)
+  else begin
     t.faults <- t.faults + 1;
     let preferred = Policy.preferred_color t.policy ~vpage in
     let fallbacks_before = Frame_pool.fallbacks t.pool in
@@ -109,6 +109,7 @@ let translate t ~cpu ~vpage =
     t.color_granted.(granted) <- t.color_granted.(granted) + 1;
     Page_table.map t.table ~vpage ~frame;
     (frame, t.cfg.page_fault_cycles)
+  end
 
 (** [recolor t ~vpage ~preferred] remaps a page onto a frame of a
     different color — the §2.1 dynamic policies' repair action.  The
@@ -120,9 +121,9 @@ let translate t ~cpu ~vpage =
     responsible for charging copy/TLB-shootdown costs and invalidating
     stale cache lines. *)
 let recolor t ~vpage ~preferred =
-  match Page_table.find t.table vpage with
-  | None -> None
-  | Some old_frame -> (
+  match Page_table.frame_of t.table vpage with
+  | -1 -> None
+  | old_frame -> (
     let fallbacks_before = Frame_pool.fallbacks t.pool in
     let honored_before = Frame_pool.honored t.pool in
     match Frame_pool.alloc t.pool ~preferred with
@@ -211,4 +212,6 @@ let publish_metrics ?(pool_stats = true) t reg =
 (** [color_of_vpage t vpage] is the cache color the page landed on, if
     mapped: the ground truth CDPC tries to control. *)
 let color_of_vpage t vpage =
-  Option.map (fun frame -> Frame_pool.color_of t.pool frame) (Page_table.find t.table vpage)
+  match Page_table.frame_of t.table vpage with
+  | -1 -> None
+  | frame -> Some (Frame_pool.color_of t.pool frame)

@@ -2,48 +2,54 @@
 
     The workloads are single-address-space parallel programs (SUIF's
     master/slave threads share memory), so one table serves all CPUs;
-    per-CPU TLBs cache its entries. *)
+    per-CPU TLBs cache its entries.  Both directions are
+    {!Pcolor_util.Itab}s: lookups run on every translation and every
+    reclaim-clock step, and return [-1] for "absent" instead of
+    allocating an option. *)
+
+module Itab = Pcolor_util.Itab
 
 type t = {
-  map : (int, int) Hashtbl.t; (* vpage -> frame *)
-  rev : (int, int) Hashtbl.t; (* frame -> vpage; recoloring needs the inverse *)
-  mutable mapped : int;
+  map : Itab.t; (* vpage -> frame *)
+  rev : Itab.t; (* frame -> vpage; recoloring and reclaim need the inverse *)
 }
 
-(** [create ()] is an empty page table. *)
-let create () = { map = Hashtbl.create (1 lsl 14); rev = Hashtbl.create (1 lsl 14); mapped = 0 }
+(** [create ()] is an empty page table.  The tables start small and
+    grow on demand: a mix holds one table per job, and pre-sizing them
+    shows up in peak heap. *)
+let create () = { map = Itab.create (); rev = Itab.create () }
 
-(** [find t vpage] is the frame backing [vpage], if mapped. *)
-let find t vpage = Hashtbl.find_opt t.map vpage
+(** [frame_of t vpage] is the frame backing [vpage], or [-1]. *)
+let frame_of t vpage = Itab.find t.map vpage ~default:(-1)
+
+(** [vpage_of t frame] is the virtual page mapped to [frame], or [-1] —
+    the lookup the recoloring daemon and the reclaimer need to turn
+    physical pages back into virtual pages. *)
+let vpage_of t frame = Itab.find t.rev frame ~default:(-1)
 
 (** [mem t vpage] tests mappedness. *)
-let mem t vpage = Hashtbl.mem t.map vpage
+let mem t vpage = Itab.mem t.map vpage
 
 (** [map t ~vpage ~frame] installs a mapping; raises [Invalid_argument]
     if [vpage] is already mapped (remapping must go through [unmap]). *)
 let map t ~vpage ~frame =
-  if Hashtbl.mem t.map vpage then invalid_arg "Page_table.map: page already mapped";
-  Hashtbl.add t.map vpage frame;
-  Hashtbl.replace t.rev frame vpage;
-  t.mapped <- t.mapped + 1
-
-(** [find_by_frame t frame] is the virtual page mapped to [frame], if
-    any — the lookup the recoloring daemon needs to turn hot physical
-    pages back into virtual pages. *)
-let find_by_frame t frame = Hashtbl.find_opt t.rev frame
+  if Itab.mem t.map vpage then invalid_arg "Page_table.map: page already mapped";
+  Itab.set t.map vpage frame;
+  Itab.set t.rev frame vpage
 
 (** [unmap t vpage] removes a mapping, returning the frame it held. *)
 let unmap t vpage =
-  match Hashtbl.find_opt t.map vpage with
-  | None -> None
-  | Some frame ->
-    Hashtbl.remove t.map vpage;
-    Hashtbl.remove t.rev frame;
-    t.mapped <- t.mapped - 1;
+  let frame = frame_of t vpage in
+  if frame < 0 then None
+  else begin
+    Itab.remove t.map vpage;
+    Itab.remove t.rev frame;
     Some frame
+  end
 
 (** [mapped_count t] is the number of live mappings. *)
-let mapped_count t = t.mapped
+let mapped_count t = Itab.length t.map
 
-(** [iter t f] applies [f ~vpage ~frame] to every mapping. *)
-let iter t f = Hashtbl.iter (fun vpage frame -> f ~vpage ~frame) t.map
+(** [iter t f] applies [f ~vpage ~frame] to every mapping, in
+    unspecified order. *)
+let iter t f = Itab.iter (fun vpage frame -> f ~vpage ~frame) t.map

@@ -6,12 +6,14 @@ type t
 (** [create ()] is an empty page table. *)
 val create : unit -> t
 
-(** [find t vpage] is the frame backing [vpage], if mapped. *)
-val find : t -> int -> int option
+(** [frame_of t vpage] is the frame backing [vpage], or [-1] when
+    unmapped.  Never allocates. *)
+val frame_of : t -> int -> int
 
-(** [find_by_frame t frame] is the inverse lookup, used by the
-    recoloring daemon. *)
-val find_by_frame : t -> int -> int option
+(** [vpage_of t frame] is the inverse lookup (recoloring daemon,
+    reclaimer): the virtual page mapped to [frame], or [-1].  Never
+    allocates. *)
+val vpage_of : t -> int -> int
 
 (** [mem t vpage] tests mappedness. *)
 val mem : t -> int -> bool
@@ -26,5 +28,6 @@ val unmap : t -> int -> int option
 (** [mapped_count t] is the number of live mappings. *)
 val mapped_count : t -> int
 
-(** [iter t f] applies [f ~vpage ~frame] to every mapping. *)
+(** [iter t f] applies [f ~vpage ~frame] to every mapping, in
+    unspecified order. *)
 val iter : t -> (vpage:int -> frame:int -> unit) -> unit

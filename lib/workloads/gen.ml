@@ -41,6 +41,12 @@ let arr3 c name ~d0 ~d1 ~d2 =
 (** [arrays c] lists declarations in declaration order. *)
 let arrays c = List.rev c.arrays
 
+(** [scales] are the data-set scale divisors every kernel supports;
+    [scales_doc] says so in words, for error messages. *)
+let scales = [ 1; 4; 16; 64; 256 ]
+
+let scales_doc = "scale must be 1, 4, 16, 64 or 256"
+
 (** [dim2 ~base ~scale] scales a linear 2-D dimension.  [scale] divides
     the {e data-set size} and must be a square (1, 4, 16, 64, 256) so the
     side shrinks by an integer factor.  SPEC95fp grids are 2^k or 2^k+1
@@ -56,7 +62,7 @@ let dim2 ~base ~scale =
     | 16 -> 4
     | 64 -> 8
     | 256 -> 16
-    | _ -> invalid_arg "Gen.dim2: scale must be 1, 4, 16, 64 or 256"
+    | _ -> invalid_arg ("Gen.dim2: " ^ scales_doc)
   in
   if base mod 2 = 1 then ((base - 1) / d) + 1 else base / d
 

@@ -52,3 +52,23 @@ let layout ?(mode = Pcolor.Cdpc.Align.Aligned) cfg (p : Ir.program) =
   summary
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+
+(* The CLI sits next to the test binary in the build tree (test/dune
+   depends on it). *)
+let cli =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "pcolor_cli.exe" ]
+
+(* [run_cli args] runs the CLI with stdout discarded, returning its exit
+   code and everything it wrote to stderr. *)
+let run_cli args =
+  let err = Filename.temp_file "pcolor_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code = Sys.command (Filename.quote_command cli args ~stdout:Filename.null ~stderr:err) in
+      let ic = open_in_bin err in
+      let stderr = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      (code, stderr))

@@ -59,8 +59,15 @@ let test_lru_two_way () =
 let test_invalidate_clean () =
   let c = dm4 () in
   ignore (Cache.access c ~addr:0 ~write:true);
-  Alcotest.(check (option bool)) "invalidate returns dirtiness" (Some true) (Cache.invalidate c 0);
-  Alcotest.(check (option bool)) "second invalidate no-op" None (Cache.invalidate c 0);
+  Alcotest.(check bool) "dirty before invalidate" true (Cache.res_dirty (Cache.probe c ~addr:0));
+  Cache.invalidate c 0;
+  Alcotest.(check bool) "invalidated" false (Cache.contains c 0);
+  Cache.invalidate c 0;
+  Alcotest.(check bool) "second invalidate no-op" false (Cache.contains c 0);
+  (* the dropped dirty line left an empty way: no victim to write back *)
+  let r = Cache.access c ~addr:0 ~write:false in
+  Alcotest.(check int) "empty way refilled" (-1) (Cache.res_victim r);
+  Alcotest.(check bool) "no dirty victim" false (Cache.res_dirty r);
   ignore (Cache.access c ~addr:64 ~write:true);
   Cache.clean c 64;
   let r = Cache.access c ~addr:64 ~write:false in

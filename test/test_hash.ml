@@ -95,6 +95,55 @@ let test_presets_full_rank () =
         [ 1; 2 ])
     [ Ahash.Identity; Ahash.Xor_fold; Ahash.Sandybridge ]
 
+(* QCheck: the constant-time XOR-fold parity agrees with a bit-serial
+   popcount reference, over random frames (all 63 bits in play) ×
+   random full-rank masks and the three presets at random geometries. *)
+let reference_slice_of masks frame =
+  let s = ref 0 in
+  Array.iteri
+    (fun i m -> s := !s lor ((Pcolor.Util.Bits.popcount (frame land m) land 1) lsl i))
+    masks;
+  !s
+
+let gen_frame =
+  QCheck.Gen.(
+    oneof
+      [ int_bound 4095; int_range 0 max_int; map (fun b -> (1 lsl b) - 1) (int_range 1 62) ])
+
+let gen_hash =
+  let open QCheck.Gen in
+  let* group_bits = int_range 0 6 in
+  let* pick = int_bound 3 in
+  match pick with
+  | 0 | 1 | 2 ->
+    let spec = [| Ahash.Identity; Ahash.Xor_fold; Ahash.Sandybridge |].(pick) in
+    let+ slice_bits = int_range 1 2 in
+    Ahash.resolve spec ~slice_bits ~group_bits
+  | _ ->
+    let* slice_bits = int_range 1 4 in
+    (* rows anywhere above the group bits, up to bit 62; rejection-
+       sample to full rank *)
+    let row = map (fun r -> r land lnot ((1 lsl group_bits) - 1)) (int_range 0 max_int) in
+    let rec full_rank () =
+      let* rows = array_repeat slice_bits row in
+      if Ahash.rank rows = slice_bits then return rows else full_rank ()
+    in
+    let+ rows = full_rank () in
+    Ahash.resolve (Ahash.Masks rows) ~slice_bits ~group_bits
+
+let qcheck_slice_of_reference =
+  QCheck.Test.make ~name:"slice_of = popcount-parity reference" ~count:300
+    (QCheck.make
+       ~print:(fun (h, frames) ->
+         Printf.sprintf "%s (group bits %d) on [%s]"
+           (Ahash.spec_to_string (Ahash.Masks (Ahash.masks h)))
+           (Ahash.group_bits h)
+           (String.concat "; " (List.map string_of_int frames)))
+       QCheck.Gen.(pair gen_hash (list_repeat 40 gen_frame)))
+    (fun (h, frames) ->
+      let masks = Ahash.masks h in
+      List.for_all (fun f -> Ahash.slice_of h f = reference_slice_of masks f) frames)
+
 (* ---- Slice: the multi-slice external cache ---- *)
 
 let geom = { Config.size = 8192; assoc = 2; line = 128 }
@@ -140,6 +189,80 @@ let test_multi_slice_routing () =
     ignore (Slice.access s ~addr ~write:false)
   done;
   Alcotest.(check bool) "accesses accounted" true (Slice.hits s + Slice.misses s = 256)
+
+(* The page-granular routing shortcut: every byte of every line of a
+   page routes to the page base's slice, which is the hash of the frame
+   number — for every preset and slice count of the geometry. *)
+let qcheck_route_page_granular =
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 2) (int_range 0 2) (int_range 0 ((1 lsl 50) - 1)) (int_bound 127))
+  in
+  QCheck.Test.make ~name:"every line of a page routes with the page base" ~count:200
+    (QCheck.make
+       ~print:(fun (p, sb, frame, off) ->
+         Printf.sprintf "preset %d, %d slice bits, frame %d, +%d" p sb frame off)
+       gen)
+    (fun (pick, slice_bits, frame, off) ->
+      let spec = [| Ahash.Identity; Ahash.Xor_fold; Ahash.Sandybridge |].(pick) in
+      (* geom: 4 colors of 1 KiB pages *)
+      let hash = Ahash.resolve spec ~slice_bits ~group_bits:(2 - slice_bits) in
+      let s = Slice.create geom ~n_slices:(1 lsl slice_bits) ~hash ~page_bits:10 in
+      let base = frame lsl 10 in
+      let expected = if slice_bits = 0 then 0 else Ahash.slice_of hash frame in
+      Slice.route s base = expected
+      && List.for_all
+           (fun l -> Slice.route s (base + (l * geom.Config.line) + off) = expected)
+           (List.init (1024 / geom.Config.line) Fun.id))
+
+(* Frame teardown on a 4-CPU, 4-slice sandybridge machine: after
+   [invalidate_frame_everywhere] no line of the frame survives on any
+   CPU, while a resident line of another frame in the same slice (and a
+   disjoint set range) does. *)
+let test_invalidate_frame_everywhere () =
+  let module M = Pcolor.Memsim.Machine in
+  let cfg = Helpers.tiny_cfg ~n_cpus:4 ~l2_slices:4 ~l2_hash:Ahash.Sandybridge () in
+  let hash = Config.resolved_hash cfg in
+  let groups = Ahash.groups hash in
+  let frame = 5 in
+  let rec same_slice g =
+    if Ahash.slice_of hash g = Ahash.slice_of hash frame && g mod groups <> frame mod groups then g
+    else same_slice (g + 1)
+  in
+  let other = same_slice (frame + 1) in
+  (* vpage 0 -> [frame], vpage 1 -> [other] *)
+  let translate ~cpu:_ ~vpage = ((if vpage = 0 then frame else other), 0) in
+  let m = M.create cfg in
+  let page = cfg.Config.page_size and line = cfg.Config.l2.line in
+  let lines_of f = List.init (page / line) (fun l -> (f * page) + (l * line)) in
+  let resident cpu paddr = Slice.contains (M.l2_cache m ~cpu) paddr in
+  for cpu = 0 to 3 do
+    List.iter
+      (fun paddr -> M.access m ~cpu ~vaddr:(paddr - (frame * page)) ~write:false ~translate)
+      (lines_of frame);
+    M.access m ~cpu ~vaddr:page ~write:false ~translate
+  done;
+  let other_line = other * page in
+  for cpu = 0 to 3 do
+    List.iter
+      (fun paddr ->
+        Alcotest.(check bool)
+          (Printf.sprintf "cpu%d filled 0x%x" cpu paddr)
+          true (resident cpu paddr))
+      (other_line :: lines_of frame)
+  done;
+  M.invalidate_frame_everywhere m ~frame;
+  for cpu = 0 to 3 do
+    List.iter
+      (fun paddr ->
+        Alcotest.(check bool)
+          (Printf.sprintf "cpu%d dropped 0x%x" cpu paddr)
+          false (resident cpu paddr))
+      (lines_of frame);
+    Alcotest.(check bool)
+      (Printf.sprintf "cpu%d kept the other frame" cpu)
+      true (resident cpu other_line)
+  done
 
 (* Two frames of equal believed color but different slices must not
    conflict; two of different believed color in one bin must. *)
@@ -320,12 +443,16 @@ let suite =
         Alcotest.test_case "canonical RREF" `Quick test_canonical;
         Alcotest.test_case "resolve rejects bad matrices" `Quick test_resolve_rejects;
         Alcotest.test_case "presets full rank, slices reachable" `Quick test_presets_full_rank;
+        QCheck_alcotest.to_alcotest qcheck_slice_of_reference;
       ] );
     ( "hash.slice",
       [
         Alcotest.test_case "1 slice identical to plain cache" `Quick test_one_slice_identity;
         Alcotest.test_case "multi-slice routing follows hash" `Quick test_multi_slice_routing;
         Alcotest.test_case "conflicts follow true bins" `Quick test_slice_conflicts_follow_bins;
+        QCheck_alcotest.to_alcotest qcheck_route_page_granular;
+        Alcotest.test_case "invalidate_frame_everywhere drops only its frame" `Quick
+          test_invalidate_frame_everywhere;
       ] );
     ( "hash.probe",
       [

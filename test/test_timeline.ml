@@ -396,29 +396,18 @@ let test_btrace_varint_overflow () =
       | exception Btrace.Error (Btrace.Corrupt msg) ->
         Alcotest.(check string) "message" "varint wider than 63 bits" msg)
 
-(* The CLI sits next to this test binary in the build tree. *)
-let cli =
-  List.fold_left Filename.concat
-    (Filename.dirname Sys.executable_name)
-    [ Filename.parent_dir_name; "bin"; "pcolor_cli.exe" ]
-
 let test_replay_cli_bad_header () =
   List.iter
     (fun (label, tape) ->
       with_tape (fun path ->
           write_file path tape;
-          with_tape (fun err ->
-              let code =
-                Sys.command
-                  (Filename.quote_command cli [ "replay"; path ] ~stdout:Filename.null ~stderr:err)
-              in
-              let stderr = read_file err in
-              Alcotest.(check int) (label ^ ": exit code") 2 code;
-              match String.split_on_char '\n' stderr with
-              | [ line; "" ] ->
-                Alcotest.(check bool) (label ^ ": names the trace") true
-                  (String.starts_with ~prefix:(path ^ ": ") line)
-              | _ -> Alcotest.failf "%s: expected one stderr line, got %S" label stderr)))
+          let code, stderr = Helpers.run_cli [ "replay"; path ] in
+          Alcotest.(check int) (label ^ ": exit code") 2 code;
+          match String.split_on_char '\n' stderr with
+          | [ line; "" ] ->
+            Alcotest.(check bool) (label ^ ": names the trace") true
+              (String.starts_with ~prefix:(path ^ ": ") line)
+          | _ -> Alcotest.failf "%s: expected one stderr line, got %S" label stderr))
     [
       ("unknown bench", header_only ~bench:"tomcatX" ());
       ("zero CPUs", header_only ~n_cpus:0 ());

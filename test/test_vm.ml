@@ -59,12 +59,17 @@ let test_page_table () =
   let t = Pt.create () in
   Alcotest.(check bool) "empty" false (Pt.mem t 5);
   Pt.map t ~vpage:5 ~frame:42;
-  Alcotest.(check (option int)) "find" (Some 42) (Pt.find t 5);
+  Alcotest.(check int) "frame_of" 42 (Pt.frame_of t 5);
+  Alcotest.(check int) "vpage_of" 5 (Pt.vpage_of t 42);
+  Alcotest.(check int) "frame_of unmapped" (-1) (Pt.frame_of t 6);
+  Alcotest.(check int) "vpage_of free frame" (-1) (Pt.vpage_of t 41);
   Alcotest.(check int) "count" 1 (Pt.mapped_count t);
   Alcotest.check_raises "remap rejected" (Invalid_argument "Page_table.map: page already mapped")
     (fun () -> Pt.map t ~vpage:5 ~frame:1);
   Alcotest.(check (option int)) "unmap" (Some 42) (Pt.unmap t 5);
-  Alcotest.(check int) "count after unmap" 0 (Pt.mapped_count t)
+  Alcotest.(check int) "count after unmap" 0 (Pt.mapped_count t);
+  Alcotest.(check int) "unmapped both ways" (-1) (Pt.vpage_of t 42);
+  Alcotest.(check (option int)) "second unmap" None (Pt.unmap t 5)
 
 let test_hints () =
   let h = Hints.create ~n_colors:8 in
