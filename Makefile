@@ -14,6 +14,8 @@
 #                     machines), then hard-gate the batch and runs
 #                     engines against the interpreter with `pcolor diff
 #                     --exact` (simulated metrics must be byte-identical)
+#                     and diff the TLB recolor and flush-mix runs against
+#                     golden/tlb_*.json --exact
 #                     and run the statistical throughput verdict
 #                     `pcolor perf check` — fresh medians vs the
 #                     baseline's confidence intervals at
@@ -88,6 +90,17 @@ bench-check:
 	  _build/engine_interp.json --exact
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/engine_runs.json \
 	  _build/engine_interp.json --exact
+	@# TLB content-change gates: dynamic recoloring (Tlb.invalidate on
+	@# every moved page) and a flush-on-switch mix under reclaim must
+	@# reproduce their committed golden artifacts exactly.
+	$(DUNE) exec bin/pcolor_cli.exe -- run tomcatv --policy dynamic --cpus 4 \
+	  --scale 64 --metrics-out _build/tlb_recolor.json
+	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/tlb_recolor.json \
+	  _build/tlb_recolor.json --exact
+	$(DUNE) exec bin/pcolor_cli.exe -- mix tomcatv swim --scale 64 --cpus 4 \
+	  --tlb flush --mem-frames 60 --policy cdpc --metrics-out _build/tlb_flush_mix.json
+	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/tlb_flush_mix.json \
+	  _build/tlb_flush_mix.json --exact
 	@# Statistical throughput verdict: every fresh section median vs the
 	@# committed baseline's sign-test interval, warn-only by default
 	@# (shared machines are noisy); BENCH_STRICT=1 fails loud.

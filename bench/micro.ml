@@ -136,6 +136,34 @@ let test_invalidate_frame =
          incr i;
          Pcolor.Memsim.Machine.invalidate_frame_everywhere m ~frame:(!i land 0xFFF)))
 
+(* translation and coherence layer costs (the sweep workload's miss
+   path): a refill into a full 64-entry TLB, each op a new page, so
+   every insert evicts the LRU entry; and the directory's classification
+   probe plus read record over a dense range of physical lines *)
+let test_tlb_refill =
+  let t = Pcolor.Memsim.Tlb.create ~entries:64 in
+  let v = ref 0 in
+  for _ = 1 to 64 do
+    incr v;
+    ignore (Pcolor.Memsim.Tlb.insert t ~vpage:!v ~frame:!v)
+  done;
+  Test.make ~name:"translation: TLB refill (64 entries, full)"
+    (Staged.stage (fun () ->
+         incr v;
+         ignore (Pcolor.Memsim.Tlb.insert t ~vpage:!v ~frame:!v)))
+
+let test_directory =
+  let d = Pcolor.Memsim.Directory.create ~n_cpus:8 ~line_size:cfg_small.l2.line () in
+  let i = ref 0 in
+  Test.make ~name:"coherence: Directory inspect + record_read"
+    (Staged.stage (fun () ->
+         i := !i + 1;
+         let line = !i land 0xFFFF and cpu = !i land 7 in
+         ignore
+           (Sys.opaque_identity
+              (Pcolor.Memsim.Directory.inspect d ~cpu ~line ~addr:(line * cfg_small.l2.line)));
+         ignore (Pcolor.Memsim.Directory.record_read d ~cpu ~line)))
+
 (* table2: partition arithmetic *)
 let test_partition =
   Test.make ~name:"table2: partition range (even)"
@@ -222,6 +250,8 @@ let all_tests =
     test_machine_access;
     test_slice_hash;
     test_invalidate_frame;
+    test_tlb_refill;
+    test_directory;
     test_partition;
   ]
 

@@ -28,6 +28,7 @@ module Util = struct
   module Bits = Pcolor_util.Bits
   module Bitset = Pcolor_util.Bitset
   module Itab = Pcolor_util.Itab
+  module Densemap = Pcolor_util.Densemap
   module Pool = Pcolor_util.Pool
   module Stat = Pcolor_util.Stat
   module Table = Pcolor_util.Table

@@ -188,17 +188,13 @@ let invalidate t addr =
     t.dirty.(slot) <- false
   end
 
-(** [set_dirty_if_present t addr] marks the line dirty when resident and
-    reports whether it was found; used to sink an L1 dirty victim into
-    the external cache without modeling a full access. *)
+(** [set_dirty_if_present t addr] marks the line dirty when resident;
+    used when a write hits a clean L1 line, so the external cache learns
+    the dirty state without modeling a full access. *)
 let set_dirty_if_present t addr =
   let line = line_of t addr in
   let slot = find_way t.tags line (base_of_set t line) t.assoc 0 in
-  if slot >= 0 then begin
-    t.dirty.(slot) <- true;
-    true
-  end
-  else false
+  if slot >= 0 then t.dirty.(slot) <- true
 
 (** [clean t addr] clears the dirty bit if the line is resident (after a
     remote CPU fetched the dirty data). *)

@@ -51,9 +51,9 @@ val probe : t -> addr:int -> int
     state. *)
 val invalidate : t -> int -> unit
 
-(** [set_dirty_if_present t addr] marks the line dirty when resident,
-    reporting whether it was found. *)
-val set_dirty_if_present : t -> int -> bool
+(** [set_dirty_if_present t addr] marks the line dirty when resident
+    (absent lines are left alone). *)
+val set_dirty_if_present : t -> int -> unit
 
 (** [clean t addr] clears the line's dirty bit if resident. *)
 val clean : t -> int -> unit

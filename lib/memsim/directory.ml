@@ -18,10 +18,12 @@
     every external-cache miss and every prefetch, so the representation
     matters: when the whole per-line state fits in 62 bits (it does for
     every paper configuration) it is packed into a single immediate int
-    stored in an open-addressing {!Pcolor_util.Itab} — one flat-array
-    probe, no boxing.  Wider configurations (many CPUs or very long
-    lines) fall back to the original record-in-[Hashtbl] representation
-    with identical semantics.
+    stored in a {!Pcolor_util.Densemap} — a direct-indexed array over
+    physical line numbers, which frames from the compact frame pool keep
+    dense, so a probe is one bounds compare and one load, no hashing and
+    no boxing.  Wider configurations (many CPUs or very long lines) fall
+    back to the original record-in-[Hashtbl] representation with
+    identical semantics.
 
     Packed word layout, low to high:
     {v
@@ -30,9 +32,10 @@
       next bit                    dirty
       bits [.., +words_per_line)  wmask
     v}
-    A line that was never entered packs to 0, and the absent sentinel is
-    also 0 — [inspect] cannot tell them apart and does not need to: both
-    mean "incoherent, never written, clean". *)
+    A packed word is non-negative, so the map's [-1] marks a line that
+    was never entered.  [inspect] reads it as the all-zero word —
+    "incoherent, never written, clean" — while [writeback] and [evict]
+    leave such a line unentered. *)
 
 type line_state = {
   mutable valid_mask : int; (* bit c set: CPU c's cached copy is coherent *)
@@ -42,7 +45,7 @@ type line_state = {
 }
 
 type repr =
-  | Packed of Pcolor_util.Itab.t (* line number -> packed word *)
+  | Packed of Pcolor_util.Densemap.t (* line number -> packed word, -1 = never entered *)
   | Boxed of (int, line_state) Hashtbl.t (* line number -> state *)
 
 type t = {
@@ -75,7 +78,7 @@ let create ?(n_cpus = 32) ~line_size () =
       (* start small and let the table grow: pre-sizing for the largest
          runs made every machine pay ~1 MB of zeroed arrays up front,
          which dominated creation time for the scaled-down experiments *)
-      (if fits then Packed (Pcolor_util.Itab.create ~capacity:(1 lsl 12) ())
+      (if fits then Packed (Pcolor_util.Densemap.create ~initial:(1 lsl 12))
        else Boxed (Hashtbl.create (1 lsl 12)));
     word_shift = 3;
     words_per_line_mask = words_per_line - 1;
@@ -102,6 +105,9 @@ let[@inline] pack t ~valid ~writer ~dirty ~wmask =
   lor ((writer + 1) lsl t.writer_shift)
   lor (if dirty then t.dirty_bit else 0)
   lor (wmask lsl t.wmask_shift)
+
+(* a never-entered line reads as the all-zero word *)
+let[@inline] present_or_zero w = if w < 0 then 0 else w
 
 let get_boxed table line =
   match Hashtbl.find_opt table line with
@@ -136,7 +142,7 @@ let[@inline] v_sharing v =
 let inspect t ~cpu ~line ~addr =
   match t.repr with
   | Packed tab ->
-    let w = Pcolor_util.Itab.find tab line ~default:0 in
+    let w = present_or_zero (Pcolor_util.Densemap.find tab line) in
     let coherent = w land (1 lsl cpu) <> 0 in
     let writer = p_writer t w in
     let sharing =
@@ -169,11 +175,11 @@ let inspect t ~cpu ~line ~addr =
 let record_read t ~cpu ~line =
   match t.repr with
   | Packed tab ->
-    let w = Pcolor_util.Itab.find tab line ~default:0 in
+    let w = present_or_zero (Pcolor_util.Densemap.find tab line) in
     let writer = p_writer t w in
     let forced_clean = p_dirty t w && writer >= 0 && writer <> cpu in
     let w = if forced_clean then w land lnot t.dirty_bit else w in
-    Pcolor_util.Itab.set tab line (w lor (1 lsl cpu));
+    Pcolor_util.Densemap.set tab line (w lor (1 lsl cpu));
     forced_clean
   | Boxed table ->
     let s = get_boxed table line in
@@ -191,11 +197,11 @@ let record_read t ~cpu ~line =
 let record_write t ~cpu ~line ~addr =
   match t.repr with
   | Packed tab ->
-    let w = Pcolor_util.Itab.find tab line ~default:0 in
+    let w = present_or_zero (Pcolor_util.Densemap.find tab line) in
     let me = 1 lsl cpu in
     let invalidated = p_valid t w land lnot me in
     let wmask = if p_writer t w <> cpu then 0 else p_wmask t w in
-    Pcolor_util.Itab.set tab line
+    Pcolor_util.Densemap.set tab line
       (pack t ~valid:me ~writer:cpu ~dirty:true ~wmask:(wmask lor word_bit t addr));
     invalidated
   | Boxed table ->
@@ -216,11 +222,10 @@ let record_write t ~cpu ~line ~addr =
 let writeback t ~cpu ~line =
   match t.repr with
   | Packed tab ->
-    (* min_int sentinel distinguishes "absent" from a present all-zero
-       word, so a writeback to an untracked line does not create one *)
-    let w = Pcolor_util.Itab.find tab line ~default:min_int in
-    if w <> min_int && p_writer t w = cpu then
-      Pcolor_util.Itab.set tab line (w land lnot t.dirty_bit)
+    (* a writeback to an untracked line does not create one *)
+    let w = Pcolor_util.Densemap.find tab line in
+    if w >= 0 && p_writer t w = cpu then
+      Pcolor_util.Densemap.set tab line (w land lnot t.dirty_bit)
   | Boxed table -> (
     match Hashtbl.find_opt table line with
     | Some s when s.writer = cpu -> s.dirty <- false
@@ -231,8 +236,8 @@ let writeback t ~cpu ~line =
 let evict t ~cpu ~line =
   match t.repr with
   | Packed tab ->
-    let w = Pcolor_util.Itab.find tab line ~default:min_int in
-    if w <> min_int then Pcolor_util.Itab.set tab line (w land lnot (1 lsl cpu))
+    let w = Pcolor_util.Densemap.find tab line in
+    if w >= 0 then Pcolor_util.Densemap.set tab line (w land lnot (1 lsl cpu))
   | Boxed table -> (
     match Hashtbl.find_opt table line with
     | Some s -> s.valid_mask <- s.valid_mask land lnot (1 lsl cpu)
@@ -245,11 +250,5 @@ let packed t = match t.repr with Packed _ -> true | Boxed _ -> false
 (** [lines t] is the number of lines the directory tracks (test helper). *)
 let lines t =
   match t.repr with
-  | Packed tab -> Pcolor_util.Itab.length tab
+  | Packed tab -> Pcolor_util.Densemap.length tab
   | Boxed table -> Hashtbl.length table
-
-(** [reset t] forgets all sharing state. *)
-let reset t =
-  match t.repr with
-  | Packed tab -> Pcolor_util.Itab.reset tab
-  | Boxed table -> Hashtbl.reset table

@@ -5,8 +5,9 @@
 
     Consulted on every external-cache miss and every prefetch, so the
     per-line state (valid mask, writer, dirty, written-word mask) is
-    packed into a single immediate int in an open-addressing table when
-    it fits in 62 bits — which covers every paper configuration — with
+    packed into a single immediate int in a direct-indexed array over
+    physical line numbers when it fits in 62 bits — which covers every
+    paper configuration — with
     the original record-per-line [Hashtbl] as a guarded fallback for
     wider geometries. *)
 
@@ -59,6 +60,3 @@ val packed : t -> bool
 
 (** [lines t] counts tracked lines (test helper). *)
 val lines : t -> int
-
-(** [reset t] forgets all sharing state. *)
-val reset : t -> unit

@@ -86,16 +86,17 @@ type cpu = {
   pf_inflight : int array; (* completion times of outstanding prefetches *)
   mutable pf_count : int; (* live entries in [pf_inflight] *)
   mutable time : int; (* local cycle counter *)
-  (* translation memo: a small direct-mapped vpage->frame cache, each
+  (* translation memo: a small direct-mapped vpage->TLB-slot cache, each
      entry valid while the TLB generation it was filled under is
      unchanged — i.e. across recency refreshes but not across any
-     insert/invalidate/flush — so taking the fast path leaves TLB miss
-     counts, recency order and eviction victims bit-identical to always
-     looking up.  Multiple entries matter because a nest cycling
+     insert/invalidate/flush, the only operations that move a
+     translation between slots — so taking the fast path leaves TLB
+     miss counts, recency order and eviction victims bit-identical to
+     always looking up.  Multiple entries matter because a nest cycling
      through several arrays alternates pages on consecutive references,
      which defeated the old single-entry memo. *)
   memo_vpage : int array; (* -1 = invalid *)
-  memo_frame : int array;
+  memo_slot : int array;
   memo_gen : int array;
   stats : cpu_stats;
 }
@@ -183,7 +184,7 @@ let create ?(obs = Pcolor_obs.Ctx.disabled) (cfg : Config.t) =
       pf_count = 0;
       time = 0;
       memo_vpage = Array.make memo_slots (-1);
-      memo_frame = Array.make memo_slots 0;
+      memo_slot = Array.make memo_slots 0;
       memo_gen = Array.make memo_slots 0;
       stats = make_stats ();
     }
@@ -278,23 +279,24 @@ let paddr_of t ~frame ~vaddr = (frame lsl t.page_bits) lor (vaddr land t.page_ma
 
    The per-CPU memo short-circuits the TLB probe for the overwhelmingly
    common consecutive-references-to-one-page case: while the TLB
-   generation is unchanged the memoized entry is provably still
-   resident, so a real lookup would hit — [Tlb.touch] replays exactly
-   that hit's counter and recency effects. *)
+   generation is unchanged the memoized TLB slot provably still holds
+   the translation, so a real lookup would hit — [Tlb.touch] replays
+   exactly that hit's counter and recency effects on the slot. *)
 let translate_addr t c ~translate vaddr =
   let vpage = vpage_of t vaddr in
-  let slot = vpage land memo_mask in
-  let frame =
+  let m = vpage land memo_mask in
+  let slot =
     if
-      Array.unsafe_get c.memo_vpage slot = vpage
-      && Array.unsafe_get c.memo_gen slot = Tlb.generation c.tlb
+      Array.unsafe_get c.memo_vpage m = vpage
+      && Array.unsafe_get c.memo_gen m = Tlb.generation c.tlb
     then begin
-      Tlb.touch c.tlb vpage;
-      Array.unsafe_get c.memo_frame slot
+      let slot = Array.unsafe_get c.memo_slot m in
+      Tlb.touch c.tlb slot;
+      slot
     end
     else begin
-      let frame =
-        let hit = Tlb.lookup_frame c.tlb vpage in
+      let slot =
+        let hit = Tlb.lookup_slot c.tlb vpage in
         if hit >= 0 then hit
         else begin
           c.stats.tlb_misses <- c.stats.tlb_misses + 1;
@@ -310,17 +312,16 @@ let translate_addr t c ~translate vaddr =
                 "page-fault"
             | None -> ()
           end;
-          Tlb.insert c.tlb ~vpage ~frame;
-          frame
+          Tlb.insert c.tlb ~vpage ~frame
         end
       in
-      Array.unsafe_set c.memo_vpage slot vpage;
-      Array.unsafe_set c.memo_frame slot frame;
-      Array.unsafe_set c.memo_gen slot (Tlb.generation c.tlb);
-      frame
+      Array.unsafe_set c.memo_vpage m vpage;
+      Array.unsafe_set c.memo_slot m slot;
+      Array.unsafe_set c.memo_gen m (Tlb.generation c.tlb);
+      slot
     end
   in
-  paddr_of t ~frame ~vaddr
+  paddr_of t ~frame:(Tlb.frame_at c.tlb slot) ~vaddr
 
 (* Invalidate every other CPU's cached copies of a line the writer just
    acquired exclusively. L1 is virtually indexed, so it is invalidated by
@@ -424,7 +425,7 @@ let access_cpu t c ~vaddr ~write ~translate =
       let paddr = translate_addr t c ~translate vaddr in
       let pline = paddr lsr t.l2_line_bits in
       let sl = Slice.route c.l2 paddr in
-      ignore (Cache.set_dirty_if_present (Slice.slice c.l2 sl) paddr);
+      Cache.set_dirty_if_present (Slice.slice c.l2 sl) paddr;
       upgrade_on_write t c ~vaddr ~paddr ~pline ~sl
     end
   end
@@ -501,11 +502,11 @@ let prefetch_cpu t c ~vaddr =
   let frame =
     (* the memo proves residency while the generation is unchanged, and a
        probe has no counter or recency effects to replay *)
-    let slot = vpage land memo_mask in
+    let m = vpage land memo_mask in
     if
-      Array.unsafe_get c.memo_vpage slot = vpage
-      && Array.unsafe_get c.memo_gen slot = Tlb.generation c.tlb
-    then Array.unsafe_get c.memo_frame slot
+      Array.unsafe_get c.memo_vpage m = vpage
+      && Array.unsafe_get c.memo_gen m = Tlb.generation c.tlb
+    then Tlb.frame_at c.tlb (Array.unsafe_get c.memo_slot m)
     else Tlb.probe_frame c.tlb vpage
   in
   if frame < 0 then s.pf_dropped_tlb <- s.pf_dropped_tlb + 1
@@ -965,9 +966,8 @@ let tlb t ~cpu = t.cpus.(cpu).tlb
 let reset_stats t =
   Array.iter
     (fun c ->
-      let fresh = make_stats () in
       let s = c.stats in
-      s.instructions <- fresh.instructions;
+      s.instructions <- 0;
       s.l1_hits <- 0;
       s.l1_misses <- 0;
       s.l2_hits <- 0;

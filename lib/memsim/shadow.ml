@@ -12,25 +12,20 @@
     numbers are dense in practice — frames come from a compact
     {!Pcolor_vm.Frame_pool} sized a small multiple of the aggregate L2 —
     so the map is a direct-indexed array grown by doubling (one load per
-    probe, one store per insert/evict).  The previous open-addressing
+    probe, one store per insert/evict) — a {!Pcolor_util.Densemap},
+    which spills lines past its cap to an Itab so arbitrary keys stay
+    correct without unbounded memory.  The previous open-addressing
     {!Pcolor_util.Itab} cost ~53 ns per streaming access at scale-64
     geometry (find + backward-shift remove + re-probing set per miss);
-    the direct array cuts that to ~8 ns.  Lines outside [0,
-    direct_limit) spill to an Itab so arbitrary keys stay correct
-    without unbounded memory.  Recency is an intrusive doubly-linked
-    list over slot arrays; never-used slots are handed out by bumping
-    [next_free]. *)
+    the direct array cuts that to ~8 ns.  Recency is an intrusive
+    doubly-linked list over slot arrays; never-used slots are handed
+    out by bumping [next_free]. *)
 
-(* Lines at or above this spill to the hash table: the direct array is
-   capped at 4 M entries (32 MB) so a pathological address space cannot
-   balloon memory.  Real configurations sit far below it: paddr_max =
-   frames × page bytes, and the default pool is 4× the aggregate L2. *)
-let direct_limit = 1 lsl 22
+module Densemap = Pcolor_util.Densemap
 
 type t = {
   capacity : int; (* number of lines *)
-  mutable slot_of : int array; (* line -> slot (-1 = absent), dense lines *)
-  spill : Pcolor_util.Itab.t; (* same map for lines outside the array's reach *)
+  slot_of : Densemap.t; (* line -> slot *)
   line_no : int array; (* slot -> line (-1 = free) *)
   prev : int array;
   next : int array;
@@ -45,11 +40,9 @@ type t = {
     fully associative by definition). *)
 let create (g : Config.cache_geom) =
   let capacity = g.size / g.line in
-  let init = min direct_limit (max 1024 (4 * capacity)) in
   {
     capacity;
-    slot_of = Array.make init (-1);
-    spill = Pcolor_util.Itab.create ~capacity:64 ();
+    slot_of = Densemap.create ~initial:(max 1024 (4 * capacity));
     line_no = Array.make capacity (-1);
     prev = Array.make capacity (-1);
     next = Array.make capacity (-1);
@@ -58,30 +51,6 @@ let create (g : Config.cache_geom) =
     next_free = 0;
     size = 0;
   }
-
-let[@inline never] grow t line =
-  let n = ref (Array.length t.slot_of) in
-  while line >= !n do n := !n * 2 done;
-  let a = Array.make !n (-1) in
-  Array.blit t.slot_of 0 a 0 (Array.length t.slot_of);
-  t.slot_of <- a
-
-(* Where a line lives is a pure function of its value, so insert and the
-   later eviction clear always agree. *)
-let[@inline] lookup t line =
-  if line >= 0 && line < direct_limit then begin
-    if line >= Array.length t.slot_of then grow t line;
-    Array.unsafe_get t.slot_of line
-  end
-  else Pcolor_util.Itab.find t.spill line ~default:(-1)
-
-let[@inline] set_slot t line slot =
-  if line >= 0 && line < direct_limit then Array.unsafe_set t.slot_of line slot
-  else Pcolor_util.Itab.set t.spill line slot
-
-let[@inline] clear_slot t line =
-  if line >= 0 && line < direct_limit then Array.unsafe_set t.slot_of line (-1)
-  else Pcolor_util.Itab.remove t.spill line
 
 (* Slot indices come from the bounded tables below, so the intrusive
    list updates skip bounds checks: these two run on every shadowed
@@ -105,7 +74,7 @@ let[@inline] push_front t slot =
     evicting the LRU line when full.  Must be called on {e every}
     reference, hit or miss in the real cache, to keep recency exact. *)
 let access t line =
-  let slot = lookup t line in
+  let slot = Densemap.find t.slot_of line in
   if slot >= 0 then begin
     if t.head <> slot then begin
       unlink t slot;
@@ -123,23 +92,20 @@ let access t line =
       end
       else begin
         let victim = t.tail in
-        clear_slot t t.line_no.(victim);
+        Densemap.remove t.slot_of t.line_no.(victim);
         unlink t victim;
         victim
       end
     in
     Array.unsafe_set t.line_no slot line;
-    set_slot t line slot;
+    Densemap.set t.slot_of line slot;
     push_front t slot;
     false
   end
 
 (** [mem t line] is a residency probe with no LRU (or growth) side
     effect. *)
-let mem t line =
-  if line >= 0 && line < direct_limit then
-    line < Array.length t.slot_of && Array.unsafe_get t.slot_of line >= 0
-  else Pcolor_util.Itab.mem t.spill line
+let mem t line = Densemap.mem t.slot_of line
 
 (** [size t] is the current number of resident lines. *)
 let size t = t.size

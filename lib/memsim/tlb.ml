@@ -3,162 +3,144 @@
     The TLB matters to the paper in two ways: TLB-refill time is the
     dominant kernel overhead of the workloads (§4.1), and prefetches to
     unmapped pages are dropped (§6.2), which defeats prefetching in
-    large-stride codes like applu. *)
+    large-stride codes like applu.
+
+    Every operation is O(1): a vpage→slot {!Pcolor_util.Itab} finds a
+    translation, and recency is an intrusive doubly-linked list over
+    the [entries] slots (most recent at [head]).  All slots are always
+    on the list, free ones (vpage [-1]) gathered at the tail, so a
+    refill always takes the tail slot: a free one while the TLB has
+    room, the LRU translation once it is full.  Hits move their slot to
+    the front, [invalidate] moves it to the tail as free. *)
 
 type t = {
   entries : int;
-  table : Pcolor_util.Itab.t; (* vpage -> frame *)
-  order : Pcolor_util.Itab.t; (* vpage -> stamp *)
-  mutable tick : int;
+  slot_of : Pcolor_util.Itab.t; (* vpage -> slot *)
+  vpage : int array; (* slot -> vpage, -1 = free *)
+  frame : int array; (* slot -> frame *)
+  prev : int array; (* -1 at the head *)
+  next : int array; (* -1 at the tail *)
+  mutable head : int;
+  mutable tail : int;
   mutable gen : int; (* bumped on every content change (insert/invalidate/flush) *)
   mutable hits : int;
   mutable misses : int;
-  (* Deferred recency writes: recency refreshes run once per translated
-     reference, so instead of a hash probe per call the latest
-     (vpage, stamp) pairs are parked in a small direct-mapped slot
-     array (indexed by the vpage's low bits) and spilled into [order]
-     only on slot conflicts or when an operation needs [order] to be
-     exact (insert's eviction scan, invalidate, flush).  A nest cycling
-     through a handful of arrays alternates pages on consecutive
-     references, which made a single pending slot spill on nearly every
-     call.  Observable state is identical to writing eagerly: [order]
-     is keyed by vpage and stamps are unique and monotonic, so only the
-     newest stamp per vpage survives either way and relative recency
-     order is preserved. *)
-  pend_vpage : int array; (* -1 = slot empty *)
-  pend_stamp : int array;
 }
-
-let pend_slots = 64
-
-let pend_mask = pend_slots - 1
-
-let flush_pending t =
-  let pv = t.pend_vpage in
-  for i = 0 to pend_slots - 1 do
-    let vp = Array.unsafe_get pv i in
-    if vp >= 0 then begin
-      Pcolor_util.Itab.set t.order vp (Array.unsafe_get t.pend_stamp i);
-      Array.unsafe_set pv i (-1)
-    end
-  done
-
-(* Park a recency refresh in the pending slots, spilling a conflicting
-   occupant.  One array compare on the fast path, no hash probe. *)
-let[@inline] park_recency t vpage stamp =
-  let slot = vpage land pend_mask in
-  let occupant = Array.unsafe_get t.pend_vpage slot in
-  if occupant <> vpage then begin
-    if occupant >= 0 then
-      Pcolor_util.Itab.set t.order occupant (Array.unsafe_get t.pend_stamp slot);
-    Array.unsafe_set t.pend_vpage slot vpage
-  end;
-  Array.unsafe_set t.pend_stamp slot stamp
 
 (** [create ~entries] builds an empty TLB with [entries] slots. *)
 let create ~entries =
   if entries <= 0 then invalid_arg "Tlb.create: entries must be positive";
   {
     entries;
-    table = Pcolor_util.Itab.create ~capacity:(2 * entries) ();
-    order = Pcolor_util.Itab.create ~capacity:(2 * entries) ();
-    tick = 0;
+    slot_of = Pcolor_util.Itab.create ~capacity:(2 * entries) ();
+    vpage = Array.make entries (-1);
+    frame = Array.make entries 0;
+    prev = Array.init entries (fun i -> i - 1);
+    next = Array.init entries (fun i -> if i = entries - 1 then -1 else i + 1);
+    head = 0;
+    tail = entries - 1;
     gen = 0;
     hits = 0;
     misses = 0;
-    pend_vpage = Array.make pend_slots (-1);
-    pend_stamp = Array.make pend_slots 0;
   }
 
-(** [lookup_frame t vpage] is the cached frame for [vpage] (recency
-    refreshed, counters updated), or [-1] on a TLB miss.  The unboxed
-    variant exists for the translation hot path: a nest touching two
-    arrays alternates pages on consecutive references, which defeats
-    the caller's single-entry memo, and an option-returning lookup
-    would then allocate a [Some] per simulated reference. *)
-let lookup_frame t vpage =
-  t.tick <- t.tick + 1;
-  let frame = Pcolor_util.Itab.find t.table vpage ~default:(-1) in
-  if frame >= 0 then begin
+(* Slot indices come from the bounded arrays above, so the list updates
+   skip bounds checks: [move_to_front] runs on every translated
+   reference. *)
+let[@inline] unlink t slot =
+  let p = Array.unsafe_get t.prev slot and n = Array.unsafe_get t.next slot in
+  if p <> -1 then Array.unsafe_set t.next p n else t.head <- n;
+  if n <> -1 then Array.unsafe_set t.prev n p else t.tail <- p
+
+let[@inline] move_to_front t slot =
+  if t.head <> slot then begin
+    unlink t slot;
+    Array.unsafe_set t.prev slot (-1);
+    Array.unsafe_set t.next slot t.head;
+    Array.unsafe_set t.prev t.head slot;
+    t.head <- slot
+  end
+
+let move_to_back t slot =
+  if t.tail <> slot then begin
+    unlink t slot;
+    Array.unsafe_set t.next slot (-1);
+    Array.unsafe_set t.prev slot t.tail;
+    Array.unsafe_set t.next t.tail slot;
+    t.tail <- slot
+  end
+
+(** [lookup_slot t vpage] is the slot caching [vpage] (recency
+    refreshed, counters updated), or [-1] on a TLB miss. *)
+let lookup_slot t vpage =
+  let slot = Pcolor_util.Itab.find t.slot_of vpage ~default:(-1) in
+  if slot >= 0 then begin
     t.hits <- t.hits + 1;
-    park_recency t vpage t.tick
+    move_to_front t slot
   end
   else t.misses <- t.misses + 1;
-  frame
+  slot
 
-(** [lookup t vpage] is {!lookup_frame} boxed: the cached frame and a
-    recency refresh, or [None] on a TLB miss. *)
-let lookup t vpage =
-  let frame = lookup_frame t vpage in
-  if frame >= 0 then Some frame else None
+(** [frame_at t slot] is the frame cached in [slot]. *)
+let frame_at t slot = Array.unsafe_get t.frame slot
 
-(** [probe t vpage] is [lookup] without statistics or recency effects —
-    used by the prefetch unit, whose TLB probes do not fault (§6.2). *)
-let probe t vpage =
-  let frame = Pcolor_util.Itab.find t.table vpage ~default:min_int in
-  if frame <> min_int then Some frame else None
+(** [probe_frame t vpage] is the cached frame for [vpage], or [-1],
+    without statistics or recency effects — used by the prefetch unit,
+    whose TLB probes do not fault (§6.2). *)
+let probe_frame t vpage =
+  let slot = Pcolor_util.Itab.find t.slot_of vpage ~default:(-1) in
+  if slot >= 0 then Array.unsafe_get t.frame slot else -1
 
-(** [probe_frame t vpage] is {!probe} returning [-1] instead of [None]
-    — the prefetch unit probes on every candidate line, so its path
-    must not box an [option]. *)
-let probe_frame t vpage = Pcolor_util.Itab.find t.table vpage ~default:(-1)
-
-(** [touch t vpage] replays a guaranteed hit on a translation the caller
-    has proven present (a memoized lookup while {!generation} was
-    unchanged): counters and recency advance exactly as {!lookup} would,
-    without re-probing the table. *)
-let touch t vpage =
-  t.tick <- t.tick + 1;
+(** [touch t slot] replays a guaranteed hit on a slot the caller has
+    proven still holds its translation (a memoized lookup while
+    {!generation} was unchanged): counters and recency advance exactly
+    as {!lookup_slot} would, without probing the table. *)
+let touch t slot =
   t.hits <- t.hits + 1;
-  park_recency t vpage t.tick
+  move_to_front t slot
 
 (** [generation t] changes whenever the TLB's {e contents} change —
     insert, invalidate or flush (recency refreshes do not count).  A
-    translation observed at generation [g] is still present while
-    [generation t = g]; memoization of lookups keys on this. *)
+    translation observed in slot [s] at generation [g] is still in [s]
+    while [generation t = g]; memoization of lookups keys on this. *)
 let generation t = t.gen
 
 (** [insert t ~vpage ~frame] installs a translation, evicting the LRU
-    entry when full. *)
+    entry when full, and returns its slot. *)
 let insert t ~vpage ~frame =
-  flush_pending t;
-  if
-    (not (Pcolor_util.Itab.mem t.table vpage))
-    && Pcolor_util.Itab.length t.table >= t.entries
-  then begin
-    (* Evict LRU: scan the (small, bounded) order table.  Stamps are
-       unique, so the victim is independent of iteration order. *)
-    let victim = ref (-1) and best = ref max_int in
-    Pcolor_util.Itab.iter
-      (fun vp stamp ->
-        if stamp < !best then begin
-          best := stamp;
-          victim := vp
-        end)
-      t.order;
-    if !victim >= 0 then begin
-      Pcolor_util.Itab.remove t.table !victim;
-      Pcolor_util.Itab.remove t.order !victim
+  let slot =
+    let present = Pcolor_util.Itab.find t.slot_of vpage ~default:(-1) in
+    if present >= 0 then present
+    else begin
+      let slot = t.tail in
+      let victim = Array.unsafe_get t.vpage slot in
+      if victim >= 0 then Pcolor_util.Itab.remove t.slot_of victim;
+      Array.unsafe_set t.vpage slot vpage;
+      Pcolor_util.Itab.set t.slot_of vpage slot;
+      slot
     end
-  end;
-  t.tick <- t.tick + 1;
+  in
   t.gen <- t.gen + 1;
-  Pcolor_util.Itab.set t.table vpage frame;
-  Pcolor_util.Itab.set t.order vpage t.tick
+  Array.unsafe_set t.frame slot frame;
+  move_to_front t slot;
+  slot
 
 (** [invalidate t vpage] drops one translation (page remap / recolor). *)
 let invalidate t vpage =
-  flush_pending t;
   t.gen <- t.gen + 1;
-  Pcolor_util.Itab.remove t.table vpage;
-  Pcolor_util.Itab.remove t.order vpage
+  let slot = Pcolor_util.Itab.find t.slot_of vpage ~default:(-1) in
+  if slot >= 0 then begin
+    Pcolor_util.Itab.remove t.slot_of vpage;
+    Array.unsafe_set t.vpage slot (-1);
+    move_to_back t slot
+  end
 
-(** [flush t] empties the TLB (context switch / recoloring shootdown). *)
+(** [flush t] empties the TLB (context switch / recoloring shootdown).
+    With every slot free, list order no longer matters. *)
 let flush t =
-  Array.fill t.pend_vpage 0 pend_slots (-1);
   t.gen <- t.gen + 1;
-  Pcolor_util.Itab.reset t.table;
-  Pcolor_util.Itab.reset t.order
+  Pcolor_util.Itab.reset t.slot_of;
+  Array.fill t.vpage 0 t.entries (-1)
 
 (** [hits t] / [misses t] are cumulative counters. *)
 let hits t = t.hits
@@ -171,4 +153,4 @@ let reset_stats t =
   t.misses <- 0
 
 (** [occupancy t] is the number of live translations. *)
-let occupancy t = Pcolor_util.Itab.length t.table
+let occupancy t = Pcolor_util.Itab.length t.slot_of

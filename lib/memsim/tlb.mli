@@ -1,44 +1,41 @@
 (** Per-CPU fully-associative LRU TLB.  TLB-refill time is the dominant
     kernel overhead of the workloads (§4.1); prefetches to unmapped
-    pages are dropped (§6.2). *)
+    pages are dropped (§6.2).  Every operation is O(1): a vpage→slot
+    table plus an intrusive recency list over the slots. *)
 
 type t
 
 (** [create ~entries] builds an empty TLB. *)
 val create : entries:int -> t
 
-(** [lookup t vpage] returns the cached frame and refreshes recency;
-    counters update. *)
-val lookup : t -> int -> int option
+(** [lookup_slot t vpage] is the slot caching [vpage], or [-1] on a
+    miss; a hit refreshes recency, and counters update either way. *)
+val lookup_slot : t -> int -> int
 
-(** [lookup_frame t vpage] is {!lookup} without the option box: the
-    frame, or [-1] on a miss.  Same counter and recency effects; for
-    the per-reference translation path. *)
-val lookup_frame : t -> int -> int
+(** [frame_at t slot] is the frame cached in [slot] (a slot returned by
+    {!lookup_slot} or {!insert} at the current {!generation}). *)
+val frame_at : t -> int -> int
 
-(** [probe t vpage] is [lookup] without statistics or recency effects
-    (the prefetch unit's non-faulting probe). *)
-val probe : t -> int -> int option
-
-(** [probe_frame t vpage] is {!probe} with a [-1] sentinel for "not
-    mapped" — allocation-free. *)
+(** [probe_frame t vpage] is the cached frame, or [-1] for "not
+    mapped", without statistics or recency effects (the prefetch
+    unit's non-faulting probe). *)
 val probe_frame : t -> int -> int
 
-(** [touch t vpage] replays a guaranteed hit on a translation the
-    caller has proven present (memoized lookup at an unchanged
-    {!generation}): counters and recency advance exactly as {!lookup}
-    would, without re-probing the table. *)
+(** [touch t slot] replays a guaranteed hit on a slot the caller has
+    proven still holds its translation (memoized lookup at an unchanged
+    {!generation}): counters and recency advance exactly as
+    {!lookup_slot} would, without probing the table. *)
 val touch : t -> int -> unit
 
 (** [generation t] changes whenever the TLB's contents change (insert,
     invalidate, flush); recency refreshes do not count.  A translation
-    observed at generation [g] is still present while the generation is
-    [g] — the memoization key for lookup fast paths. *)
+    observed in slot [s] at generation [g] is still in [s] while the
+    generation is [g] — the memoization key for lookup fast paths. *)
 val generation : t -> int
 
 (** [insert t ~vpage ~frame] installs a translation, evicting LRU when
-    full. *)
-val insert : t -> vpage:int -> frame:int -> unit
+    full, and returns its slot. *)
+val insert : t -> vpage:int -> frame:int -> int
 
 (** [invalidate t vpage] drops one translation (remap/recolor
     shootdown). *)

@@ -62,7 +62,7 @@ type setup = {
       (** observability context (metrics registry, trace buffer);
           [Ctx.disabled] by default — runs are byte-identical with it off *)
   engine : Engine.kind;
-      (** reference-stream generation strategy ([Batch] by default);
+      (** reference-stream generation strategy ([Runs] by default);
           [Interp] is the byte-identity oracle *)
 }
 

@@ -42,7 +42,7 @@ type setup = {
       (** observability context; [Ctx.disabled] by default — with it off
           runs are byte-identical to an uninstrumented build *)
   engine : Engine.kind;
-      (** reference-stream generation strategy ([Batch] by default);
+      (** reference-stream generation strategy ([Runs] by default);
           [Interp] is the byte-identity oracle *)
 }
 

@@ -76,9 +76,10 @@ let test_invalidate_clean () =
 
 let test_set_dirty_if_present () =
   let c = dm4 () in
-  Alcotest.(check bool) "absent" false (Cache.set_dirty_if_present c 0);
+  Cache.set_dirty_if_present c 0;
+  Alcotest.(check bool) "absent line not filled" false (Cache.contains c 0);
   ignore (Cache.access c ~addr:0 ~write:false);
-  Alcotest.(check bool) "present" true (Cache.set_dirty_if_present c 0);
+  Cache.set_dirty_if_present c 0;
   let r = Cache.access c ~addr:1024 ~write:false in
   Alcotest.(check bool) "expected miss" false (Cache.res_hit r);
   Alcotest.(check bool) "became dirty" true (Cache.res_dirty r)
@@ -181,33 +182,125 @@ let prop_shadow_state_matches_reference =
       && List.for_all (Shadow.mem s) !model
       && List.for_all (fun l -> List.mem l !model || not (Shadow.mem s l)) lines)
 
+let tlb_insert t vpage frame = ignore (Tlb.insert t ~vpage ~frame)
+
+(* Differential test against a naive eager-LRU reference: a list of
+   (vpage, frame, stamp), the victim being the smallest stamp.  Ops are
+   (kind, vpage) with kind in [0, 400): lookup, memo-style touch,
+   insert, invalidate, and a rare flush so 64-entry TLBs fill up.
+   Touch mirrors the machine's translation memo: a 4-entry
+   direct-mapped vpage -> (slot, generation) cache, used only while the
+   generation is unchanged, so it refreshes slots other than the most
+   recent one.  After every op the hit/miss counters, occupancy and a
+   probe of every page must match, which pins each eviction victim. *)
+let prop_tlb_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl [ 1; 2; 4; 64 ])
+        (list_size (int_range 1 1000) (pair (int_range 0 399) (int_range 0 1000))))
+  in
+  let print (entries, ops) =
+    Printf.sprintf "entries=%d ops=[%s]" entries
+      (String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%d,%d" k v) ops))
+  in
+  QCheck.Test.make ~name:"tlb matches eager-LRU reference" ~count:100 (QCheck.make ~print gen)
+    (fun (entries, ops) ->
+      let t = Tlb.create ~entries in
+      let universe = (2 * entries) + 3 in
+      let model = ref [] (* (vpage, frame, stamp) *) and tick = ref 0 in
+      let hits = ref 0 and misses = ref 0 in
+      let memo = Array.make 4 (-1, 0, 0) (* (vpage, slot, generation) *) in
+      let remember v slot = memo.(v land 3) <- (v, slot, Tlb.generation t) in
+      let find v = List.find_opt (fun (v', _, _) -> v' = v) !model in
+      let drop v = model := List.filter (fun (v', _, _) -> v' <> v) !model in
+      let stamp v f =
+        incr tick;
+        drop v;
+        model := (v, f, !tick) :: !model
+      in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      List.iteri
+        (fun step (k, v) ->
+          let v = v mod universe in
+          (if k < 150 then begin
+             let slot = Tlb.lookup_slot t v in
+             match find v with
+             | Some (_, f, _) ->
+               incr hits;
+               stamp v f;
+               check (slot >= 0 && Tlb.frame_at t slot = f);
+               remember v slot
+             | None ->
+               incr misses;
+               check (slot = -1)
+           end
+           else if k < 225 then begin
+             match memo.(v land 3) with
+             | mv, slot, g when mv = v && g = Tlb.generation t -> (
+               match find v with
+               | Some (_, f, _) ->
+                 check (Tlb.frame_at t slot = f);
+                 Tlb.touch t slot;
+                 incr hits;
+                 stamp v f
+               | None -> check false)
+             | _ -> ()
+           end
+           else if k < 375 then begin
+             let f = (v * 10_000) + step in
+             (if find v = None && List.length !model >= entries then
+                match List.sort (fun (_, _, a) (_, _, b) -> compare a b) !model with
+                | (victim, _, _) :: _ -> drop victim
+                | [] -> ());
+             stamp v f;
+             let slot = Tlb.insert t ~vpage:v ~frame:f in
+             check (Tlb.frame_at t slot = f);
+             remember v slot
+           end
+           else if k < 399 then begin
+             Tlb.invalidate t v;
+             drop v
+           end
+           else begin
+             Tlb.flush t;
+             model := []
+           end);
+          check (Tlb.hits t = !hits && Tlb.misses t = !misses);
+          check (Tlb.occupancy t = List.length !model);
+          for u = 0 to universe - 1 do
+            check (Tlb.probe_frame t u = match find u with Some (_, f, _) -> f | None -> -1)
+          done)
+        ops;
+      !ok)
+
 let test_tlb_lru () =
   let t = Tlb.create ~entries:2 in
-  Alcotest.(check (option int)) "miss" None (Tlb.lookup t 1);
-  Tlb.insert t ~vpage:1 ~frame:10;
-  Tlb.insert t ~vpage:2 ~frame:20;
-  Alcotest.(check (option int)) "hit 1" (Some 10) (Tlb.lookup t 1);
-  Tlb.insert t ~vpage:3 ~frame:30;
+  Alcotest.(check int) "miss" (-1) (Tlb.lookup_slot t 1);
+  tlb_insert t 1 10;
+  tlb_insert t 2 20;
+  Alcotest.(check int) "hit 1" 10 (Tlb.frame_at t (Tlb.lookup_slot t 1));
+  tlb_insert t 3 30;
   (* page 2 was LRU *)
-  Alcotest.(check (option int)) "2 evicted" None (Tlb.probe t 2);
-  Alcotest.(check (option int)) "1 kept" (Some 10) (Tlb.probe t 1);
+  Alcotest.(check int) "2 evicted" (-1) (Tlb.probe_frame t 2);
+  Alcotest.(check int) "1 kept" 10 (Tlb.probe_frame t 1);
   Alcotest.(check int) "occupancy" 2 (Tlb.occupancy t)
 
 let test_tlb_probe_no_stats () =
   let t = Tlb.create ~entries:4 in
-  Tlb.insert t ~vpage:1 ~frame:1;
+  tlb_insert t 1 1;
   let h = Tlb.hits t and m = Tlb.misses t in
-  ignore (Tlb.probe t 1);
-  ignore (Tlb.probe t 99);
+  ignore (Tlb.probe_frame t 1);
+  ignore (Tlb.probe_frame t 99);
   Alcotest.(check int) "hits unchanged" h (Tlb.hits t);
   Alcotest.(check int) "misses unchanged" m (Tlb.misses t)
 
 let test_tlb_flush_invalidate () =
   let t = Tlb.create ~entries:4 in
-  Tlb.insert t ~vpage:1 ~frame:1;
-  Tlb.insert t ~vpage:2 ~frame:2;
+  tlb_insert t 1 1;
+  tlb_insert t 2 2;
   Tlb.invalidate t 1;
-  Alcotest.(check (option int)) "invalidated" None (Tlb.probe t 1);
+  Alcotest.(check int) "invalidated" (-1) (Tlb.probe_frame t 1);
   Tlb.flush t;
   Alcotest.(check int) "flushed" 0 (Tlb.occupancy t)
 
@@ -264,6 +357,7 @@ let suite =
         prop_resident_bounded;
         prop_shadow_matches_reference;
         prop_shadow_state_matches_reference;
+        prop_tlb_matches_reference;
         prop_stretch_monotone;
       ];
   ]

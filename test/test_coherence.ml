@@ -97,6 +97,88 @@ let prop_directory_packed_matches_boxed =
           && Dir.lines dp = Dir.lines db)
         ops)
 
+(* Differential test of the packed (direct-indexed) directory against a
+   Hashtbl of per-line records written out from the protocol rules.
+   Lines come from both sides of the direct array's cap, so the dense
+   path and the spill table are both driven.  Every return value and
+   verdict must match, and so must [lines] — a writeback or evict to a
+   never-entered line must not create it. *)
+type model_line = { mutable valid : int; mutable writer : int; mutable dirty : bool; mutable wmask : int }
+
+let prop_directory_matches_model =
+  let cap = Pcolor.Util.Densemap.direct_limit in
+  QCheck.Test.make ~name:"directory matches Hashtbl model across the spill cap" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 1 200)
+        (quad (int_range 0 4) (int_range 0 3) (int_range 0 63) (int_range 0 15)))
+    (fun ops ->
+      let d = Dir.create ~n_cpus:4 ~line_size:128 () in
+      assert (Dir.packed d);
+      let model : (int, model_line) Hashtbl.t = Hashtbl.create 64 in
+      let get line =
+        match Hashtbl.find_opt model line with
+        | Some s -> s
+        | None ->
+          let s = { valid = 0; writer = -1; dirty = false; wmask = 0 } in
+          Hashtbl.add model line s;
+          s
+      in
+      List.for_all
+        (fun (op, cpu, l, word) ->
+          let line = if l < 32 then l else cap + l - 32 in
+          let addr = (line * 128) + (word * 8) and me = 1 lsl cpu and bit = 1 lsl word in
+          let step_ok =
+            match op with
+            | 0 ->
+              let s = get line in
+              let forced = s.dirty && s.writer >= 0 && s.writer <> cpu in
+              if forced then s.dirty <- false;
+              s.valid <- s.valid lor me;
+              Dir.record_read d ~cpu ~line = forced
+            | 1 ->
+              let s = get line in
+              let invalidated = s.valid land lnot me in
+              if s.writer <> cpu then begin
+                s.writer <- cpu;
+                s.wmask <- 0
+              end;
+              s.wmask <- s.wmask lor bit;
+              s.dirty <- true;
+              s.valid <- me;
+              Dir.record_write d ~cpu ~line ~addr = invalidated
+            | 2 ->
+              (match Hashtbl.find_opt model line with
+              | Some s when s.writer = cpu -> s.dirty <- false
+              | _ -> ());
+              Dir.writeback d ~cpu ~line;
+              true
+            | 3 ->
+              (match Hashtbl.find_opt model line with
+              | Some s -> s.valid <- s.valid land lnot me
+              | None -> ());
+              Dir.evict d ~cpu ~line;
+              true
+            | _ -> true
+          in
+          let v = Dir.inspect d ~cpu ~line ~addr in
+          let s =
+            match Hashtbl.find_opt model line with
+            | Some s -> s
+            | None -> { valid = 0; writer = -1; dirty = false; wmask = 0 }
+          in
+          let coherent = s.valid land me <> 0 in
+          let sharing =
+            if coherent || s.writer < 0 || s.writer = cpu then `None
+            else if s.wmask land bit <> 0 then `True
+            else `False
+          in
+          step_ok
+          && Dir.v_coherent v = coherent
+          && Dir.v_remote_dirty v = (s.dirty && s.writer >= 0 && s.writer <> cpu)
+          && Dir.v_sharing v = sharing
+          && Dir.lines d = Hashtbl.length model)
+        ops)
+
 let test_mclass () =
   Alcotest.(check bool) "conflict is replacement" true (Mclass.is_replacement Conflict);
   Alcotest.(check bool) "cold is not" false (Mclass.is_replacement Cold);
@@ -236,6 +318,34 @@ let test_hit_path_no_alloc () =
     (Printf.sprintf "hit path allocation-free (%.0f minor words)" delta)
     true (delta <= 64.0)
 
+(* The same contract on the miss path: a warm machine streaming over
+   four times more pages than its 8-entry TLB holds refills the TLB
+   every page, misses L2 on every line, writes back dirty victims and
+   updates the directory — and still allocates nothing per access.  The
+   translation callback returns preallocated pairs, so only the
+   machine is measured. *)
+let test_refill_path_no_alloc () =
+  let m = machine () in
+  let pages = 32 and page = 1024 and line = 128 in
+  let pairs = Array.init pages (fun v -> (v, 0)) in
+  let translate ~cpu:_ ~vpage = pairs.(vpage) in
+  let stream () =
+    for i = 0 to (pages * page / line) - 1 do
+      Machine.access m ~cpu:0 ~vaddr:(i * line) ~write:(i land 1 = 1) ~translate
+    done
+  in
+  stream ();
+  let misses = (Machine.stats m ~cpu:0).tlb_misses in
+  let before = Gc.minor_words () in
+  for _ = 1 to 20 do
+    stream ()
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check int) "every page refills" (misses + (20 * pages)) (Machine.stats m ~cpu:0).tlb_misses;
+  Alcotest.(check bool)
+    (Printf.sprintf "refill path allocation-free (%.0f minor words)" delta)
+    true (delta <= 64.0)
+
 let suite =
   [
     ( "coherence",
@@ -255,6 +365,8 @@ let suite =
         Alcotest.test_case "machine upgrade" `Quick test_machine_upgrade_invalidates;
         Alcotest.test_case "machine reset stats" `Quick test_machine_reset_stats;
         Alcotest.test_case "machine hit path allocation-free" `Quick test_hit_path_no_alloc;
+        Alcotest.test_case "machine refill path allocation-free" `Quick test_refill_path_no_alloc;
       ] );
-    Helpers.qsuite "coherence:props" [ prop_directory_packed_matches_boxed ];
+    Helpers.qsuite "coherence:props"
+      [ prop_directory_packed_matches_boxed; prop_directory_matches_model ];
   ]
