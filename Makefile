@@ -11,9 +11,10 @@
 #                     `pcolor diff` it against the committed
 #                     BENCH_throughput.json and BENCH_mix.json baselines
 #                     (warn-only: timing noise is expected on shared
-#                     machines), then hard-gate the batch and runs
-#                     engines against the interpreter with `pcolor diff
-#                     --exact` (simulated metrics must be byte-identical)
+#                     machines), then hard-gate the runs engine against
+#                     the interpreter with `pcolor diff --exact` on a
+#                     run and on a 4-slice reclaiming mix with a
+#                     timeline (simulated metrics must be byte-identical)
 #                     and diff the TLB recolor and flush-mix runs against
 #                     golden/tlb_*.json --exact
 #                     and run the statistical throughput verdict
@@ -77,19 +78,26 @@ bench-check:
 	  BENCH_throughput.json --threshold $(BENCH_THRESHOLD) --warn-only
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/bench_mix_baseline.json \
 	  BENCH_mix.json --threshold $(BENCH_THRESHOLD) --warn-only
-	@# Engine byte-identity gates: the batch and runs walker engines
-	@# must produce exactly the interpreter's simulated metrics (hard
-	@# failure, not warn-only — this is correctness, not timing).
-	$(DUNE) exec bin/pcolor_cli.exe -- run tomcatv --policy cdpc --cpus 4 \
-	  --scale 16 --prefetch --engine=batch --metrics-out _build/engine_batch.json
+	@# Engine byte-identity gates: the runs engine must produce exactly
+	@# the interpreter's simulated metrics (hard failure, not warn-only
+	@# — this is correctness, not timing), on a single run and on a
+	@# 4-slice sandybridge mix under reclaim with a timeline (the
+	@# default engine of mix jobs, the slice-route memo, reclaim and
+	@# the epoch sampler).
 	$(DUNE) exec bin/pcolor_cli.exe -- run tomcatv --policy cdpc --cpus 4 \
 	  --scale 16 --prefetch --engine=runs --metrics-out _build/engine_runs.json
 	$(DUNE) exec bin/pcolor_cli.exe -- run tomcatv --policy cdpc --cpus 4 \
 	  --scale 16 --prefetch --engine=interp --metrics-out _build/engine_interp.json
-	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/engine_batch.json \
-	  _build/engine_interp.json --exact
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/engine_runs.json \
 	  _build/engine_interp.json --exact
+	$(DUNE) exec bin/pcolor_cli.exe -- mix tomcatv swim -p 4 -s 64 --slices 4 \
+	  --llc-hash sandybridge --policy cdpc-hash --mem-frames 60 --timeline=20000 \
+	  --metrics-out _build/engine_mix.json
+	$(DUNE) exec bin/pcolor_cli.exe -- mix tomcatv swim -p 4 -s 64 --slices 4 \
+	  --llc-hash sandybridge --policy cdpc-hash --mem-frames 60 --timeline=20000 \
+	  --engine=interp --metrics-out _build/engine_mix_interp.json
+	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/engine_mix.json \
+	  _build/engine_mix_interp.json --exact
 	@# TLB content-change gates: dynamic recoloring (Tlb.invalidate on
 	@# every moved page) and a flush-on-switch mix under reclaim must
 	@# reproduce their committed golden artifacts exactly.

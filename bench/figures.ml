@@ -221,7 +221,7 @@ let access_patterns () =
             per_cpu []
         in
         ignore x_max;
-        Pcolor.Util.Stat.mean_of ds
+        Pcolor.Obs.Stat.mean_of ds
       in
       note "%s: mean per-CPU density %.0f%% (VA order) -> %.0f%% (coloring order)" bench
         (100.0 *. density pts x_max)

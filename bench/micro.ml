@@ -116,7 +116,9 @@ let test_machine_access =
 
 (* layer costs of the hashed LLC (DESIGN §16), on the 4-slice
    sandybridge machine the perfbench mix workload runs: the slice hash
-   alone, and the page teardown every reclaim eviction performs *)
+   alone, the memoized route the machine calls per external-cache event,
+   an L1 miss served by a slice, and the page teardown every reclaim
+   eviction performs *)
 let cfg_sliced =
   Config.validate { cfg_small with l2_slices = 4; l2_hash = Pcolor.Memsim.Ahash.Sandybridge }
 
@@ -127,6 +129,29 @@ let test_slice_hash =
     (Staged.stage (fun () ->
          i := !i + 0x9E37;
          ignore (Sys.opaque_identity (Pcolor.Memsim.Ahash.slice_of h (!i land 0xFFFFF)))))
+
+(* 64 pages: every frame keeps its own memo slot, so each route is a hit *)
+let test_slice_route =
+  let s =
+    Pcolor.Memsim.Slice.create cfg_sliced.l2 ~n_slices:4 ~hash:(Config.resolved_hash cfg_sliced)
+      ~page_bits:(Pcolor.Util.Bits.log2 cfg_sliced.page_size)
+  in
+  let i = ref 0 in
+  Test.make ~name:"hashed LLC: Slice.route (memo hit, 4 slices)"
+    (Staged.stage (fun () ->
+         i := !i + 0x9E37;
+         ignore (Sys.opaque_identity (Pcolor.Memsim.Slice.route s (!i land 0x3FFFF)))))
+
+(* one L1 line per access over two pages: 4× the L1, resident in the
+   slices (consecutive frames fill different bins) and in the TLB *)
+let test_l1_miss_l2_hit =
+  let m = Pcolor.Memsim.Machine.create cfg_sliced in
+  let translate ~cpu:_ ~vpage = (vpage, 0) in
+  let i = ref 0 in
+  Test.make ~name:"L1 miss -> L2 hit (4-slice sandybridge)"
+    (Staged.stage (fun () ->
+         i := (!i + cfg_sliced.l1.line) land ((2 * cfg_sliced.page_size) - 1);
+         Pcolor.Memsim.Machine.access m ~cpu:0 ~vaddr:!i ~write:false ~translate))
 
 let test_invalidate_frame =
   let m = Pcolor.Memsim.Machine.create cfg_sliced in
@@ -170,21 +195,17 @@ let test_partition =
     (Staged.stage (fun () ->
          ignore (Pcolor.Comp.Partition.range Even Forward ~n_cpus:16 ~cpu:7 ~trip:513)))
 
-(* btrace replay's decode layer alone: an in-memory batch-engine tape
-   streamed into a recorder that only counts pairs, so the time is the
-   codec's.  Reported per decoded reference pair; recording the tape
-   happens once, outside the timed loop. *)
+(* btrace replay's decode layer alone: an in-memory tape streamed into
+   a recorder that only counts the decoded head-group pairs, so the time
+   is the codec's.  Reported per decoded reference pair; recording the
+   tape happens once, outside the timed loop. *)
 let btrace_decode () =
   let module Btrace = Pcolor.Runtime.Btrace in
   let module Run = Pcolor.Runtime.Run in
   let setup =
-    {
-      (Run.default_setup ~cfg:cfg_small
-         ~make_program:(fun () -> Pcolor.Workloads.Tomcatv.program ~scale:16 ())
-         ~policy:Run.Page_coloring)
-      with
-      engine = Pcolor.Runtime.Engine.Batch;
-    }
+    Run.default_setup ~cfg:cfg_small
+      ~make_program:(fun () -> Pcolor.Workloads.Tomcatv.program ~scale:16 ())
+      ~policy:Run.Page_coloring
   in
   let path = Filename.temp_file "pcolor_micro" ".pcbt" in
   let tape =
@@ -211,14 +232,12 @@ let btrace_decode () =
         close_out oc;
         In_channel.with_open_bin path In_channel.input_all)
   in
-  let pairs = ref 0 in
+  let pairs = ref 0 and nrefs = ref 0 in
   let counter : Pcolor.Runtime.Engine.recorder =
     {
-      rec_section = (fun ~cpu:_ ~nrefs:_ ~instr_per_iter:_ ~extra_onchip_stall:_ -> ());
-      rec_batch = (fun b -> pairs := !pairs + (b.len / 2));
       rec_run_section =
-        (fun ~cpu:_ ~nrefs:_ ~instr_per_iter:_ ~extra_onchip_stall:_ ~strides:_ -> ());
-      rec_runs = (fun _ -> ());
+        (fun ~cpu:_ ~nrefs:n ~instr_per_iter:_ ~extra_onchip_stall:_ ~strides:_ -> nrefs := n);
+      rec_runs = (fun b -> pairs := !pairs + (b.len / ((2 * !nrefs) + 1) * !nrefs));
       rec_tick = (fun ~cpu:_ _ -> ());
       rec_onchip = (fun ~cpu:_ _ -> ());
       rec_barrier = (fun _ -> ());
@@ -249,6 +268,8 @@ let all_tests =
     test_fault_path;
     test_machine_access;
     test_slice_hash;
+    test_slice_route;
+    test_l1_miss_l2_hit;
     test_invalidate_frame;
     test_tlb_refill;
     test_directory;

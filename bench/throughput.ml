@@ -6,9 +6,9 @@
    1. single-domain: simulated references per wall-clock second on one
       domain with the default (runs) engine — the Layer-2 hot-path
       headline number;
-   2. engines: the same workload pair on every reference-stream engine
-      (interp / batch / runs), so the generation-vs-consumption split
-      and the run-coalescing delta are tracked separately;
+   2. engines: the same workload pair on both reference-stream engines
+      (interp / runs), so the walker's gain over the interpreter oracle
+      is tracked;
    3. replay: the pair recorded to a binary trace (format v2,
       run-coalesced records) and re-simulated off the tape — the
       consumption-only rate with walker generation off the clock;
@@ -90,15 +90,13 @@ let single_domain () =
   note_timed "single-domain (runs)" t;
   t
 
-(* every engine on the identical workload pair — interp-vs-batch is the
-   generation-vs-consumption split, batch-vs-runs the coalescing delta *)
+(* both engines on the identical workload pair *)
 let engines ~runs () =
   let interp = single_domain_with ~engine:Engine.Interp () in
-  let batch = single_domain_with ~engine:Engine.Batch () in
-  note "  engines: interp %.3e, batch %.3e, runs %.3e median refs/sec (runs %.2fx interp)"
-    interp.summary.Ostat.median batch.summary.Ostat.median runs.summary.Ostat.median
+  note "  engines: interp %.3e, runs %.3e median refs/sec (runs %.2fx interp)"
+    interp.summary.Ostat.median runs.summary.Ostat.median
     (runs.summary.Ostat.median /. interp.summary.Ostat.median);
-  (interp, batch, runs)
+  (interp, runs)
 
 (* ---------- 2. replay off a binary tape ---------- *)
 
@@ -217,7 +215,7 @@ let sweep () =
 
 (* ---------- JSON emission ---------- *)
 
-let write_json ~file ~single ~engines:(interp, batch, runs) ~replay ~smoke
+let write_json ~file ~single ~engines:(interp, runs) ~replay ~smoke
     ~sweep:(seq, par, speedup) =
   let module J = Pcolor.Obs.Json in
   let median (t : timed) = t.summary.Ostat.median in
@@ -234,9 +232,7 @@ let write_json ~file ~single ~engines:(interp, batch, runs) ~replay ~smoke
           J.Obj
             [
               ("interp", rate_json interp);
-              ("batch", rate_json batch);
               ("runs", rate_json runs);
-              ("batch_speedup", J.Float (median batch /. median interp));
               ("runs_speedup", J.Float (median runs /. median interp));
             ] );
         ("replay", rate_json replay);
@@ -265,14 +261,13 @@ let run () =
        "Throughput: simulated refs/sec, single- and %d-domain (PCOLOR_JOBS), %d trials/section"
        jobs trials);
   let single = single_domain () in
-  let ((interp, batch, runs) as eng) = engines ~runs:single () in
+  let ((interp, runs) as eng) = engines ~runs:single () in
   let replay = replay_mode () in
   let smoke = scale_256 () in
   let ((seq, par, _) as sw) = sweep () in
   write_json ~file:"BENCH_throughput.json" ~single ~engines:eng ~replay ~smoke ~sweep:sw;
   ledger_add_timed ~section:"single_domain" single;
   ledger_add_timed ~section:"engines/interp" interp;
-  ledger_add_timed ~section:"engines/batch" batch;
   ledger_add_timed ~section:"engines/runs" runs;
   ledger_add_timed ~section:"replay" replay;
   ledger_add_timed ~section:"scale_256" smoke;

@@ -87,14 +87,14 @@ let engine_arg =
   Arg.(
     value
     & opt
-        (enum [ ("runs", Engine.Runs); ("batch", Engine.Batch); ("interp", Engine.Interp) ])
+        (enum [ ("runs", Engine.Runs); ("interp", Engine.Interp) ])
         Engine.Runs
     & info [ "engine" ]
         ~doc:
-          "Reference-stream engine: $(b,runs) (run-length-coalesced walker batches with bulk \
-           L1-hit retirement; the default), $(b,batch) (precompiled affine walkers feeding a \
-           fused per-reference consume loop) or $(b,interp) (the per-depth interpreter — \
-           slower, kept as the byte-identity oracle).")
+          "Reference-stream engine: $(b,runs) (precompiled affine walkers emitting \
+           run-length-coalesced records, with bulk L1-hit retirement; the default) or \
+           $(b,interp) (the per-depth interpreter — slower, kept as the byte-identity \
+           oracle).")
 
 let trace_arg =
   let env = Cmd.Env.info "PCOLOR_TRACE" ~doc:"Trace file path (same as $(b,--trace))." in
@@ -711,8 +711,8 @@ let record_cmd =
     (Cmd.info "record"
        ~doc:
          "Run one benchmark on the runs engine and stream every reference into a compact \
-          binary trace (delta-encoded varint batches plus run-coalesced records, format v2; \
-          v1 tapes stay replayable). The trace embeds its setup, so \
+          binary trace (delta-encoded run-coalesced records, format v2). The trace embeds its \
+          setup, so \
           $(b,pcolor replay) needs only the file. Observability flags ($(b,--metrics-out), \
           $(b,--trace), $(b,--timeline)) apply to the recording run itself.")
     Term.(

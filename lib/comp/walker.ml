@@ -7,30 +7,31 @@
     walker instead {e compiles} one (nest, cpu-range) pair once per plan
     step: it resolves the prefetch plan, precomputes per-reference byte
     strides for every loop depth (loop-invariant references simply get a
-    zero innermost stride), and then streams references as packed
-    integers into a reusable flat [int array] batch — Bigarray-free,
-    Itab-style, so the consume loop touches nothing but immediate
-    integers.
+    zero innermost stride), and then streams run records as packed
+    integers into a reusable flat [int array] batch, so the consume
+    loop touches nothing but immediate integers.
 
-    Batch layout: two ints per reference, whole innermost iterations
-    only (so the consumer can charge {!Pcolor_memsim.Machine.tick} per
-    iteration group):
+    A reference is packed as two ints:
 
-    - [data.(2i)] = [(vaddr lsl 1) lor write_bit]
-    - [data.(2i+1)] = prefetch-vaddr delta: [0] means "no prefetch
-      here"; a positive delta [d] means "issue a prefetch to
-      [vaddr + d] before this access".  The walker performs the
-      one-prefetch-per-line dedup at generation time (the planner's
-      ahead distances are always positive, so [0] is unambiguous).
+    - [(vaddr lsl 1) lor write_bit];
+    - the prefetch-vaddr delta: [0] means "no prefetch here"; a
+      positive delta [d] means "issue a prefetch to [vaddr + d] before
+      this access".  The walker performs the one-prefetch-per-line dedup
+      at generation time (the planner's ahead distances are always
+      positive, so [0] is unambiguous).
 
-    Byte identity: a walker emits exactly the (vaddr, write, prefetch)
-    sequence the interpreter executes, in the same order, using the same
-    incremental integer arithmetic — the property the QCheck suite pins
-    and the [--engine] byte-identity gate enforces end to end. *)
+    A run record is a repeat count followed by one such pair per
+    reference of the head iteration group ({!fill_runs}).
+
+    Byte identity: expanding a walker's records yields exactly the
+    (vaddr, write, prefetch) sequence the interpreter executes, in the
+    same order, using the same incremental integer arithmetic — the
+    property the QCheck suite pins and the [--engine] byte-identity gate
+    enforces end to end. *)
 
 type batch = {
-  data : int array; (* packed entries, 2 ints per reference *)
-  mutable len : int; (* ints in use; always a multiple of 2 × nrefs *)
+  data : int array; (* run records, [1 + 2 × nrefs] ints each *)
+  mutable len : int; (* ints in use; always a multiple of the record size *)
 }
 
 (** [create_batch ?capacity_refs ()] allocates a reusable batch
@@ -42,14 +43,8 @@ let create_batch ?(capacity_refs = 4096) () =
 (** [reset_batch b] empties the batch without freeing it. *)
 let reset_batch b = b.len <- 0
 
-(** [pack ~vaddr ~write] / [vaddr_of] / [write_of] expose the packed
-    entry encoding (the trace replayer re-encodes entries it decodes
-    from disk). *)
+(** [pack ~vaddr ~write] is the packed address word. *)
 let pack ~vaddr ~write = (vaddr lsl 1) lor (if write then 1 else 0)
-
-let vaddr_of w = w asr 1
-
-let write_of w = w land 1 <> 0
 
 (* Runs longer than this are split: it bounds the bulk arithmetic any
    consumer performs per record, so a corrupt or hostile trace cannot
@@ -79,8 +74,8 @@ type t = {
 (** [create ~nest ~plan ~lo0 ~hi0 ~l1_line_bits ~l2_line_bits] compiles
     one CPU's share of [nest] (depth-0 iterations [\[lo0, hi0)]) against
     prefetch plan [plan].  Runs once per (nest, cpu-range) per plan
-    step; all per-reference state is resolved here so {!fill} allocates
-    nothing. *)
+    step; all per-reference state is resolved here so {!fill_runs}
+    allocates nothing. *)
 let create ~(nest : Ir.nest) ~(plan : Prefetcher.nest_plan) ~lo0 ~hi0 ~l1_line_bits ~l2_line_bits =
   let refs = Array.of_list nest.refs in
   let nrefs = Array.length refs in
@@ -176,54 +171,6 @@ let[@inline] advance_one t =
     end
   done
 
-(** [fill t b] appends whole innermost iterations ([nrefs] packed pairs
-    each) to [b] until the batch is full or the iteration space is
-    exhausted; returns [true] when the walker is done.  Resumable: call
-    again (after consuming and {!reset_batch}) to continue exactly where
-    the previous batch stopped.  Allocation-free. *)
-let fill t (b : batch) =
-  if t.finished then true
-  else begin
-    let data = b.data in
-    let cap = Array.length data in
-    let nrefs = t.nrefs in
-    let stride = 2 * nrefs in
-    let vaddr = t.vaddr in
-    let wbit = t.wbit in
-    let pf_add = t.pf_add in
-    let prev_line = t.prev_line in
-    let line_bits = t.line_bits in
-    let len = ref b.len in
-    while (not t.finished) && !len + stride <= cap do
-      (* emit one innermost iteration *)
-      let base_k = !len in
-      for r = 0 to nrefs - 1 do
-        let va = Array.unsafe_get vaddr r in
-        let k = base_k + (2 * r) in
-        Array.unsafe_set data k ((va lsl 1) lor Array.unsafe_get wbit r);
-        let pf = Array.unsafe_get pf_add r in
-        let emit =
-          if pf = 0 then 0
-          else begin
-            (* one prefetch per line, resolved at generation time; the
-               line is derived exactly as the interpreter does *)
-            let pl = (va + pf) lsr line_bits in
-            if pl <> Array.unsafe_get prev_line r then begin
-              Array.unsafe_set prev_line r pl;
-              pf
-            end
-            else 0
-          end
-        in
-        Array.unsafe_set data (k + 1) emit
-      done;
-      len := base_k + stride;
-      advance_one t
-    done;
-    b.len <- !len;
-    t.finished
-  end
-
 (* Iterations (>= 1) until [va], moving by [s <> 0] bytes per
    iteration, leaves its current [2^bits]-byte aligned block; clamped to
    [limit].  Arithmetic shifts keep the block numbering a floor even for
@@ -243,7 +190,9 @@ let[@inline] cross_dist ~va ~s ~bits ~limit =
 
 (** [fill_runs t b] appends run-coalesced records to [b] until the batch
     is full or the iteration space is exhausted; returns [true] when the
-    walker is done.  Resumable and allocation-free like {!fill}.
+    walker is done.  Resumable: call again (after consuming and
+    {!reset_batch}) to continue exactly where the previous batch
+    stopped.  Allocation-free.
 
     Record layout ([1 + 2 × nrefs] ints per record):
 
@@ -251,7 +200,7 @@ let[@inline] cross_dist ~va ~s ~bits ~limit =
       repeats [count] times, each reference advancing by its innermost
       byte stride ({!strides}) per repeat;
     - [data.(k + 1 + 2r)] / [data.(k + 2 + 2r)] = the packed head-group
-      entry and prefetch delta of reference [r], exactly as in {!fill}.
+      entry and prefetch delta of reference [r].
 
     [count] is the largest repeat such that the run provably adds no
     observable event beyond bulk L1 hits: it never outruns the innermost

@@ -1,30 +1,26 @@
 (** Precompiled affine walkers: per-(nest, cpu-range) reference
-    generators that stream packed [(vaddr, write, prefetch-delta)]
-    entries into reusable flat [int array] batches — reference
-    generation split from consumption, byte-identical to the
-    interpreter's emission order. *)
+    generators that stream run-coalesced records of packed
+    [(vaddr, write, prefetch-delta)] entries into reusable flat
+    [int array] batches — reference generation split from consumption,
+    byte-identical to the interpreter's emission order. *)
 
-(** A reusable batch of packed references: two ints per reference,
-    whole innermost iterations only.  [data.(2i) = (vaddr lsl 1) lor
-    write_bit]; [data.(2i+1)] is the prefetch-vaddr delta ([0] = no
-    prefetch, positive = issue to [vaddr + delta] before the access). *)
+(** A reusable batch of run records ({!fill_runs} layout).  A reference
+    is packed as [(vaddr lsl 1) lor write_bit] followed by its
+    prefetch-vaddr delta ([0] = no prefetch, positive = issue to
+    [vaddr + delta] before the access). *)
 type batch = { data : int array; mutable len : int }
 
-(** [create_batch ?capacity_refs ()] allocates a batch holding up to
-    [capacity_refs] (default 4096) packed references. *)
+(** [create_batch ?capacity_refs ()] allocates a batch of
+    [2 × capacity_refs] ints (default 4096 references' worth). *)
 val create_batch : ?capacity_refs:int -> unit -> batch
 
 (** [reset_batch b] empties the batch without freeing it. *)
 val reset_batch : batch -> unit
 
-(** [pack ~vaddr ~write] / [vaddr_of] / [write_of] expose the packed
-    entry encoding (sign-preserving: [vaddr_of (pack ~vaddr ~write) =
-    vaddr] for any int that fits 62 bits). *)
+(** [pack ~vaddr ~write] is the packed address word (sign-preserving:
+    [pack ~vaddr ~write asr 1 = vaddr] for any int that fits 62
+    bits). *)
 val pack : vaddr:int -> write:bool -> int
-
-val vaddr_of : int -> int
-
-val write_of : int -> bool
 
 (** Upper bound on a single run record's repeat [count]: every
     producer ({!fill_runs}, the {!Btrace} writer) splits longer runs and
@@ -68,11 +64,6 @@ val finished : t -> bool
     is the walker's own (do not mutate). *)
 val strides : t -> int array
 
-(** [fill t b] appends whole innermost iterations to [b] until full or
-    exhausted; returns [true] when the walker is done.  Resumable and
-    allocation-free. *)
-val fill : t -> batch -> bool
-
 (** [fill_runs t b] appends run-coalesced records ([1 + 2 × nrefs] ints
     each: a repeat [count] followed by one packed head group) to [b]
     until full or exhausted; returns [true] when done.  A count of [g]
@@ -81,7 +72,7 @@ val fill : t -> batch -> bool
     crosses its L1 line and no prefetch target crosses its L2 line
     inside the run (so tail groups add no event beyond L1 hits, and the
     per-line dedup provably suppresses every tail prefetch).  Resumable
-    and allocation-free like {!fill}. *)
+    and allocation-free. *)
 val fill_runs : t -> batch -> bool
 
 (** [validate_bounds nest ~lo0 ~hi0] proves every reference in bounds

@@ -30,7 +30,6 @@ module Util = struct
   module Itab = Pcolor_util.Itab
   module Densemap = Pcolor_util.Densemap
   module Pool = Pcolor_util.Pool
-  module Stat = Pcolor_util.Stat
   module Table = Pcolor_util.Table
   module Chart = Pcolor_util.Chart
 end

@@ -413,8 +413,8 @@ let upgrade_on_write t c ~vaddr ~paddr ~pline ~sl =
     invalidate_others t ~writer:c.id ~vaddr ~paddr ~sl ~mask
   end
 
-(* The access path parameterized on the per-CPU record, so the batched
-   entry point below hoists the [t.cpus.(cpu)] load out of its loop. *)
+(* The access path parameterized on the per-CPU record, so the run
+   consumer below hoists the [t.cpus.(cpu)] load out of its loop. *)
 let access_cpu t c ~vaddr ~write ~translate =
   let s = c.stats in
   let r1 = Cache.access c.l1 ~addr:vaddr ~write in
@@ -672,67 +672,6 @@ let emit_timeline_counters t buf =
             ]
           "pressure")
 
-(** [consume_batch t ~cpu ~translate ~data ~len ~nrefs ~instr_per_iter
-    ~extra_onchip_stall] is the batched access entry point: the fused
-    prefetch/access/tick loop over a packed reference batch (layout of
-    {!Pcolor_comp.Walker.batch}: [(vaddr lsl 1) lor write_bit] then a
-    prefetch delta, [0] = none).  [len] must cover whole innermost
-    iterations ([2 × nrefs] ints each); after every iteration group the
-    loop charges [instr_per_iter] instruction cycles and
-    [extra_onchip_stall] fetch-stall cycles, exactly as the interpreter
-    does per innermost iteration.  Per-CPU state is hoisted out of the
-    loop and the body allocates nothing. *)
-let consume_batch t ~cpu ~translate ~data ~len ~nrefs ~instr_per_iter ~extra_onchip_stall =
-  let c = t.cpus.(cpu) in
-  let s = c.stats in
-  let stride = 2 * nrefs in
-  if len mod stride <> 0 then invalid_arg "Machine.consume_batch: partial innermost iteration";
-  match t.sampler with
-  | None ->
-    let k = ref 0 in
-    while !k < len do
-      let stop = !k + stride in
-      while !k < stop do
-        let w0 = Array.unsafe_get data !k in
-        let pf = Array.unsafe_get data (!k + 1) in
-        let vaddr = w0 asr 1 in
-        if pf <> 0 then prefetch_cpu t c ~vaddr:(vaddr + pf);
-        access_cpu t c ~vaddr ~write:(w0 land 1 <> 0) ~translate;
-        k := !k + 2
-      done;
-      c.time <- c.time + instr_per_iter;
-      s.instructions <- s.instructions + instr_per_iter;
-      if extra_onchip_stall > 0 then begin
-        c.time <- c.time + extra_onchip_stall;
-        s.stall_onchip <- s.stall_onchip + extra_onchip_stall
-      end
-    done
-  | Some sm ->
-    (* instrumented copy of the loop above: the epoch boundary is
-       checked once per innermost iteration group, exactly where the
-       interpreter checks once per iteration — so both engines (and
-       trace replay, which shares this loop) commit identical rows.
-       The duplication keeps the timeline-off hot path branch-free. *)
-    let k = ref 0 in
-    while !k < len do
-      let stop = !k + stride in
-      while !k < stop do
-        let w0 = Array.unsafe_get data !k in
-        let pf = Array.unsafe_get data (!k + 1) in
-        let vaddr = w0 asr 1 in
-        if pf <> 0 then prefetch_cpu t c ~vaddr:(vaddr + pf);
-        access_cpu t c ~vaddr ~write:(w0 land 1 <> 0) ~translate;
-        k := !k + 2
-      done;
-      c.time <- c.time + instr_per_iter;
-      s.instructions <- s.instructions + instr_per_iter;
-      if extra_onchip_stall > 0 then begin
-        c.time <- c.time + extra_onchip_stall;
-        s.stall_onchip <- s.stall_onchip + extra_onchip_stall
-      end;
-      if Pcolor_obs.Sampler.due sm ~cpu ~time:c.time then commit_sample t sm c
-    done
-
 (* Bound on a run record's repeat count; matches
    [Pcolor_comp.Walker.max_run_count] (stated as a literal so memsim
    stays independent of the compiler layer). *)
@@ -764,10 +703,11 @@ let max_run_count = 1 lsl 30
     coalesces iterations whose prefetch targets the dedup provably
     suppresses.
 
-    With a sampler attached, epoch boundaries are honored per tail
-    group exactly like {!consume_batch}; a whole run that provably ends
-    before the next boundary ({!Pcolor_obs.Sampler.next_due}) is still
-    retired in bulk. *)
+    With a sampler attached, the epoch boundary is checked after every
+    iteration group, head and tail alike — where the interpreter checks
+    once per innermost iteration; a whole run that provably ends before
+    the next boundary ({!Pcolor_obs.Sampler.next_due}) is still retired
+    in bulk. *)
 let consume_runs t ~cpu ~translate ~data ~len ~nrefs ~strides ~instr_per_iter
     ~extra_onchip_stall =
   if nrefs < 1 then invalid_arg "Machine.consume_runs: nrefs < 1";
@@ -786,7 +726,7 @@ let consume_runs t ~cpu ~translate ~data ~len ~nrefs ~strides ~instr_per_iter
     let count = Array.unsafe_get data base in
     if count < 1 || count > max_run_count then
       invalid_arg "Machine.consume_runs: run count out of bounds";
-    (* head group: the full per-reference path, as in [consume_batch] *)
+    (* head group: the full per-reference path *)
     let stop = base + stride in
     let j = ref (base + 1) in
     while !j < stop do

@@ -90,27 +90,6 @@ val access :
     the external cache only; a fifth outstanding prefetch stalls. *)
 val prefetch : t -> cpu:int -> vaddr:int -> unit
 
-(** [consume_batch t ~cpu ~translate ~data ~len ~nrefs ~instr_per_iter
-    ~extra_onchip_stall] is the batched access entry point: a fused
-    prefetch/access/tick loop over packed reference entries
-    ([data.(2i) = (vaddr lsl 1) lor write_bit], [data.(2i+1)] = prefetch
-    delta, [0] = none).  [len] ints must cover whole innermost
-    iterations of [nrefs] references; each group additionally charges
-    [instr_per_iter] instruction cycles and [extra_onchip_stall]
-    fetch-stall cycles.  Allocation-free; per-CPU state is hoisted out
-    of the loop.  Raises [Invalid_argument] when [len] is not a multiple
-    of [2 × nrefs]. *)
-val consume_batch :
-  t ->
-  cpu:int ->
-  translate:(cpu:int -> vpage:int -> int * int) ->
-  data:int array ->
-  len:int ->
-  nrefs:int ->
-  instr_per_iter:int ->
-  extra_onchip_stall:int ->
-  unit
-
 (** [consume_runs t ~cpu ~translate ~data ~len ~nrefs ~strides
     ~instr_per_iter ~extra_onchip_stall] consumes a run-coalesced batch
     ({!Pcolor_comp.Walker.fill_runs} layout: a repeat [count] then one
@@ -121,12 +100,15 @@ val consume_batch :
     writes) — each tail access is then provably an L1 hit with no other
     observable effect.  Otherwise the tails fall back to per-reference
     consumption at [vaddr + strides.(r) × g]: byte-identical to the
-    interpreter either way, against any producer.  Epoch boundaries are
-    honored per tail group when a sampler is attached ({!consume_batch}
-    placement); runs that provably end before the next boundary still
-    retire in bulk.  Raises [Invalid_argument] on a malformed batch
-    ([len] not a multiple of [1 + 2 × nrefs], a repeat count outside
-    [1 .. 2{^30}], or [strides] shorter than [nrefs]). *)
+    interpreter either way, against any producer.  Each group charges
+    [instr_per_iter] instruction cycles and [extra_onchip_stall]
+    fetch-stall cycles, as the interpreter does per innermost
+    iteration.  Epoch boundaries are honored per iteration group when a
+    sampler is attached; runs that provably end before the next
+    boundary still retire in bulk.  Allocation-free.  Raises
+    [Invalid_argument] on a malformed batch ([len] not a multiple of
+    [1 + 2 × nrefs], a repeat count outside [1 .. 2{^30}], or [strides]
+    shorter than [nrefs]). *)
 
 val consume_runs :
   t ->
@@ -145,7 +127,7 @@ val consume_runs :
     A {!Pcolor_obs.Sampler.t} attached through the observability
     context turns the machine into a timeline producer: epoch
     boundaries are checked per innermost iteration group (inside
-    {!consume_batch}; the interpreter and the barrier path call
+    {!consume_runs}; the interpreter and the barrier path call
     {!sample_point} at the matching stream positions) and each crossing
     commits one delta row of the full counter set plus the machine-wide
     bus categories and per-color conflict pressure. *)

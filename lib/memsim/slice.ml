@@ -17,15 +17,27 @@
    Set numbering for attribution: global set id =
    [slice * sets_per_slice + local set], so `pcolor explain` tables keep
    a single flat set axis whose size equals the unsliced cache's set
-   count.  For one slice this is exactly [Cache.set_of_line]. *)
+   count.  For one slice this is exactly [Cache.set_of_line].
+
+   Routing cost: the slice is a pure function of the frame, so each
+   [t] keeps a small direct-mapped frame -> slice memo.  An entry packs
+   the frame and its slice into one immediate int, [-1] when empty; a
+   lookup hits only when the stored frame equals the probed one, so an
+   entry can never go stale or answer for an aliasing frame. *)
 
 type t = {
   slices : Cache.t array;
   hash : Ahash.t;
   n_slices : int;
+  page_bits : int;  (* address -> frame shift *)
   page_line_bits : int;  (* log2 (page_size / line) : line -> frame shift *)
   local_sets : int;
+  slice_bits : int;
+  memo : int array;  (* [memo_slots] entries: (frame lsl slice_bits) lor slice, or -1 *)
 }
+
+(* A power of two: the slot is the frame's low bits. *)
+let memo_slots = 256
 
 (** [create geom ~n_slices ~hash ~page_bits] splits [geom] into
     [n_slices] equal slices routed by [hash].  [page_bits] is log2 of
@@ -42,20 +54,35 @@ let create (g : Config.cache_geom) ~n_slices ~hash ~page_bits =
     slices;
     hash;
     n_slices;
+    page_bits;
     page_line_bits = page_bits - Pcolor_util.Bits.log2 g.Config.line;
     local_sets = Cache.n_sets slices.(0);
+    slice_bits = Pcolor_util.Bits.log2 n_slices;
+    (* [route] never probes the memo of a single slice *)
+    memo = (if n_slices = 1 then [||] else Array.make memo_slots (-1));
   }
+
+(* Out of line so that [route]'s inlined body stays one compare and a
+   call: the 1-slice path every unsliced run takes pays nothing for the
+   memo. *)
+let[@inline never] slice_of_frame t frame =
+  let slot = frame land (memo_slots - 1) in
+  let e = Array.unsafe_get t.memo slot in
+  if e lsr t.slice_bits = frame then e land (t.n_slices - 1)
+  else begin
+    let s = Ahash.slice_of t.hash frame in
+    Array.unsafe_set t.memo slot ((frame lsl t.slice_bits) lor s);
+    s
+  end
 
 (* Every line of a page routes to the same slice: the hash reads only
    frame bits.  [route] is therefore computed once per page-granular
    event and reused for all of its lines and for every CPU (all CPUs
    share one geometry and one hash). *)
-let[@inline] route t addr =
-  if t.n_slices = 1 then 0
-  else Ahash.slice_of t.hash (Cache.line_of t.slices.(0) addr lsr t.page_line_bits)
+let[@inline] route t addr = if t.n_slices = 1 then 0 else slice_of_frame t (addr lsr t.page_bits)
 
 let[@inline] slice_of_line t line =
-  if t.n_slices = 1 then 0 else Ahash.slice_of t.hash (line lsr t.page_line_bits)
+  if t.n_slices = 1 then 0 else slice_of_frame t (line lsr t.page_line_bits)
 
 let n_slices t = t.n_slices
 

@@ -17,7 +17,9 @@ val hash : t -> Ahash.t
 val slice : t -> int -> Cache.t
 
 (** [route t addr] is the index of the slice physical address [addr]
-    maps to (0 when there is one slice, without hashing).  Every line
+    maps to (0 when there is one slice, without hashing; otherwise
+    through a per-[t] frame -> slice memo, so a warm page costs one
+    probe instead of a hash).  Every line
     of a page routes to the same slice, and every CPU's slice set
     shares one geometry and hash, so one route serves a whole
     page-granular event: all of its lines, on every CPU

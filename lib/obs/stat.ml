@@ -1,6 +1,6 @@
-(* Trial statistics: median / MAD / sign-test CI.  See stat.mli for the
-   contract; everything is a deterministic function of the trial
-   vector. *)
+(* Trial statistics (median / MAD / sign-test CI) and the aggregate
+   helpers experiment reports use.  See stat.mli for the contract;
+   everything is a deterministic function of its inputs. *)
 
 type summary = {
   n : int;
@@ -84,3 +84,72 @@ let to_json ~unit_name ~trials s =
       ("ci_hi", Json.Float s.ci_hi);
       ("trials", Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) trials)));
     ]
+
+(* ---- Experiment aggregates ---- *)
+
+(** Welford-style streaming accumulator for mean and variance. *)
+type acc = {
+  mutable n : int;
+  mutable mean : float;
+  mutable m2 : float;
+  mutable min_v : float;
+  mutable max_v : float;
+}
+
+(** [create ()] is an empty accumulator. *)
+let create () = { n = 0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
+
+(** [add acc x] folds one observation into [acc]. *)
+let add acc x =
+  acc.n <- acc.n + 1;
+  let delta = x -. acc.mean in
+  acc.mean <- acc.mean +. (delta /. float_of_int acc.n);
+  acc.m2 <- acc.m2 +. (delta *. (x -. acc.mean));
+  if x < acc.min_v then acc.min_v <- x;
+  if x > acc.max_v then acc.max_v <- x
+
+(** [count acc] is the number of observations folded so far. *)
+let count acc = acc.n
+
+(** [mean acc] is the sample mean; 0 when empty. *)
+let mean acc = if acc.n = 0 then 0.0 else acc.mean
+
+(** [variance acc] is the unbiased sample variance; 0 for n < 2. *)
+let variance acc = if acc.n < 2 then 0.0 else acc.m2 /. float_of_int (acc.n - 1)
+
+(** [stddev acc] is the sample standard deviation. *)
+let stddev acc = sqrt (variance acc)
+
+(** [min_value acc] / [max_value acc]; 0 when empty. *)
+let min_value acc = if acc.n = 0 then 0.0 else acc.min_v
+
+let max_value acc = if acc.n = 0 then 0.0 else acc.max_v
+
+(** [mean_of xs] is the arithmetic mean of a list; 0 for []. *)
+let mean_of xs =
+  match xs with
+  | [] -> 0.0
+  | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+
+(** [geomean xs] is the geometric mean; the SPEC95fp rating is a
+    geometric mean of per-benchmark ratios.  Raises [Invalid_argument]
+    on non-positive inputs. *)
+let geomean xs =
+  match xs with
+  | [] -> 0.0
+  | _ ->
+    let sum_logs =
+      List.fold_left
+        (fun acc x ->
+          if x <= 0.0 then invalid_arg "Stat.geomean: non-positive input";
+          acc +. log x)
+        0.0 xs
+    in
+    exp (sum_logs /. float_of_int (List.length xs))
+
+(** [percent part whole] is [100 * part / whole], 0 when [whole] = 0. *)
+let percent part whole = if whole = 0.0 then 0.0 else 100.0 *. part /. whole
+
+(** [ratio a b] is [a /. b] with 0 for a zero denominator; used for
+    speedup computations where a degenerate run yields 0. *)
+let ratio a b = if b = 0.0 then 0.0 else a /. b

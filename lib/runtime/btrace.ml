@@ -1,31 +1,28 @@
-(** Binary reference traces: record a batch-engine run as a stream of
+(** Binary reference traces: record a runs-engine run as a stream of
     simulation events, replay it later without re-generating (or ever
     materializing) the reference stream.
 
-    The format is a flat event tape mirroring exactly what the engine
-    does: SECTION opens one CPU's share of a nest, BATCH carries the
-    packed reference entries ({!Pcolor_comp.Walker} encoding) as
-    zigzag-delta varints keyed per reference slot, RUN_SECTION /
-    RUNS (format v2) carry the run-coalesced form — per-reference
-    innermost strides in the section, then records of a repeat count
-    plus one delta-encoded head group — TICK/ONCHIP carry aggregate
-    cycle charges, BARRIER/PHASE_BEGIN/PHASE_END/RESET mark the
-    synchronization structure, and TOUCH records the §5.3 page-touch
-    order.  Batches are bounded (the engine's reusable batch), so both
-    recording and replay stream in O(batch) memory — a scale-1024 trace
-    never exists as a list.
+    The format (v2) is a flat event tape mirroring exactly what the
+    engine does: RUN_SECTION opens one CPU's share of a nest with its
+    per-reference innermost strides, RUNS carries run records
+    ({!Pcolor_comp.Walker.fill_runs} encoding: a repeat count plus one
+    head group whose packed entries are zigzag-delta varints keyed per
+    reference slot), TICK/ONCHIP carry aggregate cycle charges,
+    BARRIER/PHASE_BEGIN/PHASE_END/RESET mark the synchronization
+    structure, and TOUCH records the §5.3 page-touch order.  Batches are
+    bounded (the engine's reusable batch), so both recording and replay
+    stream in O(batch) memory — a scale-1024 trace never exists as a
+    list.
 
-    Version negotiation: the writer emits format v2; the reader accepts
-    v1 and v2.  A v1 tape carries only per-reference batch records, so
-    replaying one through today's runs-first engine transparently
-    degrades to per-reference consumption ({!M.consume_batch}) — same
-    counters, no error.  Run records inside a tape whose header says v1
-    are rejected as {!Corrupt}.
+    Format v1 carried per-reference SECTION/BATCH records (tags 8 and
+    9).  Nothing writes it any more and the reader refuses it: a v1
+    header is {!Bad_version}, and tags 8/9 inside a v2 tape are
+    {!Corrupt} like any unknown tag.
 
     Replay rebuilds the kernel and machine from the embedded header via
     {!Run.prepare} (fault order is deterministic, so bin-hopping jitter,
     CDPC hints and frame placement reproduce), then consumes the tape
-    through {!Pcolor_memsim.Machine.consume_batch} and the engine's own
+    through {!Pcolor_memsim.Machine.consume_runs} and the engine's own
     {!Engine.barrier_step} / {!Engine.contention_settle} arithmetic —
     counters come out byte-identical to the recorded run.  The
     observability context in the replay setup is honored in full:
@@ -60,12 +57,13 @@ type header = {
 
 let magic = "PCBT"
 
-(* Format v2 added the run-coalesced record pair (RUN_SECTION/RUNS).
-   The writer always emits the current version; the reader accepts
-   anything in [min_version, version]. *)
+(* Format v2 added the run-coalesced record pair (RUN_SECTION/RUNS);
+   v1's per-reference records are no longer read.  The writer always
+   emits the current version; the reader accepts anything in
+   [min_version, version]. *)
 let version = 2
 
-let min_version = 1
+let min_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Typed errors *)
@@ -81,7 +79,7 @@ exception Error of corruption
 let corruption_message = function
   | Bad_magic m -> Printf.sprintf "not a pcolor binary trace (magic %S)" m
   | Bad_version { found; expected } ->
-    Printf.sprintf "trace format version %d, expected <= %d" found expected
+    Printf.sprintf "trace format version %d, expected %d" found expected
   | Truncated region -> Printf.sprintf "truncated trace: %s" region
   | Corrupt what -> Printf.sprintf "corrupt trace: %s" what
 
@@ -186,11 +184,7 @@ let tag_phase_end = 6
 
 let tag_reset = 7
 
-let tag_section = 8
-
-let tag_batch = 9
-
-(* v2 tags: run-coalesced sections. *)
+(* 8 and 9 were v1's per-reference SECTION/BATCH pair. *)
 let tag_run_section = 10
 
 let tag_runs = 11
@@ -210,7 +204,7 @@ let kind_of_code = function
 
 type writer = {
   sink : sink;
-  mutable nrefs : int; (* current SECTION's reference count *)
+  mutable nrefs : int; (* current RUN_SECTION's reference count *)
   mutable prev : int array; (* per-slot previous packed entry (delta base) *)
   mutable finished : bool;
 }
@@ -232,16 +226,6 @@ let create_writer oc (h : header) =
 
 let recorder w : Engine.recorder =
   let s = w.sink in
-  let section tag ~cpu ~nrefs ~instr_per_iter ~extra_onchip_stall =
-    put_byte s tag;
-    put_varint s cpu;
-    put_varint s nrefs;
-    put_varint s instr_per_iter;
-    put_varint s extra_onchip_stall;
-    w.nrefs <- nrefs;
-    if Array.length w.prev < nrefs then w.prev <- Array.make nrefs 0
-    else Array.fill w.prev 0 nrefs 0
-  in
   (* one packed entry: the address word as a zigzag delta against the
      slot's previous one, then the prefetch word *)
   let entry slot data i =
@@ -256,21 +240,16 @@ let recorder w : Engine.recorder =
     put_varint s n
   in
   {
-    rec_section = section tag_section;
-    rec_batch =
-      (fun (b : Walker.batch) ->
-        let npairs = b.len / 2 in
-        put_byte s tag_batch;
-        put_varint s npairs;
-        let slot = ref 0 in
-        for k = 0 to npairs - 1 do
-          entry !slot b.data (2 * k);
-          incr slot;
-          if !slot = w.nrefs then slot := 0
-        done);
     rec_run_section =
       (fun ~cpu ~nrefs ~instr_per_iter ~extra_onchip_stall ~strides ->
-        section tag_run_section ~cpu ~nrefs ~instr_per_iter ~extra_onchip_stall;
+        put_byte s tag_run_section;
+        put_varint s cpu;
+        put_varint s nrefs;
+        put_varint s instr_per_iter;
+        put_varint s extra_onchip_stall;
+        w.nrefs <- nrefs;
+        if Array.length w.prev < nrefs then w.prev <- Array.make nrefs 0
+        else Array.fill w.prev 0 nrefs 0;
         for r = 0 to nrefs - 1 do
           put_varint s (zigzag strides.(r))
         done);
@@ -311,15 +290,13 @@ let finish w =
 (* ------------------------------------------------------------------ *)
 (* Reader *)
 
-type reader = { src : source; hdr : header; format_version : int }
+type reader = { src : source; hdr : header }
 
 (* Bounds on decoded structure fields, far above anything a real tape
    contains: a fuzzed varint must not turn into a giant allocation. *)
 let max_cpus = 1 lsl 10
 
 let max_nrefs = 1 lsl 16
-
-let max_batch_pairs = 1 lsl 22
 
 let max_run_records = 1 lsl 20
 
@@ -343,11 +320,7 @@ let of_source src =
     let cap = get_varint src in
     if cap < 1 then fail (Corrupt (Printf.sprintf "header window cap %d is not positive" cap));
     let provenance = get_string src in
-    {
-      src;
-      hdr = { bench; machine; n_cpus; scale; policy; prefetch; seed; cap; provenance };
-      format_version = v;
-    }
+    { src; hdr = { bench; machine; n_cpus; scale; policy; prefetch; seed; cap; provenance } }
   with End_of_file -> fail (Truncated "header")
 
 let open_reader ic =
@@ -359,8 +332,6 @@ let open_string tape =
 
 let header r = r.hdr
 
-let format_version r = r.format_version
-
 (* ------------------------------------------------------------------ *)
 (* Decoder: the writer's inverse, driving a recorder from the tape *)
 
@@ -371,27 +342,14 @@ let decode r (rc : Engine.recorder) =
     if c < 0 || c >= n then fail (Corrupt (Printf.sprintf "cpu %d out of range" c));
     c
   in
-  (* current SECTION state; [strides] is non-empty only after a
-     RUN_SECTION, so a RUNS record under a plain SECTION is caught *)
-  let nrefs = ref 0 and prev = ref [||] and strides = ref [||] in
+  (* current RUN_SECTION state *)
+  let nrefs = ref 0 and prev = ref [||] in
   let batch = ref (Walker.create_batch ()) in
   (* the batch with room for [len] ints, grown on demand *)
   let batch_of len =
     if len > Array.length !batch.data then batch := { Walker.data = Array.make len 0; len = 0 };
     !batch.len <- len;
     !batch
-  in
-  (* a section opener: cpu, reference count, per-iteration costs *)
-  let section what k =
-    let cpu = get_cpu () in
-    let nr = get_varint s in
-    if nr <= 0 || nr > max_nrefs then
-      fail (Corrupt (Printf.sprintf "%s with %d references" what nr));
-    let instr_per_iter = get_varint s in
-    let extra_onchip_stall = get_varint s in
-    nrefs := nr;
-    if Array.length !prev < nr then prev := Array.make nr 0 else Array.fill !prev 0 nr 0;
-    k ~cpu ~nrefs:nr ~instr_per_iter ~extra_onchip_stall
   in
   (* the inverse of the writer's [entry] *)
   let entry slot data i =
@@ -401,35 +359,14 @@ let decode r (rc : Engine.recorder) =
     Array.unsafe_set data i w0;
     Array.unsafe_set data (i + 1) (get_varint s)
   in
-  let v1 = r.format_version < 2 in
   let running = ref true in
   try
     while !running do
       let tag = get_byte s in
-      if tag = tag_batch then begin
-        let npairs = get_varint s in
-        let nr = !nrefs in
-        if nr <= 0 then fail (Corrupt "BATCH before any SECTION");
-        if npairs < 0 || npairs > max_batch_pairs then fail (Corrupt "oversized batch");
-        if npairs mod nr <> 0 then fail (Corrupt "batch is not whole innermost iterations");
-        let b = batch_of (2 * npairs) in
-        let slot = ref 0 in
-        for k = 0 to npairs - 1 do
-          entry !slot b.data (2 * k);
-          incr slot;
-          if !slot = nr then slot := 0
-        done;
-        rc.rec_batch b
-      end
-      else if tag = tag_section then begin
-        strides := [||];
-        section "section" rc.rec_section
-      end
-      else if tag = tag_runs then begin
-        if v1 then fail (Corrupt "run record in a v1 trace");
+      if tag = tag_runs then begin
         let m = get_varint s in
         let nr = !nrefs in
-        if Array.length !strides < nr then fail (Corrupt "RUNS before any RUN_SECTION");
+        if nr <= 0 then fail (Corrupt "RUNS before any RUN_SECTION");
         if m < 0 || m > max_run_records then fail (Corrupt "oversized run batch");
         let stride = 1 + (2 * nr) in
         let b = batch_of (m * stride) in
@@ -446,10 +383,16 @@ let decode r (rc : Engine.recorder) =
         rc.rec_runs b
       end
       else if tag = tag_run_section then begin
-        if v1 then fail (Corrupt "run section in a v1 trace");
-        section "run section" (fun ~cpu ~nrefs ~instr_per_iter ~extra_onchip_stall ->
-            strides := Array.init nrefs (fun _ -> unzigzag (get_varint s));
-            rc.rec_run_section ~cpu ~nrefs ~instr_per_iter ~extra_onchip_stall ~strides:!strides)
+        let cpu = get_cpu () in
+        let nr = get_varint s in
+        if nr <= 0 || nr > max_nrefs then
+          fail (Corrupt (Printf.sprintf "run section with %d references" nr));
+        let instr_per_iter = get_varint s in
+        let extra_onchip_stall = get_varint s in
+        nrefs := nr;
+        if Array.length !prev < nr then prev := Array.make nr 0 else Array.fill !prev 0 nr 0;
+        let strides = Array.init nr (fun _ -> unzigzag (get_varint s)) in
+        rc.rec_run_section ~cpu ~nrefs:nr ~instr_per_iter ~extra_onchip_stall ~strides
       end
       else if tag = tag_tick then begin
         let cpu = get_cpu () in
@@ -576,22 +519,14 @@ let replay r ~(setup : Run.setup) =
   let start = ref None in
   (* current section, as the decoder announces it *)
   let cpu = ref 0 and nrefs = ref 0 and ipi = ref 0 and extra = ref 0 and strides = ref [||] in
-  let section ~cpu:c ~nrefs:nr ~instr_per_iter ~extra_onchip_stall =
-    cpu := c;
-    nrefs := nr;
-    ipi := instr_per_iter;
-    extra := extra_onchip_stall
-  in
   let rc : Engine.recorder =
     {
-      rec_section = section;
-      rec_batch =
-        (fun b ->
-          M.consume_batch machine ~cpu:!cpu ~translate ~data:b.data ~len:b.len ~nrefs:!nrefs
-            ~instr_per_iter:!ipi ~extra_onchip_stall:!extra);
       rec_run_section =
-        (fun ~cpu ~nrefs ~instr_per_iter ~extra_onchip_stall ~strides:st ->
-          section ~cpu ~nrefs ~instr_per_iter ~extra_onchip_stall;
+        (fun ~cpu:c ~nrefs:nr ~instr_per_iter ~extra_onchip_stall ~strides:st ->
+          cpu := c;
+          nrefs := nr;
+          ipi := instr_per_iter;
+          extra := extra_onchip_stall;
           strides := st);
       rec_runs =
         (fun b ->

@@ -1,14 +1,12 @@
-(** Binary reference traces: record a batch- or runs-engine run as a
-    stream of simulation events (delta-encoded varint batches and
-    run-coalesced records in the {!Pcolor_comp.Walker} encodings),
-    replay it later through {!Pcolor_memsim.Machine.consume_batch} /
-    {!Pcolor_memsim.Machine.consume_runs} and the engine's own barrier
-    and contention arithmetic — byte-identical counters, O(batch)
-    memory in both directions.
+(** Binary reference traces: record a runs-engine run as a stream of
+    simulation events (run-coalesced records in the
+    {!Pcolor_comp.Walker} encoding, delta-encoded as varints), replay
+    it later through {!Pcolor_memsim.Machine.consume_runs} and the
+    engine's own barrier and contention arithmetic — byte-identical
+    counters, O(batch) memory in both directions.
 
-    The writer emits format v2 (run records); the reader accepts v1 and
-    v2, so a v1 tape replays by transparently degrading every batch to
-    per-reference consumption — old traces stay readable.
+    Writer and reader speak format v2 only: a v1 tape (per-reference
+    batch records) is refused with {!Bad_version}.
 
     Replay honors the observability context in the setup: metrics,
     phase spans, attribution and the cycle-epoch timeline all
@@ -61,7 +59,7 @@ type writer
 val create_writer : out_channel -> header -> writer
 
 (** [recorder w] is the hook set to pass to {!Run.run} (or
-    {!Engine.create}); requires the batch or runs engine. *)
+    {!Engine.create}); requires the runs engine. *)
 val recorder : writer -> Engine.recorder
 
 (** [finish w] terminates the tape (END marker), hands the writer's
@@ -91,11 +89,6 @@ val open_reader : in_channel -> reader
 val open_string : string -> reader
 
 val header : reader -> header
-
-(** [format_version r] is the tape's on-disk format version (1 or 2):
-    v1 tapes contain only per-reference batches, v2 may also contain
-    run-coalesced records. *)
-val format_version : reader -> int
 
 (** [decode r rc] streams the event tape into [rc] — the inverse of
     {!recorder}: decoding a tape into a writer's recorder reproduces it

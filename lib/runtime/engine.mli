@@ -9,19 +9,16 @@ type t
     each (nest, cpu-range) into a precompiled affine walker
     ({!Pcolor_comp.Walker}) emitting run-length-coalesced records for
     {!Pcolor_memsim.Machine.consume_runs} (run heads take the full
-    access path, tails retire as O(1) bulk L1-hit arithmetic); [Batch]
-    streams every reference through the fused
-    {!Pcolor_memsim.Machine.consume_batch} loop; [Interp] is the
-    recursive per-depth interpreter, retained as the byte-identity
-    oracle.  All three produce byte-identical artifacts. *)
-type kind = Interp | Batch | Runs
+    access path, tails retire as O(1) bulk L1-hit arithmetic when
+    provably pure hits); [Interp] is the recursive per-depth
+    interpreter, retained as the byte-identity oracle.  Both produce
+    byte-identical artifacts. *)
+type kind = Interp | Runs
 
 (** Trace-recording hooks ({!Btrace} constructs these): the engine
     invokes them at every simulation event so a binary trace can be
-    written as a tee on the batch engine. *)
+    written as a tee on the runs engine. *)
 type recorder = {
-  rec_section : cpu:int -> nrefs:int -> instr_per_iter:int -> extra_onchip_stall:int -> unit;
-  rec_batch : Pcolor_comp.Walker.batch -> unit;
   rec_run_section :
     cpu:int -> nrefs:int -> instr_per_iter:int -> extra_onchip_stall:int -> strides:int array -> unit;
   rec_runs : Pcolor_comp.Walker.batch -> unit;
@@ -44,9 +41,8 @@ type recorder = {
     occurrence and window-weight counters); [cpus] (default: the whole
     machine) restricts the engine to the contiguous physical CPU range
     [(first, count)] — the space-sharing hook.  [engine] selects the
-    generation strategy (default [Runs]); [recorder] (requires [Runs]
-    or [Batch]) tees every simulation event to a binary-trace
-    writer. *)
+    generation strategy (default [Runs]); [recorder] (requires [Runs])
+    tees every simulation event to a binary-trace writer. *)
 val create :
   ?check_bounds:bool ->
   ?collect_trace:bool ->

@@ -4,7 +4,10 @@
     harness use.  It performs the full pipeline the paper describes:
     compiler summary extraction, data layout (§5.4), CDPC hint generation
     (§5.2), OS policy construction, and simulated execution of the
-    representative window. *)
+    representative window.  The reference stream comes from the runs
+    engine unless the setup picks the interpreter oracle;
+    [default_setup] defines that default once, and multiprogrammed jobs
+    ({!Pcolor_sched}) inherit it. *)
 
 module Ir = Pcolor_comp.Ir
 
@@ -68,7 +71,7 @@ type setup = {
 
 (** [default_setup ~cfg ~make_program ~policy] fills conservative
     defaults (no prefetch, seed 42, window cap 2, ample memory,
-    observability off). *)
+    observability off, runs engine). *)
 let default_setup ~cfg ~make_program ~policy =
   {
     cfg;
@@ -202,7 +205,7 @@ let prepare ?(relocate = 0) (setup : setup) =
   { program; summary; hints_info; policy; layout_end = layout_end + relocate }
 
 (** [run ?recorder setup] executes one experiment end to end.
-    [recorder] (requires the runs or batch engine) tees every simulation event
+    [recorder] (requires the runs engine) tees every simulation event
     to a binary-trace writer ({!Btrace}). *)
 let run ?recorder (setup : setup) =
   let cfg = setup.cfg in

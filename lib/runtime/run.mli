@@ -1,7 +1,10 @@
 (** Top-level experiment runner: program × machine × policy → report,
     performing the full paper pipeline — summary extraction, data
     layout (§5.4), CDPC hint generation (§5.2), OS policy construction,
-    and simulated execution of the representative window. *)
+    and simulated execution of the representative window.  The
+    reference stream comes from the runs engine unless the setup picks
+    the interpreter oracle; {!default_setup} defines that default once,
+    and multiprogrammed jobs inherit it. *)
 
 module Ir = Pcolor_comp.Ir
 
@@ -48,7 +51,7 @@ type setup = {
 
 (** [default_setup ~cfg ~make_program ~policy] fills conservative
     defaults (no prefetch, seed 42, cap 2, ample memory, full
-    algorithm, observability off). *)
+    algorithm, observability off, runs engine). *)
 val default_setup :
   cfg:Pcolor_memsim.Config.t ->
   make_program:(unit -> Ir.program) ->
@@ -100,7 +103,7 @@ type prepared = {
 val prepare : ?relocate:int -> setup -> prepared
 
 (** [run ?recorder setup] executes one experiment end to end.
-    [recorder] (requires the runs or batch engine) tees every simulation event
+    [recorder] (requires the runs engine) tees every simulation event
     to a binary-trace writer ({!Btrace}).  Pool exhaustion
     ({!Pcolor_vm.Kernel.Out_of_frames}) is logged on the [PCOLOR_LOG]
     channel (faulting CPU/page, pool occupancy) before propagating. *)

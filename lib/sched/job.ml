@@ -32,26 +32,26 @@ type spec = {
   prefetch : bool;
   seed : int;
   cdpc_ablation : Pcolor_cdpc.Colorer.ablation;
-  engine_kind : Engine.kind;
+  engine_kind : Engine.kind option;  (** [None]: {!Run.default_setup}'s engine *)
 }
 
 (** [spec ~name make_program] fills conservative defaults (page
-    coloring, no prefetch, seed 42, full CDPC algorithm, batch
-    engine). *)
+    coloring, no prefetch, seed 42, full CDPC algorithm, and the
+    engine a single run defaults to). *)
 let spec ?(policy = Run.Page_coloring) ?(prefetch = false) ?(seed = 42)
-    ?(cdpc_ablation = Pcolor_cdpc.Colorer.full_algorithm) ?(engine_kind = Engine.Batch) ~name
-    make_program =
+    ?(cdpc_ablation = Pcolor_cdpc.Colorer.full_algorithm) ?engine_kind ~name make_program =
   { name; make_program; policy; prefetch; seed; cdpc_ablation; engine_kind }
 
 (** [setup_of ~cfg spec] is the equivalent single-run setup — the
     shared vocabulary between [pcolor run] and a mix job. *)
 let setup_of ~cfg (s : spec) : Run.setup =
+  let d = Run.default_setup ~cfg ~make_program:s.make_program ~policy:s.policy in
   {
-    (Run.default_setup ~cfg ~make_program:s.make_program ~policy:s.policy) with
+    d with
     prefetch = s.prefetch;
     seed = s.seed;
     cdpc_ablation = s.cdpc_ablation;
-    engine = s.engine_kind;
+    engine = Option.value s.engine_kind ~default:d.engine;
   }
 
 type t = {
@@ -101,7 +101,7 @@ let create ~cfg ~machine ~pool ~obs ~asid ~relocate ~cpus ~cap (s : spec) =
     else Pcolor_comp.Prefetcher.none
   in
   let engine =
-    Engine.create ~obs ~cpus ~engine:s.engine_kind ~machine ~kernel ~program:p.Run.program ~plans
+    Engine.create ~obs ~cpus ~engine:setup.Run.engine ~machine ~kernel ~program:p.Run.program ~plans
       ()
   in
   let first_cpu, width = cpus in

@@ -102,7 +102,7 @@ let replacement_misses r =
 let conflict_misses r = r.l2_misses_by_class.(Pcolor_memsim.Mclass.index Conflict)
 
 (** [speedup ~base r] is base wall time over [r]'s wall time. *)
-let speedup ~base r = Pcolor_util.Stat.ratio base.wall_cycles r.wall_cycles
+let speedup ~base r = Pcolor_obs.Stat.ratio base.wall_cycles r.wall_cycles
 
 (** [to_json r] serializes every report field (per-class arrays keyed
     by miss-class name) for machine-readable artifacts. *)

@@ -34,11 +34,11 @@ let reference_of name =
   match List.assoc_opt name spec95_reference_seconds with Some s -> s | None -> 1000.0
 
 (** [ratio ~ref_cycles ~measured_cycles] is one benchmark's rating. *)
-let ratio ~ref_cycles ~measured_cycles = Pcolor_util.Stat.ratio ref_cycles measured_cycles
+let ratio ~ref_cycles ~measured_cycles = Pcolor_obs.Stat.ratio ref_cycles measured_cycles
 
 (** [rating ratios] is the suite rating: the geometric mean.  Empty input
     rates 0. *)
-let rating ratios = Pcolor_util.Stat.geomean ratios
+let rating ratios = Pcolor_obs.Stat.geomean ratios
 
 (** [make_references base_runs] fixes the per-benchmark reference cycle
     counts from a list of [(benchmark, uniprocessor_wall_cycles)]

@@ -23,6 +23,24 @@ let rejects ~flag ?no_file args () =
     (fun f -> Alcotest.(check bool) (label ^ ": nothing written") false (Sys.file_exists f))
     no_file
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* The removed batch engine is an unknown [--engine] value: a usage
+   error listing the engines that exist, not an exception. *)
+let test_engine_batch_refused () =
+  let code, stderr = Helpers.run_cli [ "run"; "tomcatv"; "-s"; "64"; "--engine=batch" ] in
+  Alcotest.(check bool) (Printf.sprintf "non-zero exit (%d)" code) true (code <> 0);
+  Alcotest.(check bool) "not an uncaught exception" true (code <> 125);
+  List.iter
+    (fun engine ->
+      Alcotest.(check bool) ("names " ^ engine) true (contains stderr ("'" ^ engine ^ "'")))
+    [ "runs"; "interp" ];
+  Alcotest.(check bool) "no backtrace" false
+    (contains stderr "Raised at" || contains stderr "Fatal error" || contains stderr "exception")
+
 let suite =
   [
     ( "cli.rejects",
@@ -51,5 +69,6 @@ let suite =
         Alcotest.test_case "run --slices 3" `Quick
           (rejects ~flag:"--slices/--llc-hash"
              [ "run"; "tomcatv"; "-s"; "64"; "--slices"; "3" ]);
+        Alcotest.test_case "run --engine=batch" `Quick test_engine_batch_refused;
       ] );
   ]

@@ -215,6 +215,57 @@ let qcheck_route_page_granular =
            (fun l -> Slice.route s (base + (l * geom.Config.line) + off) = expected)
            (List.init (1024 / geom.Config.line) Fun.id))
 
+(* The route memo: [route] (and the set id, which routes through the
+   same memo) must equal the hash of the frame, over address streams
+   whose frames alias in the memo — they are congruent modulo 4096, so
+   they share a slot in any power-of-two memo up to that size — and
+   interleave, so every probe may find another frame's entry in its
+   slot.  2 and 4 slices × xor-fold, sandybridge and random full-rank
+   masks. *)
+let qcheck_route_memo_aliasing =
+  let gen =
+    let open QCheck.Gen in
+    let* slice_bits = int_range 1 2 in
+    let group_bits = 2 - slice_bits in
+    let* pick = int_bound 2 in
+    let* hash =
+      match pick with
+      | 0 -> return (Ahash.resolve Ahash.Xor_fold ~slice_bits ~group_bits)
+      | 1 -> return (Ahash.resolve Ahash.Sandybridge ~slice_bits ~group_bits)
+      | _ ->
+        let row = map (fun r -> r land lnot ((1 lsl group_bits) - 1)) (int_bound ((1 lsl 40) - 1)) in
+        let rec full_rank () =
+          let* rows = array_repeat slice_bits row in
+          if Ahash.rank rows = slice_bits then return rows else full_rank ()
+        in
+        let+ rows = full_rank () in
+        Ahash.resolve (Ahash.Masks rows) ~slice_bits ~group_bits
+    in
+    let* base = int_bound ((1 lsl 36) - 1) in
+    let+ stream = list_size (int_range 1 60) (pair (int_bound 7) (int_bound 1023)) in
+    (hash, base, stream)
+  in
+  QCheck.Test.make ~name:"route memo agrees with the hash on aliasing frames" ~count:300
+    (QCheck.make
+       ~print:(fun (h, base, stream) ->
+         Printf.sprintf "%s, base frame %d, [%s]"
+           (Ahash.spec_to_string (Ahash.Masks (Ahash.masks h)))
+           base
+           (String.concat "; " (List.map (fun (k, off) -> Printf.sprintf "%d+%d" k off) stream)))
+       gen)
+    (fun (hash, base, stream) ->
+      let n_slices = Ahash.n_slices hash in
+      let s = Slice.create geom ~n_slices ~hash ~page_bits:10 in
+      let local_sets = Slice.n_sets s / n_slices in
+      List.for_all
+        (fun (k, off) ->
+          let frame = base + (k * 4096) in
+          let addr = (frame lsl 10) + off in
+          let expected = Ahash.slice_of hash frame in
+          Slice.route s addr = expected
+          && Slice.set_of_line s (Slice.line_of s addr) / local_sets = expected)
+        stream)
+
 (* Frame teardown on a 4-CPU, 4-slice sandybridge machine: after
    [invalidate_frame_everywhere] no line of the frame survives on any
    CPU, while a resident line of another frame in the same slice (and a
@@ -451,6 +502,7 @@ let suite =
         Alcotest.test_case "multi-slice routing follows hash" `Quick test_multi_slice_routing;
         Alcotest.test_case "conflicts follow true bins" `Quick test_slice_conflicts_follow_bins;
         QCheck_alcotest.to_alcotest qcheck_route_page_granular;
+        QCheck_alcotest.to_alcotest qcheck_route_memo_aliasing;
         Alcotest.test_case "invalidate_frame_everywhere drops only its frame" `Quick
           test_invalidate_frame_everywhere;
       ] );

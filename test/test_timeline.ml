@@ -1,6 +1,6 @@
 (* Cycle-epoch timeline sampling contracts:
 
-   - batch and interp engines emit the identical timeline section (the
+   - runs and interp engines emit the identical timeline section (the
      epoch checks sit at matching reference-stream points);
    - per-epoch delta rows sum exactly to the end-of-run aggregates
      (telescoping reconciliation, incl. the final partial flush);
@@ -11,8 +11,9 @@
      observability (metrics + attribution + timeline);
    - malformed binary traces raise the typed {!Btrace.Error}, never a
      bare [Failure] or garbage counters (unit cases + corruption fuzz),
-     including truncations around the codec's chunk boundaries, and
-     [pcolor replay] turns a bad header into exit 2 and one line;
+     including truncations around the codec's chunk boundaries, retired
+     v1 headers and v1 record tags, and [pcolor replay] turns a bad
+     header into exit 2 and one line;
    - tapes stay byte-identical to format v2 as first written (golden
      MD5s), and decoding re-encodes a tape byte for byte;
    - the change-point detector finds a clean mean shift;
@@ -73,7 +74,7 @@ let test_engines_identical_timeline () =
         let cfg = Helpers.tiny_cfg ~n_cpus:2 () in
         Run.run (setup ~policy ~prefetch ~obs:(obs_with_sampler cfg) ~engine ())
       in
-      let b = run Pcolor.Runtime.Engine.Batch in
+      let b = run Pcolor.Runtime.Engine.Runs in
       let i = run Pcolor.Runtime.Engine.Interp in
       let label = Run.policy_name policy ^ if prefetch then "+pf" else "" in
       Alcotest.(check string) (label ^ " timeline") (timeline_string i) (timeline_string b);
@@ -110,7 +111,7 @@ let test_reconciliation () =
   let o =
     Run.run
       (setup ~policy:Run.Page_coloring ~prefetch:true ~obs:(obs_with_sampler cfg)
-         ~engine:Pcolor.Runtime.Engine.Batch ())
+         ~engine:Pcolor.Runtime.Engine.Runs ())
   in
   let machine = o.Run.machine in
   let cols, sums = column_sums o in
@@ -157,7 +158,7 @@ let test_sampling_is_pure () =
       let plain = Run.run (setup ~engine ()) in
       let sampled = Run.run (setup ~obs:(obs_with_sampler cfg) ~engine ()) in
       Alcotest.(check string) "report unchanged by sampling" (render plain) (render sampled))
-    [ Pcolor.Runtime.Engine.Batch; Pcolor.Runtime.Engine.Interp ]
+    [ Pcolor.Runtime.Engine.Runs; Pcolor.Runtime.Engine.Interp ]
 
 (* ---------- steady-state commit allocates nothing ---------- *)
 
@@ -198,9 +199,8 @@ let with_tape f =
   let path = Filename.temp_file "pcolor_tl" ".btrace" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let record_tape ~path ?obs ?(engine = Pcolor.Runtime.Engine.Batch) ?rows ?cols
-    ?(provenance = "test") () =
-  let s = setup ?obs ~policy:Run.Page_coloring ?rows ?cols ~engine () in
+let record_tape ~path ?obs ?rows ?cols ?(provenance = "test") () =
+  let s = setup ?obs ~policy:Run.Page_coloring ?rows ?cols ~engine:Pcolor.Runtime.Engine.Runs () in
   let oc = open_out_bin path in
   let w =
     Btrace.create_writer oc
@@ -222,7 +222,7 @@ let record_tape ~path ?obs ?(engine = Pcolor.Runtime.Engine.Batch) ?rows ?cols
   (s, o)
 
 let replay_tape ~path ?obs ?rows ?cols () =
-  let s = setup ?obs ~policy:Run.Page_coloring ?rows ?cols ~engine:Pcolor.Runtime.Engine.Batch () in
+  let s = setup ?obs ~policy:Run.Page_coloring ?rows ?cols ~engine:Pcolor.Runtime.Engine.Runs () in
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -289,45 +289,18 @@ let test_btrace_error_paths () =
           | _ -> Alcotest.fail "END-stripped tape must not replay"
           | exception Btrace.Error (Btrace.Truncated _) -> ()))
 
-(* ---------- version negotiation ---------- *)
+(* ---------- retired format v1 ---------- *)
 
-(* A batch-engine tape contains only v1 events, so rewriting its
-   version byte to 1 yields a genuine v1 tape.  The runs-first reader
-   must accept it and transparently degrade to per-reference
-   consumption — same counters, no error. *)
-let test_btrace_v1_degrade () =
+(* Format v1 (per-reference batch records) is no longer read: a tape
+   whose header says v1 is refused at open, before any event. *)
+let test_btrace_v1_bad_version () =
   with_tape (fun path ->
-      let _, direct = record_tape ~path () in
+      let _ = record_tape ~path () in
       let tape = Bytes.of_string (read_file path) in
       Bytes.set tape 4 '\001';
-      with_tape (fun v1 ->
-          write_file v1 (Bytes.to_string tape);
-          let ic = open_in_bin v1 in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () ->
-              let r = Btrace.open_reader ic in
-              Alcotest.(check int) "format_version" 1 (Btrace.format_version r);
-              let s = setup ~policy:Run.Page_coloring ~engine:Pcolor.Runtime.Engine.Runs () in
-              let replayed = Btrace.replay r ~setup:s in
-              Alcotest.(check string) "v1 tape replays to the identical artifact"
-                (Json.to_string (Run.artifact_json direct))
-                (Json.to_string (Run.artifact_json replayed)))))
-
-(* The converse must stay an error: run-coalesced records inside a tape
-   whose header claims v1 are structurally invalid, and the reader
-   reports them as typed corruption rather than consuming them. *)
-let test_btrace_v1_run_records_corrupt () =
-  with_tape (fun path ->
-      let _ = record_tape ~path ~engine:Pcolor.Runtime.Engine.Runs () in
-      let tape = Bytes.of_string (read_file path) in
-      Bytes.set tape 4 '\001';
-      with_tape (fun bad ->
-          write_file bad (Bytes.to_string tape);
-          match replay_tape ~path:bad () with
-          | _ -> Alcotest.fail "run records in a v1 tape must be Corrupt"
-          | exception Btrace.Error (Btrace.Corrupt msg) ->
-            Alcotest.(check string) "corruption message" "run section in a v1 trace" msg))
+      match opens_as_error (Bytes.to_string tape) with
+      | Some (Btrace.Bad_version { found = 1; expected = 2 }) -> ()
+      | _ -> Alcotest.fail "a v1 header must be Bad_version")
 
 let test_btrace_corruption_fuzz =
   QCheck.Test.make ~name:"corrupted tapes raise Btrace.Error or replay" ~count:40
@@ -384,6 +357,23 @@ let test_btrace_bad_header_corrupt () =
       ("window cap 0", header_only ~cap:0 ());
     ]
 
+(* v1's SECTION (8) and BATCH (9) tags inside a v2 tape are unknown
+   events, Corrupt like any other. *)
+let test_btrace_v1_tags_corrupt () =
+  let body =
+    let tape = header_only () in
+    String.sub tape 0 (String.length tape - 1)
+  in
+  List.iter
+    (fun tag ->
+      with_tape (fun path ->
+          write_file path (body ^ String.make 1 (Char.chr tag) ^ "\000\000");
+          match replay_tape ~path () with
+          | _ -> Alcotest.failf "tag %d must not replay" tag
+          | exception Btrace.Error (Btrace.Corrupt msg) ->
+            Alcotest.(check string) "message" (Printf.sprintf "bad event tag %d" tag) msg))
+    [ 8; 9 ]
+
 (* A varint running past 63 bits is Corrupt, not a wrapped value. *)
 let test_btrace_varint_overflow () =
   let tape = header_only () in
@@ -418,32 +408,32 @@ let test_replay_cli_bad_header () =
 
 (* ---------- pinned tape format ---------- *)
 
-(* MD5s of tapes written by the per-byte channel writer that defined
-   format v2.  The writer must keep producing them exactly: tapes
-   already on disk and fresh ones stay byte-identical. *)
+(* MD5s of tapes as format v2 first wrote them: the small one by the
+   per-byte channel writer, the multi-chunk one (the size of the
+   chunk-boundary tests' tape) by the chunked writer.  The writer must
+   keep producing them exactly: tapes already on disk and fresh ones
+   stay byte-identical. *)
 let test_btrace_golden_md5 () =
   List.iter
-    (fun (label, engine, rows, cols, md5) ->
+    (fun (label, rows, cols, md5) ->
       with_tape (fun path ->
-          let _ = record_tape ~path ~engine ~rows ~cols () in
+          let _ = record_tape ~path ~rows ~cols () in
           Alcotest.(check string) label md5 (Digest.to_hex (Digest.file path))))
-    Pcolor.Runtime.Engine.
-      [
-        ("fig4 batch tape", Batch, 8, 128, "5ad59db95c303b7a0849a3649db71e2d");
-        ("fig4 runs tape", Runs, 8, 128, "fb28b6aded280e76f74098174c4fce93");
-        ("multi-chunk batch tape", Batch, 32, 512, "4256e4a9e19e9da82af9d7edbce6b64d");
-      ]
+    [
+      ("fig4 runs tape", 8, 128, "fb28b6aded280e76f74098174c4fce93");
+      ("multi-chunk runs tape", 64, 512, "7f5d72db4e66454e8e329523d1abe185");
+    ]
 
 (* ---------- chunk boundaries ---------- *)
 
-(* A batch tape of about 190 KiB: reads cross two refill boundaries
+(* A tape of about 170 KiB: reads cross two refill boundaries
    mid-record. *)
-let big_rows = 32
+let big_rows = 64
 
 let big_cols = 512
 
-let record_big ~path ?obs ?engine ?provenance () =
-  record_tape ~path ?obs ?engine ~rows:big_rows ~cols:big_cols ?provenance ()
+let record_big ~path ?obs ?provenance () =
+  record_tape ~path ?obs ~rows:big_rows ~cols:big_cols ?provenance ()
 
 let replay_big ~path ?obs () = replay_tape ~path ?obs ~rows:big_rows ~cols:big_cols ()
 
@@ -511,23 +501,18 @@ let test_btrace_varint_split () =
         (Json.to_string (Run.artifact_json replayed)))
 
 (* The decoder is the writer's inverse: decoding an in-memory tape into
-   a fresh writer reproduces it byte for byte, across chunk boundaries
-   and for both record families. *)
+   a fresh writer reproduces it byte for byte, across chunk
+   boundaries. *)
 let test_btrace_decode_roundtrip () =
-  List.iter
-    (fun engine ->
-      with_tape (fun path ->
-          let _ = record_big ~path ~engine () in
-          let tape = read_file path in
-          let r = Btrace.open_string tape in
-          with_tape (fun copy ->
-              let oc = open_out_bin copy in
-              let w = Btrace.create_writer oc (Btrace.header r) in
-              Btrace.decode r (Btrace.recorder w);
-              Btrace.finish w;
-              close_out oc;
-              Alcotest.(check bool) "re-encoded tape is identical" true (read_file copy = tape))))
-    Pcolor.Runtime.Engine.[ Batch; Runs ]
+  let tape = Lazy.force big_tape in
+  let r = Btrace.open_string tape in
+  with_tape (fun copy ->
+      let oc = open_out_bin copy in
+      let w = Btrace.create_writer oc (Btrace.header r) in
+      Btrace.decode r (Btrace.recorder w);
+      Btrace.finish w;
+      close_out oc;
+      Alcotest.(check bool) "re-encoded tape is identical" true (read_file copy = tape))
 
 (* ---------- change-point detection ---------- *)
 
@@ -589,9 +574,8 @@ let suite =
         Alcotest.test_case "record/replay artifact identity" `Quick
           test_replay_artifact_identity;
         Alcotest.test_case "typed btrace errors" `Quick test_btrace_error_paths;
-        Alcotest.test_case "v1 tape degrades transparently" `Quick test_btrace_v1_degrade;
-        Alcotest.test_case "run records in v1 tape are corrupt" `Quick
-          test_btrace_v1_run_records_corrupt;
+        Alcotest.test_case "v1 header is Bad_version" `Quick test_btrace_v1_bad_version;
+        Alcotest.test_case "v1 record tags are corrupt" `Quick test_btrace_v1_tags_corrupt;
         QCheck_alcotest.to_alcotest test_btrace_corruption_fuzz;
         Alcotest.test_case "bad header fields are corrupt" `Quick test_btrace_bad_header_corrupt;
         Alcotest.test_case "replay CLI rejects bad headers" `Quick test_replay_cli_bad_header;

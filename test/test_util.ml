@@ -4,7 +4,7 @@
 module Rng = Pcolor.Util.Rng
 module Bits = Pcolor.Util.Bits
 module Itab = Pcolor.Util.Itab
-module Stat = Pcolor.Util.Stat
+module Stat = Pcolor.Obs.Stat
 module Table = Pcolor.Util.Table
 module Chart = Pcolor.Util.Chart
 

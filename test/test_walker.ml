@@ -1,11 +1,11 @@
-(* The batch-streaming engine's contracts:
+(* The runs engine's contracts:
 
-   - a compiled {!Walker} emits exactly the reference stream the
-     per-depth interpreter would (same order, same packed prefetch
-     dedup), for arbitrary affine nests and cpu sub-ranges;
-   - the fused consume loop and the walker generator allocate nothing
-     per reference in the steady state;
-   - a full run under [--engine=batch] is byte-identical to
+   - a compiled {!Walker}'s run records expand to exactly the reference
+     stream the per-depth interpreter would (same order, same packed
+     prefetch dedup), for arbitrary affine nests and cpu sub-ranges;
+   - the run consumer and the walker generator allocate nothing per
+     reference in the steady state, on a sliced LLC too;
+   - a full run under [--engine=runs] is byte-identical to
      [--engine=interp] across mapping policies, with and without
      prefetching;
    - a binary trace recorded from a run replays to the identical
@@ -69,39 +69,18 @@ let interpreter_events (nest : Ir.nest) ~(plan : Prefetcher.nest_plan) ~lo0 ~hi0
   go 0;
   List.rev !out
 
-(* Drain a walker through a deliberately small batch (forcing several
-   fill/resume cycles) and decode the packed entries back to events. *)
-let walker_events (nest : Ir.nest) ~plan ~lo0 ~hi0 ~l2_line_bits =
-  let w = Walker.create ~nest ~plan ~lo0 ~hi0 ~l1_line_bits:5 ~l2_line_bits in
-  let nrefs = Walker.nrefs w in
-  let b = Walker.create_batch ~capacity_refs:(max nrefs 5) () in
-  let out = ref [] in
-  let exhausted = ref (Walker.finished w) in
-  while not !exhausted do
-    Walker.reset_batch b;
-    exhausted := Walker.fill w b;
-    let k = ref 0 in
-    while !k < b.Walker.len do
-      let w0 = b.Walker.data.(!k) in
-      let pf = b.Walker.data.(!k + 1) in
-      let vaddr = w0 asr 1 in
-      if pf <> 0 then out := Pf (vaddr + pf) :: !out;
-      out := Acc (vaddr, w0 land 1 <> 0) :: !out;
-      k := !k + 2
-    done
-  done;
-  List.rev !out
-
 (* Drain a walker through {!Walker.fill_runs} and expand every record
    back to per-reference events: tail groups advance each reference by
    its innermost byte stride and (by the producer's invariant) issue no
-   prefetches.  The batch holds exactly one record, so every record
-   boundary is also a fill/resume split. *)
-let runs_events (nest : Ir.nest) ~plan ~lo0 ~hi0 ~l2_line_bits =
+   prefetches.  [capacity_refs] sizes the batch: [nrefs + 1] holds
+   exactly one record, so every record boundary is also a fill/resume
+   split; larger batches resume mid-stream after several records. *)
+let runs_events ?capacity_refs (nest : Ir.nest) ~plan ~lo0 ~hi0 ~l2_line_bits =
   let w = Walker.create ~nest ~plan ~lo0 ~hi0 ~l1_line_bits:5 ~l2_line_bits in
   let nrefs = Walker.nrefs w in
   let strides = Walker.strides w in
-  let b = Walker.create_batch ~capacity_refs:(nrefs + 1) () in
+  let capacity_refs = Option.value capacity_refs ~default:(nrefs + 1) in
+  let b = Walker.create_batch ~capacity_refs () in
   let stride = 1 + (2 * nrefs) in
   let out = ref [] in
   let exhausted = ref (Walker.finished w) in
@@ -160,7 +139,9 @@ let test_walker_matches_interpreter () =
       if case mod 2 = 0 then Prefetcher.plan_nest cfg nest else Prefetcher.find Prefetcher.none nest
     in
     let expect = interpreter_events nest ~plan ~lo0 ~hi0 ~l2_line_bits in
-    let got = walker_events nest ~plan ~lo0 ~hi0 ~l2_line_bits in
+    (* a few records per batch, so fills resume between records *)
+    let capacity_refs = (4 * List.length nest.Ir.refs) + 2 in
+    let got = runs_events ~capacity_refs nest ~plan ~lo0 ~hi0 ~l2_line_bits in
     if expect <> got then
       Alcotest.failf "case %d (%s, lo0=%d hi0=%d): walker diverged after %d/%d events" case
         nest.Ir.label lo0 hi0
@@ -210,30 +191,37 @@ let test_walker_iter_constants () =
 
 (* Same contract (and tolerance note) as the coherence suite's hit-path
    pin: the tolerance absorbs the boxed float from [Gc.minor_words];
-   anything per-reference would cost tens of thousands of words. *)
-let test_consume_batch_no_alloc () =
-  let cfg = Helpers.tiny_cfg ~n_cpus:1 () in
+   anything per-reference would cost tens of thousands of words.  The
+   machine has a 4-slice sandybridge LLC, so every L1 miss also routes
+   through the slice memo. *)
+let test_consume_miss_stream_no_alloc () =
+  let cfg =
+    Helpers.tiny_cfg ~n_cpus:1 ~l2_slices:4 ~l2_hash:Pcolor.Memsim.Ahash.Sandybridge ()
+  in
   let m = M.create cfg in
   let translate ~cpu:_ ~vpage = (vpage, 0) in
   let iters = 512 in
   (* the 8 distinct pages fit the tiny TLB exactly: a steady-state
      reference never calls the (allocating) translate callback, while
-     the 8 KB footprint still misses the 512 B L1 throughout *)
-  let b = Walker.create_batch ~capacity_refs:(2 * iters) () in
+     the 8 KB footprint still misses the 512 B L1 throughout.  Every
+     record is a single group, so each reference takes the full
+     per-reference path. *)
+  let nrefs = 2 in
+  let stride = 1 + (2 * nrefs) in
+  let data = Array.make (iters * stride) 0 in
   for i = 0 to iters - 1 do
     let va = i mod 256 * 16 in
-    b.Walker.data.(4 * i) <- Walker.pack ~vaddr:va ~write:false;
-    b.Walker.data.((4 * i) + 1) <- 0;
-    b.Walker.data.((4 * i) + 2) <- Walker.pack ~vaddr:(va + 4096) ~write:true;
-    b.Walker.data.((4 * i) + 3) <- 0
+    let k = i * stride in
+    data.(k) <- 1;
+    data.(k + 1) <- Walker.pack ~vaddr:va ~write:false;
+    data.(k + 3) <- Walker.pack ~vaddr:(va + 4096) ~write:true
   done;
-  b.Walker.len <- 4 * iters;
   let consume () =
-    M.consume_batch m ~cpu:0 ~translate ~data:b.Walker.data ~len:b.Walker.len ~nrefs:2
+    M.consume_runs m ~cpu:0 ~translate ~data ~len:(iters * stride) ~nrefs ~strides:[| 16; 16 |]
       ~instr_per_iter:8 ~extra_onchip_stall:1
   in
   (* warm: size every table, fault every page, then measure a full
-     replay of the same batch (which still misses L1/L2 heavily — the
+     replay of the same records (which still miss L1/L2 heavily — the
      span exceeds both) *)
   consume ();
   consume ();
@@ -241,31 +229,8 @@ let test_consume_batch_no_alloc () =
   consume ();
   let delta = Gc.minor_words () -. before in
   Alcotest.(check bool)
-    (Printf.sprintf "consume loop allocation-free (%.0f minor words for %d refs)" delta (2 * iters))
-    true (delta <= 64.0)
-
-let test_walker_fill_no_alloc () =
-  let a = Ir.make_array ~id:0 ~name:"A" ~elem_size:8 ~dims:[| 64; 64 |] in
-  a.Ir.base <- 0;
-  let nest =
-    Ir.make_nest ~label:"fill" ~kind:(Ir.Parallel { policy = Even; direction = Forward })
-      ~bounds:[| 64; 64 |]
-      ~refs:[ Ir.ref_to a ~coeffs:[| 64; 1 |] ~offset:0 ~write:false ]
-      ()
-  in
-  let plan = Prefetcher.find Prefetcher.none nest in
-  let w = Walker.create ~nest ~plan ~lo0:0 ~hi0:64 ~l1_line_bits:5 ~l2_line_bits:7 in
-  let b = Walker.create_batch ~capacity_refs:256 () in
-  Walker.reset_batch b;
-  ignore (Walker.fill w b);
-  let before = Gc.minor_words () in
-  Walker.reset_batch b;
-  ignore (Walker.fill w b);
-  Walker.reset_batch b;
-  ignore (Walker.fill w b);
-  let delta = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "walker fill allocation-free (%.0f minor words)" delta)
+    (Printf.sprintf "consume loop allocation-free (%.0f minor words for %d refs)" delta
+       (nrefs * iters))
     true (delta <= 64.0)
 
 let test_walker_fill_runs_no_alloc () =
@@ -346,16 +311,13 @@ let test_engines_identical () =
     (fun policy ->
       List.iter
         (fun prefetch ->
-          let b = Run.run (setup ~policy ~prefetch ~engine:Pcolor.Runtime.Engine.Batch ()) in
           let r = Run.run (setup ~policy ~prefetch ~engine:Pcolor.Runtime.Engine.Runs ()) in
           let i = Run.run (setup ~policy ~prefetch ~engine:Pcolor.Runtime.Engine.Interp ()) in
           let label =
             Printf.sprintf "%s%s" (Run.policy_name policy) (if prefetch then "+pf" else "")
           in
-          Alcotest.(check string) (label ^ " report") (render i) (render b);
-          Alcotest.(check string) (label ^ " report (runs)") (render i) (render r);
-          Alcotest.(check (list (pair int int))) (label ^ " trace") i.Run.trace b.Run.trace;
-          Alcotest.(check (list (pair int int))) (label ^ " trace (runs)") i.Run.trace r.Run.trace)
+          Alcotest.(check string) (label ^ " report") (render i) (render r);
+          Alcotest.(check (list (pair int int))) (label ^ " trace") i.Run.trace r.Run.trace)
         [ false; true ])
     [
       Run.Page_coloring;
@@ -371,7 +333,7 @@ let test_btrace_roundtrip () =
   let s =
     {
       (setup ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }) ~prefetch:true
-         ~engine:Pcolor.Runtime.Engine.Batch ()) with
+         ~engine:Pcolor.Runtime.Engine.Runs ()) with
       collect_trace = false;
     }
   in
@@ -407,7 +369,7 @@ let test_btrace_roundtrip () =
 (* ---------- trace-point ordering ---------- *)
 
 let test_trace_points_sorted () =
-  let o = Run.run (setup ~policy:Run.Bin_hopping ~engine:Pcolor.Runtime.Engine.Batch ()) in
+  let o = Run.run (setup ~policy:Run.Bin_hopping ~engine:Pcolor.Runtime.Engine.Runs ()) in
   Alcotest.(check bool) "non-empty" true (o.Run.trace <> []);
   Alcotest.(check (list (pair int int))) "sorted by (vpage, cpu)"
     (List.sort compare o.Run.trace) o.Run.trace
@@ -419,11 +381,10 @@ let suite =
         Alcotest.test_case "emission matches interpreter" `Quick test_walker_matches_interpreter;
         QCheck_alcotest.to_alcotest test_runs_match_interpreter;
         Alcotest.test_case "per-iteration constants" `Quick test_walker_iter_constants;
-        Alcotest.test_case "consume loop zero-alloc" `Quick test_consume_batch_no_alloc;
-        Alcotest.test_case "walker fill zero-alloc" `Quick test_walker_fill_no_alloc;
+        Alcotest.test_case "consume loop zero-alloc" `Quick test_consume_miss_stream_no_alloc;
         Alcotest.test_case "walker fill_runs zero-alloc" `Quick test_walker_fill_runs_no_alloc;
         Alcotest.test_case "consume_runs zero-alloc" `Quick test_consume_runs_no_alloc;
-        Alcotest.test_case "batch/runs == interp across policies" `Quick test_engines_identical;
+        Alcotest.test_case "runs == interp across policies" `Quick test_engines_identical;
         Alcotest.test_case "btrace round trip" `Quick test_btrace_roundtrip;
         Alcotest.test_case "trace points sorted" `Quick test_trace_points_sorted;
       ] );
