@@ -16,7 +16,8 @@
 #                     run and on a 4-slice reclaiming mix with a
 #                     timeline (simulated metrics must be byte-identical)
 #                     and diff the TLB recolor and flush-mix runs against
-#                     golden/tlb_*.json --exact
+#                     golden/tlb_*.json and a 2-way-L2 run against
+#                     golden/l2_2way.json --exact
 #                     and run the statistical throughput verdict
 #                     `pcolor perf check` — fresh medians vs the
 #                     baseline's confidence intervals at
@@ -109,6 +110,13 @@ bench-check:
 	  --tlb flush --mem-frames 60 --policy cdpc --metrics-out _build/tlb_flush_mix.json
 	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/tlb_flush_mix.json \
 	  _build/tlb_flush_mix.json --exact
+	@# Set-associative external-cache gate: every other golden runs a
+	@# direct-mapped L2, so a 2-way L2 run (packed ways with LRU stamps,
+	@# dirty victims) must reproduce its committed golden exactly.
+	$(DUNE) exec bin/pcolor_cli.exe -- run swim --machine sgi-2way --cpus 4 \
+	  --scale 64 --policy page-coloring --metrics-out _build/l2_2way.json
+	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/l2_2way.json \
+	  _build/l2_2way.json --exact
 	@# Statistical throughput verdict: every fresh section median vs the
 	@# committed baseline's sign-test interval, warn-only by default
 	@# (shared machines are noisy); BENCH_STRICT=1 fails loud.

@@ -21,16 +21,23 @@ let test_cache_access =
          incr i;
          ignore (Cache.access c ~addr:(!i land 0xFFF) ~write:false)))
 
+(* a stream over 4x the shadow's capacity, drawn from frames of one
+   page color, so every access misses, evicts the LRU line and unlinks
+   it from its bucket chain *)
 let test_shadow_access =
   let s = Shadow.create cfg_small.l2 in
+  let lines_per_page = cfg_small.page_size / cfg_small.l2.line in
+  let n_colors = Config.n_colors cfg_small in
+  let pages = 4 * Shadow.capacity s / lines_per_page in
   let i = ref 0 in
-  Test.make ~name:"figure2: FA shadow access"
+  Test.make ~name:"figure2: FA shadow probe (4x capacity, one color)"
     (Staged.stage (fun () ->
          incr i;
-         ignore (Shadow.access s (!i land 0x3F))))
+         let frame = (!i / lines_per_page) mod pages * n_colors in
+         ignore (Shadow.access s ((frame * lines_per_page) + (!i mod lines_per_page)))))
 
 (* hot-path table substrate: the open-addressing int table that backs
-   the shadow, directory, prefetch and conflict maps, against the stdlib
+   the TLB, prefetch and conflict maps, against the stdlib
    Hashtbl it replaced.  Same pre-populated key set, same probe
    sequence: the delta is the data structure, not the workload. *)
 let itab_keys = Array.init 4096 (fun i -> i * 7919)
@@ -103,6 +110,11 @@ let test_fault_path =
     (Staged.stage (fun () ->
          incr v;
          ignore (Pcolor.Vm.Kernel.translate kernel ~cpu:0 ~vpage:!v)))
+
+(* the per-experiment setup cost of the simulated machine *)
+let test_machine_create =
+  Test.make ~name:"Machine.create (8 CPUs, scale 16)"
+    (Staged.stage (fun () -> ignore (Sys.opaque_identity (Pcolor.Memsim.Machine.create cfg_small))))
 
 (* figure8: prefetch issue path *)
 let test_machine_access =
@@ -266,6 +278,7 @@ let all_tests =
     test_summary_extract;
     test_hint_generation;
     test_fault_path;
+    test_machine_create;
     test_machine_access;
     test_slice_hash;
     test_slice_route;

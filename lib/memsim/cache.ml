@@ -4,17 +4,20 @@
     Used for both the virtually-indexed on-chip cache (indexed with
     virtual addresses) and the physically-indexed external cache (indexed
     with physical addresses) — the caller decides which address to pass.
-    The hot path is allocation-free: tags, dirty bits and LRU stamps live
-    in flat arrays. *)
+    The hot path is allocation-free and a way is one word: its line
+    number shifted left by one with the dirty flag in bit 0, [-1] when
+    invalid.  Lines come from [lsr] by at least one bit, so they are
+    never negative and [w lsr 1 = line] is the whole hit test ([-1 lsr
+    1] is [max_int], past every line).  LRU stamps exist only when
+    [assoc > 1]; the direct-mapped external cache has no use for them. *)
 
 type t = {
   nsets : int;
   assoc : int;
   line_bits : int;
   set_mask : int;
-  tags : int array;   (* nsets * assoc; -1 = invalid; holds line numbers *)
-  dirty : bool array; (* parallel to [tags] *)
-  stamp : int array;  (* parallel to [tags]; larger = more recent *)
+  ways : int array;  (* nsets * assoc; (line lsl 1) lor dirty, -1 = invalid *)
+  stamp : int array; (* parallel to [ways], larger = more recent; empty when assoc = 1 *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -43,15 +46,16 @@ let[@inline] res_victim r = (r lsr 2) - 1
 (** [create geom] builds an empty cache of the given geometry. *)
 let create (g : Config.cache_geom) =
   Config.check_geom g;
+  (* a 1-byte line would make [line] any int, [-1] included *)
+  if g.line < 2 then invalid_arg "Cache.create: line smaller than 2 bytes";
   let nsets = g.size / (g.line * g.assoc) in
   {
     nsets;
     assoc = g.assoc;
     line_bits = Pcolor_util.Bits.log2 g.line;
     set_mask = nsets - 1;
-    tags = Array.make (nsets * g.assoc) (-1);
-    dirty = Array.make (nsets * g.assoc) false;
-    stamp = Array.make (nsets * g.assoc) 0;
+    ways = Array.make (nsets * g.assoc) (-1);
+    stamp = (if g.assoc > 1 then Array.make (nsets * g.assoc) 0 else [||]);
     tick = 0;
     hits = 0;
     misses = 0;
@@ -75,66 +79,71 @@ let base_of_set t line = (line land t.set_mask) * t.assoc
    [t]/[base]/[line] it costs a closure allocation per reference, which
    is the one thing this module must never do. Returns the slot index,
    or -1 when the line is not resident. *)
-let rec find_way (tags : int array) (line : int) base assoc i =
+let rec find_way (ways : int array) (line : int) base assoc i =
   if i >= assoc then -1
-  else if Array.unsafe_get tags (base + i) = line then base + i
-  else find_way tags line base assoc (i + 1)
+  else if Array.unsafe_get ways (base + i) lsr 1 = line then base + i
+  else find_way ways line base assoc (i + 1)
+
+(* Shared hit/fill steps, parameterized on the chosen slot.  [fill]
+   reports the previous occupant: victim + 1 in bits 2+ (0 = the way
+   was empty), its dirty bit in bit 1.  Neither touches the stamps. *)
+let[@inline] hit_slot t slot write =
+  t.hits <- t.hits + 1;
+  let w = Array.unsafe_get t.ways slot in
+  if write then Array.unsafe_set t.ways slot (w lor 1);
+  1 lor ((w land 1) lsl 1)
+
+let[@inline] fill_slot t slot line write =
+  t.misses <- t.misses + 1;
+  let w = Array.unsafe_get t.ways slot in
+  Array.unsafe_set t.ways slot ((line lsl 1) lor Bool.to_int write);
+  if w = -1 then 0 else (((w lsr 1) + 1) lsl 2) lor ((w land 1) lsl 1)
+
+(* the set-associative paths' variants, which also stamp the slot *)
+let[@inline] hit_lru t slot write =
+  Array.unsafe_set t.stamp slot t.tick;
+  hit_slot t slot write
+
+let[@inline] fill_lru t slot line write =
+  Array.unsafe_set t.stamp slot t.tick;
+  fill_slot t slot line write
 
 (** [access t ~addr ~write] simulates one reference.  On a miss the line
     is allocated (write-allocate) and the LRU way evicted; the result
     reports the victim so the caller can model write-back traffic.
     Writes set the dirty bit.  The result is the packed int described
     above — decode with {!res_hit}/{!res_dirty}/{!res_victim}. *)
-(* Shared hit/fill steps, parameterized on the chosen slot.  [fill]
-   reports the previous occupant exactly like the generic scan did:
-   victim + 1 in bits 2+ (0 = the way was empty), its dirty bit in
-   bit 1. *)
-let[@inline] hit_slot t slot write =
-  t.hits <- t.hits + 1;
-  Array.unsafe_set t.stamp slot t.tick;
-  let was_dirty = Array.unsafe_get t.dirty slot in
-  if write then Array.unsafe_set t.dirty slot true;
-  1 lor (if was_dirty then 2 else 0)
-
-let[@inline] fill_slot t slot line write =
-  t.misses <- t.misses + 1;
-  let evicted = Array.unsafe_get t.tags slot in
-  let evicted_dirty = evicted <> -1 && Array.unsafe_get t.dirty slot in
-  Array.unsafe_set t.tags slot line;
-  Array.unsafe_set t.dirty slot write;
-  Array.unsafe_set t.stamp slot t.tick;
-  ((evicted + 1) lsl 2) lor (if evicted_dirty then 2 else 0)
-
 let access t ~addr ~write =
   let line = line_of t addr in
-  t.tick <- t.tick + 1;
   match t.assoc with
   | 1 ->
     (* direct-mapped (the external caches): one compare, the set index
-       is the slot, no LRU state consulted *)
+       is the slot, no LRU state *)
     let slot = line land t.set_mask in
-    if Array.unsafe_get t.tags slot = line then hit_slot t slot write
+    if Array.unsafe_get t.ways slot lsr 1 = line then hit_slot t slot write
     else fill_slot t slot line write
   | 2 ->
     (* 2-way (the on-chip caches): both ways unrolled; victim = first
        empty way, else the older stamp (way 0 on ties, matching the
        generic scan's earliest-index tie-break) *)
+    t.tick <- t.tick + 1;
     let base = (line land t.set_mask) * 2 in
-    let k0 = Array.unsafe_get t.tags base in
-    if k0 = line then hit_slot t base write
+    let w0 = Array.unsafe_get t.ways base in
+    if w0 lsr 1 = line then hit_lru t base write
     else begin
-      let k1 = Array.unsafe_get t.tags (base + 1) in
-      if k1 = line then hit_slot t (base + 1) write
-      else if k0 = -1 then fill_slot t base line write
-      else if k1 = -1 then fill_slot t (base + 1) line write
+      let w1 = Array.unsafe_get t.ways (base + 1) in
+      if w1 lsr 1 = line then hit_lru t (base + 1) write
+      else if w0 = -1 then fill_lru t base line write
+      else if w1 = -1 then fill_lru t (base + 1) line write
       else if Array.unsafe_get t.stamp (base + 1) < Array.unsafe_get t.stamp base then
-        fill_slot t (base + 1) line write
-      else fill_slot t base line write
+        fill_lru t (base + 1) line write
+      else fill_lru t base line write
     end
   | assoc ->
+    t.tick <- t.tick + 1;
     let base = base_of_set t line in
-    let slot = find_way t.tags line base assoc 0 in
-    if slot >= 0 then hit_slot t slot write
+    let slot = find_way t.ways line base assoc 0 in
+    if slot >= 0 then hit_lru t slot write
     else begin
       (* victim = first empty way if any, else LRU way (earliest index
          on stamp ties — stamps are unique in practice, but keep the
@@ -145,7 +154,7 @@ let access t ~addr ~write =
       let scanning = ref true in
       while !scanning && !i < assoc do
         let s = base + !i in
-        if Array.unsafe_get t.tags s = -1 then begin
+        if Array.unsafe_get t.ways s = -1 then begin
           victim := s;
           scanning := false
         end
@@ -158,14 +167,14 @@ let access t ~addr ~write =
           incr i
         end
       done;
-      fill_slot t !victim line write
+      fill_lru t !victim line write
     end
 
 (** [contains t addr] is a non-intrusive residency probe (no LRU
     update, no statistics). *)
 let contains t addr =
   let line = line_of t addr in
-  find_way t.tags line (base_of_set t line) t.assoc 0 >= 0
+  find_way t.ways line (base_of_set t line) t.assoc 0 >= 0
 
 (** [probe t addr] is a non-intrusive residency + dirty probe (no LRU
     update, no statistics): bit 0 resident, bit 1 dirty — the predicate
@@ -173,43 +182,36 @@ let contains t addr =
     side-effect-free L1 hits.  Decode with {!res_hit}/{!res_dirty}. *)
 let probe t ~addr =
   let line = line_of t addr in
-  let slot = find_way t.tags line (base_of_set t line) t.assoc 0 in
-  if slot < 0 then 0
-  else 1 lor (if Array.unsafe_get t.dirty slot then 2 else 0)
+  let slot = find_way t.ways line (base_of_set t line) t.assoc 0 in
+  if slot < 0 then 0 else 1 lor ((Array.unsafe_get t.ways slot land 1) lsl 1)
 
 (** [invalidate t addr] drops the line if present, whatever its dirty
     state: callers (coherence invalidations, frame teardown) discard the
     copy, so nothing is returned and nothing is allocated. *)
 let invalidate t addr =
   let line = line_of t addr in
-  let slot = find_way t.tags line (base_of_set t line) t.assoc 0 in
-  if slot >= 0 then begin
-    t.tags.(slot) <- -1;
-    t.dirty.(slot) <- false
-  end
+  let slot = find_way t.ways line (base_of_set t line) t.assoc 0 in
+  if slot >= 0 then t.ways.(slot) <- -1
 
 (** [set_dirty_if_present t addr] marks the line dirty when resident;
     used when a write hits a clean L1 line, so the external cache learns
     the dirty state without modeling a full access. *)
 let set_dirty_if_present t addr =
   let line = line_of t addr in
-  let slot = find_way t.tags line (base_of_set t line) t.assoc 0 in
-  if slot >= 0 then t.dirty.(slot) <- true
+  let slot = find_way t.ways line (base_of_set t line) t.assoc 0 in
+  if slot >= 0 then t.ways.(slot) <- t.ways.(slot) lor 1
 
 (** [clean t addr] clears the dirty bit if the line is resident (after a
     remote CPU fetched the dirty data). *)
 let clean t addr =
   let line = line_of t addr in
-  let base = base_of_set t line in
-  for i = 0 to t.assoc - 1 do
-    if t.tags.(base + i) = line then t.dirty.(base + i) <- false
-  done
+  let slot = find_way t.ways line (base_of_set t line) t.assoc 0 in
+  if slot >= 0 then t.ways.(slot) <- t.ways.(slot) land lnot 1
 
 (** [flush t] empties the cache and resets statistics-free state; hit and
     miss counters are preserved (use {!reset_stats}). *)
 let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  Array.fill t.ways 0 (Array.length t.ways) (-1);
   Array.fill t.stamp 0 (Array.length t.stamp) 0
 
 (** [hits t] / [misses t] are cumulative reference counts. *)
@@ -226,4 +228,6 @@ let reset_stats t =
 (** [resident_lines t] lists the line numbers currently cached (test
     helper; O(cache size)). *)
 let resident_lines t =
-  Array.to_list t.tags |> List.filter (fun l -> l <> -1) |> List.sort_uniq compare
+  Array.to_list t.ways
+  |> List.filter_map (fun w -> if w = -1 then None else Some (w lsr 1))
+  |> List.sort_uniq compare

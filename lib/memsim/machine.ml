@@ -171,6 +171,10 @@ let create ?(obs = Pcolor_obs.Ctx.disabled) (cfg : Config.t) =
   (* one resolved hash shared by every CPU's (immutable-hash) slice set *)
   let l2_hash = Config.resolved_hash cfg in
   let l2_page_bits = Pcolor_util.Bits.log2 cfg.page_size in
+  (* one bit per line of 4× the aggregate L2 (the kernel's
+     cache-derived frame-pool size), so a CPU streaming over that range
+     never grows [seen]; [Bitset.set] grows it past that *)
+  let seen_bits = 4 * cfg.n_cpus * (cfg.l2.size / cfg.l2.line) in
   let mk id =
     {
       id;
@@ -178,7 +182,7 @@ let create ?(obs = Pcolor_obs.Ctx.disabled) (cfg : Config.t) =
       l2 = Slice.create cfg.l2 ~n_slices:cfg.l2_slices ~hash:l2_hash ~page_bits:l2_page_bits;
       shadow = Shadow.create cfg.l2;
       tlb = Tlb.create ~entries:cfg.tlb_entries;
-      seen = Pcolor_util.Bitset.create (1 lsl 17);
+      seen = Pcolor_util.Bitset.create seen_bits;
       pf_ready = Pcolor_util.Itab.create ~capacity:64 ();
       pf_inflight = Array.make (max 1 cfg.max_outstanding_prefetches) 0;
       pf_count = 0;
@@ -396,13 +400,13 @@ let l2_miss t c ~vaddr ~paddr ~pline ~sl ~write ~fa_hit ~evicted ~evicted_dirty 
     (* remote dirty copy supplied the data and became clean; the owner's
        caches lose their dirty (exclusive) state so its next write is an
        upgrade again — L1 is virtually indexed, shared address space *)
-    Array.iter
-      (fun peer ->
-        if peer.id <> c.id then begin
-          Cache.clean (Slice.slice peer.l2 sl) paddr;
-          Cache.clean peer.l1 vaddr
-        end)
-      t.cpus;
+    for i = 0 to t.cfg.n_cpus - 1 do
+      if i <> c.id then begin
+        let peer = t.cpus.(i) in
+        Cache.clean (Slice.slice peer.l2 sl) paddr;
+        Cache.clean peer.l1 vaddr
+      end
+    done;
   Pcolor_util.Bitset.set c.seen pline
 
 (* A write that hit a clean line may need a shared->exclusive upgrade. *)
@@ -546,9 +550,9 @@ let prefetch_cpu t c ~vaddr =
         Directory.writeback t.dir ~cpu ~line:(Cache.res_victim r)
       end;
       if Directory.record_read t.dir ~cpu ~line:pline then
-        Array.iter
-          (fun peer -> if peer.id <> cpu then Cache.clean (Slice.slice peer.l2 sl) paddr)
-          t.cpus;
+        for i = 0 to t.cfg.n_cpus - 1 do
+          if i <> cpu then Cache.clean (Slice.slice t.cpus.(i).l2 sl) paddr
+        done;
       Pcolor_util.Bitset.set c.seen pline
     end
   end

@@ -7,25 +7,25 @@
     associativity and indexing, which is precisely what page coloring
     manipulates.  A miss in both is a {e capacity} miss.
 
-    The structure is an O(1) LRU probed on every reference the shadowed
-    cache sees, so the line→slot map must be cheap.  Physical line
-    numbers are dense in practice — frames come from a compact
-    {!Pcolor_vm.Frame_pool} sized a small multiple of the aggregate L2 —
-    so the map is a direct-indexed array grown by doubling (one load per
-    probe, one store per insert/evict) — a {!Pcolor_util.Densemap},
-    which spills lines past its cap to an Itab so arbitrary keys stay
-    correct without unbounded memory.  The previous open-addressing
-    {!Pcolor_util.Itab} cost ~53 ns per streaming access at scale-64
-    geometry (find + backward-shift remove + re-probing set per miss);
-    the direct array cuts that to ~8 ns.  Recency is an intrusive
-    doubly-linked list over slot arrays; never-used slots are handed
-    out by bumping [next_free]. *)
-
-module Densemap = Pcolor_util.Densemap
+    The structure is an O(1) LRU probed on every external-cache access,
+    one per CPU, so its line→slot index must be both cheap and small.
+    Every table is sized by the shadowed cache: [next_pow2 (2 ×
+    capacity)] bucket heads and, per slot, a chain link beside the
+    intrusive LRU links, so at load factor ≤ ½ a probe walks about one
+    slot.  A direct-indexed array over physical lines would probe in one
+    load but grow with the largest line ever touched, on every CPU.  The
+    bucket hash folds the line bits above the bucket index into it, so
+    lines of frames a power of two apart — the aliasing page coloring
+    creates — spread across buckets instead of sharing one chain.
+    Recency is an intrusive doubly-linked list over slot arrays;
+    never-used slots are handed out by bumping [next_free]. *)
 
 type t = {
   capacity : int; (* number of lines *)
-  slot_of : Densemap.t; (* line -> slot *)
+  bucket_bits : int; (* log2 of [Array.length bucket] *)
+  bucket_mask : int;
+  bucket : int array; (* hash -> first slot of its chain, -1 = empty *)
+  chain : int array; (* slot -> next slot in its bucket's chain, -1 = end *)
   line_no : int array; (* slot -> line (-1 = free) *)
   prev : int array;
   next : int array;
@@ -40,9 +40,13 @@ type t = {
     fully associative by definition). *)
 let create (g : Config.cache_geom) =
   let capacity = g.size / g.line in
+  let nbuckets = Pcolor_util.Bits.next_pow2 (2 * capacity) in
   {
     capacity;
-    slot_of = Densemap.create ~initial:(max 1024 (4 * capacity));
+    bucket_bits = Pcolor_util.Bits.log2 nbuckets;
+    bucket_mask = nbuckets - 1;
+    bucket = Array.make nbuckets (-1);
+    chain = Array.make capacity (-1);
     line_no = Array.make capacity (-1);
     prev = Array.make capacity (-1);
     next = Array.make capacity (-1);
@@ -52,8 +56,10 @@ let create (g : Config.cache_geom) =
     size = 0;
   }
 
-(* Slot indices come from the bounded tables below, so the intrusive
-   list updates skip bounds checks: these two run on every shadowed
+let[@inline] hash t line = (line lxor (line lsr t.bucket_bits)) land t.bucket_mask
+
+(* Slot indices come from the bounded tables below, so the list and
+   chain updates skip bounds checks: they run on every shadowed
    reference. *)
 let[@inline] unlink t slot =
   let p = Array.unsafe_get t.prev slot and n = Array.unsafe_get t.next slot in
@@ -69,12 +75,34 @@ let[@inline] push_front t slot =
   t.head <- slot;
   if t.tail = -1 then t.tail <- slot
 
+(* The slot holding [line], or -1. *)
+let rec find_in_chain t line slot =
+  if slot = -1 || Array.unsafe_get t.line_no slot = line then slot
+  else find_in_chain t line (Array.unsafe_get t.chain slot)
+
+let[@inline] find t line = find_in_chain t line (Array.unsafe_get t.bucket (hash t line))
+
+(* Take the resident [slot] out of its bucket's chain, wherever in the
+   chain it sits. *)
+let unhash t slot =
+  let h = hash t (Array.unsafe_get t.line_no slot) in
+  let after = Array.unsafe_get t.chain slot in
+  let first = Array.unsafe_get t.bucket h in
+  if first = slot then Array.unsafe_set t.bucket h after
+  else begin
+    let p = ref first in
+    while Array.unsafe_get t.chain !p <> slot do
+      p := Array.unsafe_get t.chain !p
+    done;
+    Array.unsafe_set t.chain !p after
+  end
+
 (** [access t line] touches [line]: returns [true] if it was resident
     (an FA-LRU hit), [false] otherwise.  On a miss the line is inserted,
-    evicting the LRU line when full.  Must be called on {e every}
-    reference, hit or miss in the real cache, to keep recency exact. *)
+    evicting the LRU line when full.  Must be called on {e every} access
+    to the shadowed cache, hit or miss there, to keep recency exact. *)
 let access t line =
-  let slot = Densemap.find t.slot_of line in
+  let slot = find t line in
   if slot >= 0 then begin
     if t.head <> slot then begin
       unlink t slot;
@@ -92,20 +120,21 @@ let access t line =
       end
       else begin
         let victim = t.tail in
-        Densemap.remove t.slot_of t.line_no.(victim);
+        unhash t victim;
         unlink t victim;
         victim
       end
     in
+    let h = hash t line in
     Array.unsafe_set t.line_no slot line;
-    Densemap.set t.slot_of line slot;
+    Array.unsafe_set t.chain slot (Array.unsafe_get t.bucket h);
+    Array.unsafe_set t.bucket h slot;
     push_front t slot;
     false
   end
 
-(** [mem t line] is a residency probe with no LRU (or growth) side
-    effect. *)
-let mem t line = Densemap.mem t.slot_of line
+(** [mem t line] is a residency probe with no LRU side effect. *)
+let mem t line = find t line >= 0
 
 (** [size t] is the current number of resident lines. *)
 let size t = t.size

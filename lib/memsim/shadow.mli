@@ -1,7 +1,8 @@
 (** Fully-associative LRU shadow cache with O(1) access, used to split
     replacement misses: a reference that misses in the real
     set-associative cache but hits here is a {e conflict} miss; a miss
-    in both is {e capacity}. *)
+    in both is {e capacity}.  Its memory is sized by the shadowed cache,
+    not by the physical lines it has seen. *)
 
 type t
 
@@ -10,7 +11,8 @@ type t
 val create : Config.cache_geom -> t
 
 (** [access t line] touches [line]: [true] iff it was resident.  Must
-    be called on every reference the shadowed cache sees. *)
+    be called on every access to the shadowed cache (each external-cache
+    access, not each reference), hit or miss there. *)
 val access : t -> int -> bool
 
 (** [mem t line] is a residency probe without LRU effect. *)

@@ -1,11 +1,13 @@
 (** Int→int map for keys that are dense in practice (physical line
-    numbers, which frames drawn from a compact pool keep small): a
-    direct-indexed array grown by doubling, with keys at or above
-    {!direct_limit} spilled to an {!Itab} so arbitrary keys stay correct
-    without unbounded memory.  Keys and values must be non-negative (a
-    negative key raises [Invalid_argument], as in {!Itab}); [-1] reads
-    as "absent".  Never allocates except when the array or the spill
-    table grows. *)
+    numbers, which frames drawn from a compact pool keep small), for
+    state that really is per memory line — the coherence directory.  Its
+    memory grows with the largest key, so per-CPU state sized by a cache
+    should not use it.  A direct-indexed array grown by doubling, with
+    keys at or above {!direct_limit} spilled to an {!Itab} so arbitrary
+    keys stay correct without unbounded memory.  Keys and values must
+    be non-negative (a negative key raises [Invalid_argument], as in
+    {!Itab}); [-1] reads as "absent".  Never allocates except when the
+    array or the spill table grows. *)
 
 type t
 

@@ -157,9 +157,9 @@ let prop_shadow_matches_reference =
           got = want)
         lines)
 
-(* Same oracle, but over a sparse key space (lots of Itab collisions and
-   removals) and also checking final residency and size, so the table's
-   backward-shift deletion is exercised, not just the hit sequence. *)
+(* Same oracle, but over a sparse key space and also checking final
+   residency and size, so evictions from the line index are exercised,
+   not just the hit sequence. *)
 let prop_shadow_state_matches_reference =
   QCheck.Test.make ~name:"shadow residency matches FA-LRU reference" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 400) (map (fun k -> k * 977) (int_range 0 40)))
@@ -181,6 +181,177 @@ let prop_shadow_state_matches_reference =
       && Shadow.size s = List.length !model
       && List.for_all (Shadow.mem s) !model
       && List.for_all (fun l -> List.mem l !model || not (Shadow.mem s l)) lines)
+
+(* A corrupt bucket chain can close into a cycle, and then the probe
+   that would expose it never returns: [within seconds f] fails the case
+   instead of hanging the suite (the signal handler runs at the probe
+   loop's poll point). *)
+exception Deadline
+
+let within seconds f =
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Deadline)) in
+  let arm s = ignore (Unix.setitimer Unix.ITIMER_REAL { it_interval = 0.; it_value = s }) in
+  arm seconds;
+  let ok = try f () with Deadline -> false in
+  arm 0.;
+  Sys.set_signal Sys.sigalrm previous;
+  ok
+
+(* The same FA-LRU oracle at the paper's scale-16 geometry: 64 KiB of
+   128 B lines, so 512 slots and 1024 buckets.  Keys are built to share
+   bucket chains: lines congruent modulo the bucket count (block k, low
+   bits r, with k and r small enough that r lxor k repeats), interleaved
+   with lines of frames a power of two apart at one page offset (4 KiB
+   pages, 32 lines each) — the aliasing page coloring creates.  Drawing
+   from twice the capacity keeps the shadow full and evicting, so
+   victims are unlinked from the middle of chains.  After every access
+   the hit, [size] and [mem] of every key seen so far must match.  No
+   shrinking: a shrink step could hit the deadline again and again. *)
+let prop_shadow_matches_reference_at_scale =
+  let key i =
+    let a = i lsr 1 in
+    if i land 1 = 0 then ((a lsr 3) * 1024) + (a land 7)
+    else ((5 + (1 lsl (4 + (a lsr 5)))) * 32) + (a land 31)
+  in
+  let gen = QCheck.Gen.(list_size (int_range 600 2500) (int_range 0 1023)) in
+  let print picks = String.concat ";" (List.map string_of_int picks) in
+  QCheck.Test.make ~name:"shadow matches FA-LRU reference (512 lines, colliding keys)" ~count:20
+    (QCheck.make ~print gen)
+    (fun picks ->
+      let s = Shadow.create (geom ~size:(64 * 1024) ~assoc:1 ~line:128) in
+      let capacity = Shadow.capacity s in
+      let last_use = Hashtbl.create 1024 (* resident line -> access index *) in
+      let seen = Hashtbl.create 1024 in
+      within 10. (fun () ->
+          List.for_all
+            (fun (step, pick) ->
+              let l = key pick in
+              Hashtbl.replace seen l ();
+              let want = Hashtbl.mem last_use l in
+              if (not want) && Hashtbl.length last_use = capacity then begin
+                let lru =
+                  Hashtbl.fold
+                    (fun k u (bk, bu) -> if u < bu then (k, u) else (bk, bu))
+                    last_use (-1, max_int)
+                in
+                Hashtbl.remove last_use (fst lru)
+              end;
+              Hashtbl.replace last_use l step;
+              Shadow.access s l = want
+              && Shadow.size s = Hashtbl.length last_use
+              && Hashtbl.fold (fun k () ok -> ok && Shadow.mem s k = Hashtbl.mem last_use k) seen true)
+            (List.mapi (fun i p -> (i, p)) picks)))
+
+(* A naive per-set model of the cache: each way holds
+   [Some (line, dirty, last_use)] or [None]; the victim is the first
+   empty way, else the smallest [last_use].  Ops drive both the model
+   and {!Cache} over assoc 1/2/4/8 and 1–4 sets, with addresses near
+   zero, [min_int] and [max_int] and negative ones, so lines from [lsr]
+   span the full non-negative range: every [access] result (hit, dirty flag,
+   victim), [probe], [contains] and the counters must agree, and
+   [invalidate], [clean] and [set_dirty_if_present] are observed
+   through them. *)
+let prop_cache_matches_naive_model =
+  (* about twice as many lines as the cache holds, so sets fill, hit
+     and evict; each line reached from every base *)
+  let gen =
+    QCheck.Gen.(
+      let* assoc = oneofl [ 1; 2; 4; 8 ] and* nsets = oneofl [ 1; 2; 4 ] in
+      let addr =
+        let+ base = oneofl [ 0; -(1 lsl 20); max_int - (1 lsl 20); min_int ]
+        and+ idx = int_range 0 (2 * assoc * nsets)
+        and+ byte = int_range 0 63 in
+        base + (idx * 64) + byte
+      in
+      let+ ops = list_size (int_range 1 600) (pair (int_range 0 99) addr) in
+      (assoc, nsets, ops))
+  in
+  let print (assoc, nsets, ops) =
+    Printf.sprintf "assoc=%d nsets=%d ops=[%s]" assoc nsets
+      (String.concat ";" (List.map (fun (k, a) -> Printf.sprintf "%d,%d" k a) ops))
+  in
+  QCheck.Test.make ~name:"cache matches naive per-set model" ~count:300 (QCheck.make ~print gen)
+    (fun (assoc, nsets, ops) ->
+      let line_size = 64 in
+      let c = Cache.create (geom ~size:(nsets * assoc * line_size) ~assoc ~line:line_size) in
+      let sets = Array.init nsets (fun _ -> Array.make assoc None) in
+      let tick = ref 0 and hits = ref 0 and misses = ref 0 in
+      let locate addr =
+        let line = addr lsr 6 in
+        let ways = sets.(line land (nsets - 1)) in
+        let rec go i =
+          if i = assoc then None
+          else match ways.(i) with Some (l, _, _) when l = line -> Some i | _ -> go (i + 1)
+        in
+        (line, ways, go 0)
+      in
+      let model_access addr write =
+        incr tick;
+        let line, ways, way = locate addr in
+        match way with
+        | Some i ->
+          incr hits;
+          let _, d, _ = Option.get ways.(i) in
+          ways.(i) <- Some (line, d || write, !tick);
+          (true, d, -1)
+        | None ->
+          incr misses;
+          let victim = ref 0 in
+          (try
+             Array.iteri
+               (fun i w ->
+                 match (w, ways.(!victim)) with
+                 | None, _ -> victim := i; raise Exit
+                 | Some (_, _, u), Some (_, _, bu) when u < bu -> victim := i
+                 | _ -> ())
+               ways
+           with Exit -> ());
+          let evicted, evicted_dirty =
+            match ways.(!victim) with Some (l, d, _) -> (l, d) | None -> (-1, false)
+          in
+          ways.(!victim) <- Some (line, write, !tick);
+          (false, evicted_dirty, evicted)
+      in
+      List.for_all
+        (fun (k, addr) ->
+          let ok =
+            if k < 60 then begin
+              let r = Cache.access c ~addr ~write:(k land 1 = 1) in
+              let hit, dirty, victim = model_access addr (k land 1 = 1) in
+              Cache.res_hit r = hit
+              && Cache.res_dirty r = dirty
+              && (hit || Cache.res_victim r = victim)
+            end
+            else begin
+              let line, ways, way = locate addr in
+              (match way with
+              | None -> ()
+              | Some i ->
+                let _, d, u = Option.get ways.(i) in
+                if k < 70 then ways.(i) <- None
+                else if k < 80 then ways.(i) <- Some (line, false, u)
+                else if k < 90 then ways.(i) <- Some (line, true, u)
+                else ignore d);
+              if k < 70 then Cache.invalidate c addr
+              else if k < 80 then Cache.clean c addr
+              else if k < 90 then Cache.set_dirty_if_present c addr;
+              true
+            end
+          in
+          let _, ways, way = locate addr in
+          let want_probe =
+            match way with
+            | None -> 0
+            | Some i ->
+              let _, d, _ = Option.get ways.(i) in
+              if d then 3 else 1
+          in
+          ok
+          && Cache.probe c ~addr = want_probe
+          && Cache.contains c addr = (way <> None)
+          && Cache.hits c = !hits
+          && Cache.misses c = !misses)
+        ops)
 
 let tlb_insert t vpage frame = ignore (Tlb.insert t ~vpage ~frame)
 
@@ -357,6 +528,8 @@ let suite =
         prop_resident_bounded;
         prop_shadow_matches_reference;
         prop_shadow_state_matches_reference;
+        prop_shadow_matches_reference_at_scale;
+        prop_cache_matches_naive_model;
         prop_tlb_matches_reference;
         prop_stretch_monotone;
       ];

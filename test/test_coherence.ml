@@ -346,6 +346,109 @@ let test_refill_path_no_alloc () =
     (Printf.sprintf "refill path allocation-free (%.0f minor words)" delta)
     true (delta <= 64.0)
 
+(* A remote-dirty read makes the directory clean the owner's copies.
+   CPU 0 writes and CPU 1 takes the line back, on line [a] by a demand
+   read (an external-cache miss sourced from CPU 0's dirty copy) and on
+   line [b] by a prefetch (the same sourcing on the prefetch path, then
+   a demand hit on the prefetched line).  CPU 0's next write to each is
+   an upgrade that invalidates CPU 1 again; for [b] it first evicts the
+   line from its 2-way L1, which the prefetch path leaves dirty.  Both
+   peer-cleaning loops run every round and must allocate nothing. *)
+let test_remote_dirty_pingpong_no_alloc () =
+  let m = machine () in
+  let a = 0 and b = 4096 + 32 in
+  let round () =
+    Machine.access m ~cpu:0 ~vaddr:a ~write:true ~translate:ident;
+    Machine.access m ~cpu:1 ~vaddr:a ~write:false ~translate:ident;
+    Machine.access m ~cpu:0 ~vaddr:(b + 256) ~write:false ~translate:ident;
+    Machine.access m ~cpu:0 ~vaddr:(b + 512) ~write:false ~translate:ident;
+    Machine.access m ~cpu:0 ~vaddr:b ~write:true ~translate:ident;
+    Machine.prefetch m ~cpu:1 ~vaddr:b;
+    Machine.access m ~cpu:1 ~vaddr:b ~write:false ~translate:ident
+  in
+  round ();
+  let s1 = Machine.stats m ~cpu:1 in
+  let sharing = Mclass.get s1.l2_miss_counts True_sharing and useful = s1.pf_useful in
+  let rounds = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check int) "a sourced read miss per round" (sharing + rounds)
+    (Mclass.get s1.l2_miss_counts True_sharing);
+  Alcotest.(check int) "a useful prefetch per round" (useful + rounds) s1.pf_useful;
+  Alcotest.(check bool)
+    (Printf.sprintf "remote-dirty paths allocation-free (%.0f minor words)" delta)
+    true (delta <= 64.0)
+
+(* Major-heap words allocated by [f], net of what reading the counter
+   itself costs.  OCaml 5 updates [major_words] lazily, so each reading
+   follows a minor collection. *)
+let major_words_of f =
+  let window f =
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).major_words in
+    f ();
+    Gc.minor ();
+    (Gc.quick_stat ()).major_words -. before
+  in
+  let overhead = window ignore in
+  window f -. overhead
+
+let sgi16 = Pcolor.Memsim.Config.scale (Pcolor.Memsim.Config.sgi_base ~n_cpus:8 ()) 16
+
+(* Per-CPU memsim state is sized by the caches, not by the memory the
+   CPU touches.  On the paper's 8-CPU machine at scale 16, CPU 0 first
+   streams over every line of a 4×-aggregate-L2 physical range (the
+   kernel's cache-derived frame pool), which sizes the shared
+   directory; then every other CPU streams the same range for the first
+   time.  Their shadows and [seen] sets must not grow: no major-heap
+   words at all. *)
+let test_pool_stream_no_major_alloc () =
+  let cfg = sgi16 in
+  let m = Machine.create cfg in
+  let line = cfg.l2.line in
+  let lines = 4 * cfg.n_cpus * (cfg.l2.size / line) in
+  let pairs = Array.init (lines * line / cfg.page_size) (fun v -> (v, 0)) in
+  let translate ~cpu:_ ~vpage = pairs.(vpage) in
+  let stream cpu =
+    for l = 0 to lines - 1 do
+      Machine.access m ~cpu ~vaddr:(l * line) ~write:false ~translate
+    done
+  in
+  stream 0;
+  let words =
+    major_words_of (fun () ->
+        for cpu = 1 to cfg.n_cpus - 1 do
+          stream cpu
+        done)
+  in
+  Alcotest.(check int) "every stream missed L2 on every line" (cfg.n_cpus * lines)
+    (Array.fold_left
+       (fun acc cpu -> acc + Mclass.total (Machine.stats m ~cpu).l2_miss_counts)
+       0
+       (Array.init cfg.n_cpus Fun.id));
+  Alcotest.(check (float 0.)) "major words while streaming" 0. words
+
+(* [Machine.create] allocates O(cache geometry): at most 10 words per
+   external-cache line per CPU, plus 16 K words for the directory's
+   initial table and the other fixed-size machine and per-CPU tables. *)
+let test_create_sized_by_caches () =
+  List.iter
+    (fun (cfg : Pcolor.Memsim.Config.t) ->
+      (* kept alive, so the closing minor collection promotes and
+         counts the small tables too *)
+      let keep = ref None in
+      let words = major_words_of (fun () -> keep := Some (Machine.create cfg)) in
+      ignore (Sys.opaque_identity !keep);
+      let bound = (10 * cfg.n_cpus * (cfg.l2.size / cfg.l2.line)) + (16 * 1024) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s x%d: %.0f major words <= %d" cfg.name cfg.n_cpus words bound)
+        true
+        (words <= float_of_int bound))
+    [ sgi16; Pcolor.Memsim.Config.scale (Pcolor.Memsim.Config.sgi_base ~n_cpus:16 ()) 4 ]
+
 let suite =
   [
     ( "coherence",
@@ -366,6 +469,11 @@ let suite =
         Alcotest.test_case "machine reset stats" `Quick test_machine_reset_stats;
         Alcotest.test_case "machine hit path allocation-free" `Quick test_hit_path_no_alloc;
         Alcotest.test_case "machine refill path allocation-free" `Quick test_refill_path_no_alloc;
+        Alcotest.test_case "machine remote-dirty paths allocation-free" `Quick
+          test_remote_dirty_pingpong_no_alloc;
+        Alcotest.test_case "machine pool stream allocates no major words" `Quick
+          test_pool_stream_no_major_alloc;
+        Alcotest.test_case "machine create sized by the caches" `Quick test_create_sized_by_caches;
       ] );
     Helpers.qsuite "coherence:props"
       [ prop_directory_packed_matches_boxed; prop_directory_matches_model ];
