@@ -2,28 +2,22 @@
 #
 #   make build        compile the library, CLI and harness
 #   make test         tier-1 suite (alcotest + qcheck)
-#   make bench-smoke  fast throughput microbenchmark + parallel-vs-
-#                     sequential determinism check (< 2 min); writes
-#                     BENCH_throughput.json and BENCH_mix.json
-#   make bench-check  rerun the smoke bench (PCOLOR_TRIALS repetitions
-#                     per timed section; BENCH_REUSE=1 reuses existing
-#                     BENCH_*.json from an earlier bench-smoke) and
-#                     `pcolor diff` it against the committed
-#                     BENCH_throughput.json and BENCH_mix.json baselines
-#                     (warn-only: timing noise is expected on shared
-#                     machines), then hard-gate the runs engine against
+#   make bench-smoke  fast mix and hashed-LLC sections of the harness
+#                     (< 2 min); writes BENCH_mix.json and BENCH_hash.json
+#   make bench-check  rerun the mix section (BENCH_REUSE=1 reuses the
+#                     BENCH_mix.json of an earlier bench-smoke) and
+#                     `pcolor diff` it against the committed baseline
+#                     (warn-only), then hard-gate the runs engine against
 #                     the interpreter with `pcolor diff --exact` on a
 #                     run and on a 4-slice reclaiming mix with a
 #                     timeline (simulated metrics must be byte-identical)
 #                     and diff the TLB recolor and flush-mix runs against
 #                     golden/tlb_*.json and a 2-way-L2 run against
-#                     golden/l2_2way.json --exact
-#                     and run the statistical throughput verdict
-#                     `pcolor perf check` — fresh medians vs the
-#                     baseline's confidence intervals at
-#                     BENCH_FLOOR_MARGIN (warn-only; BENCH_STRICT=1 to
-#                     fail loud) — plus `pcolor perf history` over the
-#                     perf ledger
+#                     golden/l2_2way.json --exact, plus `pcolor perf
+#                     history` over the perf ledger.  Host speed is
+#                     perfbench's job (perfbench/, BENCHMARK.json):
+#                     `pcolor perf ingest` records its results and
+#                     `pcolor perf check` compares two commits
 #   make timeline-check  record/replay observability-parity gate plus
 #                     the timeline-off byte-identity gate: a taped run
 #                     must yield the same artifact (timeline included)
@@ -41,12 +35,6 @@
 
 DUNE ?= dune
 BENCH_THRESHOLD ?= 0.25
-# Statistical throughput floor: each fresh section median must stay
-# above this fraction of the committed baseline's interval low end
-# (warn-only unless BENCH_STRICT=1).
-BENCH_FLOOR_MARGIN ?= 0.5
-# Trials per timed bench section (median ± MAD over the vector).
-PCOLOR_TRIALS ?= 5
 
 .PHONY: build test bench bench-smoke bench-check timeline-check hash-check clean
 
@@ -57,26 +45,20 @@ test:
 	$(DUNE) runtest
 
 bench-smoke:
-	PCOLOR_SCALE=64 PCOLOR_FAST=1 PCOLOR_TRIALS=$(PCOLOR_TRIALS) \
-	  $(DUNE) exec bench/main.exe -- throughput mix hash
+	PCOLOR_SCALE=64 PCOLOR_FAST=1 $(DUNE) exec bench/main.exe -- mix hash
 
 bench-check:
 	@mkdir -p _build
-	@# Baselines come from the last commit (git show), so bench-check
-	@# stays meaningful when the working-tree BENCH_*.json were just
+	@# The baseline comes from the last commit (git show), so bench-check
+	@# stays meaningful when the working-tree BENCH_mix.json was just
 	@# regenerated (e.g. BENCH_REUSE=1 after bench-smoke in CI).
-	@git show HEAD:BENCH_throughput.json > _build/bench_baseline.json 2>/dev/null \
-	  || cp BENCH_throughput.json _build/bench_baseline.json
 	@git show HEAD:BENCH_mix.json > _build/bench_mix_baseline.json 2>/dev/null \
 	  || cp BENCH_mix.json _build/bench_mix_baseline.json
 	@if [ -n "$(BENCH_REUSE)" ]; then \
-	  echo "bench-check: BENCH_REUSE set, reusing existing BENCH_*.json"; \
+	  echo "bench-check: BENCH_REUSE set, reusing existing BENCH_mix.json"; \
 	else \
-	  PCOLOR_SCALE=64 PCOLOR_FAST=1 PCOLOR_TRIALS=$(PCOLOR_TRIALS) \
-	    $(DUNE) exec bench/main.exe -- throughput mix; \
+	  PCOLOR_SCALE=64 PCOLOR_FAST=1 $(DUNE) exec bench/main.exe -- mix; \
 	fi
-	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/bench_baseline.json \
-	  BENCH_throughput.json --threshold $(BENCH_THRESHOLD) --warn-only
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/bench_mix_baseline.json \
 	  BENCH_mix.json --threshold $(BENCH_THRESHOLD) --warn-only
 	@# Engine byte-identity gates: the runs engine must produce exactly
@@ -117,13 +99,8 @@ bench-check:
 	  --scale 64 --policy page-coloring --metrics-out _build/l2_2way.json
 	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/l2_2way.json \
 	  _build/l2_2way.json --exact
-	@# Statistical throughput verdict: every fresh section median vs the
-	@# committed baseline's sign-test interval, warn-only by default
-	@# (shared machines are noisy); BENCH_STRICT=1 fails loud.
-	$(DUNE) exec bin/pcolor_cli.exe -- perf check _build/bench_baseline.json \
-	  BENCH_throughput.json --margin $(BENCH_FLOOR_MARGIN) $(if $(BENCH_STRICT),--strict,)
-	@# Cross-PR trend from the append-only perf ledger (the smoke bench
-	@# just appended this run's records).
+	@# Cross-PR trend from the append-only perf ledger (perfbench
+	@# results recorded with `pcolor perf ingest`).
 	$(DUNE) exec bin/pcolor_cli.exe -- perf history
 	@# Hashed-LLC identity + probe gates ride along (hard failures).
 	$(MAKE) hash-check

@@ -151,32 +151,7 @@ let figure2 () =
     (100.0 *. (r1 "swim" pmax).Report.bus_occupancy);
   note "  - tomcatv MCPI inflates with contention even as misses stay flat: %.2f -> %.2f"
     (r1 "tomcatv" 1).Report.mcpi (r1 "tomcatv" pmax).Report.mcpi;
-  note "  - fpppp puts no load on the bus: %.1f%%" (100.0 *. (r1 "fpppp" pmax).Report.bus_occupancy);
-  (* multi-trial rate for the artifact (DESIGN §15): the cached grid
-     above is a one-shot wall-time, which perf check can only read as
-     a point interval.  Re-time a fixed representative slice of the
-     figure — tomcatv's full CPU sweep, run fresh each trial — so
-     BENCH_figure2.json carries a real median ± CI. *)
-  warm_up_pair ();
-  let rate =
-    timed_trials (fun () ->
-        List.fold_left
-          (fun acc n_cpus ->
-            let d = Spec.find "tomcatv" in
-            let cfg = machine_cfg Sgi ~n_cpus in
-            let o =
-              Run.run
-                (Run.default_setup ~cfg
-                   ~make_program:(fun () -> d.build ~scale ())
-                   ~policy:Run.Page_coloring)
-            in
-            acc + refs_executed o.Run.machine)
-          0 cpu_counts)
-  in
-  note_timed_err "figure2/sweep (tomcatv, fresh per trial)" rate;
-  set_section_rate rate;
-  ledger_add_timed ~section:"figure2/sweep" rate;
-  ledger_flush ()
+  note "  - fpppp puts no load on the bus: %.1f%%" (100.0 *. (r1 "fpppp" pmax).Report.bus_occupancy)
 
 (* ---------- Figures 3 and 5 ---------- *)
 

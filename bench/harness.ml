@@ -167,147 +167,6 @@ let section title =
 
 let note fmt = Printf.printf (fmt ^^ "\n")
 
-(* ---- multi-trial statistical benching (DESIGN §15) ----
-
-   A single wall-clock sample on a shared container regularly lands
-   10–40% off the process's steady state, so every timed section runs
-   PCOLOR_TRIALS back-to-back repetitions and reports median ± MAD plus
-   a sign-test confidence interval over the raw trial vector. *)
-
-module Ostat = Pcolor.Obs.Stat
-module Ledger = Pcolor.Obs.Ledger
-
-let trials =
-  match Sys.getenv_opt "PCOLOR_TRIALS" with
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some v when v >= 1 -> v
-    | _ -> failwith "PCOLOR_TRIALS must be a positive integer")
-  | None -> 5
-
-(* One untimed warm-up pair, once per process: the first experiment in
-   a fresh process pays for binary page-in and major-heap growth (~40%
-   on this workload), which would make any timed section track process
-   start-up rather than simulator throughput.  Shared by the
-   throughput, mix and micro sections. *)
-let warmup_done = ref false
-
-let warm_up_pair () =
-  if not !warmup_done then begin
-    warmup_done := true;
-    List.iter
-      (fun prefetch ->
-        let d = Spec.find "tomcatv" in
-        let cfg = machine_cfg Sgi ~n_cpus:4 in
-        let setup =
-          {
-            (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ())
-               ~policy:Run.Page_coloring)
-            with
-            prefetch;
-          }
-        in
-        ignore (Run.run setup))
-      [ false; true ]
-  end
-
-type timed = {
-  refs : int;
-  secs : float array; (* per-trial wall seconds *)
-  rates : float array; (* per-trial refs/sec *)
-  summary : Ostat.summary; (* over [rates] *)
-}
-
-(* [refs_executed machine] sums the executed measured-pass references
-   (L1 hits + misses, unweighted) — the work unit every refs/sec rate
-   is normalized by. *)
-let refs_executed (machine : Pcolor.Memsim.Machine.t) =
-  let module M = Pcolor.Memsim.Machine in
-  let total = ref 0 in
-  for cpu = 0 to M.n_cpus machine - 1 do
-    let s = M.stats machine ~cpu in
-    total := !total + s.M.l1_hits + s.M.l1_misses
-  done;
-  !total
-
-(* [timed_trials f] runs [f] — which returns the executed reference
-   count — [trials] times back to back.  The count must be identical
-   across trials (the simulation is deterministic; a drift means the
-   section is timing different work). *)
-let timed_trials ?(n = trials) f =
-  let secs = Array.make n 0.0 in
-  let refs = ref 0 in
-  for i = 0 to n - 1 do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    secs.(i) <- Unix.gettimeofday () -. t0;
-    if i = 0 then refs := r
-    else if r <> !refs then
-      failwith
-        (Printf.sprintf
-           "timed_trials: trial %d executed %d refs where trial 0 executed %d"
-           i r !refs)
-  done;
-  let rates = Array.map (fun s -> float_of_int !refs /. s) secs in
-  { refs = !refs; secs; rates; summary = Ostat.summarize rates }
-
-(* Multi-trial rate object for BENCH_*.json: keeps the legacy scalar
-   field name (refs_per_sec = median) so old readers stay correct, and
-   adds mad / ci / the raw vectors. *)
-let rate_json (t : timed) =
-  let module J = Pcolor.Obs.Json in
-  match Ostat.to_json ~unit_name:"refs_per_sec" ~trials:t.rates t.summary with
-  | J.Obj fields ->
-    J.Obj
-      (("refs", J.Int t.refs)
-      :: ("seconds", J.Arr (Array.to_list (Array.map (fun s -> J.Float s) t.secs)))
-      :: fields)
-  | j -> j
-
-let timed_line label (t : timed) =
-  let s = t.summary in
-  Printf.sprintf "  %s: %d refs; median %.3e ± %.1e refs/sec over %d trials (CI [%.3e, %.3e])"
-    label t.refs s.Ostat.median s.Ostat.mad s.Ostat.n s.Ostat.ci_lo s.Ostat.ci_hi
-
-let note_timed label t = note "%s" (timed_line label t)
-
-(* Stderr variant for simulated-results sections (figure2): their
-   stdout must stay byte-identical across PCOLOR_JOBS, so wall-clock
-   lines join the per-section timers on stderr. *)
-let note_timed_err label t = Printf.eprintf "%s\n%!" (timed_line label t)
-
-(* ---- perf ledger (PCOLOR_LEDGER, default PERF_LEDGER.jsonl) ---- *)
-
-(* One provenance stamp per bench process, shared by every artifact
-   header and ledger record: collected at first use, i.e. before any
-   artifact file has been rewritten, so the git stamp reflects the
-   tree the bench actually ran on (a later section would otherwise
-   see its predecessor's freshly-written BENCH_*.json as -dirty). *)
-let ledger_provenance = lazy (Pcolor.Obs.Provenance.collect ~scale ~jobs ())
-
-let ledger_pending : Ledger.record list ref = ref []
-
-let ledger_add ~section ~unit_name ~summary ~trials:tr =
-  ledger_pending :=
-    Ledger.make ~section ~unit_name ~summary ~trials:tr
-      ~provenance:(Lazy.force ledger_provenance) ()
-    :: !ledger_pending
-
-let ledger_add_timed ~section (t : timed) =
-  ledger_add ~section ~unit_name:"refs_per_sec" ~summary:t.summary ~trials:t.rates
-
-(* [ledger_flush ()] appends every pending record (oldest first) to the
-   ledger file, unless PCOLOR_LEDGER disables it. *)
-let ledger_flush () =
-  let records = List.rev !ledger_pending in
-  ledger_pending := [];
-  if records <> [] then
-    match Ledger.default_path () with
-    | None -> ()
-    | Some path ->
-      Ledger.append ~path records;
-      note "  ledger: appended %d record(s) to %s" (List.length records) path
-
 (* ---- machine-readable section artifacts ---- *)
 
 (* [cache_keys ()] is the sorted key set currently cached. *)
@@ -315,34 +174,21 @@ let cache_keys () =
   Mutex.protect cache_mutex (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) cache [])
   |> List.sort compare
 
-(* [provenance ()] stamps scale/jobs into the artifact header — the
-   same per-process stamp the ledger records carry. *)
-let provenance () = Lazy.force ledger_provenance
+(* [provenance ()] stamps scale/jobs into the artifact header; one
+   stamp per bench process, shared by every artifact it writes. *)
+let provenance =
+  let stamp = lazy (Pcolor.Obs.Provenance.collect ~scale ~jobs ()) in
+  fun () -> Lazy.force stamp
 
 (* [sanitize_section name] maps a section name to a filename fragment
    ("figure3+5" -> "figure3_5"). *)
 let sanitize_section name =
   String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') then c else '_') name
 
-(* A section may record one multi-trial rate measurement for its
-   artifact (figure2's fresh re-timed sweep); the driver collects it
-   after the section ran and passes it to the artifact writer. *)
-let section_rate : timed option ref = ref None
-
-let set_section_rate t = section_rate := Some t
-
-let take_section_rate () =
-  let r = !section_rate in
-  section_rate := None;
-  r
-
-(* [write_section_artifact ~section ~seconds ?rate ~keys] dumps the
-   named experiments' reports (JSON per DESIGN §9) to
-   BENCH_<section>.json.  [keys] is the set of cache keys the section
-   populated.  [rate], when present, is the section's multi-trial
-   refs/sec measurement — perf check prefers it over the flat
-   [seconds] wall-time, which only ever yields a point interval. *)
-let write_section_artifact ~section:name ~seconds ?rate ~keys () =
+(* [write_section_artifact ~section ~seconds ~keys] dumps the named
+   experiments' reports (JSON per DESIGN §9) to BENCH_<section>.json.
+   [keys] is the set of cache keys the section populated. *)
+let write_section_artifact ~section:name ~seconds ~keys =
   let module J = Pcolor.Obs.Json in
   let experiments =
     List.filter_map
@@ -357,14 +203,13 @@ let write_section_artifact ~section:name ~seconds ?rate ~keys () =
   output_string oc
     (J.pretty
        (J.Obj
-          ([
-             ("schema_version", J.Int Pcolor.Obs.Provenance.schema_version);
-             ("section", J.Str name);
-             ("seconds", J.Float seconds);
-             ("provenance", Pcolor.Obs.Provenance.to_json (provenance ()));
-             ("experiments", J.Arr experiments);
-           ]
-          @ match rate with None -> [] | Some t -> [ ("rate", rate_json t) ])));
+          [
+            ("schema_version", J.Int Pcolor.Obs.Provenance.schema_version);
+            ("section", J.Str name);
+            ("seconds", J.Float seconds);
+            ("provenance", Pcolor.Obs.Provenance.to_json (provenance ()));
+            ("experiments", J.Arr experiments);
+          ]));
   output_char oc '\n';
   close_out oc;
   Printf.eprintf "  wrote %s (%d experiments)\n%!" file (List.length experiments)

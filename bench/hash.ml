@@ -23,9 +23,8 @@
    4. the conflict-probe self-test reverse-engineers each configured
       hash from eviction behaviour alone.
 
-   BENCH_hash.json records the conflict grid, the per-benchmark
-   recovered fractions and one PR-9 multi-trial rate object over the
-   full grid (median ± MAD, sign-test CI). *)
+   BENCH_hash.json records the conflict grid and the per-benchmark
+   recovered fractions. *)
 
 module Ahash = Pcolor.Memsim.Ahash
 module Probe = Pcolor.Workloads.Probe
@@ -64,25 +63,20 @@ let run_cell ~bench ~hash ~policy =
        ~make_program:(fun () -> d.build ~scale ())
        ~policy)
 
-(* One full pass over the grid; cells are (bench, hash, policy) ->
-   conflict misses.  The simulation is deterministic, so every trial
-   reproduces the same cell values — only wall-clock varies. *)
-let grid_once () =
-  let cells = ref [] in
-  let refs = ref 0 in
-  List.iter
+(* One pass over the grid; cells are (bench, hash, policy) -> conflict
+   misses. *)
+let grid () =
+  List.concat_map
     (fun bench ->
-      List.iter
+      List.concat_map
         (fun (hname, hash) ->
-          List.iter
+          List.map
             (fun (pname, policy) ->
               let o = run_cell ~bench ~hash ~policy in
-              refs := !refs + refs_executed o.Run.machine;
-              cells := ((bench, hname, pname), Report.conflict_misses o.Run.report) :: !cells)
+              ((bench, hname, pname), Report.conflict_misses o.Run.report))
             policy_cells)
         hash_cells)
-    benches;
-  (List.rev !cells, !refs)
+    benches
 
 let cell cells bench h p = List.assoc (bench, h, p) cells
 
@@ -135,7 +129,7 @@ let probe_checks () =
           Some (hname, false))
     hash_cells
 
-let write_json ~file ~cells ~probe ~grid =
+let write_json ~file ~cells ~probe =
   let module J = Pcolor.Obs.Json in
   let json =
     J.Obj
@@ -146,7 +140,6 @@ let write_json ~file ~cells ~probe ~grid =
         ("scale", J.Int scale);
         ("n_cpus", J.Int n_cpus);
         ("slices", J.Int n_slices);
-        ("trials", J.Int trials);
         ( "cells",
           J.Arr
             (List.map
@@ -174,7 +167,6 @@ let write_json ~file ~cells ~probe ~grid =
                benches) );
         ( "probe",
           J.Obj (List.map (fun (hname, ok) -> (hname, J.Bool ok)) probe) );
-        ("grid", rate_json grid);
       ]
   in
   let oc = open_out file in
@@ -185,18 +177,9 @@ let write_json ~file ~cells ~probe ~grid =
 
 let run () =
   section
-    (Printf.sprintf
-       "Hashed LLC: CDPC vs hash-aware CDPC under sliced index hashes (%d slices, %d trials)"
-       n_slices trials);
-  warm_up_pair ();
-  let cells = ref [] in
-  let grid =
-    timed_trials (fun () ->
-        let c, refs = grid_once () in
-        cells := c;
-        refs)
-  in
-  let cells = !cells in
+    (Printf.sprintf "Hashed LLC: CDPC vs hash-aware CDPC under sliced index hashes (%d slices)"
+       n_slices);
+  let cells = grid () in
   conflict_table cells;
   note "";
   (* shape checks *)
@@ -220,7 +203,4 @@ let run () =
         [ "sandybridge" ])
     benches;
   let probe = probe_checks () in
-  note_timed "grid (18 experiments)" grid;
-  write_json ~file:"BENCH_hash.json" ~cells ~probe ~grid;
-  ledger_add_timed ~section:"hash/grid" grid;
-  ledger_flush ()
+  write_json ~file:"BENCH_hash.json" ~cells ~probe

@@ -30,7 +30,6 @@ let sections =
     ("figure9", Figures.figure9);
     ("table2", Figures.table2);
     ("extensions", Extensions.run);
-    ("throughput", Throughput.run);
     ("mix", Mix.run);
     ("hash", Hash.run);
     ("micro", Micro.run);
@@ -68,15 +67,13 @@ let () =
       let seconds = Unix.gettimeofday () -. t in
       Printf.eprintf "[section %s: %.1fs]\n%!" name seconds;
       (* machine-readable per-section artifact: the experiments this
-         section added to the cache (throughput, mix and hash write
-         their own richer BENCH_*.json; micro has no cached
-         experiments) *)
-      if name <> "throughput" && name <> "mix" && name <> "hash" && name <> "micro" then begin
+         section added to the cache (mix and hash write their own
+         richer BENCH_*.json; micro has no cached experiments) *)
+      if name <> "mix" && name <> "hash" && name <> "micro" then begin
         let keys =
           List.filter (fun k -> not (List.mem k keys_before)) (Harness.cache_keys ())
         in
-        Harness.write_section_artifact ~section:name ~seconds
-          ?rate:(Harness.take_section_rate ()) ~keys ()
+        Harness.write_section_artifact ~section:name ~seconds ~keys
       end)
     to_run;
   Printf.printf "\ntotal: %.1fs over %d experiment runs\n" (Unix.gettimeofday () -. t0)

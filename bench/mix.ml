@@ -37,34 +37,23 @@ let run_mix ~benches ~policy =
 let mix_cost (_, benches) = List.fold_left (fun a b -> a +. (Spec.find b).Spec.table1_mb) 0.0 benches
 
 let run () =
-  section
-    (Printf.sprintf
-       "Mix throughput: CDPC under multiprogramming (gang, 8 CPUs, shared pool), %d trials/cell"
-       trials);
-  warm_up_pair ();
+  section "Mix throughput: CDPC under multiprogramming (gang, 8 CPUs, shared pool)";
   let grid = List.concat_map (fun m -> List.map (fun p -> (m, p)) policies) mixes in
   let n = List.length grid in
   let outcomes = Array.make n None in
-  (* per-cell trial vector of wall seconds; the simulated outcome is
-     deterministic, so only the last one is kept *)
-  let seconds = Array.init n (fun _ -> Array.make trials 0.0) in
+  (* costliest cells first; each writes its own index slot, so the
+     result order is the grid's whatever the completion order *)
   let tasks =
     List.mapi
       (fun i ((_, benches), policy) ->
-        ( mix_cost ("", benches),
-          fun () ->
-            for tr = 0 to trials - 1 do
-              let t0 = Unix.gettimeofday () in
-              outcomes.(i) <- Some (run_mix ~benches ~policy);
-              seconds.(i).(tr) <- Unix.gettimeofday () -. t0
-            done ))
+        (mix_cost ("", benches), fun () -> outcomes.(i) <- Some (run_mix ~benches ~policy)))
       grid
   in
   Pcolor.Util.Pool.run_all ~jobs
     (List.map snd (List.stable_sort (fun (ca, _) (cb, _) -> compare cb ca) tasks));
   let t =
     Table.create ~title:"aggregate measured window per mix and policy"
-      [ "mix"; "policy"; "wall cycles"; "MCPI"; "conflict"; "honored%"; "switches"; "sec" ]
+      [ "mix"; "policy"; "wall cycles"; "MCPI"; "conflict"; "honored%"; "switches" ]
   in
   let conflict (r : Report.t) = Report.conflict_misses r in
   let results =
@@ -85,9 +74,8 @@ let run () =
             Printf.sprintf "%.0f" (conflict r);
             Printf.sprintf "%.0f" honored_pct;
             string_of_int o.Mix.sched_stats.Scheduler.switches;
-            Printf.sprintf "%.1f" (Ostat.median seconds.(i));
           ];
-        (label, benches, policy, o, seconds.(i)))
+        (label, benches, policy, o))
       grid
   in
   Table.print t;
@@ -99,8 +87,7 @@ let run () =
   List.iter
     (fun (label, _) ->
       let get p =
-        let _, _, _, o, _ =
-          List.find (fun (l, _, pol, _, _) -> l = label && pol = p) results
+        let _, _, _, o = List.find (fun (l, _, pol, _) -> l = label && pol = p) results
         in
         conflict o.Mix.aggregate
       in
@@ -116,8 +103,7 @@ let run () =
     mixes;
   (* ---- BENCH_mix.json ---- *)
   let module J = Pcolor.Obs.Json in
-  let mix_json (label, benches, policy, (o : Mix.outcome), tsecs) =
-    let ssum = Ostat.summarize tsecs in
+  let mix_json (label, benches, policy, (o : Mix.outcome)) =
     let r = o.Mix.aggregate in
     let st = o.Mix.sched_stats in
     let invocations, _, second_chances, evictions = Pcolor.Sched.Reclaim.stats o.Mix.reclaim in
@@ -150,18 +136,8 @@ let run () =
               ("second_chances", J.Int second_chances);
               ("evictions", J.Int evictions);
             ] );
-        ("seconds", J.Float ssum.Ostat.median);
-        ("seconds_mad", J.Float ssum.Ostat.mad);
-        ("seconds_trials", J.Arr (Array.to_list (Array.map (fun s -> J.Float s) tsecs)));
       ]
   in
-  (* per-trial whole-grid totals: trial k sums cell k's wall seconds,
-     so the aggregate inherits a real trial vector *)
-  let totals =
-    Array.init trials (fun tr ->
-        List.fold_left (fun acc (_, _, _, _, tsecs) -> acc +. tsecs.(tr)) 0.0 results)
-  in
-  let total_summary = Ostat.summarize totals in
   let json =
     J.Obj
       [
@@ -170,8 +146,6 @@ let run () =
         ("scale", J.Int scale);
         ("sched", J.Str (Scheduler.policy_name Scheduler.default.Scheduler.policy));
         ("quantum", J.Int Scheduler.default.Scheduler.quantum);
-        ("trials", J.Int trials);
-        ("total_seconds", Ostat.to_json ~unit_name:"seconds" ~trials:totals total_summary);
         ("mixes", J.Arr (List.map mix_json results));
       ]
   in
@@ -179,6 +153,4 @@ let run () =
   output_string oc (J.pretty json);
   output_char oc '\n';
   close_out oc;
-  note "  wrote BENCH_mix.json";
-  ledger_add ~section:"mix" ~unit_name:"seconds" ~summary:total_summary ~trials:totals;
-  ledger_flush ()
+  note "  wrote BENCH_mix.json"

@@ -1177,44 +1177,44 @@ let diff_cmd =
 let ledger_path_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt string "PERF_LEDGER.jsonl"
     & info [ "ledger" ] ~docv:"FILE"
         ~doc:
-          "Perf ledger path (default: $(b,PCOLOR_LEDGER), or PERF_LEDGER.jsonl; \
-           $(b,PCOLOR_LEDGER=off) disables it).")
+          "Perf ledger path. The benchmark declaration it is read against is the \
+           $(b,BENCHMARK.json) in the same directory.")
 
-let resolve_ledger = function
-  | Some p -> Some p
-  | None -> Pcolor.Obs.Ledger.default_path ()
+(* The benchmark declaration beside the ledger: BENCHMARK.json and
+   PERF_LEDGER.jsonl both live at the repository root. *)
+let load_spec cmd ledger =
+  let path = Filename.concat (Filename.dirname ledger) "BENCHMARK.json" in
+  match Pcolor.Stats.Perf.spec_of_json (read_artifact path) with
+  | Ok spec -> spec
+  | Error e -> usage_error "perf %s: %s: %s" cmd path e
 
 let perf_history_cmd =
   let section_arg =
     Arg.(
       value
       & opt (some string) None
-      & info [ "section" ] ~docv:"S" ~doc:"Show only section $(docv) (e.g. single_domain).")
+      & info [ "section" ] ~docv:"S" ~doc:"Show only section $(docv) (e.g. sweep/refs_per_s).")
   in
   let all_arg =
     Arg.(
       value & flag
       & info [ "all" ]
           ~doc:
-            "Also render sections no current bench section emits (stale/renamed ledger \
-             records); by default they are only summarized.")
+            "Also render sections outside BENCHMARK.json's workloads × metrics (records of \
+             retired timers); by default they are only summarized.")
   in
   let action ledger section all =
-    match resolve_ledger ledger with
-    | None ->
-      Printf.eprintf "perf history: ledger disabled (PCOLOR_LEDGER=off)\n";
-      exit 2
-    | Some path ->
-      let records, skipped = Pcolor.Obs.Ledger.load ~path in
-      (* an explicit --section request wins over the known-set filter:
-         asking for a stale section by name should show it *)
-      let known =
-        if all || section <> None then None else Some Pcolor.Stats.Perf.known_sections
-      in
-      print_string (Pcolor.Stats.Perf.render_history ?section ?known records ~skipped)
+    let records, skipped = Pcolor.Obs.Ledger.load ~path:ledger in
+    (* an explicit --section request wins over the declared-section
+       filter: asking for a stale section by name should show it *)
+    let known =
+      if all || section <> None then None
+      else Some (Pcolor.Stats.Perf.section_names (load_spec "history" ledger))
+    in
+    print_string (Pcolor.Stats.Perf.render_history ?section ?known records ~skipped)
   in
   Cmd.v
     (Cmd.info "history"
@@ -1223,97 +1223,73 @@ let perf_history_cmd =
           ± MAD) from the append-only perf ledger.")
     Term.(const action $ ledger_path_arg $ section_arg $ all_arg)
 
-let perf_check_cmd =
-  let margin_arg =
-    let env = Cmd.Env.info "BENCH_FLOOR_MARGIN" in
+let perf_ingest_cmd =
+  let workload_arg =
     Arg.(
-      value & opt float 0.5
-      & info [ "margin" ] ~env ~docv:"M"
-          ~doc:
-            "Tolerated fraction of the baseline interval: a rate section fails when the fresh \
-             median drops below baseline ci_lo × $(docv) (seconds sections: above ci_hi / \
-             $(docv)).")
+      required
+      & opt (some string) None
+      & info [ "workload" ] ~docv:"W" ~doc:"The perfbench workload the result line measured.")
   in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:"Exit 1 on any failing section (default: advisory — report and exit 0).")
-  in
-  let action base_path fresh_path margin strict =
-    let strict =
-      strict
-      || (match Sys.getenv_opt "BENCH_STRICT" with
-         | None | Some "" | Some "0" -> false
-         | Some _ -> true)
+  let action ledger workload =
+    let spec = load_spec "ingest" ledger in
+    (* the result is perfbench's last stdout line *)
+    let line =
+      In_channel.input_all stdin |> String.split_on_char '\n' |> List.map String.trim
+      |> List.filter (( <> ) "") |> List.rev
     in
-    let base = read_artifact base_path and fresh = read_artifact fresh_path in
-    let verdicts, missing = Pcolor.Stats.Perf.check ~margin ~base ~fresh in
-    print_string (Pcolor.Stats.Perf.render_check ~margin verdicts ~missing);
-    if verdicts = [] then begin
-      Printf.eprintf "perf check: no comparable sections between %s and %s\n" base_path
-        fresh_path;
-      exit 2
-    end;
-    if Pcolor.Stats.Perf.all_ok verdicts then print_endline "perf check: OK"
-    else if strict then begin
-      print_endline "perf check: FAILED (strict mode)";
-      exit 1
-    end
-    else
-      print_endline
-        "perf check: regression suspected (advisory; BENCH_STRICT=1 or --strict to fail loud)"
+    match line with
+    | [] -> usage_error "perf ingest: empty input: pipe a perfbench result line on stdin"
+    | line :: _ -> (
+      match Pcolor.Obs.Json.parse line with
+      | Error e -> usage_error "perf ingest: stdin is not a JSON result line: %s" e
+      | Ok v -> (
+        let provenance = Pcolor.Obs.Provenance.collect () in
+        match Pcolor.Stats.Perf.ingest spec ~workload ~provenance v with
+        | Error e -> usage_error "perf ingest: %s" e
+        | Ok records ->
+          Pcolor.Obs.Ledger.append ~path:ledger records;
+          Printf.printf "appended %d record(s) for %s at %s to %s\n" (List.length records)
+            workload
+            (Option.value ~default:"unknown" provenance.Pcolor.Obs.Provenance.git)
+            ledger))
+  in
+  Cmd.v
+    (Cmd.info "ingest"
+       ~doc:
+         "Append one perfbench result line (read on stdin) to the perf ledger: one record per \
+          metric, section WORKLOAD/METRIC, stamped with the current git revision. Usage: \
+          $(b,python3 perfbench/run.py --workload sweep ... | pcolor perf ingest --workload \
+          sweep).")
+    Term.(const action $ ledger_path_arg $ workload_arg)
+
+let perf_check_cmd =
+  let stamp_arg ~at ~docv ~doc = Arg.(required & pos at (some string) None & info [] ~docv ~doc) in
+  let action ledger base fresh =
+    let spec = load_spec "check" ledger in
+    let records, _ = Pcolor.Obs.Ledger.load ~path:ledger in
+    match Pcolor.Stats.Perf.check spec records ~base ~fresh with
+    | Error e -> usage_error "perf check: %s" e
+    | Ok verdicts -> (
+      print_string (Pcolor.Stats.Perf.render_check ~base ~fresh verdicts);
+      match Pcolor.Stats.Perf.failures verdicts with
+      | [] -> print_endline "perf check: OK"
+      | failed ->
+        Printf.eprintf "perf check: %s is worse than %s beyond the BENCHMARK.json bound on %s\n"
+          fresh base (String.concat ", " failed);
+        exit 1)
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Noise-aware regression verdict: compare a fresh bench artifact against a baseline, \
-          failing only when the fresh median falls outside the baseline's sign-test confidence \
-          interval by more than the margin.")
+         "Compare the ledger records of two git stamps: for each WORKLOAD/METRIC section \
+          recorded at both, the median of each stamp's samples. Exits 1 when FRESH is worse \
+          than BASE by more than the metric's end_to_end bound in BENCHMARK.json (direction \
+          from its $(b,better)); per-layer metrics are printed but never fail. Exits 2 when a \
+          stamp has no record or the two share no section.")
     Term.(
-      const action
-      $ artifact_pos_arg ~at:0 ~docv:"BASELINE" ~doc:"Baseline bench artifact (JSON)."
-      $ artifact_pos_arg ~at:1 ~docv:"FRESH" ~doc:"Fresh bench artifact (JSON)."
-      $ margin_arg $ strict_arg)
-
-let perf_backfill_cmd =
-  let files_arg =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"ARTIFACT" ~doc:"Bench artifacts (JSON).")
-  in
-  let action ledger files =
-    match resolve_ledger ledger with
-    | None ->
-      Printf.eprintf "perf backfill: ledger disabled (PCOLOR_LEDGER=off)\n";
-      exit 2
-    | Some path ->
-      let existing, _ = Pcolor.Obs.Ledger.load ~path in
-      let existing_keys = List.map Pcolor.Obs.Ledger.key existing in
-      let records =
-        List.filter_map
-          (fun file ->
-            match Pcolor.Stats.Perf.backfill_record (read_artifact file) with
-            | Error e ->
-              Printf.eprintf "perf backfill: %s: %s\n" file e;
-              exit 2
-            | Ok r ->
-              if List.mem (Pcolor.Obs.Ledger.key r) existing_keys then begin
-                Printf.eprintf "  %s: %s already in ledger, skipped\n" file
-                  (Pcolor.Obs.Ledger.key r);
-                None
-              end
-              else Some r)
-          files
-      in
-      Pcolor.Obs.Ledger.append ~path records;
-      Printf.printf "appended %d backfill record(s) to %s\n" (List.length records) path
-  in
-  Cmd.v
-    (Cmd.info "backfill"
-       ~doc:
-         "Append one synthetic ledger record per committed bench artifact (provenance from its \
-          embedded stamp), so trends start before the first live multi-trial run. Idempotent: \
-          records whose git/section key is already present are skipped.")
-    Term.(const action $ ledger_path_arg $ files_arg)
+      const action $ ledger_path_arg
+      $ stamp_arg ~at:0 ~docv:"BASE" ~doc:"Baseline git stamp (as recorded in the ledger)."
+      $ stamp_arg ~at:1 ~docv:"FRESH" ~doc:"Candidate git stamp.")
 
 let perf_prof_cmd =
   let action bench machine n_cpus scale policy prefetch seed cap engine =
@@ -1342,9 +1318,9 @@ let perf_cmd =
   Cmd.group
     (Cmd.info "perf"
        ~doc:
-         "Host-side performance observatory: ledger trends, noise-aware regression checks, \
-          ledger backfill and self-profiles.")
-    [ perf_history_cmd; perf_check_cmd; perf_backfill_cmd; perf_prof_cmd ]
+         "Host-side performance observatory: perfbench results into the ledger, ledger trends, \
+          the bound-based regression check and self-profiles.")
+    [ perf_ingest_cmd; perf_history_cmd; perf_check_cmd; perf_prof_cmd ]
 
 (* ---- version ---- *)
 

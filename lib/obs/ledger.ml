@@ -16,8 +16,6 @@ type record = {
   note : string;
 }
 
-let key r = r.git ^ "/" ^ r.section
-
 let make ~section ~unit_name ~summary ~trials ~provenance ?(note = "") () =
   let open Stat in
   let p : Provenance.t = provenance in
@@ -134,11 +132,3 @@ let load ~path =
          with End_of_file -> ());
         (List.rev !records, !skipped))
   end
-
-let default_path () =
-  match Sys.getenv_opt "PCOLOR_LEDGER" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "" | "off" | "none" | "0" -> None
-      | _ -> Some s)
-  | None -> Some "PERF_LEDGER.jsonl"

@@ -1,33 +1,34 @@
 (** Append-only JSONL performance ledger.
 
-    Every bench run appends one provenance-stamped record per measured
-    section, so the repository accumulates a cross-PR perf trajectory
-    instead of overwriting a single spot sample.  A record is keyed by
-    [(git, section)]; the file is one compact JSON object per line,
-    append-only by construction (writers never rewrite earlier lines).
+    [pcolor perf ingest] appends one provenance-stamped record per
+    perfbench metric (section ["<workload>/<metric>"], e.g.
+    ["sweep/refs_per_s"]), so the repository accumulates a cross-PR
+    perf trajectory instead of overwriting a single spot sample.
+    [pcolor perf check] compares the records of two git stamps.  The
+    file is one compact JSON object per line, append-only by
+    construction (writers never rewrite earlier lines).  Records from
+    the retired bench-harness timers (sections such as
+    ["single_domain"] or ["mix"]) keep the same schema and still load.
 
     The parser is tolerant: a corrupt or half-written line (a crashed
     writer, a merge artifact) is skipped and counted, never fatal —
     losing one point of a trajectory beats refusing to read it. *)
 
 type record = {
-  section : string;  (** e.g. ["single_domain"], ["engines/runs"], ["mix"] *)
-  unit_name : string;  (** what [median] measures, e.g. ["refs_per_sec"] *)
+  section : string;  (** e.g. ["sweep/refs_per_s"] *)
+  unit_name : string;  (** what [median] measures, e.g. ["refs/s"] *)
   median : float;
   mad : float;
   ci_lo : float;
   ci_hi : float;
-  trials : float array;  (** the raw trial vector (may be empty for backfills) *)
+  trials : float array;  (** the raw trial vector (may be empty in old records) *)
   git : string;  (** [git describe] at measurement time; ["unknown"] if absent *)
   timestamp : string;  (** ISO-8601 UTC *)
   hostname : string;
   scale : int;
   jobs : int;
-  note : string;  (** free-form, e.g. ["backfill"]; [""] for live records *)
+  note : string;  (** free-form; [""] for live records *)
 }
-
-(** [key r] is the identity of a record: ["<git>/<section>"]. *)
-val key : record -> string
 
 (** [make ~section ~unit_name ~summary ~trials ~provenance ?note ()]
     builds a record from a trial {!Stat.summary} and a provenance
@@ -56,9 +57,3 @@ val append : path:string -> record list -> unit
     fail to parse or decode; returns [(records, skipped_lines)].
     A missing file is an empty ledger, not an error. *)
 val load : path:string -> record list * int
-
-(** [default_path ()] resolves the ledger location: [PCOLOR_LEDGER]
-    when set (the values [off]/[none]/[0] disable the ledger entirely,
-    giving [None]), otherwise ["PERF_LEDGER.jsonl"] in the current
-    directory. *)
-val default_path : unit -> string option

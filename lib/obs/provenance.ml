@@ -23,14 +23,54 @@ let iso8601_now () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
+(* Files a bench or perf run writes into the tree it measures: the perf
+   ledger and the root-level BENCH_*.json artifacts.  Changes to them
+   alone leave the stamp clean, so the first [perf ingest] at a commit
+   does not mark every later one -dirty. *)
+let bench_output path =
+  path = "PERF_LEDGER.jsonl"
+  || (String.starts_with ~prefix:"BENCH_" path
+     && Filename.check_suffix path ".json"
+     && not (String.contains path '/'))
+
+(* [git status --porcelain] line: two status letters, a space, the path
+   relative to the repository root ("old -> new" for a rename). *)
+let dirty_of_status lines =
+  List.exists
+    (fun line ->
+      let n = String.length line in
+      n > 3
+      &&
+      let path = String.sub line 3 (n - 3) in
+      let paths =
+        match String.split_on_char ' ' path with
+        | [ a; "->"; b ] -> [ a; b ]
+        | _ -> [ path ]
+      in
+      not (List.for_all bench_output paths))
+    lines
+
+(* [command_lines cmd] is [cmd]'s stdout lines, or [None] when it fails. *)
+let command_lines cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+  let rec read acc =
+    match input_line ic with
+    | l -> read (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let lines = read [] in
+  match Unix.close_process_in ic with Unix.WEXITED 0 -> Some lines | _ -> None
+
 (* Best effort: the artifact must never fail because git is absent or
    the binary runs from an exported tarball. *)
 let git_describe () =
   try
-    let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
-    let line = try Some (input_line ic) with End_of_file -> None in
-    match (Unix.close_process_in ic, line) with
-    | Unix.WEXITED 0, Some l when l <> "" -> Some l
+    match command_lines "git describe --always" with
+    | Some (rev :: _) when rev <> "" -> (
+      match command_lines "git status --porcelain --untracked-files=no" with
+      | Some status when dirty_of_status status -> Some (rev ^ "-dirty")
+      | Some _ -> Some rev
+      | None -> None)
     | _ -> None
   with _ -> None
 

@@ -9,7 +9,7 @@ val schema_version : int
 type t = {
   timestamp : string;  (** ISO-8601 UTC *)
   hostname : string;
-  git : string option;  (** [git describe --always --dirty], if available *)
+  git : string option;  (** {!git_describe}, if available *)
   scale : int option;  (** PCOLOR_SCALE-style divisor *)
   jobs : int option;  (** domain-pool width *)
   seed : int option;
@@ -21,10 +21,18 @@ type t = {
     binary runs outside a repository). *)
 val collect : ?scale:int -> ?jobs:int -> ?seed:int -> ?config_hash:string -> unit -> t
 
-(** [git_describe ()] is [git describe --always --dirty], if the binary
-    runs inside a repository with git on the path ([pcolor version]
-    prints it). *)
+(** [git_describe ()] is [git describe --always], suffixed [-dirty]
+    when a tracked file outside the perf ledger and the root-level
+    [BENCH_*.json] artifacts has changed (see {!dirty_of_status}), if the
+    binary runs inside a repository with git on the path ([pcolor
+    version] prints it). *)
 val git_describe : unit -> string option
+
+(** [dirty_of_status lines] classifies [git status --porcelain] output:
+    true when some changed path is neither [PERF_LEDGER.jsonl] nor a
+    [BENCH_*.json] at the repository root.  Those two are what bench
+    and [perf ingest] runs write, so they never make a stamp dirty. *)
+val dirty_of_status : string list -> bool
 
 (** [hash_value v] is a short stable digest of any marshalable value —
     used to fingerprint machine configurations. *)

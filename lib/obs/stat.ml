@@ -75,16 +75,6 @@ let summarize xs =
     ci_hi = c.(hi_rank - 1);
   }
 
-let to_json ~unit_name ~trials s =
-  Json.Obj
-    [
-      (unit_name, Json.Float s.median);
-      ("mad", Json.Float s.mad);
-      ("ci_lo", Json.Float s.ci_lo);
-      ("ci_hi", Json.Float s.ci_hi);
-      ("trials", Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) trials)));
-    ]
-
 (* ---- Experiment aggregates ---- *)
 
 (** Welford-style streaming accumulator for mean and variance. *)

@@ -1,12 +1,11 @@
 (** Trial statistics for host-side performance measurement.
 
-    The bench harness measures wall-clock rates on shared, noisy
-    machines; a single sample regularly lands 10–40% away from the
-    process's steady state.  This module turns a vector of repeated
-    trials into robust location/scale estimates — median and MAD — plus
-    a nonparametric (sign-test / order-statistic) confidence interval
-    for the median, so regression gates can compare {e intervals}
-    instead of lucky spot samples.
+    Host timings on shared machines are noisy; a single sample regularly
+    lands 10–40% away from the process's steady state.  This module
+    turns a vector of repeated samples (e.g. the perf-ledger records of
+    one section) into robust location/scale estimates — median and MAD
+    — plus a nonparametric (sign-test / order-statistic) confidence
+    interval for the median.
 
     Everything here is a pure function of the trial vector: same trials
     in, same summary out, bit for bit.  No randomness, no environment.
@@ -42,12 +41,6 @@ val ci_ranks : n:int -> int * int
 (** [summarize xs] folds one trial vector into a {!summary}.
     Deterministic; raises [Invalid_argument] on [[||]]. *)
 val summarize : float array -> summary
-
-(** [to_json ~unit s ~trials] serializes a summary for a bench
-    artifact: [{ "<unit>": median, "mad": …, "ci_lo": …, "ci_hi": …,
-    "trials": [...] }].  [unit] names the median field (e.g.
-    ["refs_per_sec"]) so legacy single-sample readers keep working. *)
-val to_json : unit_name:string -> trials:float array -> summary -> Json.t
 
 (** {2 Experiment aggregates} *)
 

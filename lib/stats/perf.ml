@@ -1,209 +1,170 @@
-(* Perf-artifact analysis.  See perf.mli for the contract. *)
+(* Perf-ledger analysis.  See perf.mli for the contract. *)
 
 module J = Pcolor_obs.Json
 module Ledger = Pcolor_obs.Ledger
+module Stat = Pcolor_obs.Stat
 
-type rate = {
-  median : float;
-  mad : float;
-  ci_lo : float;
-  ci_hi : float;
-  trials : float array;
+type metric = {
+  name : string;
+  unit_name : string;
+  higher_better : bool;
+  bound : float option;
 }
 
-let point v = { median = v; mad = 0.0; ci_lo = v; ci_hi = v; trials = [| v |] }
+type spec = { workloads : string list; metrics : metric list }
 
-let fnum k v = Option.bind (J.member k v) J.to_float_opt
+let str k v = Option.bind (J.member k v) J.to_string_opt
 
-let rate_of_json ~unit_name v =
-  match v with
-  | J.Float x -> Some (point x)
-  | J.Int x -> Some (point (float_of_int x))
-  | J.Obj _ -> (
-      match fnum unit_name v with
-      | None -> None
-      | Some median ->
-          let d k def = Option.value ~default:def (fnum k v) in
-          let trials =
-            match J.member "trials" v with
-            | Some (J.Arr xs) ->
-                xs |> List.filter_map J.to_float_opt |> Array.of_list
-            | _ -> [| median |]
-          in
-          Some
-            {
-              median;
-              mad = d "mad" 0.0;
-              ci_lo = d "ci_lo" median;
-              ci_hi = d "ci_hi" median;
-              trials;
-            })
-  | _ -> None
+(* [all f xs] maps [f] over [xs], stopping at the first error. *)
+let all f xs =
+  List.fold_right
+    (fun x acc -> Result.bind acc (fun tl -> Result.map (fun y -> y :: tl) (f x)))
+    xs (Ok [])
 
-(* A sub-rate of a section object: the new shape nests an object under
-   [new_key]; the legacy shape flattens it to a float under
-   [legacy_key] (e.g. engines.interp vs engines.interp_refs_per_sec). *)
-let sub_rate ~unit_name ~new_key ~legacy_key v =
-  match J.member new_key v with
-  | Some sub -> rate_of_json ~unit_name sub
-  | None -> Option.map point (fnum legacy_key v)
+let metric_of_json ~end_to_end v =
+  match (str "name" v, str "unit" v, str "better" v) with
+  | Some name, Some unit_name, Some (("higher" | "lower") as better) -> (
+    let m = { name; unit_name; higher_better = better = "higher"; bound = None } in
+    if not end_to_end then Ok m
+    else
+      match Option.bind (J.member "bound" v) J.to_float_opt with
+      | Some b -> Ok { m with bound = Some b }
+      | None -> Error (Printf.sprintf "end_to_end metric %s has no numeric \"bound\"" name))
+  | _ -> Error "metric entry needs \"name\", \"unit\" and \"better\" (higher|lower)"
 
-let mix_total_rate v =
-  match J.member "total_seconds" v with
-  | Some sub -> rate_of_json ~unit_name:"seconds" sub
-  | None -> (
-      (* legacy mix artifact: one spot sample per grid cell; the sum is
-         the only whole-artifact scalar available *)
-      match J.member "mixes" v with
-      | Some (J.Arr cells) ->
-          let total =
-            List.fold_left
-              (fun acc c ->
-                acc +. Option.value ~default:0.0 (fnum "seconds" c))
-              0.0 cells
-          in
-          if total > 0.0 then Some (point total) else None
-      | _ -> None)
+let spec_of_json v =
+  let arr k = match J.member k v with Some (J.Arr xs) -> Some xs | _ -> None in
+  match (arr "workloads", arr "end_to_end") with
+  | Some ws, Some e2e ->
+    Result.bind
+      (all
+         (fun w ->
+           match str "name" w with Some n -> Ok n | None -> Error "workload entry needs \"name\"")
+         ws)
+      (fun workloads ->
+        Result.bind (all (metric_of_json ~end_to_end:true) e2e) (fun e2e ->
+            Result.map
+              (fun layers -> { workloads; metrics = e2e @ layers })
+              (all (metric_of_json ~end_to_end:false)
+                 (Option.value ~default:[] (arr "per_layer")))))
+  | _ -> Error "expected \"workloads\" and \"end_to_end\" arrays"
 
-let sections_of_artifact v =
-  let out = ref [] in
-  let add section unit_name rate_opt =
-    match rate_opt with
-    | Some r -> out := (section, unit_name, r) :: !out
-    | None -> ()
-  in
-  (match J.member "single_domain" v with
-  | Some _ ->
-      (* throughput artifact *)
-      let sect k = Option.bind (J.member k v) (rate_of_json ~unit_name:"refs_per_sec") in
-      add "single_domain" "refs_per_sec" (sect "single_domain");
-      (match J.member "engines" v with
-      | Some e ->
-          add "engines/interp" "refs_per_sec"
-            (sub_rate ~unit_name:"refs_per_sec" ~new_key:"interp"
-               ~legacy_key:"interp_refs_per_sec" e);
-          add "engines/batch" "refs_per_sec"
-            (sub_rate ~unit_name:"refs_per_sec" ~new_key:"batch"
-               ~legacy_key:"batch_refs_per_sec" e);
-          add "engines/runs" "refs_per_sec"
-            (sub_rate ~unit_name:"refs_per_sec" ~new_key:"runs"
-               ~legacy_key:"runs_refs_per_sec" e)
-      | None -> ());
-      add "replay" "refs_per_sec" (sect "replay");
-      add "scale_256" "refs_per_sec" (sect "scale_256");
-      (match J.member "sweep" v with
-      | Some s ->
-          add "sweep/seq" "refs_per_sec"
-            (sub_rate ~unit_name:"refs_per_sec" ~new_key:"seq"
-               ~legacy_key:"seq_refs_per_sec" s);
-          add "sweep/par" "refs_per_sec"
-            (sub_rate ~unit_name:"refs_per_sec" ~new_key:"par"
-               ~legacy_key:"par_refs_per_sec" s)
-      | None -> ())
-  | None -> (
-      match J.member "mixes" v with
-      | Some _ -> add "mix" "seconds" (mix_total_rate v)
-      | None -> (
-          match Option.bind (J.member "section" v) J.to_string_opt with
-          | Some name -> (
-              (* prefer the multi-trial rate object (PR 9 shape) over
-                 the legacy flat section wall-time, which only ever
-                 supports a point interval *)
-              match J.member "rate" v with
-              | Some r ->
-                  add name "refs_per_sec"
-                    (rate_of_json ~unit_name:"refs_per_sec" r)
-              | None ->
-                  add name "seconds"
-                    (Option.map point (fnum "seconds" v)))
-          | None -> ())));
-  List.rev !out
+let sections spec =
+  List.concat_map (fun w -> List.map (fun m -> (w ^ "/" ^ m.name, m)) spec.metrics) spec.workloads
 
-(* Every section name the current bench harness can emit — generic
-   figure/table artifacts, the richer throughput/mix/hash artifacts
-   and their ledger records.  [perf history] filters to this set by
-   default so a ledger carrying records from renamed or removed
-   sections does not render as silent noise. *)
-let known_sections =
-  [
-    "table1"; "figure2"; "figure2/sweep"; "figure3+5"; "figure6"; "figure7";
-    "figure8"; "figure9"; "table2"; "extensions"; "single_domain";
-    "engines/interp"; "engines/batch"; "engines/runs"; "replay"; "scale_256";
-    "sweep/seq"; "sweep/par"; "mix"; "hash/grid";
-  ]
+let section_names spec = List.map fst (sections spec)
+
+(* ---- perf ingest ---- *)
+
+let ingest spec ~workload ~provenance v =
+  if not (List.mem workload spec.workloads) then
+    Error
+      (Printf.sprintf "unknown workload %s (BENCHMARK.json lists: %s)" workload
+         (String.concat ", " spec.workloads))
+  else
+    match v with
+    | J.Obj _ -> (
+      match (J.member "correct" v, J.member "metrics" v) with
+      | Some (J.Bool false), _ ->
+        let count k = Option.value ~default:0 (Option.bind (J.member k v) J.to_int_opt) in
+        Error
+          (Printf.sprintf "result reports correct: false (%d of %d experiments failed)"
+             (count "failed") (count "attempted"))
+      | Some (J.Bool true), Some (J.Obj (_ :: _ as metrics)) ->
+        all
+          (fun (name, m) ->
+            match (Option.bind (J.member "value" m) J.to_float_opt, str "unit" m) with
+            | Some value, Some unit_name ->
+              let trials = [| value |] in
+              Ok
+                (Ledger.make ~section:(workload ^ "/" ^ name) ~unit_name
+                   ~summary:(Stat.summarize trials) ~trials ~provenance ())
+            | _ -> Error (Printf.sprintf "metric %s: expected {\"value\": number, \"unit\": string}" name))
+          metrics
+      | Some (J.Bool true), _ -> Error "result has no \"metrics\" object"
+      | _ -> Error "result has no boolean \"correct\" field")
+    | _ -> Error "result is not a JSON object"
+
+(* ---- perf check ---- *)
 
 type verdict = {
   section : string;
-  unit_name : string;
-  base : rate;
-  fresh : rate;
-  ratio : float;
+  metric : metric;
+  base : float;
+  fresh : float;
+  n_base : int;
+  n_fresh : int;
+  worse_by : float;
   ok : bool;
 }
 
-let higher_better unit_name = unit_name <> "seconds"
+(* Relative worsening of [fresh] against [base] in the metric's
+   direction: 0.3 = 30% worse, negative = better.  A zero base makes
+   any worsening infinite. *)
+let worse_by ~higher_better ~base ~fresh =
+  let d = if higher_better then base -. fresh else fresh -. base in
+  if d = 0.0 then 0.0 else d /. Float.abs base
 
-let check ~margin ~base ~fresh =
-  let bs = sections_of_artifact base in
-  let fs = sections_of_artifact fresh in
-  let verdicts =
-    List.filter_map
-      (fun (section, unit_name, b) ->
-        match
-          List.find_opt (fun (s, u, _) -> s = section && u = unit_name) fs
-        with
-        | None -> None
-        | Some (_, _, f) ->
-            let ok =
-              if higher_better unit_name then
-                f.median >= b.ci_lo *. margin
-              else f.median <= b.ci_hi /. margin
-            in
-            let ratio = if b.median = 0.0 then nan else f.median /. b.median in
-            Some { section; unit_name; base = b; fresh = f; ratio; ok })
-      bs
-  in
-  let matched = List.map (fun v -> v.section) verdicts in
-  let missing =
-    List.filter_map
-      (fun (s, _, _) -> if List.mem s matched then None else Some s)
-      (bs @ fs)
-    |> List.sort_uniq compare
-  in
-  (verdicts, missing)
+let check spec records ~base ~fresh =
+  let at stamp = List.filter (fun (r : Ledger.record) -> r.Ledger.git = stamp) records in
+  match (at base, at fresh) with
+  | [], _ -> Error (Printf.sprintf "no ledger record at stamp %s" base)
+  | _, [] -> Error (Printf.sprintf "no ledger record at stamp %s" fresh)
+  | b, f -> (
+    let samples rs section =
+      List.filter_map
+        (fun (r : Ledger.record) -> if r.Ledger.section = section then Some r.Ledger.median else None)
+        rs
+      |> Array.of_list
+    in
+    let verdicts =
+      List.filter_map
+        (fun (section, metric) ->
+          match (samples b section, samples f section) with
+          | [||], _ | _, [||] -> None
+          | bs, fs ->
+            let base = Stat.median bs and fresh = Stat.median fs in
+            let worse_by = worse_by ~higher_better:metric.higher_better ~base ~fresh in
+            let ok = match metric.bound with None -> true | Some bound -> worse_by <= bound in
+            Some
+              {
+                section;
+                metric;
+                base;
+                fresh;
+                n_base = Array.length bs;
+                n_fresh = Array.length fs;
+                worse_by;
+                ok;
+              })
+        (sections spec)
+    in
+    match verdicts with
+    | [] -> Error (Printf.sprintf "no BENCHMARK.json section recorded at both %s and %s" base fresh)
+    | vs -> Ok vs)
 
-let all_ok = List.for_all (fun v -> v.ok)
+let failures verdicts = List.filter_map (fun v -> if v.ok then None else Some v.section) verdicts
 
-let fmt_rate r =
-  if r.median >= 1e4 then
-    Printf.sprintf "%.3e [%.3e, %.3e]" r.median r.ci_lo r.ci_hi
-  else Printf.sprintf "%.4f [%.4f, %.4f]" r.median r.ci_lo r.ci_hi
-
-let render_check ~margin verdicts ~missing =
+let render_check ~base ~fresh verdicts =
   let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "perf check: fresh median vs baseline interval (margin %.2f)\n" margin);
+  Printf.bprintf b "perf check: %s against %s (median of each stamp's samples)\n" fresh base;
   List.iter
     (fun v ->
-      let dir = if higher_better v.unit_name then "floor" else "ceiling" in
-      let bound =
-        if higher_better v.unit_name then v.base.ci_lo *. margin
-        else v.base.ci_hi /. margin
-      in
-      Buffer.add_string b
-        (Printf.sprintf "  %-16s %-14s base %s  fresh %s  ratio %.3f  %s %.3e  %s\n"
-           v.section v.unit_name (fmt_rate v.base) (fmt_rate v.fresh) v.ratio
-           dir bound
-           (if v.ok then "PASS" else "FAIL")))
+      Printf.bprintf b "  %-32s %-8s base %-10.4g (n=%d)  fresh %-10.4g (n=%d)  %-16s  %s\n"
+        v.section v.metric.unit_name v.base v.n_base v.fresh v.n_fresh
+        (if v.worse_by = 0.0 then "unchanged"
+         else
+           Printf.sprintf "%s %5.1f%%"
+             (if v.worse_by > 0.0 then "worse by " else "better by")
+             (100.0 *. Float.abs v.worse_by))
+        (match v.metric.bound with
+        | None -> "per-layer, never fails"
+        | Some bound ->
+          Printf.sprintf "bound %.0f%%  %s" (100.0 *. bound) (if v.ok then "PASS" else "FAIL")))
     verdicts;
-  if missing <> [] then
-    Buffer.add_string b
-      (Printf.sprintf "  (sections in only one artifact, skipped: %s)\n"
-         (String.concat ", " missing));
-  if verdicts = [] then
-    Buffer.add_string b "  no comparable sections found\n";
   Buffer.contents b
+
+(* ---- perf history ---- *)
 
 let sections_of records =
   List.sort_uniq compare (List.map (fun (r : Ledger.record) -> r.Ledger.section) records)
@@ -215,9 +176,9 @@ let render_history ?section ?known records ~skipped =
     | None -> records
     | Some s -> List.filter (fun (r : Ledger.record) -> r.Ledger.section = s) records
   in
-  (* [known] filters display to the sections the current bench set can
-     emit; stale records (renamed/removed sections) are summarized
-     instead of rendered, never silently dropped *)
+  (* [known] filters display to the sections BENCHMARK.json declares;
+     stale records (retired or renamed sections) are summarized instead
+     of rendered, never silently dropped *)
   let records, unknown =
     match known with
     | None -> (records, [])
@@ -252,13 +213,14 @@ let render_history ?section ?known records ~skipped =
          (String.concat ", " (sections_of all)))
   else begin
     Buffer.add_string b "perf history (ledger order = time order)\n";
+    let width = List.fold_left (fun w s -> max w (String.length s)) 16 !order in
     List.iter
       (fun s ->
         let rs = List.rev !(Hashtbl.find by_sect s) in
         let medians = Array.of_list (List.map (fun (r : Ledger.record) -> r.Ledger.median) rs) in
         let last = List.nth rs (List.length rs - 1) in
         Buffer.add_string b
-          (Printf.sprintf "  %-16s %s  n=%d  last %.4g ± %.2g %s (git %s%s)\n" s
+          (Printf.sprintf "  %-*s %s  n=%d  last %.4g ± %.2g %s (git %s%s)\n" width s
              (Pcolor_util.Chart.sparkline medians)
              (Array.length medians) last.Ledger.median last.Ledger.mad
              last.Ledger.unit_name last.Ledger.git
@@ -276,33 +238,3 @@ let render_history ?section ?known records ~skipped =
       (Printf.sprintf "  (%d corrupt ledger line%s skipped)\n" skipped
          (if skipped = 1 then "" else "s"));
   Buffer.contents b
-
-let prov_fields v =
-  let str k d sub = Option.value ~default:d (Option.bind (J.member k sub) J.to_string_opt) in
-  let int k d sub = Option.value ~default:d (Option.bind (J.member k sub) J.to_int_opt) in
-  match J.member "provenance" v with
-  | Some p -> (str "git" "unknown" p, str "timestamp" "" p, str "hostname" "" p, int "scale" 0 p, int "jobs" 0 p)
-  | None -> ("unknown", "", "", 0, 0)
-
-let backfill_record v =
-  match sections_of_artifact v with
-  | [] -> Error "backfill: artifact has no comparable sections"
-  | (section, unit_name, r) :: _ ->
-      (* one synthetic record per artifact: its headline section *)
-      let git, timestamp, hostname, scale, jobs = prov_fields v in
-      Ok
-        {
-          Ledger.section;
-          unit_name;
-          median = r.median;
-          mad = r.mad;
-          ci_lo = r.ci_lo;
-          ci_hi = r.ci_hi;
-          trials = r.trials;
-          git;
-          timestamp;
-          hostname;
-          scale;
-          jobs;
-          note = "backfill";
-        }

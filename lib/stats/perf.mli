@@ -1,80 +1,93 @@
-(** Perf-artifact analysis: noise-aware regression checking, ledger
-    trend rendering, and legacy-snapshot backfill.
+(** Perf-ledger analysis: the logic behind [pcolor perf ingest],
+    [perf check] and [perf history].
 
-    This is the logic behind [pcolor perf check] / [perf history] /
-    [perf backfill].  It reads bench artifacts in both shapes: the
-    multi-trial form (each timed section carries median / MAD / CI /
-    the raw trial vector, {!Pcolor_obs.Stat.to_json}) and the legacy
-    single-sample form (a bare float), which degrades to a point
-    interval so old committed baselines stay comparable. *)
+    perfbench ([perfbench/], declared by [BENCHMARK.json]) is the
+    repository's one host timer; it prints one JSON result line per run
+    and writes nothing durable.  [perf ingest] turns that line into
+    ledger records, one per metric, under the section
+    ["<workload>/<metric>"] and the current git stamp.  [perf check]
+    compares two stamps of the ledger against the bounds
+    [BENCHMARK.json] declares, the benchmark's own no-regression
+    rule. *)
 
-(** A measured quantity: robust location plus its uncertainty.  A
-    legacy single sample becomes [{median = v; mad = 0; ci_lo = v;
-    ci_hi = v; trials = [|v|]}]. *)
-type rate = {
-  median : float;
-  mad : float;
-  ci_lo : float;
-  ci_hi : float;
-  trials : float array;
+(** One metric of [BENCHMARK.json]. *)
+type metric = {
+  name : string;  (** e.g. ["refs_per_s"], ["memsim.consume_s"] *)
+  unit_name : string;
+  higher_better : bool;  (** ["better": "higher"] *)
+  bound : float option;
+      (** the tolerated relative worsening of an [end_to_end] metric;
+          [None] for a [per_layer] one, which never fails a check *)
 }
 
-(** [rate_of_json ~unit_name v] decodes a rate from either shape;
-    [unit_name] names the median field (e.g. ["refs_per_sec"]). *)
-val rate_of_json : unit_name:string -> Pcolor_obs.Json.t -> rate option
+(** The parts of [BENCHMARK.json] the ledger tools read. *)
+type spec = {
+  workloads : string list;
+  metrics : metric list;  (** [end_to_end] first, then [per_layer] *)
+}
 
-(** [sections_of_artifact v] lists the comparable measurements of a
-    bench artifact as [(section, unit, rate)], e.g.
-    [("engines/runs", "refs_per_sec", r)].  Dispatches on shape:
-    throughput ([single_domain]/[engines]/[replay]/[scale_256]/[sweep]),
-    mix ([mixes] → one aggregate ["mix"] row in seconds), and
-    single-section artifacts: a ["rate"] multi-trial object (refs/s)
-    when the section recorded one, else the legacy flat [seconds]
-    float as a point interval. *)
-val sections_of_artifact :
-  Pcolor_obs.Json.t -> (string * string * rate) list
+(** [spec_of_json v] decodes [BENCHMARK.json]: [workloads] and
+    [end_to_end] are required (every end-to-end metric with a numeric
+    [bound]), [per_layer] is optional. *)
+val spec_of_json : Pcolor_obs.Json.t -> (spec, string) result
 
-(** Every section name the current bench harness emits (artifact
-    sections and ledger records).  [perf history] filters to this set
-    by default so stale ledger records from renamed or removed
-    sections are summarized rather than rendered. *)
-val known_sections : string list
+(** [section_names spec] is every ledger section the benchmark can
+    produce: workloads × metrics, ["<workload>/<metric>"], in
+    declaration order.  [perf history] shows these by default. *)
+val section_names : spec -> string list
+
+(** [ingest spec ~workload ~provenance v] turns one perfbench result
+    line into ledger records: one per entry of its [metrics] object,
+    with section ["<workload>/<metric>"], the line's unit, [median] =
+    [value] and [trials] = [[|value|]], stamped with [provenance].
+    [Error] (one line) when [workload] is not in [spec], [v] is not an
+    object, [correct] is not [true], or [metrics] is missing, empty or
+    malformed. *)
+val ingest :
+  spec ->
+  workload:string ->
+  provenance:Pcolor_obs.Provenance.t ->
+  Pcolor_obs.Json.t ->
+  (Pcolor_obs.Ledger.record list, string) result
 
 type verdict = {
   section : string;
-  unit_name : string;
-  base : rate;
-  fresh : rate;
-  ratio : float;  (** fresh median / base median *)
-  ok : bool;
+  metric : metric;
+  base : float;  (** median of the base stamp's samples *)
+  fresh : float;  (** median of the fresh stamp's samples *)
+  n_base : int;
+  n_fresh : int;
+  worse_by : float;
+      (** relative worsening in the metric's direction: [0.3] = 30%
+          worse, negative = better *)
+  ok : bool;  (** [worse_by <= bound]; always true for per-layer metrics *)
 }
 
-(** [check ~margin ~base ~fresh] compares every section present in
-    both artifacts.  For higher-is-better units (rates) a section
-    fails when the fresh median falls below [base.ci_lo * margin] —
-    i.e. below the baseline's own noise interval by more than the
-    margin; for ["seconds"] the test is mirrored against
-    [base.ci_hi / margin].  Returns the verdicts plus the section
-    names present in only one artifact (reported, never fatal). *)
+(** [check spec records ~base ~fresh] compares, for every section of
+    {!section_names} recorded at both git stamps, the median of each
+    stamp's samples (one sample per ingested record).  [Error] (one
+    line) when a stamp has no record in [records] or the two share no
+    such section. *)
 val check :
-  margin:float ->
-  base:Pcolor_obs.Json.t ->
-  fresh:Pcolor_obs.Json.t ->
-  verdict list * string list
+  spec ->
+  Pcolor_obs.Ledger.record list ->
+  base:string ->
+  fresh:string ->
+  (verdict list, string) result
 
-(** [render_check ~margin verdicts ~missing] is the human report:
-    one PASS/FAIL line per section with both intervals. *)
-val render_check :
-  margin:float -> verdict list -> missing:string list -> string
+(** [failures verdicts] names the sections that are not [ok]. *)
+val failures : verdict list -> string list
 
-(** [all_ok verdicts] is true when no section failed. *)
-val all_ok : verdict list -> bool
+(** [render_check ~base ~fresh verdicts] is the human report: one line
+    per section with both medians, the relative change and, for
+    end-to-end metrics, the bound and PASS/FAIL. *)
+val render_check : base:string -> fresh:string -> verdict list -> string
 
 (** [render_history ?section ?known records ~skipped] renders
     per-section trend sparklines from ledger records (file order =
     time order): one strip per section, latest median ± MAD and its
     git stamp.  [section] filters to one section; [known] filters to a
-    section whitelist (e.g. {!known_sections}), summarizing — never
+    section whitelist (e.g. {!section_names}), summarizing — never
     silently dropping — records outside it; [skipped] is the
     corrupt-line count from {!Pcolor_obs.Ledger.load}.  When a filter
     leaves nothing, the report says what the ledger does hold instead
@@ -85,11 +98,3 @@ val render_history :
   Pcolor_obs.Ledger.record list ->
   skipped:int ->
   string
-
-(** [backfill_record v] builds one synthetic ledger record from a
-    committed legacy artifact (provenance from its embedded stamp,
-    note ["backfill"]): throughput → ["single_domain"] in refs/s,
-    mix → ["mix"] in summed seconds, section artifacts → their own
-    name in seconds. *)
-val backfill_record :
-  Pcolor_obs.Json.t -> (Pcolor_obs.Ledger.record, string) result

@@ -60,14 +60,17 @@ let cli =
     (Filename.dirname Sys.executable_name)
     [ Filename.parent_dir_name; "bin"; "pcolor_cli.exe" ]
 
-(* [run_cli args] runs the CLI with stdout discarded, returning its exit
-   code and everything it wrote to stderr. *)
-let run_cli args =
+(* [run_cli ?stdin args] runs the CLI with stdout discarded and stdin
+   read from the file [stdin], returning its exit code and everything it
+   wrote to stderr. *)
+let run_cli ?stdin args =
   let err = Filename.temp_file "pcolor_cli" ".err" in
   Fun.protect
     ~finally:(fun () -> Sys.remove err)
     (fun () ->
-      let code = Sys.command (Filename.quote_command cli args ~stdout:Filename.null ~stderr:err) in
+      let code =
+        Sys.command (Filename.quote_command cli args ?stdin ~stdout:Filename.null ~stderr:err)
+      in
       let ic = open_in_bin err in
       let stderr = really_input_string ic (in_channel_length ic) in
       close_in ic;

@@ -48,9 +48,26 @@ let batch_setups () =
 let run_batch ~jobs =
   Pool.map ~jobs (fun s -> render (Run.run s).Run.report) (batch_setups ())
 
+(* The bench harness's pattern (bench/mix.ml, Harness.prefill): tasks
+   are submitted costliest first, so not in result order, and each
+   writes its own index slot. *)
+let run_batch_slots ~jobs =
+  let setups = Array.of_list (batch_setups ()) in
+  let slots = Array.make (Array.length setups) "" in
+  let cost i = setups.(i).Run.cfg.Config.n_cpus in
+  List.init (Array.length setups) Fun.id
+  |> List.stable_sort (fun a b -> compare (cost b) (cost a))
+  |> List.map (fun i () -> slots.(i) <- render (Run.run setups.(i)).Run.report)
+  |> Pool.run_all ~jobs;
+  Array.to_list slots
+
 let test_pool_matches_sequential () =
-  let seq = run_batch ~jobs:1 and par = run_batch ~jobs:4 in
-  Alcotest.(check (list string)) "jobs=4 output equals jobs=1" seq par
+  let seq = run_batch ~jobs:1 in
+  Alcotest.(check (list string)) "jobs=4 output equals jobs=1" seq (run_batch ~jobs:4);
+  Alcotest.(check (list string)) "cost-sorted run_all into slots, jobs=1" seq
+    (run_batch_slots ~jobs:1);
+  Alcotest.(check (list string)) "cost-sorted run_all into slots, jobs=4" seq
+    (run_batch_slots ~jobs:4)
 
 (* ---- 3. golden miss-class counts (pre-refactor capture) ---- *)
 

@@ -6,9 +6,12 @@
       leaves the run artifact byte-identical, and the prof-off hot path
       allocates nothing beyond the run's own deterministic footprint;
    3. prof-on sanity: the engine phases actually get bracketed;
-   4. perf-check verdict pins, including the legacy single-sample
-      baseline shape degrading to a point interval;
-   5. history rendering smoke over a mixed backfill + live ledger. *)
+   4. perf ingest / perf check: a perfbench result line becomes one
+      ledger record per metric, and two git stamps are compared against
+      the BENCHMARK.json bounds;
+   5. history rendering smoke over a mixed old + live ledger;
+   6. the git stamp's dirtiness ignores what bench and ingest runs
+      write (the ledger, root BENCH_*.json). *)
 
 module Json = Pcolor.Obs.Json
 module Stat = Pcolor.Obs.Stat
@@ -52,7 +55,7 @@ let test_ledger_roundtrip () =
   Alcotest.(check int) "no skips" 0 skipped;
   Alcotest.(check int) "two records" 2 (List.length loaded);
   let l1 = List.nth loaded 0 and l2 = List.nth loaded 1 in
-  Alcotest.(check string) "key" "deadbee/single_domain" (Ledger.key l1);
+  Alcotest.(check string) "section" "single_domain" l1.Ledger.section;
   Alcotest.(check (float 1e-9)) "median survives" 11.0 l1.Ledger.median;
   Alcotest.(check (array (float 1e-9))) "trials survive" [| 10.0; 12.0; 11.0 |] l1.Ledger.trials;
   Alcotest.(check string) "git" "deadbee" l1.Ledger.git;
@@ -185,79 +188,151 @@ let test_stat_ci_n2 () =
   Alcotest.(check (float 0.0)) "min_v" 3.0 s.Stat.min_v;
   Alcotest.(check (float 0.0)) "max_v" 9.0 s.Stat.max_v
 
-(* ---- 4. perf check ---- *)
+(* ---- 4. perf ingest / perf check ---- *)
 
 let parse s = match Json.parse s with Ok v -> v | Error e -> Alcotest.fail e
 
-let test_check_legacy_point_baseline () =
-  (* legacy flat-float baseline degrades to a point interval: the floor
-     is v * margin, exactly the old awk semantics *)
-  let base = parse {|{"section":"figure2","seconds":1.0}|} in
-  let ok_fresh = parse {|{"section":"figure2","seconds":1.9}|} in
-  let bad_fresh = parse {|{"section":"figure2","seconds":2.5}|} in
-  let vs, missing = Perf.check ~margin:0.5 ~base ~fresh:ok_fresh in
-  Alcotest.(check int) "one section" 1 (List.length vs);
-  Alcotest.(check (list string)) "nothing missing" [] missing;
-  Alcotest.(check bool) "1.9s within 1.0/0.5 ceiling" true (Perf.all_ok vs);
-  let vs, _ = Perf.check ~margin:0.5 ~base ~fresh:bad_fresh in
-  Alcotest.(check bool) "2.5s breaches ceiling" false (Perf.all_ok vs)
+(* A cut-down BENCHMARK.json: two end-to-end metrics of opposite
+   direction and one per-layer metric. *)
+let spec =
+  match
+    Perf.spec_of_json
+      (parse
+         {|{"workloads": [{"name": "sweep"}, {"name": "mix"}],
+            "end_to_end": [
+              {"name": "refs_per_s", "unit": "refs/s", "better": "higher", "bound": 0.25},
+              {"name": "peak_heap_mb", "unit": "MiB", "better": "lower", "bound": 0.25}],
+            "per_layer": [{"name": "memsim.consume_s", "unit": "s", "better": "lower"}]}|})
+  with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+(* a perfbench result line with the given metrics *)
+let result_line ?(correct = true) metrics =
+  Printf.sprintf {|{"correct": %b, "attempted": 40, "failed": %d, "metrics": {%s}}|} correct
+    (if correct then 0 else 3)
+    (String.concat ", "
+       (List.map
+          (fun (name, value, unit_name) ->
+            Printf.sprintf {|"%s": {"value": %.17g, "unit": "%s"}|} name value unit_name)
+          metrics))
+
+let ingest_at ?(workload = "sweep") git metrics =
+  match
+    Perf.ingest spec ~workload
+      ~provenance:{ provenance with Provenance.git = Some git }
+      (parse (result_line metrics))
+  with
+  | Ok rs -> rs
+  | Error e -> Alcotest.fail e
+
+let refs v = ("refs_per_s", v, "refs/s")
+
+let heap v = ("peak_heap_mb", v, "MiB")
+
+let consume v = ("memsim.consume_s", v, "s")
+
+let check_ok ~base ~fresh records =
+  match Perf.check spec records ~base ~fresh with
+  | Ok vs -> vs
+  | Error e -> Alcotest.fail e
+
+let test_ingest_records () =
+  match ingest_at "aaa1111" [ refs 3.7e7; heap 5.5 ] with
+  | [ r; h ] ->
+    Alcotest.(check string) "section" "sweep/refs_per_s" r.Ledger.section;
+    Alcotest.(check string) "unit from the line" "refs/s" r.Ledger.unit_name;
+    Alcotest.(check (float 0.0)) "median = value" 3.7e7 r.Ledger.median;
+    Alcotest.(check (array (float 0.0))) "trials = [|value|]" [| 3.7e7 |] r.Ledger.trials;
+    Alcotest.(check string) "git stamp" "aaa1111" r.Ledger.git;
+    Alcotest.(check string) "second metric" "sweep/peak_heap_mb" h.Ledger.section;
+    (* the schema is the old one: a record round-trips through JSON *)
+    Alcotest.(check bool) "round-trips" true (Ledger.of_json (Ledger.to_json h) = Ok h)
+  | rs -> Alcotest.failf "expected 2 records, got %d" (List.length rs)
+
+let test_ingest_rejects () =
+  let rejected label ?(workload = "sweep") line =
+    match Perf.ingest spec ~workload ~provenance (parse line) with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e ->
+      Alcotest.(check bool) (label ^ ": one line") false (String.contains e '\n')
+  in
+  rejected "correct: false" (result_line ~correct:false [ refs 1.0 ]);
+  rejected "no metrics" {|{"correct": true, "attempted": 1, "failed": 0}|};
+  rejected "empty metrics" (result_line []);
+  rejected "metric without unit" {|{"correct": true, "metrics": {"refs_per_s": {"value": 1.0}}}|};
+  rejected "no correct field" {|{"metrics": {"refs_per_s": {"value": 1.0, "unit": "refs/s"}}}|};
+  rejected "not an object" {|[1, 2]|};
+  rejected "unknown workload" ~workload:"sweeep" (result_line [ refs 1.0 ])
 
 let test_check_interval_baseline () =
-  let base =
-    parse
-      {|{"single_domain":{"refs_per_sec":100.0,"mad":5.0,"ci_lo":90.0,"ci_hi":110.0,"trials":[90.0,100.0,110.0]}}|}
+  (* three samples at the base stamp: the check compares their median
+     (100), not any single one, against the fresh stamp's median *)
+  let base = List.concat_map (fun v -> ingest_at "base" [ refs v ]) [ 90.0; 110.0; 100.0 ] in
+  let verdict fresh_v =
+    match check_ok ~base:"base" ~fresh:"fresh" (base @ ingest_at "fresh" [ refs fresh_v ]) with
+    | [ v ] -> v
+    | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs)
   in
-  let fresh v =
-    parse (Printf.sprintf {|{"single_domain":{"refs_per_sec":%f,"mad":1.0,"ci_lo":%f,"ci_hi":%f}}|} v v v)
-  in
-  (* rate floor = ci_lo * margin = 45: 50 passes, 40 fails *)
-  let vs, _ = Perf.check ~margin:0.5 ~base ~fresh:(fresh 50.0) in
-  Alcotest.(check bool) "above floor" true (Perf.all_ok vs);
-  let vs, _ = Perf.check ~margin:0.5 ~base ~fresh:(fresh 40.0) in
-  (match vs with
-  | [ v ] ->
-    Alcotest.(check bool) "below floor" false v.Perf.ok;
-    Alcotest.(check (float 1e-9)) "ratio" 0.4 v.Perf.ratio;
-    Alcotest.(check bool) "render shows FAIL" true
-      (contains ~needle:"FAIL"
-         (Perf.render_check ~margin:0.5 vs ~missing:[]))
-  | _ -> Alcotest.fail "expected one verdict")
+  let v = verdict 70.0 in
+  Alcotest.(check (float 1e-9)) "base median" 100.0 v.Perf.base;
+  Alcotest.(check int) "base samples" 3 v.Perf.n_base;
+  Alcotest.(check (float 1e-9)) "30% worse" 0.3 v.Perf.worse_by;
+  Alcotest.(check bool) "30% lower fails the 0.25 bound" false v.Perf.ok;
+  Alcotest.(check bool) "render shows FAIL" true
+    (contains ~needle:"FAIL" (Perf.render_check ~base:"base" ~fresh:"fresh" [ v ]));
+  Alcotest.(check bool) "10% lower passes" true (verdict 90.0).Perf.ok;
+  Alcotest.(check bool) "faster passes" true (verdict 150.0).Perf.ok
 
-let test_section_artifact_rate_preferred () =
-  (* a generic section artifact carrying the PR 9 "rate" object is
-     read as a real refs/sec interval, not the flat-seconds point *)
-  let v =
-    parse
-      {|{"section":"figure2","seconds":0.6,"rate":{"refs":100,"refs_per_sec":100.0,"mad":5.0,"ci_lo":90.0,"ci_hi":110.0,"trials":[90.0,100.0,110.0]}}|}
+let test_check_direction_and_layers () =
+  (* peak_heap_mb is lower-is-better: growth fails, shrinkage passes;
+     a per-layer metric is reported but never fails *)
+  let records =
+    ingest_at "base" [ refs 100.0; heap 10.0; consume 1.0 ]
+    @ ingest_at "fresh" [ refs 100.0; heap 13.0; consume 2.0 ]
   in
-  (match Perf.sections_of_artifact v with
-  | [ (section, unit_name, r) ] ->
-    Alcotest.(check string) "section" "figure2" section;
-    Alcotest.(check string) "unit" "refs_per_sec" unit_name;
-    Alcotest.(check (float 0.0)) "median" 100.0 r.Perf.median;
-    Alcotest.(check (float 0.0)) "ci_lo survives" 90.0 r.Perf.ci_lo;
-    Alcotest.(check int) "trials survive" 3 (Array.length r.Perf.trials)
-  | l -> Alcotest.fail (Printf.sprintf "expected one section, got %d" (List.length l)));
-  (* without the rate object the legacy point-seconds decode remains *)
-  match Perf.sections_of_artifact (parse {|{"section":"figure2","seconds":0.6}|}) with
-  | [ ("figure2", "seconds", r) ] ->
-    Alcotest.(check (float 0.0)) "point" 0.6 r.Perf.median;
-    Alcotest.(check (float 0.0)) "point ci" 0.6 r.Perf.ci_lo
-  | _ -> Alcotest.fail "legacy decode changed"
+  let vs = check_ok ~base:"base" ~fresh:"fresh" records in
+  Alcotest.(check (list string)) "only the heap fails" [ "sweep/peak_heap_mb" ] (Perf.failures vs);
+  let layer = List.find (fun v -> v.Perf.section = "sweep/memsim.consume_s") vs in
+  Alcotest.(check bool) "per-layer 2x slower still ok" true layer.Perf.ok;
+  Alcotest.(check bool) "per-layer printed" true
+    (contains ~needle:"memsim.consume_s" (Perf.render_check ~base:"base" ~fresh:"fresh" vs));
+  let shrunk = ingest_at "base" [ heap 10.0 ] @ ingest_at "fresh" [ heap 7.0 ] in
+  Alcotest.(check (list string)) "smaller heap passes" []
+    (Perf.failures (check_ok ~base:"base" ~fresh:"fresh" shrunk))
 
 let test_check_missing_sections () =
-  let base = parse {|{"single_domain":{"refs_per_sec":100.0},"replay":{"refs_per_sec":10.0}}|} in
-  let fresh = parse {|{"single_domain":{"refs_per_sec":100.0}}|} in
-  let vs, missing = Perf.check ~margin:0.5 ~base ~fresh in
-  Alcotest.(check int) "one comparable section" 1 (List.length vs);
-  Alcotest.(check (list string)) "replay reported missing" [ "replay" ] missing
+  (* a section recorded at one stamp only is not compared *)
+  let records =
+    ingest_at "base" [ refs 100.0 ]
+    @ ingest_at ~workload:"mix" "base" [ refs 50.0 ]
+    @ ingest_at "fresh" [ refs 100.0 ]
+  in
+  let vs = check_ok ~base:"base" ~fresh:"fresh" records in
+  Alcotest.(check (list string)) "only the shared section" [ "sweep/refs_per_s" ]
+    (List.map (fun v -> v.Perf.section) vs);
+  (* an absent stamp, and stamps sharing no declared section (records of
+     the retired timers), are errors naming what is missing *)
+  let error ~base ~fresh records =
+    match Perf.check spec records ~base ~fresh with
+    | Ok _ -> Alcotest.failf "%s vs %s: no error" base fresh
+    | Error e -> e
+  in
+  Alcotest.(check bool) "absent stamp named" true
+    (contains ~needle:"nope" (error ~base:"base" ~fresh:"nope" records));
+  let legacy =
+    [ mk_record [| 1.0 |]; { (mk_record [| 2.0 |]) with Ledger.git = "other" } ]
+  in
+  Alcotest.(check bool) "no comparable section" true
+    (contains ~needle:"no BENCHMARK.json section"
+       (error ~base:"deadbee" ~fresh:"other" legacy))
 
 (* ---- 5. history rendering ---- *)
 
 let test_render_history () =
   let records =
     [
-      mk_record ~note:"backfill" [| 8.0 |];
+      mk_record ~note:"old" [| 8.0 |];
       mk_record [| 10.0; 11.0; 12.0 |];
       mk_record ~section:"mix" [| 0.4; 0.5 |];
     ]
@@ -317,14 +392,76 @@ let test_render_history_filtered_to_nothing () =
   (* a truly empty ledger still reads as empty *)
   Alcotest.(check bool) "empty ledger message kept" true
     (contains ~needle:"ledger is empty" (Perf.render_history [] ~skipped:0));
-  (* the known-section registry tracks the bench sections we ship *)
+  (* the default filter is the repository's BENCHMARK.json: its
+     workloads × metrics *)
+  let spec =
+    match Perf.spec_of_json (parse (In_channel.with_open_bin "../BENCHMARK.json" In_channel.input_all)) with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
   List.iter
     (fun sect ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s is a known section" sect)
+        (Printf.sprintf "%s is a declared section" sect)
         true
-        (List.mem sect Perf.known_sections))
-    [ "figure2"; "figure2/sweep"; "single_domain"; "mix"; "hash/grid" ]
+        (List.mem sect (Perf.section_names spec)))
+    [ "sweep/refs_per_s"; "mix/refs_per_s"; "replay/refs_per_s"; "mix/sched.reclaim_s" ];
+  Alcotest.(check bool) "retired timer sections are not" false
+    (List.mem "single_domain" (Perf.section_names spec))
+
+(* ---- 6. git-stamp dirtiness ---- *)
+
+let test_dirty_classification () =
+  let dirty = Provenance.dirty_of_status in
+  Alcotest.(check bool) "clean tree" false (dirty []);
+  Alcotest.(check bool) "ledger and root BENCH_*.json only" false
+    (dirty [ " M PERF_LEDGER.jsonl"; " M BENCH_mix.json"; "M  BENCH_figure2.json" ]);
+  Alcotest.(check bool) "a source change" true (dirty [ " M PERF_LEDGER.jsonl"; " M lib/x.ml" ]);
+  Alcotest.(check bool) "BENCH_*.json below the root" true (dirty [ " M golden/BENCH_x.json" ]);
+  Alcotest.(check bool) "a deleted BENCH_*.json" false (dirty [ " D BENCH_old.json" ]);
+  Alcotest.(check bool) "renamed into a bench artifact" true
+    (dirty [ "R  src.ml -> BENCH_x.json" ])
+
+(* End to end in a scratch repository: appending to the ledger and
+   rewriting a root artifact keep the stamp clean; a source edit does
+   not. *)
+let test_git_stamp_ignores_ledger () =
+  let dir = Filename.temp_dir "pcolor_stamp" "" in
+  let write name s = Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc s) in
+  let git args =
+    let code =
+      Sys.command
+        (Filename.quote_command "git"
+           ([ "-C"; dir; "-c"; "user.name=t"; "-c"; "user.email=t@example.com"; "-c";
+              "commit.gpgsign=false" ]
+           @ args)
+           ~stdout:Filename.null ~stderr:Filename.null)
+    in
+    if code <> 0 then Alcotest.failf "git %s failed" (String.concat " " args)
+  in
+  let describe () =
+    let cwd = Sys.getcwd () in
+    Sys.chdir dir;
+    Fun.protect ~finally:(fun () -> Sys.chdir cwd) Provenance.git_describe
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
+    (fun () ->
+      write "PERF_LEDGER.jsonl" "";
+      write "BENCH_mix.json" "{}\n";
+      write "src.ml" "let x = 1\n";
+      git [ "init"; "-q" ];
+      git [ "add"; "-A" ];
+      git [ "commit"; "-q"; "-m"; "init" ];
+      let clean = match describe () with Some s -> s | None -> Alcotest.fail "no stamp" in
+      Alcotest.(check bool) "fresh commit is clean" false (String.ends_with ~suffix:"-dirty" clean);
+      write "PERF_LEDGER.jsonl" "{\"section\":\"sweep/refs_per_s\",\"median\":1.0}\n";
+      write "BENCH_mix.json" "{\"mixes\":[]}\n";
+      Alcotest.(check (option string)) "ledger + artifact rewrite stay clean" (Some clean)
+        (describe ());
+      write "src.ml" "let x = 2\n";
+      Alcotest.(check (option string)) "source edit is dirty" (Some (clean ^ "-dirty"))
+        (describe ()))
 
 let suite =
   [
@@ -350,13 +487,23 @@ let suite =
         Alcotest.test_case "prof on: engine phases bracketed" `Quick test_prof_on_records_phases;
         Alcotest.test_case "manual bracketing" `Quick test_prof_manual_bracketing;
       ] );
+    ( "perf.ingest",
+      [
+        Alcotest.test_case "one record per metric" `Quick test_ingest_records;
+        Alcotest.test_case "bad result lines rejected" `Quick test_ingest_rejects;
+      ] );
     ( "perf.check",
       [
-        Alcotest.test_case "legacy point baseline" `Quick test_check_legacy_point_baseline;
         Alcotest.test_case "interval baseline" `Quick test_check_interval_baseline;
-        Alcotest.test_case "section artifact: rate object preferred" `Quick
-          test_section_artifact_rate_preferred;
+        Alcotest.test_case "direction and per-layer metrics" `Quick
+          test_check_direction_and_layers;
         Alcotest.test_case "missing sections reported" `Quick test_check_missing_sections;
+      ] );
+    ( "perf.provenance",
+      [
+        Alcotest.test_case "dirty classification" `Quick test_dirty_classification;
+        Alcotest.test_case "git stamp ignores ledger and BENCH_*.json" `Quick
+          test_git_stamp_ignores_ledger;
       ] );
     ( "perf.history",
       [

@@ -156,13 +156,6 @@ let test_stat_summarize () =
   Alcotest.(check (float 1e-9)) "ci_lo" 1.0 s.Stat.ci_lo;
   Alcotest.(check (float 1e-9)) "ci_hi" 8.0 s.Stat.ci_hi
 
-let test_stat_to_json () =
-  let trials = [| 2.0; 1.0; 3.0 |] in
-  let s = Stat.summarize trials in
-  Alcotest.(check string) "serialized summary"
-    {|{"refs_per_sec":2.0,"mad":1.0,"ci_lo":1.0,"ci_hi":3.0,"trials":[2.0,1.0,3.0]}|}
-    (Pcolor.Obs.Json.to_string (Stat.to_json ~unit_name:"refs_per_sec" ~trials s))
-
 let suite =
   [
     ( "stats",
@@ -182,6 +175,5 @@ let suite =
         Alcotest.test_case "mad pins" `Quick test_stat_mad;
         Alcotest.test_case "sign-test CI ranks" `Quick test_stat_ci_ranks;
         Alcotest.test_case "summarize pins" `Quick test_stat_summarize;
-        Alcotest.test_case "summary JSON shape" `Quick test_stat_to_json;
       ] );
   ]
