@@ -21,7 +21,8 @@
 #   make timeline-check  record/replay observability-parity gate plus
 #                     the timeline-off byte-identity gate: a taped run
 #                     must yield the same artifact (timeline included)
-#                     as a live run, attaching the sampler must not
+#                     and the same Chrome trace as a live run,
+#                     attaching the sampler must not
 #                     move a single simulated counter, and a tape with a
 #                     bad header must fail with exit 2 and one line
 #   make hash-check   hashed-LLC gates: 1-slice/identity must be
@@ -139,14 +140,18 @@ hash-check:
 timeline-check:
 	@# Replay observability-parity gate: replaying a taped run with the
 	@# same --timeline epoch must yield a byte-identical artifact
-	@# (report, metrics, attribution AND timeline sections).
+	@# (report, metrics, attribution AND timeline sections) and a
+	@# byte-identical Chrome trace (phase spans, prefetch-drops and
+	@# bus-knee instants, timeline counters).
 	$(DUNE) exec bin/pcolor_cli.exe -- record tomcatv --policy cdpc --cpus 4 \
 	  --scale 64 -o _build/timeline_gate.pcbt --timeline=100000 \
-	  --metrics-out _build/timeline_record.json
+	  --metrics-out _build/timeline_record.json --trace _build/timeline_record.trace.json
 	$(DUNE) exec bin/pcolor_cli.exe -- replay _build/timeline_gate.pcbt \
-	  --timeline=100000 --metrics-out _build/timeline_replay.json
+	  --timeline=100000 --metrics-out _build/timeline_replay.json \
+	  --trace _build/timeline_replay.trace.json
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/timeline_record.json \
 	  _build/timeline_replay.json --exact
+	cmp _build/timeline_record.trace.json _build/timeline_replay.trace.json
 	@# Bad-header gate: a copy of the tape whose header names an unknown
 	@# benchmark ("tomcatX": byte 12 is the name's last letter) must be
 	@# refused with exit 2 and a single stderr line, never a backtrace.

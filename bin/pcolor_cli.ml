@@ -133,6 +133,25 @@ let prof_arg =
            after the run. Off by default; when off the run is byte-identical and the hot path \
            allocation-free.")
 
+(* A bad command-line value is one stderr line naming the flag and exit
+   2, never an uncaught exception. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+(* An output file is checked before anything runs, so a missing
+   directory is one stderr line naming the flag, not a [Sys_error]
+   after the whole simulation. *)
+let check_out_path ~flag path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    usage_error "%s: %s: no such directory %s" flag path dir;
+  if Sys.file_exists path && Sys.is_directory path then
+    usage_error "%s: %s: is a directory" flag path
+
 (* Observability plumbing shared by run/compare: a sink (when tracing)
    and a constructor for per-run contexts.  Each run gets its own
    registry, attribution engine and trace buffer so parallel policy
@@ -145,7 +164,13 @@ type obs_io = {
 }
 
 let obs_io_of ~trace_path ~metrics_out ?timeline ?prof cfg =
-  let sink = Option.map (fun path -> Pcolor.Obs.Trace.open_sink ~path) trace_path in
+  Option.iter (check_out_path ~flag:"--metrics-out") metrics_out;
+  let sink =
+    Option.map
+      (fun path ->
+        try Pcolor.Obs.Trace.open_sink ~path with Sys_error msg -> usage_error "--trace: %s" msg)
+      trace_path
+  in
   let fresh_ctx () =
     let metrics = if metrics_out <> None then Some (Pcolor.Obs.Metrics.create ()) else None in
     let attrib =
@@ -182,10 +207,11 @@ let prof_print prof =
   Option.iter (fun p -> print_string (Pcolor.Obs.Prof.render p)) prof
 
 let write_json_file path json =
-  let oc = open_out path in
-  output_string oc (Pcolor.Obs.Json.pretty json);
-  output_char oc '\n';
-  close_out oc
+  try
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (Pcolor.Obs.Json.pretty json);
+        output_char oc '\n')
+  with Sys_error msg -> usage_error "--metrics-out: %s" msg
 
 (* The scaled machine model, unchecked: raises [Invalid_argument] on a
    geometry [Config] rejects.  [replay] calls it directly, so a tape's
@@ -199,15 +225,6 @@ let machine_config machine n_cpus scale =
     | `Alpha -> Config.alphaserver ~n_cpus ()
   in
   Config.scale base scale
-
-(* A bad command-line value is one stderr line naming the flag and exit
-   2, never an uncaught exception. *)
-let usage_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline msg;
-      exit 2)
-    fmt
 
 let find_bench bench =
   match Spec.find bench with d -> d | exception Invalid_argument msg -> usage_error "%s" msg
@@ -265,14 +282,13 @@ let llc_hash_arg =
           "Slice-selection hash: $(b,identity) (classic positional colors), $(b,xor-fold), \
            $(b,sandybridge), or $(b,masks:0x..,..) (explicit GF(2) mask rows over frame bits).")
 
-let setup_of ~cfg bench scale policy prefetch seed cap ~trace =
+let setup_of ~cfg bench scale policy prefetch seed cap =
   let d = find_bench bench in
   {
     (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy) with
     prefetch;
     seed;
     cap;
-    collect_trace = trace;
   }
 
 (* ---- list ---- *)
@@ -309,7 +325,7 @@ let run_cmd =
     let obs, _metrics = io.fresh_ctx () in
     let setup =
       {
-        (setup_of ~cfg bench scale policy prefetch seed cap ~trace:false) with
+        (setup_of ~cfg bench scale policy prefetch seed cap) with
         obs;
         engine;
       }
@@ -372,7 +388,7 @@ let compare_cmd =
           let obs, _ = io.fresh_ctx () in
           Run.run
             {
-              (setup_of ~cfg bench scale policy prefetch seed cap ~trace:false) with
+              (setup_of ~cfg bench scale policy prefetch seed cap) with
               obs;
               engine;
             })
@@ -682,12 +698,19 @@ let record_cmd =
       }
     in
     let cfg = config_of machine n_cpus scale in
-    let oc = open_out_bin out in
-    let w = Btrace.create_writer oc header in
+    check_out_path ~flag:"-o" out;
+    (* every other output opens first: a refused one leaves no empty tape *)
     let io = obs_io_of ~trace_path ~metrics_out ?timeline cfg in
+    let oc =
+      try open_out_bin out
+      with Sys_error msg ->
+        close_obs io;
+        usage_error "-o: %s" msg
+    in
+    let w = Btrace.create_writer oc header in
     let obs, _ = io.fresh_ctx () in
     let setup =
-      { (setup_of ~cfg bench scale policy prefetch seed cap ~trace:false) with obs }
+      { (setup_of ~cfg bench scale policy prefetch seed cap) with obs }
     in
     let o = Run.run ~recorder:(Btrace.recorder w) setup in
     Btrace.finish w;
@@ -725,7 +748,8 @@ let replay_cmd =
       required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Binary trace to replay.")
   in
   let action file trace_path metrics_out timeline =
-    let ic = open_in_bin file in
+    if Sys.is_directory file then usage_error "%s: is a directory, not a trace" file;
+    let ic = try open_in_bin file with Sys_error msg -> usage_error "%s" msg in
     (* a bad tape or header is a one-line message and exit 2, never a backtrace *)
     let die fmt =
       Printf.ksprintf
@@ -760,7 +784,7 @@ let replay_cmd =
     let setup =
       {
         (setup_of ~cfg h.Btrace.bench h.Btrace.scale policy h.Btrace.prefetch h.Btrace.seed
-           h.Btrace.cap ~trace:false)
+           h.Btrace.cap)
         with
         obs;
       }
@@ -770,6 +794,9 @@ let replay_cmd =
       | Btrace.Error c ->
         close_obs io;
         die "%s" (Btrace.corruption_message c)
+      | Sys_error m ->
+        close_obs io;
+        die "%s" m
       | Invalid_argument m ->
         (* the header passed the reader's checks but the workload
            cannot be built from it (e.g. a scale the kernel lacks) *)
@@ -1297,7 +1324,7 @@ let perf_prof_cmd =
     let cfg = config_of machine n_cpus scale in
     let setup =
       {
-        (setup_of ~cfg bench scale policy prefetch seed cap ~trace:false) with
+        (setup_of ~cfg bench scale policy prefetch seed cap) with
         obs = Pcolor.Obs.Ctx.create ~prof ();
         engine;
       }

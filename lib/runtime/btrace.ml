@@ -19,15 +19,18 @@
     header is {!Bad_version}, and tags 8/9 inside a v2 tape are
     {!Corrupt} like any unknown tag.
 
-    Replay rebuilds the kernel and machine from the embedded header via
-    {!Run.prepare} (fault order is deterministic, so bin-hopping jitter,
-    CDPC hints and frame placement reproduce), then consumes the tape
-    through {!Pcolor_memsim.Machine.consume_runs} and the engine's own
-    {!Engine.barrier_step} / {!Engine.contention_settle} arithmetic —
-    counters come out byte-identical to the recorded run.  The
-    observability context in the replay setup is honored in full:
-    metrics, phase spans, attribution and the timeline all reproduce,
-    so a taped run yields the same artifact sections as a live one.
+    Replay is a thin adapter onto the live run's own code.
+    {!Run.build} rebuilds the kernel, machine and engine from the setup
+    the header names (fault order is deterministic, so bin-hopping
+    jitter, CDPC hints and frame placement reproduce).  RUNS batches go
+    straight into {!Pcolor_memsim.Machine.consume_runs}, and the
+    synchronization markers drive the engine's phase bracket
+    ({!Engine.open_occurrence} / {!Engine.close_occurrence}),
+    {!Engine.barrier} and {!Engine.begin_measured}.  {!Run.finish}
+    closes the run.  Counters, metrics, phase spans, instants,
+    attribution and the timeline therefore come from the same code as
+    the recorded run's, so a taped run yields the same artifact and the
+    same Chrome trace as a live one.
 
     Both directions go through one chunk-buffered codec: the writer
     encodes into a 64 KiB window drained by one [output] per chunk, and
@@ -421,14 +424,16 @@ let decode r (rc : Engine.recorder) =
 (* ------------------------------------------------------------------ *)
 (* Replay *)
 
-(** Replay drives the recorded tape against a fresh kernel/machine.  The
-    measured window's occurrence weights are not on the tape: they are
-    re-derived from the program ({!Window.plan}), exactly as the engine
-    derived them, and consumed one per PHASE_BEGIN/PHASE_END pair after
-    the RESET marker.  Phase names and span categories are likewise
-    re-derived ({!Window.warmup_plan} order, then the measured plan), so
-    an attached trace buffer receives the same span/instant stream the
-    live run emitted. *)
+(** Replay is an adapter from tape events onto the live run's own
+    code: {!Run.build} wires the kernel, machine and engine (replay
+    never asks the engine to walk a nest: the references, prefetches
+    included, are on the tape), PHASE_BEGIN/PHASE_END open and close
+    the engine's phase bracket,
+    BARRIER and RESET are the engine's barrier and measured-pass reset,
+    and {!Run.finish} closes the run.  The phase steps are not on the
+    tape: the warm-up plan names the occurrences before RESET and the
+    measured plan, one step per simulated occurrence, those after it,
+    exactly as the live engine walked them. *)
 let replay r ~(setup : Run.setup) =
   let cfg = setup.Run.cfg in
   (* the decoder bounds CPU numbers by the header; the machine must agree *)
@@ -437,86 +442,25 @@ let replay r ~(setup : Run.setup) =
       (Corrupt
          (Printf.sprintf "header names %d CPUs, the replay machine has %d" r.hdr.n_cpus
             cfg.n_cpus));
-  let { Run.program; summary; hints_info; policy; layout_end = _ } = Run.prepare setup in
-  let classify =
-    (* mirror Run.run: a hash-aware replay must rebuild the same
-       bin-classified pool or granted frames diverge from the tape *)
-    match setup.Run.policy with
-    | Run.Cdpc_hash _ -> Some (Pcolor_cdpc.Hcolorer.classify cfg)
-    | _ -> None
-  in
-  let kernel =
-    Pcolor_vm.Kernel.create ~cfg ~policy ?mem_frames:setup.Run.mem_frames ?classify ()
-  in
-  let obs = setup.Run.obs in
-  let machine = M.create ~obs cfg in
-  let translate ~cpu ~vpage = Pcolor_vm.Kernel.translate kernel ~cpu ~vpage in
-  let n = cfg.n_cpus in
+  let b = Run.build setup in
+  let machine = b.Run.machine and eng = b.Run.engine in
+  let translate ~cpu ~vpage = Pcolor_vm.Kernel.translate b.Run.kernel ~cpu ~vpage in
   let page_bits = Pcolor_util.Bits.log2 cfg.page_size in
-  let ov = ref (Pcolor_stats.Overheads.create ~n_cpus:n) in
-  let totals = Pcolor_stats.Totals.create ~n_cpus:n in
-  (* --- observability replication (the live engine's Engine.create /
-     run_phase_once / run_measured_occurrence instrumentation) --- *)
-  let obs_trace = Pcolor_obs.Ctx.trace obs in
-  (match obs_trace with
-  | Some buf ->
-    Pcolor_obs.Trace.process_name buf program.Ir.name;
-    for cpu = 0 to n - 1 do
-      Pcolor_obs.Trace.thread_name buf ~tid:cpu (Printf.sprintf "cpu%d" cpu)
-    done
-  | None -> ());
-  let obs_handles =
-    match Pcolor_obs.Ctx.metrics obs with
-    | None -> None
-    | Some reg ->
-      let module Mx = Pcolor_obs.Metrics in
-      Some
-        ( Mx.histogram reg "runtime.phase_cycles"
-            ~bounds:[| 1_000; 10_000; 100_000; 1_000_000; 10_000_000; 100_000_000 |],
-          Mx.counter reg "runtime.phase_occurrences",
-          Mx.counter reg "runtime.window_weight_ppm",
-          Mx.counter reg "runtime.bus_knee_crossings" )
-  in
-  let phases = Array.of_list program.Ir.phases in
-  (* phase occurrences in tape order: the warm-up pass, then the
-     measured plan expanded per simulated occurrence *)
-  let occs =
+  let totals = Pcolor_stats.Totals.create ~n_cpus:cfg.n_cpus in
+  let warmup = ref (Engine.warmup_plan eng) in
+  let measured =
     ref
-      (List.map
-         (fun (s : Window.step) -> (phases.(s.phase_idx).Ir.pname, "warmup"))
-         (Window.warmup_plan program)
-      @ (Window.plan ~cap:setup.Run.cap program
-        |> List.concat_map (fun (s : Window.step) ->
-               List.init s.simulate (fun _ -> (phases.(s.phase_idx).Ir.pname, "measured")))))
+      (Engine.measured_plan eng ~cap:setup.Run.cap
+      |> List.concat_map (fun (s : Window.step) -> List.init s.simulate (fun _ -> s)))
   in
-  let sum_pf_dropped () =
-    let total = ref 0 in
-    for cpu = 0 to n - 1 do
-      total := !total + (M.stats machine ~cpu).M.pf_dropped_tlb
-    done;
-    !total
+  let measuring = ref false and open_phase = ref None in
+  let next_step plan =
+    match !plan with
+    | s :: rest ->
+      plan := rest;
+      s
+    | [] -> fail (Corrupt "more phase occurrences than the window plan")
   in
-  let tmax () =
-    let m = ref 0 in
-    for cpu = 0 to n - 1 do
-      m := max !m (M.cpu_time machine ~cpu)
-    done;
-    !m
-  in
-  (* one weight per measured occurrence, in tape order *)
-  let weights =
-    ref
-      (Window.plan ~cap:setup.Run.cap program
-      |> List.concat_map (fun (s : Window.step) -> List.init s.simulate (fun _ -> s.weight)))
-  in
-  let measuring = ref false in
-  (* snapshots live across PHASE_BEGIN → PHASE_END *)
-  let t0 = Array.make n 0 and stall0 = Array.make n 0 in
-  let busy0 = ref 0 in
-  let dropped0 = ref 0 in
-  let wall0 = ref 0 in
-  let last_contention = ref 1.0 in
-  let start = ref None in
   (* current section, as the decoder announces it *)
   let cpu = ref 0 and nrefs = ref 0 and ipi = ref 0 and extra = ref 0 and strides = ref [||] in
   let rc : Engine.recorder =
@@ -534,127 +478,34 @@ let replay r ~(setup : Run.setup) =
             ~strides:!strides ~instr_per_iter:!ipi ~extra_onchip_stall:!extra);
       rec_tick = (fun ~cpu n -> M.tick machine ~cpu n);
       rec_onchip = (fun ~cpu n -> M.add_onchip_stall machine ~cpu n);
-      rec_barrier = (fun kind -> Engine.barrier_step machine !ov ~first_cpu:0 ~n kind);
+      rec_barrier = Engine.barrier eng;
       rec_reset =
         (fun () ->
+          if !warmup <> [] then fail (Corrupt "RESET before the warm-up pass ended");
           M.reset_stats machine;
-          ov := Pcolor_stats.Overheads.create ~n_cpus:n;
+          Engine.begin_measured eng;
           measuring := true);
       rec_touch =
         (fun ~cpu ~vpage -> M.touch_page machine ~cpu ~vaddr:(vpage lsl page_bits) ~translate);
       rec_phase_begin =
         (fun () ->
-          for c = 0 to n - 1 do
-            t0.(c) <- M.cpu_time machine ~cpu:c;
-            stall0.(c) <- M.total_mem_stall (M.stats machine ~cpu:c)
-          done;
-          busy0 := Pcolor_memsim.Bus.busy_cycles (M.bus machine);
-          dropped0 := (match obs_trace with Some _ -> sum_pf_dropped () | None -> 0);
-          wall0 := (match obs_handles with Some _ -> tmax () | None -> 0);
-          if !measuring then start := Some (Pcolor_stats.Totals.snapshot machine !ov));
+          if !open_phase <> None then fail (Corrupt "PHASE_BEGIN inside an open phase");
+          open_phase :=
+            Some
+              (if !measuring then Engine.open_occurrence eng ~into:totals (next_step measured)
+               else Engine.open_occurrence eng (next_step warmup)));
       rec_phase_end =
         (fun () ->
-          let pname, cat =
-            match !occs with
-            | o :: rest ->
-              occs := rest;
-              o
-            | [] -> fail (Corrupt "more phase occurrences than the window plan")
-          in
-          (match obs_trace with
-          | Some buf ->
-            for c = 0 to n - 1 do
-              Pcolor_obs.Trace.duration_begin buf ~ts:t0.(c) ~tid:c ~cat pname;
-              Pcolor_obs.Trace.duration_end buf ~ts:(M.cpu_time machine ~cpu:c) ~tid:c ~cat pname
-            done;
-            let dropped = sum_pf_dropped () - !dropped0 in
-            let master = Pcolor_comp.Schedule.master in
-            if dropped > 0 then
-              Pcolor_obs.Trace.instant buf
-                ~ts:(M.cpu_time machine ~cpu:master)
-                ~tid:master ~cat:"prefetch"
-                ~args:[ ("count", Pcolor_obs.Json.Int dropped) ]
-                "prefetch-drops"
-          | None -> ());
-          let f = Engine.contention_settle machine ~t0 ~stall0 ~busy0:!busy0 in
-          if f > 1.0 && !last_contention <= 1.0 then begin
-            (match obs_handles with
-            | Some (_, _, _, knee) -> Pcolor_obs.Metrics.incr knee
-            | None -> ());
-            let master = Pcolor_comp.Schedule.master in
-            (match obs_trace with
-            | Some buf ->
-              Pcolor_obs.Trace.instant buf
-                ~ts:(M.cpu_time machine ~cpu:master)
-                ~tid:master ~cat:"bus"
-                ~args:[ ("stretch_factor", Pcolor_obs.Json.Float f) ]
-                "bus-knee"
-            | None -> ());
-            Logs.debug ~src:Pcolor_obs.Log.src (fun m ->
-                m "bus crossed the saturation knee: stretch factor %.3f" f)
-          end;
-          last_contention := f;
-          match !start with
-          | None -> ()
-          | Some s ->
-            let fin = Pcolor_stats.Totals.snapshot machine !ov in
-            let weight =
-              match !weights with
-              | w :: rest ->
-                weights := rest;
-                w
-              | [] -> fail (Corrupt "more measured occurrences than the window plan")
-            in
-            (match obs_handles with
-            | Some (phase_cycles, occurrences, weight_ppm, _) ->
-              let module Mx = Pcolor_obs.Metrics in
-              Mx.observe phase_cycles (tmax () - !wall0);
-              Mx.incr occurrences;
-              Mx.add weight_ppm (int_of_float (weight *. 1e6))
-            | None -> ());
-            Pcolor_stats.Totals.accumulate ~into:totals ~start:s ~fin ~f ~weight;
-            start := None);
+          match !open_phase with
+          | Some o ->
+            open_phase := None;
+            Engine.close_occurrence eng o
+          | None -> fail (Corrupt "PHASE_END without PHASE_BEGIN"));
     }
   in
   (try decode r rc
    with Pcolor_vm.Kernel.Out_of_frames _ ->
      fail (Corrupt "reference stream exhausted physical memory"));
-  if !weights <> [] then fail (Truncated "measured window incomplete (missing END marker)");
-  M.sample_flush machine;
-  (match obs_trace with Some buf -> M.emit_timeline_counters machine buf | None -> ());
-  let pool = Pcolor_vm.Kernel.pool kernel in
-  let metrics_snapshot =
-    match Pcolor_obs.Ctx.metrics obs with
-    | None -> None
-    | Some reg ->
-      M.publish_metrics machine reg;
-      Pcolor_vm.Kernel.publish_metrics kernel reg;
-      Some (Pcolor_obs.Metrics.snapshot reg)
-  in
-  Pcolor_obs.Ctx.flush obs;
-  let report =
-    Pcolor_stats.Report.of_totals ~benchmark:program.Ir.name ~machine:cfg.name ~n_cpus:cfg.n_cpus
-      ~policy:(Run.policy_name setup.Run.policy) ~prefetch:setup.Run.prefetch
-      ~page_faults:(Pcolor_vm.Kernel.faults kernel)
-      ~hints_honored:(Pcolor_vm.Frame_pool.honored pool)
-      ~hints_fallback:(Pcolor_vm.Frame_pool.fallbacks pool)
-      totals
-  in
-  {
-    Run.cfg;
-    report;
-    totals;
-    program;
-    summary;
-    hints_info = Option.map snd hints_info;
-    trace = [];
-    kernel;
-    machine;
-    recolorings = 0;
-    hash_inversion =
-      (match setup.Run.policy with
-      | Run.Cdpc_hash _ -> Some (Pcolor_cdpc.Hcolorer.inversion_name cfg)
-      | _ -> None);
-    metrics = metrics_snapshot;
-    attrib = Pcolor_obs.Ctx.attrib obs;
-  }
+  if !measured <> [] || !open_phase <> None then
+    fail (Truncated "measured window incomplete (missing END marker)");
+  Run.finish b totals

@@ -2,16 +2,16 @@
     simulation events (run-coalesced records in the
     {!Pcolor_comp.Walker} encoding, delta-encoded as varints), replay
     it later through {!Pcolor_memsim.Machine.consume_runs} and the
-    engine's own barrier and contention arithmetic — byte-identical
-    counters, O(batch) memory in both directions.
+    engine's own phase bracket and barrier — byte-identical counters,
+    O(batch) memory in both directions.
 
     Writer and reader speak format v2 only: a v1 tape (per-reference
     batch records) is refused with {!Bad_version}.
 
     Replay honors the observability context in the setup: metrics,
-    phase spans, attribution and the cycle-epoch timeline all
-    reproduce, so a taped run yields the same artifact sections as a
-    live run. *)
+    phase spans and instants, attribution and the cycle-epoch timeline
+    all reproduce, so a taped run yields the same artifact sections and
+    the same Chrome trace as a live run. *)
 
 (** Trace self-description, embedded after the magic/version preamble
     so a replay can rebuild the identical kernel, machine and window
@@ -99,9 +99,10 @@ val header : reader -> header
 val decode : reader -> Engine.recorder -> unit
 
 (** [replay r ~setup] consumes the event tape against a fresh
-    kernel/machine built from [setup] (construct it from {!header} —
-    the recorded run's setup) and returns the outcome with counters
-    byte-identical to the recorded run.  The reference stream is never
+    kernel/machine/engine built by {!Run.build} from [setup] (construct
+    it from {!header} — the recorded run's setup) and returns
+    {!Run.finish}'s outcome with counters byte-identical to the
+    recorded run.  The reference stream is never
     materialized: batches stream from disk straight into the consume
     loop.  The outcome carries the same metrics/attribution sections a
     live run would produce under the same observability context.

@@ -15,9 +15,9 @@ type t
     byte-identical artifacts. *)
 type kind = Interp | Runs
 
-(** Trace-recording hooks ({!Btrace} constructs these): the engine
-    invokes them at every simulation event so a binary trace can be
-    written as a tee on the runs engine. *)
+(** Trace-recording hooks: the engine invokes them at every simulation
+    event so a binary trace ({!Btrace}) can be written as a tee on the
+    runs engine; the trace decoder drives the same hooks from a tape. *)
 type recorder = {
   rec_run_section :
     cpu:int -> nrefs:int -> instr_per_iter:int -> extra_onchip_stall:int -> strides:int array -> unit;
@@ -57,25 +57,6 @@ val create :
   unit ->
   t
 
-(** [contention_settle machine ~t0 ~stall0 ~busy0] solves the per-phase
-    bus-contention fixed point over deltas since the snapshot and
-    charges the stretched stall — exposed so trace replay applies the
-    identical arithmetic. *)
-val contention_settle :
-  Pcolor_memsim.Machine.t -> t0:int array -> stall0:int array -> busy0:int -> float
-
-(** [barrier_step machine ov ~first_cpu ~n kind] classifies barrier
-    waiting time into [ov], charges the software barrier cost and
-    synchronizes the clocks of CPUs [\[first_cpu, first_cpu + n)] —
-    exposed for the same reason. *)
-val barrier_step :
-  Pcolor_memsim.Machine.t ->
-  Pcolor_stats.Overheads.t ->
-  first_cpu:int ->
-  n:int ->
-  Pcolor_comp.Ir.loop_kind ->
-  unit
-
 (** [touch_pages_in_order t vpages] makes the master fault pages in
     order — the §5.3 Digital-UNIX user-level CDPC implementation. *)
 val touch_pages_in_order : t -> int list -> unit
@@ -113,6 +94,38 @@ val run_measured_occurrence :
     [after_phase] runs after every phase occurrence (the recoloring
     hook). *)
 val run : t -> ?cap:int -> ?after_phase:(unit -> unit) -> unit -> Pcolor_stats.Totals.t
+
+(** {2 The phase bracket}
+
+    One phase occurrence is {!open_occurrence}, the phase's nests (each
+    closed by {!barrier}), then {!close_occurrence} — the two warm-up
+    and measured steps above are exactly that.  Trace replay
+    ({!Btrace.replay}) owns an engine it never asks to walk a nest
+    and drives the same halves from the tape's phase markers, so the
+    phase spans, the [prefetch-drops] and [bus-knee] instants, the
+    [runtime.*] metrics, the contention fixed point and the window
+    weighting exist once. *)
+
+type occurrence
+
+(** [open_occurrence t ?into step] snapshots the machine as one
+    occurrence of [step]'s phase begins.  With [into] the occurrence is
+    measured; without it, it belongs to the warm-up pass. *)
+val open_occurrence : t -> ?into:Pcolor_stats.Totals.t -> Window.step -> occurrence
+
+(** [close_occurrence t ?after_phase o] ends the occurrence: emits its
+    per-CPU spans and prefetch-drop instant, settles bus contention
+    (and the bus-knee instant), runs [after_phase], and for a measured
+    occurrence records the runtime metrics and folds the deltas,
+    stretched and weighted by the step's weight, into its [into]. *)
+val close_occurrence : t -> ?after_phase:(unit -> unit) -> occurrence -> unit
+
+(** [barrier t kind] ends a nest region: classifies each CPU's waiting
+    time by [kind] into the overhead accumulators, charges the software
+    barrier cost and synchronizes the engine's CPU clocks. *)
+val barrier : t -> Pcolor_comp.Ir.loop_kind -> unit
+
+(** {2 Results and wiring} *)
 
 (** [trace_points t] is the recorded (vpage, cpu) set (empty unless
     [collect_trace]). *)

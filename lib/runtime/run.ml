@@ -172,7 +172,7 @@ let prepare ?(relocate = 0) (setup : setup) =
     | Cdpc _ | Cdpc_hash _ ->
       (* hash-aware CDPC generates the same §5.2 hints — positions are
          already the right bin schedule; the hash inversion happens in
-         the frame pool (Hcolorer.classify), not here *)
+         the frame pool [build] classifies, not here *)
       let hints, info =
         Pcolor_cdpc.Colorer.generate_ablated ~ablation:setup.cdpc_ablation ~cfg ~summary
           ~program ~n_cpus:cfg.n_cpus
@@ -204,26 +204,103 @@ let prepare ?(relocate = 0) (setup : setup) =
   let policy = Pcolor_vm.Policy.create ~n_colors ~seed:setup.seed ~race_jitter policy_spec in
   { program; summary; hints_info; policy; layout_end = layout_end + relocate }
 
-(** [run ?recorder setup] executes one experiment end to end.
-    [recorder] (requires the runs engine) tees every simulation event
-    to a binary-trace writer ({!Btrace}). *)
-let run ?recorder (setup : setup) =
+(** A run's simulated components, wired and not yet started: what
+    {!build} returns and {!finish} turns into an {!outcome}. *)
+type built = {
+  setup : setup;
+  prepared : prepared;
+  kernel : Pcolor_vm.Kernel.t;
+  machine : Pcolor_memsim.Machine.t;
+  engine : Engine.t;
+}
+
+(** [build ?recorder setup] prepares the program and wires the kernel
+    (a hash-aware policy gets the bin-classified pool), the machine and
+    the engine. *)
+let build ?recorder (setup : setup) =
   let cfg = setup.cfg in
-  let { program; summary; hints_info; policy; layout_end = _ } = prepare setup in
+  let prepared = prepare setup in
   let classify =
     match setup.policy with
     | Cdpc_hash _ -> Some (Pcolor_cdpc.Hcolorer.classify cfg)
     | _ -> None
   in
-  let kernel = Pcolor_vm.Kernel.create ~cfg ~policy ?mem_frames:setup.mem_frames ?classify () in
+  let kernel =
+    Pcolor_vm.Kernel.create ~cfg ~policy:prepared.policy ?mem_frames:setup.mem_frames ?classify ()
+  in
   let machine = Pcolor_memsim.Machine.create ~obs:setup.obs cfg in
   let plans =
-    if setup.prefetch then Pcolor_comp.Prefetcher.plan cfg program else Pcolor_comp.Prefetcher.none
+    if setup.prefetch then Pcolor_comp.Prefetcher.plan cfg prepared.program
+    else Pcolor_comp.Prefetcher.none
   in
   let engine =
     Engine.create ~check_bounds:setup.check_bounds ~collect_trace:setup.collect_trace
-      ~obs:setup.obs ~engine:setup.engine ?recorder ~machine ~kernel ~program ~plans ()
+      ~obs:setup.obs ~engine:setup.engine ?recorder ~machine ~kernel ~program:prepared.program
+      ~plans ()
   in
+  { setup; prepared; kernel; machine; engine }
+
+(** [finish ?recolorer b totals] closes the run: flushes the timeline
+    (final partial rows make column sums equal the aggregates, then the
+    rows ride into the trace as counter events), publishes the metrics,
+    flushes the observability context and builds the report. *)
+let finish ?recolorer { setup; prepared; kernel; machine; engine } totals =
+  let cfg = setup.cfg and obs = setup.obs in
+  Pcolor_memsim.Machine.sample_flush machine;
+  (match Pcolor_obs.Ctx.trace obs with
+  | Some buf -> Pcolor_memsim.Machine.emit_timeline_counters machine buf
+  | None -> ());
+  let pool = Pcolor_vm.Kernel.pool kernel in
+  let metrics_snapshot =
+    match Pcolor_obs.Ctx.metrics obs with
+    | None -> None
+    | Some reg ->
+      Pcolor_memsim.Machine.publish_metrics machine reg;
+      Pcolor_vm.Kernel.publish_metrics kernel reg;
+      (match recolorer with
+      | Some rc ->
+        let rounds, moved, copy_cycles = Recolor.stats rc in
+        let c name = Pcolor_obs.Metrics.counter reg name in
+        Pcolor_obs.Metrics.add (c "recolor.rounds") rounds;
+        Pcolor_obs.Metrics.add (c "recolor.pages_moved") moved;
+        Pcolor_obs.Metrics.add (c "recolor.copy_cycles") copy_cycles
+      | None -> ());
+      Some (Pcolor_obs.Metrics.snapshot reg)
+  in
+  Pcolor_obs.Ctx.flush obs;
+  let report =
+    Pcolor_stats.Report.of_totals ~benchmark:prepared.program.name ~machine:cfg.name
+      ~n_cpus:cfg.n_cpus ~policy:(policy_name setup.policy) ~prefetch:setup.prefetch
+      ~page_faults:(Pcolor_vm.Kernel.faults kernel)
+      ~hints_honored:(Pcolor_vm.Frame_pool.honored pool)
+      ~hints_fallback:(Pcolor_vm.Frame_pool.fallbacks pool)
+      totals
+  in
+  {
+    cfg;
+    report;
+    totals;
+    program = prepared.program;
+    summary = prepared.summary;
+    hints_info = Option.map snd prepared.hints_info;
+    trace = Engine.trace_points engine;
+    kernel;
+    machine;
+    recolorings =
+      (match recolorer with Some rc -> (fun (_, r, _) -> r) (Recolor.stats rc) | None -> 0);
+    hash_inversion =
+      (match setup.policy with
+      | Cdpc_hash _ -> Some (Pcolor_cdpc.Hcolorer.inversion_name cfg)
+      | _ -> None);
+    metrics = metrics_snapshot;
+    attrib = Pcolor_obs.Ctx.attrib obs;
+  }
+
+(** [run ?recorder setup] executes one experiment end to end.
+    [recorder] (requires the runs engine) tees every simulation event
+    to a binary-trace writer ({!Btrace}). *)
+let run ?recorder (setup : setup) =
+  let ({ kernel; machine; engine; prepared; _ } as b) = build ?recorder setup in
   (* Pool exhaustion surfaces as a diagnostic (PCOLOR_LOG channel) with
      the faulting CPU/page and the pool state before propagating, so a
      too-small --mem-frames reads as a finding, not a crash site. *)
@@ -241,7 +318,7 @@ let run ?recorder (setup : setup) =
   (match setup.policy with
   | Cdpc { via_touch = true; _ } ->
     guard_oom (fun () ->
-        Engine.touch_pages_in_order engine (touch_order (snd (Option.get hints_info))))
+        Engine.touch_pages_in_order engine (touch_order (snd (Option.get prepared.hints_info))))
   | _ -> ());
   let recolorer =
     match setup.policy with
@@ -265,57 +342,7 @@ let run ?recorder (setup : setup) =
     | None -> ()
   in
   let totals = guard_oom (fun () -> Engine.run engine ~cap:setup.cap ~after_phase ()) in
-  (* close the timeline: final partial rows make column sums equal the
-     aggregates, then the rows ride into the trace as counter events *)
-  Pcolor_memsim.Machine.sample_flush machine;
-  (match Pcolor_obs.Ctx.trace setup.obs with
-  | Some buf -> Pcolor_memsim.Machine.emit_timeline_counters machine buf
-  | None -> ());
-  let pool = Pcolor_vm.Kernel.pool kernel in
-  let metrics_snapshot =
-    match Pcolor_obs.Ctx.metrics setup.obs with
-    | None -> None
-    | Some reg ->
-      Pcolor_memsim.Machine.publish_metrics machine reg;
-      Pcolor_vm.Kernel.publish_metrics kernel reg;
-      (match recolorer with
-      | Some rc ->
-        let rounds, moved, copy_cycles = Recolor.stats rc in
-        let c name = Pcolor_obs.Metrics.counter reg name in
-        Pcolor_obs.Metrics.add (c "recolor.rounds") rounds;
-        Pcolor_obs.Metrics.add (c "recolor.pages_moved") moved;
-        Pcolor_obs.Metrics.add (c "recolor.copy_cycles") copy_cycles
-      | None -> ());
-      Some (Pcolor_obs.Metrics.snapshot reg)
-  in
-  Pcolor_obs.Ctx.flush setup.obs;
-  let report =
-    Pcolor_stats.Report.of_totals ~benchmark:program.name ~machine:cfg.name ~n_cpus:cfg.n_cpus
-      ~policy:(policy_name setup.policy) ~prefetch:setup.prefetch
-      ~page_faults:(Pcolor_vm.Kernel.faults kernel)
-      ~hints_honored:(Pcolor_vm.Frame_pool.honored pool)
-      ~hints_fallback:(Pcolor_vm.Frame_pool.fallbacks pool)
-      totals
-  in
-  {
-    cfg;
-    report;
-    totals;
-    program;
-    summary;
-    hints_info = Option.map snd hints_info;
-    trace = Engine.trace_points engine;
-    kernel;
-    machine;
-    recolorings =
-      (match recolorer with Some rc -> (fun (_, r, _) -> r) (Recolor.stats rc) | None -> 0);
-    hash_inversion =
-      (match setup.policy with
-      | Cdpc_hash _ -> Some (Pcolor_cdpc.Hcolorer.inversion_name cfg)
-      | _ -> None);
-    metrics = metrics_snapshot;
-    attrib = Pcolor_obs.Ctx.attrib setup.obs;
-  }
+  finish ?recolorer b totals
 
 (** [artifact_json ?provenance outcome] is the machine-readable run
     artifact: schema version, provenance, the report, the metrics

@@ -102,6 +102,27 @@ type prepared = {
     making jobs' virtual pages disjoint. *)
 val prepare : ?relocate:int -> setup -> prepared
 
+(** A run's simulated components, wired and not yet started. *)
+type built = {
+  setup : setup;
+  prepared : prepared;
+  kernel : Pcolor_vm.Kernel.t;
+  machine : Pcolor_memsim.Machine.t;
+  engine : Engine.t;
+}
+
+(** [build ?recorder setup] is a run's build step: {!prepare}, then
+    the kernel (for [Cdpc_hash], over a frame pool classified by the
+    inverted slice hash), the machine and the engine (with the
+    software-prefetch plan when [setup.prefetch] is set). *)
+val build : ?recorder:Engine.recorder -> setup -> built
+
+(** [finish ?recolorer b totals] is a run's finish step: the final
+    timeline flush and its trace counters, the metrics snapshot (with
+    [recolorer]'s counters), the observability flush, and the report
+    over [totals]. *)
+val finish : ?recolorer:Recolor.t -> built -> Pcolor_stats.Totals.t -> outcome
+
 (** [run ?recorder setup] executes one experiment end to end.
     [recorder] (requires the runs engine) tees every simulation event
     to a binary-trace writer ({!Btrace}).  Pool exhaustion

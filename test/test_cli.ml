@@ -1,6 +1,8 @@
-(* Command-line robustness: a bad flag value must end in one stderr line
-   naming the flag and exit 2 — the convention `--slices 3` set — never
-   in an uncaught exception (exit 125 and a backtrace). *)
+(* Command-line robustness: a bad flag value, an output path in a
+   missing directory or a directory given as a replay input must end in
+   one stderr line naming the flag (the path, for the replay input) and
+   exit 2 — the convention `--slices 3` set — never in an uncaught
+   exception (exit 125 and a backtrace). *)
 
 let tape = Filename.concat (Filename.get_temp_dir_name ()) "pcolor_cli_rejected.pcbt"
 
@@ -22,6 +24,22 @@ let rejects ~flag ?no_file args () =
   Option.iter
     (fun f -> Alcotest.(check bool) (label ^ ": nothing written") false (Sys.file_exists f))
     no_file
+
+(* An output path under a directory that does not exist. *)
+let missing name =
+  Filename.concat (Filename.concat (Filename.get_temp_dir_name ()) "pcolor_no_such_dir") name
+
+(* A real tape for the replay cases, recorded once. *)
+let good_tape =
+  lazy
+    (let path = Filename.concat (Filename.get_temp_dir_name ()) "pcolor_cli_good.pcbt" in
+     let code, stderr =
+       Helpers.run_cli [ "record"; "tomcatv"; "-s"; "64"; "-p"; "2"; "-o"; path ]
+     in
+     if code <> 0 then Alcotest.failf "recording the replay input failed (%d): %s" code stderr;
+     path)
+
+let rejects_replay ~flag args () = rejects ~flag ("replay" :: Lazy.force good_tape :: args) ()
 
 let contains s sub =
   let n = String.length sub in
@@ -178,6 +196,33 @@ let suite =
           (rejects ~flag:"--slices/--llc-hash"
              [ "run"; "tomcatv"; "-s"; "64"; "--slices"; "3" ]);
         Alcotest.test_case "run --engine=batch" `Quick test_engine_batch_refused;
+      ] );
+    ( "cli.paths",
+      [
+        Alcotest.test_case "record -o in a missing directory" `Quick
+          (rejects ~flag:"-o"
+             [ "record"; "tomcatv"; "-s"; "64"; "-p"; "2"; "-o"; missing "x.pcbt" ]);
+        Alcotest.test_case "replay a directory" `Quick
+          (let dir = Filename.get_temp_dir_name () in
+           rejects ~flag:dir [ "replay"; dir ]);
+        Alcotest.test_case "run --trace in a missing directory" `Quick
+          (rejects ~flag:"--trace"
+             [ "run"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--trace"; missing "t.json" ]);
+        Alcotest.test_case "record --trace in a missing directory" `Quick
+          (rejects ~flag:"--trace" ~no_file:tape
+             [ "record"; "tomcatv"; "-s"; "64"; "-p"; "2"; "-o"; tape; "--trace";
+               missing "t.json" ]);
+        Alcotest.test_case "replay --trace in a missing directory" `Quick
+          (rejects_replay ~flag:"--trace" [ "--trace"; missing "t.json" ]);
+        Alcotest.test_case "run --metrics-out in a missing directory" `Quick
+          (rejects ~flag:"--metrics-out"
+             [ "run"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--metrics-out"; missing "m.json" ]);
+        Alcotest.test_case "record --metrics-out in a missing directory" `Quick
+          (rejects ~flag:"--metrics-out" ~no_file:tape
+             [ "record"; "tomcatv"; "-s"; "64"; "-p"; "2"; "-o"; tape; "--metrics-out";
+               missing "m.json" ]);
+        Alcotest.test_case "replay --metrics-out in a missing directory" `Quick
+          (rejects_replay ~flag:"--metrics-out" [ "--metrics-out"; missing "m.json" ]);
       ] );
     ( "cli.perf",
       [

@@ -8,7 +8,8 @@
    - the sampler's steady-state commit path allocates nothing on the
      minor heap;
    - a recorded tape replays to a byte-identical artifact under full
-     observability (metrics + attribution + timeline);
+     observability (metrics + attribution + timeline), and to a
+     byte-identical Chrome trace (spans, instants, counters);
    - malformed binary traces raise the typed {!Btrace.Error}, never a
      bare [Failure] or garbage counters (unit cases + corruption fuzz),
      including truncations around the codec's chunk boundaries, retired
@@ -239,6 +240,68 @@ let test_replay_artifact_identity () =
       Alcotest.(check bool) "replay carries metrics" true (replayed.Run.metrics <> None);
       Alcotest.(check bool) "replay carries attribution" true (replayed.Run.attrib <> None))
 
+(* The Chrome trace half of replay parity: a taped run and its replay
+   emit the same JSONL byte for byte — metadata, phase spans, the
+   prefetch-drops and bus-knee instants and the timeline counters.  The
+   tiny machine's 8-entry TLB drops prefetches, and its narrow bus
+   saturates, so both instants are exercised. *)
+let test_replay_trace_identity () =
+  let cfg = Helpers.tiny_cfg ~n_cpus:2 () in
+  let traced path =
+    let sink = Pcolor.Obs.Trace.open_sink ~path in
+    let obs =
+      Pcolor.Obs.Ctx.create ~trace:(Pcolor.Obs.Trace.buffer sink)
+        ~sampler:(M.sampler_for ~epoch_cycles cfg) ()
+    in
+    ( sink,
+      setup ~obs ~policy:Run.Page_coloring ~prefetch:true ~engine:Pcolor.Runtime.Engine.Runs () )
+  in
+  let rec_trace = Filename.temp_file "pcolor_rec" ".json" in
+  let rep_trace = Filename.temp_file "pcolor_rep" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ rec_trace; rep_trace ])
+    (fun () ->
+      with_tape (fun path ->
+          let sink, s = traced rec_trace in
+          let oc = open_out_bin path in
+          let w =
+            Btrace.create_writer oc
+              {
+                Btrace.bench = "fig4";
+                machine = "tiny";
+                n_cpus = 2;
+                scale = 1;
+                policy = "pc";
+                prefetch = true;
+                seed = s.Run.seed;
+                cap = s.Run.cap;
+                provenance = "test";
+              }
+          in
+          ignore (Run.run ~recorder:(Btrace.recorder w) s);
+          Btrace.finish w;
+          close_out oc;
+          Pcolor.Obs.Trace.close sink;
+          let sink, s = traced rep_trace in
+          let ic = open_in_bin path in
+          Fun.protect
+            ~finally:(fun () -> close_in ic)
+            (fun () -> ignore (Btrace.replay (Btrace.open_reader ic) ~setup:s));
+          Pcolor.Obs.Trace.close sink);
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      let recorded = read rec_trace in
+      Alcotest.(check string) "trace JSONL byte-identical" recorded (read rep_trace);
+      let events = String.split_on_char '\n' recorded |> List.filter (( <> ) "") in
+      List.iter
+        (fun name ->
+          let named l =
+            match Json.parse l with
+            | Ok ev -> Json.member "name" ev = Some (Json.Str name)
+            | Error _ -> false
+          in
+          Alcotest.(check bool) (name ^ " instants occur") true (List.exists named events))
+        [ "prefetch-drops"; "bus-knee" ])
+
 (* ---------- typed corruption errors ---------- *)
 
 let read_file path =
@@ -385,6 +448,81 @@ let test_btrace_varint_overflow () =
       | _ -> Alcotest.fail "an overlong varint must not replay"
       | exception Btrace.Error (Btrace.Corrupt msg) ->
         Alcotest.(check string) "message" "varint wider than 63 bits" msg)
+
+(* ---------- phase markers against the window plan ---------- *)
+
+module Engine = Pcolor.Runtime.Engine
+
+(* [reencode tape edit] decodes [tape] into a fresh writer through
+   [edit] applied to the writer's recorder: a well-formed tape whose
+   events are the edited ones. *)
+let reencode tape edit =
+  let r = Btrace.open_string tape in
+  with_tape (fun path ->
+      let oc = open_out_bin path in
+      let w = Btrace.create_writer oc (Btrace.header r) in
+      Btrace.decode r (edit (Btrace.recorder w));
+      Btrace.finish w;
+      close_out oc;
+      read_file path)
+
+(* Replay checks the tape's phase structure, not only its bytes: each
+   edit below keeps every event well formed but breaks the bracket or
+   the window, and must raise the typed error rather than finish with
+   an occurrence's weighted totals missing. *)
+let test_btrace_phase_structure () =
+  let tape = with_tape (fun path -> ignore (record_tape ~path ()); read_file path) in
+  let ends = ref 0 in
+  ignore
+    (reencode tape (fun rc ->
+         { rc with Engine.rec_phase_end = (fun () -> incr ends; rc.Engine.rec_phase_end ()) }));
+  let before_first_begin extra rc =
+    let first = ref true in
+    {
+      rc with
+      Engine.rec_phase_begin =
+        (fun () ->
+          if !first then extra rc;
+          first := false;
+          rc.Engine.rec_phase_begin ());
+    }
+  in
+  let seen = ref 0 in
+  let cases =
+    [
+      ( "final PHASE_END dropped",
+        (fun rc ->
+          {
+            rc with
+            Engine.rec_phase_end =
+              (fun () ->
+                incr seen;
+                if !seen < !ends then rc.Engine.rec_phase_end ());
+          }),
+        fun c ->
+          c = Btrace.Truncated "measured window incomplete (missing END marker)" );
+      ( "nested PHASE_BEGIN",
+        before_first_begin (fun rc -> rc.Engine.rec_phase_begin ()),
+        ( = ) (Btrace.Corrupt "PHASE_BEGIN inside an open phase") );
+      ( "PHASE_END before any PHASE_BEGIN",
+        before_first_begin (fun rc -> rc.Engine.rec_phase_end ()),
+        ( = ) (Btrace.Corrupt "PHASE_END without PHASE_BEGIN") );
+      ( "RESET inside the warm-up pass",
+        before_first_begin (fun rc -> rc.Engine.rec_reset ()),
+        ( = ) (Btrace.Corrupt "RESET before the warm-up pass ended") );
+    ]
+  in
+  Alcotest.(check bool) "the tape has phases" true (!ends > 1);
+  List.iter
+    (fun (label, edit, expected) ->
+      with_tape (fun path ->
+          write_file path (reencode tape edit);
+          match replay_tape ~path () with
+          | _ -> Alcotest.failf "%s: must not replay" label
+          | exception Btrace.Error c ->
+            if not (expected c) then
+              Alcotest.failf "%s: wrong error %s" label (Btrace.corruption_message c)))
+    cases
 
 let test_replay_cli_bad_header () =
   List.iter
@@ -573,6 +711,7 @@ let suite =
         Alcotest.test_case "mismatched sampler rejected" `Quick test_sampler_dimension_check;
         Alcotest.test_case "record/replay artifact identity" `Quick
           test_replay_artifact_identity;
+        Alcotest.test_case "record/replay trace identity" `Quick test_replay_trace_identity;
         Alcotest.test_case "typed btrace errors" `Quick test_btrace_error_paths;
         Alcotest.test_case "v1 header is Bad_version" `Quick test_btrace_v1_bad_version;
         Alcotest.test_case "v1 record tags are corrupt" `Quick test_btrace_v1_tags_corrupt;
@@ -580,6 +719,8 @@ let suite =
         Alcotest.test_case "bad header fields are corrupt" `Quick test_btrace_bad_header_corrupt;
         Alcotest.test_case "replay CLI rejects bad headers" `Quick test_replay_cli_bad_header;
         Alcotest.test_case "overlong varint is corrupt" `Quick test_btrace_varint_overflow;
+        Alcotest.test_case "phase markers must match the window" `Quick
+          test_btrace_phase_structure;
         Alcotest.test_case "tape format pinned by MD5" `Quick test_btrace_golden_md5;
         Alcotest.test_case "truncation around a chunk edge" `Quick
           test_btrace_truncation_window;

@@ -329,42 +329,75 @@ let test_engines_identical () =
 
 (* ---------- binary trace round trip ---------- *)
 
+(* Every policy a tape can hold, prefetch on.  The hash-aware ones run
+   on a 2-slice Sandy-Bridge-hashed LLC, where their bin-classified
+   frame pool differs from a plain one: a replay that skipped the
+   classification would grant other frames than the tape's run. *)
 let test_btrace_roundtrip () =
-  let s =
-    {
-      (setup ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }) ~prefetch:true
-         ~engine:Pcolor.Runtime.Engine.Runs ()) with
-      collect_trace = false;
-    }
-  in
-  let path = Filename.temp_file "pcolor_btrace" ".btrace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      let w =
-        Btrace.create_writer oc
-          {
-            Btrace.bench = "fig4";
-            machine = "tiny";
-            n_cpus = 2;
-            scale = 1;
-            policy = "cdpc";
-            prefetch = true;
-            seed = s.Run.seed;
-            cap = s.Run.cap;
-            provenance = "test";
-          }
+  List.iter
+    (fun policy ->
+      let s =
+        {
+          (setup ~policy ~prefetch:true ~engine:Pcolor.Runtime.Engine.Runs ()) with
+          collect_trace = false;
+        }
       in
-      let direct = Run.run ~recorder:(Btrace.recorder w) s in
-      Btrace.finish w;
-      close_out oc;
-      let ic = open_in_bin path in
-      let r = Btrace.open_reader ic in
-      Alcotest.(check string) "header bench" "fig4" (Btrace.header r).Btrace.bench;
-      let replayed = Btrace.replay r ~setup:s in
-      close_in ic;
-      Alcotest.(check string) "replayed report identical" (render direct) (render replayed))
+      let s =
+        match policy with
+        | Run.Cdpc_hash _ ->
+          {
+            s with
+            cfg =
+              Helpers.tiny_cfg ~n_cpus:2 ~l2_slices:2 ~l2_hash:Pcolor.Memsim.Ahash.Sandybridge ();
+          }
+        | _ -> s
+      in
+      let label = Run.policy_name policy ^ "+pf" in
+      let path = Filename.temp_file "pcolor_btrace" ".btrace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          let w =
+            Btrace.create_writer oc
+              {
+                Btrace.bench = "fig4";
+                machine = "tiny";
+                n_cpus = 2;
+                scale = 1;
+                policy = Run.policy_name policy;
+                prefetch = true;
+                seed = s.Run.seed;
+                cap = s.Run.cap;
+                provenance = "test";
+              }
+          in
+          let direct = Run.run ~recorder:(Btrace.recorder w) s in
+          Btrace.finish w;
+          close_out oc;
+          let ic = open_in_bin path in
+          let r = Btrace.open_reader ic in
+          Alcotest.(check string) (label ^ " header bench") "fig4" (Btrace.header r).Btrace.bench;
+          let replayed = Btrace.replay r ~setup:s in
+          close_in ic;
+          Alcotest.(check string)
+            (label ^ " replayed report identical")
+            (render direct) (render replayed);
+          Alcotest.(check string)
+            (label ^ " replayed artifact identical")
+            (Pcolor.Obs.Json.to_string (Run.artifact_json direct))
+            (Pcolor.Obs.Json.to_string (Run.artifact_json replayed))))
+    [
+      Run.Page_coloring;
+      Run.Bin_hopping;
+      Run.Bin_hopping_unaligned;
+      Run.Random_colors;
+      Run.Cdpc { fallback = `Page_coloring; via_touch = false };
+      Run.Cdpc { fallback = `Bin_hopping; via_touch = false };
+      Run.Cdpc { fallback = `Page_coloring; via_touch = true };
+      Run.Cdpc_hash { fallback = `Page_coloring };
+      Run.Cdpc_hash { fallback = `Bin_hopping };
+    ]
 
 (* ---------- trace-point ordering ---------- *)
 
