@@ -12,7 +12,9 @@
 #                     run and on a 4-slice reclaiming mix with a
 #                     timeline (simulated metrics must be byte-identical)
 #                     and diff the TLB recolor and flush-mix runs against
-#                     golden/tlb_*.json and a 2-way-L2 run against
+#                     golden/tlb_*.json, a mix with the recolor and
+#                     cdpc-touch job hooks against golden/dynamic_mix.json
+#                     and a 2-way-L2 run against
 #                     golden/l2_2way.json --exact, plus `pcolor perf
 #                     history` over the perf ledger.  Host speed is
 #                     perfbench's job (perfbench/, BENCHMARK.json):
@@ -93,6 +95,13 @@ bench-check:
 	  --tlb flush --mem-frames 60 --policy cdpc --metrics-out _build/tlb_flush_mix.json
 	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/tlb_flush_mix.json \
 	  _build/tlb_flush_mix.json --exact
+	@# Mix-job wiring gate: a mix whose jobs run the dynamic-recoloring
+	@# hook and the cdpc-touch order (with a timeline) must reproduce
+	@# its committed golden artifact exactly.
+	$(DUNE) exec bin/pcolor_cli.exe -- mix tomcatv swim -p 4 -s 64 \
+	  --policy dynamic,cdpc-touch --timeline --metrics-out _build/dynamic_mix.json
+	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/dynamic_mix.json \
+	  _build/dynamic_mix.json --exact
 	@# Set-associative external-cache gate: every other golden runs a
 	@# direct-mapped L2, so a 2-way L2 run (packed ways with LRU stamps,
 	@# dirty victims) must reproduce its committed golden exactly.

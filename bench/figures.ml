@@ -7,8 +7,6 @@ module Mclass = Pcolor.Memsim.Mclass
 module Ir = Pcolor.Comp.Ir
 module Footprint = Pcolor.Comp.Footprint
 module Colorer = Pcolor.Cdpc.Colorer
-module Align = Pcolor.Cdpc.Align
-module Summary = Pcolor.Comp.Summary
 module Chart = Pcolor.Util.Chart
 
 (* ---------- Table 1 ---------- *)
@@ -162,18 +160,18 @@ let access_patterns () =
     (fun bench ->
       let d = Spec.find bench in
       let cfg = machine_cfg Sgi ~n_cpus in
-      let p = d.build ~scale () in
-      let summary = Summary.extract ~page_size:cfg.page_size p in
-      ignore (Align.layout ~cfg ~mode:Align.Aligned ~groups:summary.groups p.arrays);
+      let prepared =
+        Run.prepare (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy:cdpc)
+      in
       (* Figure 3: virtual-address order *)
-      let pts = Footprint.touch_points p ~n_cpus ~page_size:cfg.page_size in
+      let pts = Footprint.touch_points prepared.program ~n_cpus ~page_size:cfg.page_size in
       let x_max = 1 + List.fold_left (fun m (pg, _) -> max m pg) 0 pts in
       print_string
         (Chart.scatter
            ~title:(Printf.sprintf "[Fig 3] %s: pages touched, virtual-address order" bench)
            ~cols:100 ~n_rows:n_cpus ~x_max pts);
       (* Figure 5: CDPC coloring order *)
-      let _, info = Colorer.generate ~cfg ~summary ~program:p ~n_cpus in
+      let info = snd (Option.get prepared.hints_info) in
       let cpts = Colorer.coloring_order_points info in
       print_string
         (Chart.scatter

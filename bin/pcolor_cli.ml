@@ -833,6 +833,15 @@ let replay_cmd =
 
 (* ---- pattern (Figures 3 and 5) ---- *)
 
+(* The benchmark through the run's own compile-time pipeline under CDPC:
+   the laid-out program and its §5.2 placement. *)
+let cdpc_prepare ~cfg bench scale =
+  let d = find_bench bench in
+  Run.prepare
+    (Run.default_setup ~cfg
+       ~make_program:(fun () -> d.build ~scale ())
+       ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }))
+
 let pattern_cmd =
   let order_arg =
     Arg.(
@@ -843,21 +852,18 @@ let pattern_cmd =
                 (Figure 5).")
   in
   let action bench machine n_cpus scale order =
-    let d = find_bench bench in
     let cfg = config_of machine n_cpus scale in
-    let p = d.build ~scale () in
-    let summary = Pcolor.Comp.Summary.extract ~page_size:cfg.page_size p in
-    ignore
-      (Pcolor.Cdpc.Align.layout ~cfg ~mode:Pcolor.Cdpc.Align.Aligned ~groups:summary.groups
-         p.arrays);
+    let p = cdpc_prepare ~cfg bench scale in
     let points, x_max, what =
       match order with
       | `Va ->
-        let pts = Pcolor.Comp.Footprint.touch_points p ~n_cpus ~page_size:cfg.page_size in
+        let pts =
+          Pcolor.Comp.Footprint.touch_points p.Run.program ~n_cpus ~page_size:cfg.page_size
+        in
         let xm = 1 + List.fold_left (fun m (pg, _) -> max m pg) 0 pts in
         (pts, xm, "virtual-address order (Figure 3)")
       | `Cdpc ->
-        let _, info = Pcolor.Cdpc.Colorer.generate ~cfg ~summary ~program:p ~n_cpus in
+        let info = snd (Option.get p.Run.hints_info) in
         let pts = Pcolor.Cdpc.Colorer.coloring_order_points info in
         (pts, max 1 info.total_pages, "CDPC coloring order (Figure 5)")
     in
@@ -894,15 +900,8 @@ let pattern_cmd =
 
 let hints_cmd =
   let action bench machine n_cpus scale =
-    let d = find_bench bench in
-    let cfg = config_of machine n_cpus scale in
-    let p = d.build ~scale () in
-    let summary = Pcolor.Comp.Summary.extract ~page_size:cfg.page_size p in
-    ignore
-      (Pcolor.Cdpc.Align.layout ~cfg ~mode:Pcolor.Cdpc.Align.Aligned ~groups:summary.groups
-         p.arrays);
-    let _, info = Pcolor.Cdpc.Colorer.generate ~cfg ~summary ~program:p ~n_cpus in
-    Format.printf "%a@." Pcolor.Cdpc.Colorer.pp_placement info
+    let p = cdpc_prepare ~cfg:(config_of machine n_cpus scale) bench scale in
+    Format.printf "%a@." Pcolor.Cdpc.Colorer.pp_placement (snd (Option.get p.Run.hints_info))
   in
   Cmd.v (Cmd.info "hints" ~doc:"Dump the CDPC hint placement for a benchmark.")
     Term.(const action $ bench_arg $ machine_arg $ cpus_arg $ scale_arg)
@@ -960,8 +959,16 @@ let summary_cmd =
   let action bench scale =
     check_scale scale;
     let d = find_bench bench in
-    let p = d.build ~scale () in
-    let summary = Pcolor.Comp.Summary.extract p in
+    (* The layout only fixes the summary's page granularity: the unscaled
+       sgi model's 4 KiB pages. Page size does not depend on the scale,
+       and nothing printed depends on the policy or the layout, so the
+       unscaled model (which no [--scale] can shrink below 2 colors)
+       serves every scale. *)
+    let cfg = Pcolor.Memsim.Config.sgi_base ~n_cpus:1 () in
+    let p, summary, _ =
+      Run.layout
+        (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy:Run.Page_coloring)
+    in
     Format.printf "%s (%.1f MB at scale 1/%d)@.%a@." p.name
       (float_of_int (Pcolor.Comp.Ir.data_set_bytes p) /. 1048576.0)
       scale Pcolor.Comp.Summary.pp summary
@@ -1318,36 +1325,13 @@ let perf_check_cmd =
       $ stamp_arg ~at:0 ~docv:"BASE" ~doc:"Baseline git stamp (as recorded in the ledger)."
       $ stamp_arg ~at:1 ~docv:"FRESH" ~doc:"Candidate git stamp.")
 
-let perf_prof_cmd =
-  let action bench machine n_cpus scale policy prefetch seed cap engine =
-    let prof = Pcolor.Obs.Prof.create () in
-    let cfg = config_of machine n_cpus scale in
-    let setup =
-      {
-        (setup_of ~cfg bench scale policy prefetch seed cap) with
-        obs = Pcolor.Obs.Ctx.create ~prof ();
-        engine;
-      }
-    in
-    ignore (Run.run setup);
-    print_string (Pcolor.Obs.Prof.render prof)
-  in
-  Cmd.v
-    (Cmd.info "prof"
-       ~doc:
-         "Self-profile one run: wall-clock and GC deltas per engine phase (walker fill, \
-          consume/retire, reclaim, artifact serialization) of the host process.")
-    Term.(
-      const action $ bench_arg $ machine_arg $ cpus_arg $ scale_arg $ policy_arg $ prefetch_arg
-      $ seed_arg $ cap_arg $ engine_arg)
-
 let perf_cmd =
   Cmd.group
     (Cmd.info "perf"
        ~doc:
-         "Host-side performance observatory: perfbench results into the ledger, ledger trends, \
-          the bound-based regression check and self-profiles.")
-    [ perf_ingest_cmd; perf_history_cmd; perf_check_cmd; perf_prof_cmd ]
+         "Host-side performance observatory: perfbench results into the ledger, ledger trends \
+          and the bound-based regression check.")
+    [ perf_ingest_cmd; perf_history_cmd; perf_check_cmd ]
 
 (* ---- version ---- *)
 

@@ -442,6 +442,15 @@ let replay r ~(setup : Run.setup) =
       (Corrupt
          (Printf.sprintf "header names %d CPUs, the replay machine has %d" r.hdr.n_cpus
             cfg.n_cpus));
+  (* a recoloring round moves pages between phases; the tape holds no
+     record of it, so such a run cannot be reproduced from one *)
+  (match setup.Run.policy with
+  | Run.Dynamic_recoloring _ ->
+    fail
+      (Corrupt
+         (Printf.sprintf "header policy %s recolors pages at run time and cannot be replayed"
+            r.hdr.policy))
+  | _ -> ());
   let b = Run.build setup in
   let machine = b.Run.machine and eng = b.Run.engine in
   let translate ~cpu ~vpage = Pcolor_vm.Kernel.translate b.Run.kernel ~cpu ~vpage in

@@ -106,6 +106,8 @@ val decode : reader -> Engine.recorder -> unit
     materialized: batches stream from disk straight into the consume
     loop.  The outcome carries the same metrics/attribution sections a
     live run would produce under the same observability context.
-    Raises {!Error} on a corrupt or truncated tape, or when [setup]'s
-    machine has a different CPU count than the header names. *)
+    Raises {!Error} on a corrupt or truncated tape, when [setup]'s
+    machine has a different CPU count than the header names, or
+    ({!Corrupt}) when [setup]'s policy is a dynamic-recoloring one,
+    whose page moves the tape does not hold. *)
 val replay : reader -> setup:Run.setup -> Run.outcome

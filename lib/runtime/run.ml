@@ -130,6 +130,25 @@ let touch_order (info : Pcolor_cdpc.Colorer.info) =
     info.placed;
   List.sort compare !pairs |> List.map snd
 
+(** [layout setup] is the layout step: a fresh checked program, its
+    compiler summary and its §5.4 layout ([Natural] placement for
+    [Bin_hopping_unaligned], [Aligned] for every other policy),
+    returned with the first byte past the laid-out data segment.  The
+    one place the summary and the layout are derived. *)
+let layout (setup : setup) =
+  let cfg = setup.cfg in
+  let program = setup.make_program () in
+  Ir.check_program program;
+  let summary = Pcolor_comp.Summary.extract ~page_size:cfg.page_size program in
+  let mode =
+    match setup.policy with
+    | Bin_hopping_unaligned -> Pcolor_cdpc.Align.Natural
+    | _ -> Pcolor_cdpc.Align.Aligned
+  in
+  ( program,
+    summary,
+    Pcolor_cdpc.Align.layout ~cfg ~mode ~groups:summary.Pcolor_comp.Summary.groups program.arrays )
+
 (** The front half of a run — everything before a kernel/machine exists:
     a fresh checked program, its compiler summary, the §5.4 layout
     (relocated by [relocate] bytes), CDPC hints keyed by the relocated
@@ -142,8 +161,8 @@ type prepared = {
   layout_end : int; (* first byte past the laid-out data segment (post-relocation) *)
 }
 
-(** [prepare ?relocate setup] runs the compile-time pipeline: summary
-    extraction, layout, hint generation and policy construction.
+(** [prepare ?relocate setup] runs the compile-time pipeline: the
+    {!layout} step, hint generation and policy construction.
     [relocate] (default 0) shifts every array base after layout — the
     multiprogramming subsystem's address-space tagging: job [asid] is
     relocated by [asid × va_span] so the jobs' virtual pages are
@@ -153,17 +172,7 @@ type prepared = {
     no-op, so single runs are untouched. *)
 let prepare ?(relocate = 0) (setup : setup) =
   let cfg = setup.cfg in
-  let program = setup.make_program () in
-  Ir.check_program program;
-  let summary = Pcolor_comp.Summary.extract ~page_size:cfg.page_size program in
-  let mode =
-    match setup.policy with
-    | Bin_hopping_unaligned -> Pcolor_cdpc.Align.Natural
-    | _ -> Pcolor_cdpc.Align.Aligned
-  in
-  let layout_end =
-    Pcolor_cdpc.Align.layout ~cfg ~mode ~groups:summary.Pcolor_comp.Summary.groups program.arrays
-  in
+  let program, summary, layout_end = layout setup in
   if relocate <> 0 then
     List.iter (fun (a : Ir.array_decl) -> a.base <- a.base + relocate) program.arrays;
   let n_colors = Pcolor_memsim.Config.n_colors cfg in
@@ -205,18 +214,66 @@ let prepare ?(relocate = 0) (setup : setup) =
   { program; summary; hints_info; policy; layout_end = layout_end + relocate }
 
 (** A run's simulated components, wired and not yet started: what
-    {!build} returns and {!finish} turns into an {!outcome}. *)
+    {!wire} returns and {!finish} turns into an {!outcome}. *)
 type built = {
   setup : setup;
   prepared : prepared;
   kernel : Pcolor_vm.Kernel.t;
   machine : Pcolor_memsim.Machine.t;
   engine : Engine.t;
+  recolorer : Recolor.t option; (* the dynamic-recoloring daemon *)
+  after_phase : unit -> unit; (* its traced round; a no-op without one *)
 }
 
-(** [build ?recorder setup] prepares the program and wires the kernel
-    (a hash-aware policy gets the bin-classified pool), the machine and
-    the engine. *)
+(** [wire ?cpus ?recorder setup prepared ~kernel ~machine] is the
+    wiring step over an existing kernel and machine: the engine on
+    [cpus] (default: every CPU) with the software-prefetch plan when
+    [setup.prefetch] is set, and for a dynamic-recoloring policy the
+    daemon, whose round [after_phase] runs on the range's master CPU. *)
+let wire ?cpus ?recorder (setup : setup) prepared ~kernel ~machine =
+  let plans =
+    if setup.prefetch then Pcolor_comp.Prefetcher.plan setup.cfg prepared.program
+    else Pcolor_comp.Prefetcher.none
+  in
+  let engine =
+    Engine.create ~check_bounds:setup.check_bounds ~collect_trace:setup.collect_trace
+      ~obs:setup.obs ~engine:setup.engine ?cpus ?recorder ~machine ~kernel
+      ~program:prepared.program ~plans ()
+  in
+  let recolorer =
+    match setup.policy with
+    | Dynamic_recoloring _ -> Some (Recolor.create ~machine ~kernel ())
+    | _ -> None
+  in
+  let after_phase () =
+    match recolorer with
+    | Some rc ->
+      let trigger_cpu = fst (Engine.cpus engine) + Pcolor_comp.Schedule.master in
+      let moved = Recolor.round rc ~trigger_cpu in
+      if moved > 0 then
+        Option.iter
+          (fun buf ->
+            Pcolor_obs.Trace.instant buf
+              ~ts:(Pcolor_memsim.Machine.cpu_time machine ~cpu:trigger_cpu)
+              ~tid:trigger_cpu ~cat:"vm"
+              ~args:[ ("pages_moved", Pcolor_obs.Json.Int moved) ]
+              "recoloring")
+          (Pcolor_obs.Ctx.trace setup.obs)
+    | None -> ()
+  in
+  { setup; prepared; kernel; machine; engine; recolorer; after_phase }
+
+(** [touch b] faults a cdpc-touch run's pages in coloring order (§5.3);
+    a no-op under every other policy. *)
+let touch { setup; prepared; engine; _ } =
+  match setup.policy with
+  | Cdpc { via_touch = true; _ } ->
+    Engine.touch_pages_in_order engine (touch_order (snd (Option.get prepared.hints_info)))
+  | _ -> ()
+
+(** [build ?recorder setup] prepares the program, creates the kernel (a
+    hash-aware policy gets the bin-classified pool) and the machine,
+    and {!wire}s them. *)
 let build ?recorder (setup : setup) =
   let cfg = setup.cfg in
   let prepared = prepare setup in
@@ -229,45 +286,43 @@ let build ?recorder (setup : setup) =
     Pcolor_vm.Kernel.create ~cfg ~policy:prepared.policy ?mem_frames:setup.mem_frames ?classify ()
   in
   let machine = Pcolor_memsim.Machine.create ~obs:setup.obs cfg in
-  let plans =
-    if setup.prefetch then Pcolor_comp.Prefetcher.plan cfg prepared.program
-    else Pcolor_comp.Prefetcher.none
-  in
-  let engine =
-    Engine.create ~check_bounds:setup.check_bounds ~collect_trace:setup.collect_trace
-      ~obs:setup.obs ~engine:setup.engine ?recorder ~machine ~kernel ~program:prepared.program
-      ~plans ()
-  in
-  { setup; prepared; kernel; machine; engine }
+  wire ?recorder setup prepared ~kernel ~machine
 
-(** [finish ?recolorer b totals] closes the run: flushes the timeline
-    (final partial rows make column sums equal the aggregates, then the
-    rows ride into the trace as counter events), publishes the metrics,
-    flushes the observability context and builds the report. *)
-let finish ?recolorer { setup; prepared; kernel; machine; engine } totals =
-  let cfg = setup.cfg and obs = setup.obs in
+(** [close ~obs ~publish machine] is the close step: the final timeline
+    flush (partial rows make column sums equal the aggregates) and its
+    trace counter events, the machine's metrics then [publish]'s, the
+    snapshot, and the observability flush. *)
+let close ~obs ~publish machine =
   Pcolor_memsim.Machine.sample_flush machine;
-  (match Pcolor_obs.Ctx.trace obs with
-  | Some buf -> Pcolor_memsim.Machine.emit_timeline_counters machine buf
-  | None -> ());
-  let pool = Pcolor_vm.Kernel.pool kernel in
-  let metrics_snapshot =
-    match Pcolor_obs.Ctx.metrics obs with
-    | None -> None
-    | Some reg ->
-      Pcolor_memsim.Machine.publish_metrics machine reg;
-      Pcolor_vm.Kernel.publish_metrics kernel reg;
-      (match recolorer with
-      | Some rc ->
-        let rounds, moved, copy_cycles = Recolor.stats rc in
-        let c name = Pcolor_obs.Metrics.counter reg name in
-        Pcolor_obs.Metrics.add (c "recolor.rounds") rounds;
-        Pcolor_obs.Metrics.add (c "recolor.pages_moved") moved;
-        Pcolor_obs.Metrics.add (c "recolor.copy_cycles") copy_cycles
-      | None -> ());
-      Some (Pcolor_obs.Metrics.snapshot reg)
+  Option.iter (Pcolor_memsim.Machine.emit_timeline_counters machine) (Pcolor_obs.Ctx.trace obs);
+  let snapshot =
+    Option.map
+      (fun reg ->
+        Pcolor_memsim.Machine.publish_metrics machine reg;
+        publish reg;
+        Pcolor_obs.Metrics.snapshot reg)
+      (Pcolor_obs.Ctx.metrics obs)
   in
   Pcolor_obs.Ctx.flush obs;
+  snapshot
+
+(** [finish b totals] closes the run (with the kernel's and the
+    recoloring daemon's counters) and builds the report. *)
+let finish { setup; prepared; kernel; machine; engine; recolorer; _ } totals =
+  let cfg = setup.cfg in
+  let metrics =
+    close ~obs:setup.obs machine ~publish:(fun reg ->
+        Pcolor_vm.Kernel.publish_metrics kernel reg;
+        Option.iter
+          (fun rc ->
+            let rounds, moved, copy_cycles = Recolor.stats rc in
+            let c name = Pcolor_obs.Metrics.counter reg name in
+            Pcolor_obs.Metrics.add (c "recolor.rounds") rounds;
+            Pcolor_obs.Metrics.add (c "recolor.pages_moved") moved;
+            Pcolor_obs.Metrics.add (c "recolor.copy_cycles") copy_cycles)
+          recolorer)
+  in
+  let pool = Pcolor_vm.Kernel.pool kernel in
   let report =
     Pcolor_stats.Report.of_totals ~benchmark:prepared.program.name ~machine:cfg.name
       ~n_cpus:cfg.n_cpus ~policy:(policy_name setup.policy) ~prefetch:setup.prefetch
@@ -292,22 +347,22 @@ let finish ?recolorer { setup; prepared; kernel; machine; engine } totals =
       (match setup.policy with
       | Cdpc_hash _ -> Some (Pcolor_cdpc.Hcolorer.inversion_name cfg)
       | _ -> None);
-    metrics = metrics_snapshot;
-    attrib = Pcolor_obs.Ctx.attrib obs;
+    metrics;
+    attrib = Pcolor_obs.Ctx.attrib setup.obs;
   }
 
 (** [run ?recorder setup] executes one experiment end to end.
     [recorder] (requires the runs engine) tees every simulation event
     to a binary-trace writer ({!Btrace}). *)
 let run ?recorder (setup : setup) =
-  let ({ kernel; machine; engine; prepared; _ } as b) = build ?recorder setup in
+  let b = build ?recorder setup in
   (* Pool exhaustion surfaces as a diagnostic (PCOLOR_LOG channel) with
      the faulting CPU/page and the pool state before propagating, so a
      too-small --mem-frames reads as a finding, not a crash site. *)
   let guard_oom f =
     try f ()
     with Pcolor_vm.Kernel.Out_of_frames { cpu; vpage } as e ->
-      let pool = Pcolor_vm.Kernel.pool kernel in
+      let pool = Pcolor_vm.Kernel.pool b.kernel in
       Logs.err ~src:Pcolor_obs.Log.src (fun m ->
           m "out of physical frames: cpu%d faulting vpage %d with %d/%d frames free — raise mem_frames or enable reclaim (pcolor mix)"
             cpu vpage
@@ -315,34 +370,11 @@ let run ?recorder (setup : setup) =
             (Pcolor_vm.Frame_pool.total_frames pool));
       raise e
   in
-  (match setup.policy with
-  | Cdpc { via_touch = true; _ } ->
-    guard_oom (fun () ->
-        Engine.touch_pages_in_order engine (touch_order (snd (Option.get prepared.hints_info))))
-  | _ -> ());
-  let recolorer =
-    match setup.policy with
-    | Dynamic_recoloring _ -> Some (Recolor.create ~machine ~kernel ())
-    | _ -> None
+  guard_oom (fun () -> touch b);
+  let totals =
+    guard_oom (fun () -> Engine.run b.engine ~cap:setup.cap ~after_phase:b.after_phase ())
   in
-  let after_phase () =
-    match recolorer with
-    | Some rc ->
-      let trigger_cpu = Pcolor_comp.Schedule.master in
-      let moved = Recolor.round rc ~trigger_cpu in
-      if moved > 0 then
-        Option.iter
-          (fun buf ->
-            Pcolor_obs.Trace.instant buf
-              ~ts:(Pcolor_memsim.Machine.cpu_time machine ~cpu:trigger_cpu)
-              ~tid:trigger_cpu ~cat:"vm"
-              ~args:[ ("pages_moved", Pcolor_obs.Json.Int moved) ]
-              "recoloring")
-          (Pcolor_obs.Ctx.trace setup.obs)
-    | None -> ()
-  in
-  let totals = guard_oom (fun () -> Engine.run engine ~cap:setup.cap ~after_phase ()) in
-  finish ?recolorer b totals
+  finish b totals
 
 (** [artifact_json ?provenance outcome] is the machine-readable run
     artifact: schema version, provenance, the report, the metrics

@@ -84,6 +84,14 @@ type outcome = {
     realizes the hint colors under bin hopping (§5.3). *)
 val touch_order : Pcolor_cdpc.Colorer.info -> int list
 
+(** [layout setup] is the layout step, the one place a run's program,
+    summary and §5.4 layout are derived: a fresh checked program, its
+    compiler summary, and the layout ([Natural] for
+    [Bin_hopping_unaligned], [Aligned] otherwise), with the first byte
+    past the laid-out data segment.  It mutates only that fresh
+    program's array bases. *)
+val layout : setup -> Ir.program * Pcolor_comp.Summary.t * int
+
 (** The front half of a run: fresh checked program, compiler summary,
     §5.4 layout, CDPC hints and mapping policy — everything that exists
     before a kernel/machine does. *)
@@ -95,11 +103,11 @@ type prepared = {
   layout_end : int;  (** first byte past the laid-out (relocated) data segment *)
 }
 
-(** [prepare ?relocate setup] runs the compile-time pipeline.
-    [relocate] (default 0, a no-op) shifts every array base after
-    layout — multiprogramming's address-space tagging: a shift that is
-    a multiple of [n_colors × page_size] keeps every page's color while
-    making jobs' virtual pages disjoint. *)
+(** [prepare ?relocate setup] runs the compile-time pipeline: {!layout},
+    then hints and policy.  [relocate] (default 0, a no-op) shifts
+    every array base after layout — multiprogramming's address-space
+    tagging: a shift that is a multiple of [n_colors × page_size] keeps
+    every page's color while making jobs' virtual pages disjoint. *)
 val prepare : ?relocate:int -> setup -> prepared
 
 (** A run's simulated components, wired and not yet started. *)
@@ -109,19 +117,52 @@ type built = {
   kernel : Pcolor_vm.Kernel.t;
   machine : Pcolor_memsim.Machine.t;
   engine : Engine.t;
+  recolorer : Recolor.t option;  (** the dynamic-recoloring daemon, if the policy has one *)
+  after_phase : unit -> unit;
+      (** the daemon's round (traced as a ["recoloring"] instant when it
+          moves pages), run between phases; a no-op without one *)
 }
 
-(** [build ?recorder setup] is a run's build step: {!prepare}, then
-    the kernel (for [Cdpc_hash], over a frame pool classified by the
-    inverted slice hash), the machine and the engine (with the
-    software-prefetch plan when [setup.prefetch] is set). *)
+(** [wire ?cpus ?recorder setup prepared ~kernel ~machine] is the wiring
+    step over a kernel and machine that already exist — a lone run's
+    own, or a mix job's kernel on the shared pool and the shared
+    machine: the engine restricted to [cpus] (default every CPU) with
+    the software-prefetch plan when [setup.prefetch] is set, and for
+    [Dynamic_recoloring] the daemon, triggered on the range's master
+    CPU. *)
+val wire :
+  ?cpus:int * int ->
+  ?recorder:Engine.recorder ->
+  setup ->
+  prepared ->
+  kernel:Pcolor_vm.Kernel.t ->
+  machine:Pcolor_memsim.Machine.t ->
+  built
+
+(** [touch b] is the cdpc-touch startup: the hinted pages faulted in
+    coloring order (§5.3) before {!Engine.startup}; a no-op under every
+    other policy. *)
+val touch : built -> unit
+
+(** [build ?recorder setup] is a lone run's build step: {!prepare},
+    then the kernel (for [Cdpc_hash], over a frame pool classified by
+    the inverted slice hash) and the machine, {!wire}d. *)
 val build : ?recorder:Engine.recorder -> setup -> built
 
-(** [finish ?recolorer b totals] is a run's finish step: the final
-    timeline flush and its trace counters, the metrics snapshot (with
-    [recolorer]'s counters), the observability flush, and the report
-    over [totals]. *)
-val finish : ?recolorer:Recolor.t -> built -> Pcolor_stats.Totals.t -> outcome
+(** [close ~obs ~publish machine] is the close step every run and mix
+    ends through: the final timeline flush and its trace counters, the
+    machine's metrics then [publish]'s into the registry, the snapshot
+    (if [obs] has a registry), and the observability flush. *)
+val close :
+  obs:Pcolor_obs.Ctx.t ->
+  publish:(Pcolor_obs.Metrics.t -> unit) ->
+  Pcolor_memsim.Machine.t ->
+  Pcolor_obs.Metrics.snapshot option
+
+(** [finish b totals] is a run's finish step: {!close} with the
+    kernel's and the recoloring daemon's counters, then the report over
+    [totals]. *)
+val finish : built -> Pcolor_stats.Totals.t -> outcome
 
 (** [run ?recorder setup] executes one experiment end to end.
     [recorder] (requires the runs engine) tees every simulation event

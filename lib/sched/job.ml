@@ -10,16 +10,20 @@
     so the existing packed-int [Itab] tables behind {!Pcolor_memsim.Tlb}
     and {!Pcolor_vm.Page_table} — and the virtually-indexed L1 — are
     naturally ASID-tagged, while [vpage mod n_colors] is unchanged and
-    every per-job policy behaves exactly as it would alone.  ASID 0's
-    relocation is zero, which is what makes a single-job mix
-    byte-identical to a plain run. *)
+    every per-job policy behaves exactly as it would alone.
+
+    A job is assembled from {!Pcolor_runtime.Run}'s own stages, not a
+    copy of them: {!Run.prepare} (relocated), a kernel on the shared
+    pool, and {!Run.wire} over the shared machine — the same engine,
+    prefetch plan, recoloring hook and cdpc-touch order a lone run
+    gets.  With ASID 0's relocation of zero, a single-job mix is
+    therefore byte-identical to a plain run by construction. *)
 
 module M = Pcolor_memsim.Machine
 module Mclass = Pcolor_memsim.Mclass
 module Run = Pcolor_runtime.Run
 module Engine = Pcolor_runtime.Engine
 module Window = Pcolor_runtime.Window
-module Recolor = Pcolor_runtime.Recolor
 module Kernel = Pcolor_vm.Kernel
 
 (** What to run: a workload, its mapping policy, and the per-job knobs
@@ -57,14 +61,8 @@ let setup_of ~cfg (s : spec) : Run.setup =
 type t = {
   spec : spec;
   asid : int;
-  relocate : int; (* bytes added to every array base = asid × va_span *)
-  engine : Engine.t;
-  kernel : Kernel.t;
-  program : Pcolor_comp.Ir.program;
-  hints_info : Pcolor_cdpc.Colorer.info option;
-  touch : int list; (* cdpc-touch page order; empty otherwise *)
-  after_phase : unit -> unit; (* dynamic-recoloring hook, as in Run.run *)
-  recolorer : Recolor.t option;
+  run : Run.built; (* Run's own wiring over the shared machine and pool *)
+  kernel : Kernel.t; (* [run]'s kernel: this job's address space *)
   first_cpu : int;
   width : int; (* CPUs this job is scheduled onto *)
   totals : Pcolor_stats.Totals.t; (* measured-pass weighted accumulator *)
@@ -89,73 +87,39 @@ let class_totals machine ~into =
   done
 
 (** [create ~cfg ~machine ~pool ~obs ~asid ~relocate ~cpus ~cap spec]
-    builds the job: prepared program (relocated), policy, a kernel
-    sharing [pool], and an engine restricted to [cpus].  Nothing runs
-    yet. *)
+    builds the job through {!Run}'s own stages: the prepared program
+    relocated by [relocate], a kernel on the shared [pool], and
+    {!Run.wire} over the shared [machine] restricted to [cpus].
+    Nothing runs yet. *)
 let create ~cfg ~machine ~pool ~obs ~asid ~relocate ~cpus ~cap (s : spec) =
-  let setup = setup_of ~cfg s in
+  let setup = { (setup_of ~cfg s) with obs } in
   let p = Run.prepare ~relocate setup in
   let kernel = Kernel.create ~cfg ~policy:p.Run.policy ~pool () in
-  let plans =
-    if s.prefetch then Pcolor_comp.Prefetcher.plan cfg p.Run.program
-    else Pcolor_comp.Prefetcher.none
-  in
-  let engine =
-    Engine.create ~obs ~cpus ~engine:setup.Run.engine ~machine ~kernel ~program:p.Run.program ~plans
-      ()
-  in
+  let run = Run.wire ~cpus setup p ~kernel ~machine in
   let first_cpu, width = cpus in
-  let recolorer =
-    match s.policy with
-    | Run.Dynamic_recoloring _ -> Some (Recolor.create ~machine ~kernel ())
-    | _ -> None
-  in
-  let after_phase () =
-    match recolorer with
-    | Some rc ->
-      let trigger_cpu = first_cpu + Pcolor_comp.Schedule.master in
-      let moved = Recolor.round rc ~trigger_cpu in
-      if moved > 0 then
-        Option.iter
-          (fun buf ->
-            Pcolor_obs.Trace.instant buf
-              ~ts:(M.cpu_time machine ~cpu:trigger_cpu)
-              ~tid:trigger_cpu ~cat:"vm"
-              ~args:[ ("pages_moved", Pcolor_obs.Json.Int moved) ]
-              "recoloring")
-          (Pcolor_obs.Ctx.trace obs)
-    | None -> ()
-  in
-  let touch =
-    match s.policy with
-    | Run.Cdpc { via_touch = true; _ } -> Run.touch_order (snd (Option.get p.Run.hints_info))
-    | _ -> []
-  in
   {
     spec = s;
     asid;
-    relocate;
-    engine;
+    run;
     kernel;
-    program = p.Run.program;
-    hints_info = Option.map snd p.Run.hints_info;
-    touch;
-    after_phase;
-    recolorer;
     first_cpu;
     width;
     totals = Pcolor_stats.Totals.create ~n_cpus:(M.n_cpus machine);
-    warmup = Engine.warmup_plan engine;
-    measured = List.map (fun (st : Window.step) -> (st, st.simulate)) (Engine.measured_plan engine ~cap);
+    warmup = Engine.warmup_plan run.engine;
+    measured =
+      List.map (fun (st : Window.step) -> (st, st.simulate)) (Engine.measured_plan run.engine ~cap);
     l2_measured = Mclass.make_counts ();
     dispatches = 0;
   }
 
+(** [program t] is the job's relocated program. *)
+let program t = t.run.prepared.program
+
 (** [startup t] faults the cdpc-touch pages (if any) and runs the
     master-only initialization — the same order as {!Run.run}. *)
 let startup t =
-  if t.touch <> [] then Engine.touch_pages_in_order t.engine t.touch;
-  Engine.startup t.engine
+  Run.touch t.run;
+  Engine.startup t.run.engine
 
 (** [clock t machine] is the job's wall clock: the max cycle count over
     its own CPUs (they only advance while the job runs). *)
@@ -175,13 +139,13 @@ let run_one_warmup t =
   match t.warmup with
   | [] -> ()
   | s :: rest ->
-    Engine.run_warmup_step t.engine ~after_phase:t.after_phase s;
+    Engine.run_warmup_step t.run.engine ~after_phase:t.run.after_phase s;
     t.warmup <- rest
 
 (** [begin_measured t] resets the engine's measurement state after the
     global machine reset (the caller resets the machine once). *)
 let begin_measured t =
-  Engine.begin_measured t.engine;
+  Engine.begin_measured t.run.engine;
   Array.fill t.l2_measured 0 (Array.length t.l2_measured) 0
 
 (** [run_one_measured t machine] runs the next measured occurrence,
@@ -194,7 +158,7 @@ let run_one_measured t machine =
   | (s, left) :: rest ->
     let before = Mclass.make_counts () in
     class_totals machine ~into:before;
-    Engine.run_measured_occurrence t.engine ~after_phase:t.after_phase ~into:t.totals s;
+    Engine.run_measured_occurrence t.run.engine ~after_phase:t.run.after_phase ~into:t.totals s;
     let after = Mclass.make_counts () in
     class_totals machine ~into:after;
     Array.iteri (fun i v -> t.l2_measured.(i) <- t.l2_measured.(i) + v - before.(i)) after;
@@ -205,7 +169,7 @@ let run_one_measured t machine =
     per-kernel fault and hint counters — which equal the pool's own
     counters when the job is alone). *)
 let report ~cfg t =
-  Pcolor_stats.Report.of_totals ~benchmark:t.program.Pcolor_comp.Ir.name
+  Pcolor_stats.Report.of_totals ~benchmark:(program t).Pcolor_comp.Ir.name
     ~machine:cfg.Pcolor_memsim.Config.name ~n_cpus:t.width
     ~policy:(Run.policy_name t.spec.policy) ~prefetch:t.spec.prefetch
     ~page_faults:(Kernel.faults t.kernel) ~hints_honored:(Kernel.honored t.kernel)

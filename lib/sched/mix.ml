@@ -1,20 +1,22 @@
 (** The mix runner: the one-call entry point of the multiprogramming
     subsystem, mirroring {!Pcolor_runtime.Run.run} for a *set* of jobs.
 
-    It probes every workload's laid-out extent to size the common
-    virtual-address span (a power of two, a multiple of
+    It probes every workload's laid-out extent ({!Run.layout}) to size
+    the common virtual-address span (a power of two, a multiple of
     [n_colors × page_size], so relocation by [asid × span] keeps every
     page's color — see {!Job}), builds one shared machine and one shared
     frame pool, wires the second-chance reclaimer into every kernel, and
     drives the jobs through the {!Sched} loop with the same
     warm-up-then-reset measurement discipline as a single run: all
     startups, the full interleaved warm-up pass, ONE machine-wide
-    statistics reset, then the interleaved measured pass.
+    statistics reset, then the interleaved measured pass.  It ends
+    through {!Run.close}, the close step of a single run, publishing
+    the per-job, scheduler and reclaim counters beside the machine's.
 
     A one-job gang mix performs exactly the operation sequence of
-    [Run.run] (relocation 0, [last] starts at asid 0 so no switch is
-    ever charged), which is what pins the per-job report to the plain
-    run's report byte for byte. *)
+    [Run.run] (each job is Run's own wiring, relocation 0, [last]
+    starts at asid 0 so no switch is ever charged), which is what pins
+    the per-job report to the plain run's report byte for byte. *)
 
 module M = Pcolor_memsim.Machine
 module Config = Pcolor_memsim.Config
@@ -41,20 +43,12 @@ type outcome = {
   attrib : Pcolor_obs.Attrib.t option;
 }
 
-(* The front of the compile-time pipeline on a throwaway program, just
-   far enough to learn the laid-out extent (layout mutates bases, hence
-   the fresh program; hint generation is skipped — hints don't move the
-   data segment's end). *)
+(* The laid-out extent of a job's program: {!Run.layout} on a
+   throwaway program (layout mutates bases, hence the fresh program;
+   hints don't move the data segment's end). *)
 let probe_extent ~cfg (s : Job.spec) =
-  let program = s.Job.make_program () in
-  Pcolor_comp.Ir.check_program program;
-  let summary = Pcolor_comp.Summary.extract ~page_size:cfg.Config.page_size program in
-  let mode =
-    match s.Job.policy with
-    | Run.Bin_hopping_unaligned -> Pcolor_cdpc.Align.Natural
-    | _ -> Pcolor_cdpc.Align.Aligned
-  in
-  Pcolor_cdpc.Align.layout ~cfg ~mode ~groups:summary.Pcolor_comp.Summary.groups program.arrays
+  let _, _, layout_end = Run.layout (Job.setup_of ~cfg s) in
+  layout_end
 
 (* Gang: every job owns the whole machine (in turns).  Space: contiguous
    near-equal partitions, remainder CPUs to the first jobs. *)
@@ -69,43 +63,20 @@ let cpu_ranges ~policy ~n_cpus k =
         let first = (i * base) + min i extra in
         (first, base + if i < extra then 1 else 0))
 
-let add_arr dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) +. v) src
-
 (* Sum every job's measured-pass accumulator.  Occurrences of different
    jobs are temporally exclusive, so the sum is the measured window's
    aggregate (context-switch cycles, charged between occurrences, are
    deliberately outside: they belong to the system, and appear in the
-   sched stats instead). *)
+   sched stats instead).  Folding a job in as the delta from zero at
+   unit weight and stretch adds every field exactly; only [wall], which
+   [accumulate] derives from the per-CPU times, is summed directly. *)
 let merge_totals ~n_cpus (jobs : Job.t array) =
-  let acc = Totals.create ~n_cpus in
+  let acc = Totals.create ~n_cpus and zero = Totals.create ~n_cpus in
   Array.iter
     (fun (j : Job.t) ->
-      let t = j.Job.totals in
-      acc.Totals.instructions <- acc.Totals.instructions +. t.Totals.instructions;
-      acc.Totals.l1_hits <- acc.Totals.l1_hits +. t.Totals.l1_hits;
-      acc.Totals.l1_misses <- acc.Totals.l1_misses +. t.Totals.l1_misses;
-      acc.Totals.l2_hits <- acc.Totals.l2_hits +. t.Totals.l2_hits;
-      add_arr acc.Totals.miss t.Totals.miss;
-      acc.Totals.stall_onchip <- acc.Totals.stall_onchip +. t.Totals.stall_onchip;
-      add_arr acc.Totals.stall t.Totals.stall;
-      acc.Totals.stall_pf_late <- acc.Totals.stall_pf_late +. t.Totals.stall_pf_late;
-      acc.Totals.stall_pf_full <- acc.Totals.stall_pf_full +. t.Totals.stall_pf_full;
-      acc.Totals.kernel <- acc.Totals.kernel +. t.Totals.kernel;
-      acc.Totals.tlb_misses <- acc.Totals.tlb_misses +. t.Totals.tlb_misses;
-      acc.Totals.fault_cycles <- acc.Totals.fault_cycles +. t.Totals.fault_cycles;
-      acc.Totals.pf_issued <- acc.Totals.pf_issued +. t.Totals.pf_issued;
-      acc.Totals.pf_dropped <- acc.Totals.pf_dropped +. t.Totals.pf_dropped;
-      acc.Totals.pf_useless <- acc.Totals.pf_useless +. t.Totals.pf_useless;
-      acc.Totals.pf_useful <- acc.Totals.pf_useful +. t.Totals.pf_useful;
-      acc.Totals.bus_data <- acc.Totals.bus_data +. t.Totals.bus_data;
-      acc.Totals.bus_wb <- acc.Totals.bus_wb +. t.Totals.bus_wb;
-      acc.Totals.bus_upg <- acc.Totals.bus_upg +. t.Totals.bus_upg;
-      add_arr acc.Totals.time t.Totals.time;
-      add_arr acc.Totals.ov_imbalance t.Totals.ov_imbalance;
-      add_arr acc.Totals.ov_sequential t.Totals.ov_sequential;
-      add_arr acc.Totals.ov_suppressed t.Totals.ov_suppressed;
-      add_arr acc.Totals.ov_sync t.Totals.ov_sync;
-      acc.Totals.wall <- acc.Totals.wall +. t.Totals.wall)
+      let wall = acc.Totals.wall +. j.Job.totals.Totals.wall in
+      Totals.accumulate ~into:acc ~start:zero ~fin:j.Job.totals ~f:1.0 ~weight:1.0;
+      acc.Totals.wall <- wall)
     jobs;
   acc
 
@@ -114,11 +85,10 @@ let merge_totals ~n_cpus (jobs : Job.t array) =
     behaviour; [mem_frames] sizes the shared pool (default: ample, the
     same formula a lone kernel uses — shrink it to force CDPC hint
     competition and reclaim); [cap] is the per-job representative-window
-    occurrence cap; [reclaim_batch] tunes the second-chance sweep.
+    occurrence cap.
     Raises {!Pcolor_vm.Kernel.Out_of_frames} only when reclaim finds
     nothing left to evict. *)
-let run ~cfg ?(sched = Sched.default) ?mem_frames ?(cap = 2) ?reclaim_batch
-    ?(obs = Pcolor_obs.Ctx.disabled) (specs : Job.spec list) =
+let run ~cfg ?(sched = Sched.default) ?mem_frames ?(cap = 2) ?(obs = Pcolor_obs.Ctx.disabled) (specs : Job.spec list) =
   if specs = [] then invalid_arg "Mix.run: no jobs";
   let specs = Array.of_list specs in
   let k = Array.length specs in
@@ -153,7 +123,7 @@ let run ~cfg ?(sched = Sched.default) ?mem_frames ?(cap = 2) ?reclaim_batch
       specs
   in
   let kernels = Array.map (fun (j : Job.t) -> j.Job.kernel) jobs in
-  let reclaimer = Reclaim.create ?batch:reclaim_batch ~machine ~pool ~kernels () in
+  let reclaimer = Reclaim.create ~machine ~pool ~kernels () in
   (* the reclaim closure is the one place memory pressure costs land;
      bracket it for the self-profiler (nested inside consume — Prof
      keeps per-phase stamps, so cross-kind nesting is fine) *)
@@ -176,10 +146,34 @@ let run ~cfg ?(sched = Sched.default) ?mem_frames ?(cap = 2) ?reclaim_batch
   M.reset_stats machine;
   Array.iter Job.begin_measured jobs;
   Sched.measured s;
-  M.sample_flush machine;
-  (match Pcolor_obs.Ctx.trace obs with
-  | Some buf -> M.emit_timeline_counters machine buf
-  | None -> ());
+  let metrics =
+    Run.close ~obs machine ~publish:(fun reg ->
+        let module Mx = Pcolor_obs.Metrics in
+        Array.iteri (fun i kn -> Kernel.publish_metrics ~pool_stats:(i = 0) kn reg) kernels;
+        Array.iter
+          (fun (j : Job.t) ->
+            let c name =
+              Mx.counter reg (Printf.sprintf "job.%d.%s.%s" j.Job.asid j.Job.spec.Job.name name)
+            in
+            Mx.add (c "page_faults") (Kernel.faults j.Job.kernel);
+            Mx.add (c "dispatches") j.Job.dispatches;
+            List.iter
+              (fun cls ->
+                Mx.add (c ("l2_miss." ^ Mclass.to_string cls)) (Mclass.get j.Job.l2_measured cls))
+              Mclass.all)
+          jobs;
+        let st = Sched.stats s in
+        let c name = Mx.counter reg name in
+        Mx.add (c "sched.dispatches") st.Sched.dispatches;
+        Mx.add (c "sched.switches") st.Sched.switches;
+        Mx.add (c "sched.switch_cycles") st.Sched.switch_cycles;
+        Mx.add (c "sched.tlb_flushes") st.Sched.tlb_flushes;
+        let invocations, scanned, second_chances, evictions = Reclaim.stats reclaimer in
+        Mx.add (c "reclaim.invocations") invocations;
+        Mx.add (c "reclaim.scanned") scanned;
+        Mx.add (c "reclaim.second_chances") second_chances;
+        Mx.add (c "reclaim.evictions") evictions)
+  in
   let reports = Array.map (fun j -> Job.report ~cfg j) jobs in
   let mix_name =
     "mix("
@@ -194,39 +188,6 @@ let run ~cfg ?(sched = Sched.default) ?mem_frames ?(cap = 2) ?reclaim_batch
       ~hints_honored:(Frame_pool.honored pool) ~hints_fallback:(Frame_pool.fallbacks pool)
       (merge_totals ~n_cpus:cfg.Config.n_cpus jobs)
   in
-  let metrics_snapshot =
-    match Pcolor_obs.Ctx.metrics obs with
-    | None -> None
-    | Some reg ->
-      let module Mx = Pcolor_obs.Metrics in
-      M.publish_metrics machine reg;
-      Array.iteri (fun i kn -> Kernel.publish_metrics ~pool_stats:(i = 0) kn reg) kernels;
-      Array.iter
-        (fun (j : Job.t) ->
-          let c name = Mx.counter reg (Printf.sprintf "job.%d.%s.%s" j.Job.asid j.Job.spec.Job.name name) in
-          Mx.add (c "page_faults") (Kernel.faults j.Job.kernel);
-          Mx.add (c "dispatches") j.Job.dispatches;
-          List.iter
-            (fun cls ->
-              Mx.add
-                (c ("l2_miss." ^ Mclass.to_string cls))
-                (Mclass.get j.Job.l2_measured cls))
-            Mclass.all)
-        jobs;
-      let st = Sched.stats s in
-      let c name = Mx.counter reg name in
-      Mx.add (c "sched.dispatches") st.Sched.dispatches;
-      Mx.add (c "sched.switches") st.Sched.switches;
-      Mx.add (c "sched.switch_cycles") st.Sched.switch_cycles;
-      Mx.add (c "sched.tlb_flushes") st.Sched.tlb_flushes;
-      let invocations, scanned, second_chances, evictions = Reclaim.stats reclaimer in
-      Mx.add (c "reclaim.invocations") invocations;
-      Mx.add (c "reclaim.scanned") scanned;
-      Mx.add (c "reclaim.second_chances") second_chances;
-      Mx.add (c "reclaim.evictions") evictions;
-      Some (Mx.snapshot reg)
-  in
-  Pcolor_obs.Ctx.flush obs;
   {
     cfg;
     sched_cfg = sched;
@@ -238,7 +199,7 @@ let run ~cfg ?(sched = Sched.default) ?mem_frames ?(cap = 2) ?reclaim_batch
     pool;
     sched_stats = Sched.stats s;
     reclaim = reclaimer;
-    metrics = metrics_snapshot;
+    metrics;
     attrib = Pcolor_obs.Ctx.attrib obs;
   }
 
@@ -318,7 +279,7 @@ let artifact_json ?provenance outcome =
     match outcome.attrib with
     | Some a ->
       let spaces =
-        Array.to_list outcome.jobs |> List.map (fun (j : Job.t) -> (j.Job.kernel, j.Job.program))
+        Array.to_list outcome.jobs |> List.map (fun (j : Job.t) -> (j.Job.kernel, Job.program j))
       in
       [
         ( "attribution",

@@ -23,7 +23,6 @@ type t = {
   machine : M.t;
   pool : Frame_pool.t;
   kernels : Kernel.t array; (* one address space per job, asid order *)
-  batch : int; (* frames to free per invocation *)
   mutable hand : int; (* clock position, a frame number *)
   mutable invocations : int;
   mutable scanned : int; (* frames examined over all invocations *)
@@ -31,17 +30,17 @@ type t = {
   mutable evictions : int; (* frames actually freed *)
 }
 
+(* Frames to free per invocation: large enough to amortize the sweep,
+   small enough to keep evictions near-LRU. *)
+let batch = 16
+
 (** [create ~machine ~pool ~kernels ()] builds a reclaimer over every
-    job's address space.  [batch] (default 16) is the eviction target
-    per invocation — large enough to amortize the sweep, small enough
-    to keep evictions near-LRU. *)
-let create ?(batch = 16) ~machine ~pool ~kernels () =
-  if batch <= 0 then invalid_arg "Reclaim.create: batch";
+    job's address space. *)
+let create ~machine ~pool ~kernels () =
   {
     machine;
     pool;
     kernels;
-    batch;
     hand = 0;
     invocations = 0;
     scanned = 0;
@@ -91,7 +90,7 @@ let reclaim t ~cpu =
   (* two laps: lap one strips hot pages' translations, lap two meets
      them cold unless they were genuinely re-referenced (nothing runs
      between laps, so lap two is decisive) *)
-  while !freed < t.batch && !steps < 2 * total do
+  while !freed < batch && !steps < 2 * total do
     let frame = t.hand in
     t.hand <- (t.hand + 1) mod total;
     incr steps;

@@ -150,10 +150,13 @@ let regressions d = List.filter (fun e -> e.regression) d.entries
 
 let changed d = List.filter (fun e -> e.delta <> 0.0) d.entries
 
-(** [render ?max_rows d] is the human-readable diff table: changed
-    leaves (worst relative move first), then structural notes.  Rows
-    beyond [max_rows] are summarized, not silently dropped. *)
-let render ?(max_rows = 40) d =
+(* Changed leaves [render] lists before summarizing the rest. *)
+let max_rows = 40
+
+(** [render d] is the human-readable diff table: changed leaves (worst
+    relative move first), then structural notes.  Rows beyond
+    [max_rows] are summarized, not silently dropped. *)
+let render d =
   let buf = Buffer.create 1024 in
   let changed = changed d in
   let dir_glyph e =

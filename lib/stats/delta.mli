@@ -39,7 +39,7 @@ val regressions : t -> entry list
 (** [changed d] is every paired leaf whose value moved. *)
 val changed : t -> entry list
 
-(** [render ?max_rows d] is a human-readable diff table (worst relative
-    move first; [!!] marks regressions); rows beyond [max_rows] are
+(** [render d] is a human-readable diff table (worst relative move
+    first; [!!] marks regressions); rows beyond the first 40 are
     summarized, never silently dropped. *)
-val render : ?max_rows:int -> t -> string
+val render : t -> string

@@ -4,27 +4,16 @@
     aligned text table; this module owns the formatting so all output has
     one consistent look. *)
 
-type align = Left | Right
-
 type t = {
   title : string;
   headers : string list;
-  aligns : align list;
   mutable rows : string list list; (* reverse order *)
   mutable separators : int list;   (* row counts after which to draw a rule *)
 }
 
-(** [create ~title headers] starts a table. Column alignment defaults to
-    [Right] for every column except the first. *)
-let create ?aligns ~title headers =
-  let aligns =
-    match aligns with
-    | Some a -> a
-    | None -> (match headers with [] -> [] | _ :: rest -> Left :: List.map (fun _ -> Right) rest)
-  in
-  if List.length aligns <> List.length headers then
-    invalid_arg "Table.create: aligns/headers length mismatch";
-  { title; headers; aligns; rows = []; separators = [] }
+(** [create ~title headers] starts a table.  The first column is
+    left-aligned, every other column right-aligned. *)
+let create ~title headers = { title; headers; rows = []; separators = [] }
 
 (** [add_row t cells] appends a row; short rows are padded with empty
     cells, long rows raise. *)
@@ -47,13 +36,11 @@ let icell v = string_of_int v
 (** [pcell v] formats a percentage cell. *)
 let pcell v = Printf.sprintf "%.1f%%" v
 
-let pad align width s =
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
-  else
-    match align with
-    | Left -> s ^ String.make (width - n) ' '
-    | Right -> String.make (width - n) ' ' ^ s
+  else if left then s ^ String.make (width - n) ' '
+  else String.make (width - n) ' ' ^ s
 
 (** [render t] produces the table as a string, title first. *)
 let render t =
@@ -79,8 +66,7 @@ let render t =
     List.iteri
       (fun i cell ->
         if i > 0 then Buffer.add_string buf " | ";
-        let w = List.nth widths i and a = List.nth t.aligns i in
-        Buffer.add_string buf (pad a w cell))
+        Buffer.add_string buf (pad ~left:(i = 0) (List.nth widths i) cell))
       cells;
     Buffer.add_char buf '\n'
   in

@@ -1,14 +1,11 @@
 (** Plain-text table rendering — one consistent look for all benchmark
     and experiment output. *)
 
-type align = Left | Right
-
 type t
 
-(** [create ~title headers] starts a table; alignment defaults to
-    [Right] for every column except the first.  Raises
-    [Invalid_argument] on an aligns/headers length mismatch. *)
-val create : ?aligns:align list -> title:string -> string list -> t
+(** [create ~title headers] starts a table: the first column
+    left-aligned, every other column right-aligned. *)
+val create : title:string -> string list -> t
 
 (** [add_row t cells] appends a row (short rows padded; long rows
     raise). *)

@@ -167,6 +167,14 @@ let test_check_rejects () =
           one_line ~prefix:"perf check: " label stderr)
         [ ("absent stamp", "A", "Z"); ("no comparable section", "A", "B") ])
 
+(* [accepts args] runs the CLI on [args] and expects success: exit 0,
+   nothing on stderr. *)
+let accepts args () =
+  let label = String.concat " " args in
+  let code, stderr = Helpers.run_cli args in
+  Alcotest.(check int) (label ^ ": exit code; stderr " ^ stderr) 0 code;
+  Alcotest.(check string) (label ^ ": stderr") "" stderr
+
 let suite =
   [
     ( "cli.rejects",
@@ -223,6 +231,18 @@ let suite =
                missing "m.json" ]);
         Alcotest.test_case "replay --metrics-out in a missing directory" `Quick
           (rejects_replay ~flag:"--metrics-out" [ "--metrics-out"; missing "m.json" ]);
+      ] );
+    ( "cli.accepts",
+      [
+        (* the summary's page granularity is the unscaled model's: every
+           scale [--scale] accepts works, including one that leaves the
+           scaled L2 a single color *)
+        Alcotest.test_case "summary --scale 1" `Quick (accepts [ "summary"; "tomcatv"; "-s"; "1" ]);
+        Alcotest.test_case "summary --scale 256" `Quick
+          (accepts [ "summary"; "tomcatv"; "-s"; "256" ]);
+        Alcotest.test_case "pattern --order cdpc" `Quick
+          (accepts [ "pattern"; "swim"; "--order"; "cdpc"; "-p"; "8"; "-s"; "16" ]);
+        Alcotest.test_case "hints" `Quick (accepts [ "hints"; "su2cor"; "-p"; "8"; "-s"; "16" ]);
       ] );
     ( "cli.perf",
       [

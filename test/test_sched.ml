@@ -20,22 +20,47 @@ let spec ?policy name = Job.spec ?policy ~name fig4
 
 (* A one-job gang mix must replay the exact operation sequence of a
    plain run: every report field identical (floats included). *)
-let check_single_job_identity policy =
-  let cfg = Helpers.tiny_cfg ~n_cpus:2 () in
-  let o = Run.run (Run.default_setup ~cfg ~make_program:fig4 ~policy) in
-  let mix = Mix.run ~cfg [ spec ~policy "fig4" ] in
+let check_single_job_identity ~label ~cfg ~prefetch ~make_program policy =
+  let o = Run.run { (Run.default_setup ~cfg ~make_program ~policy) with Run.prefetch } in
+  let mix = Mix.run ~cfg [ Job.spec ~policy ~prefetch ~name:label make_program ] in
   Alcotest.(check bool)
-    ("1-job mix report = run report (" ^ Run.policy_name policy ^ ")")
+    (Printf.sprintf "1-job mix report = run report (%s, %s)" (Run.policy_name policy) label)
     true
     (o.Run.report = mix.Mix.reports.(0))
 
+(* Every policy, without and with software prefetch, prefetching on a
+   2-slice hashed LLC, and on a workload whose conflicts make the
+   dynamic policies actually move pages: a job's recolor hook,
+   cdpc-touch order, classified pool and prefetch plan are the plain
+   run's own. *)
 let test_single_job_identity () =
-  List.iter check_single_job_identity
+  let flat = Helpers.tiny_cfg ~n_cpus:2 () in
+  let sliced =
+    Helpers.tiny_cfg ~n_cpus:2 ~l2_slices:2 ~l2_hash:Pcolor.Memsim.Ahash.Sandybridge ()
+  in
+  let tomcatv () = (Pcolor.Workloads.Spec.find "tomcatv").build ~scale:64 () in
+  List.iter
+    (fun (label, cfg, prefetch, make_program) ->
+      List.iter
+        (check_single_job_identity ~label ~cfg ~prefetch ~make_program)
+        [
+          Run.Page_coloring;
+          Run.Bin_hopping;
+          Run.Bin_hopping_unaligned;
+          Run.Random_colors;
+          Run.Cdpc { fallback = `Page_coloring; via_touch = false };
+          Run.Cdpc { fallback = `Bin_hopping; via_touch = false };
+          Run.Cdpc { fallback = `Bin_hopping; via_touch = true };
+          Run.Cdpc_hash { fallback = `Page_coloring };
+          Run.Cdpc_hash { fallback = `Bin_hopping };
+          Run.Dynamic_recoloring { base = `Page_coloring };
+          Run.Dynamic_recoloring { base = `Bin_hopping };
+        ])
     [
-      Run.Page_coloring;
-      Run.Bin_hopping;
-      Run.Cdpc { fallback = `Page_coloring; via_touch = false };
-      Run.Cdpc { fallback = `Bin_hopping; via_touch = true };
+      ("fig4", flat, false, fig4);
+      ("fig4 prefetch", flat, true, fig4);
+      ("fig4 prefetch, 2-slice sandybridge LLC", sliced, true, fig4);
+      ("tomcatv/64", flat, false, tomcatv);
     ]
 
 (* Full observability on: same mix twice -> byte-identical artifacts

@@ -453,14 +453,15 @@ let test_btrace_varint_overflow () =
 
 module Engine = Pcolor.Runtime.Engine
 
-(* [reencode tape edit] decodes [tape] into a fresh writer through
-   [edit] applied to the writer's recorder: a well-formed tape whose
-   events are the edited ones. *)
-let reencode tape edit =
+(* [reencode ?header tape edit] decodes [tape] into a fresh writer
+   through [edit] applied to the writer's recorder: a well-formed tape
+   whose events are the edited ones, under the header [header] makes of
+   the original. *)
+let reencode ?(header = Fun.id) tape edit =
   let r = Btrace.open_string tape in
   with_tape (fun path ->
       let oc = open_out_bin path in
-      let w = Btrace.create_writer oc (Btrace.header r) in
+      let w = Btrace.create_writer oc (header (Btrace.header r)) in
       Btrace.decode r (edit (Btrace.recorder w));
       Btrace.finish w;
       close_out oc;
@@ -524,18 +525,38 @@ let test_btrace_phase_structure () =
               Alcotest.failf "%s: wrong error %s" label (Btrace.corruption_message c)))
     cases
 
+(* [pcolor replay] of [tape] must exit 2 with one stderr line naming
+   the trace. *)
+let check_replay_refused label tape =
+  with_tape (fun path ->
+      write_file path tape;
+      let code, stderr = Helpers.run_cli [ "replay"; path ] in
+      Alcotest.(check int) (label ^ ": exit code") 2 code;
+      match String.split_on_char '\n' stderr with
+      | [ line; "" ] ->
+        Alcotest.(check bool) (label ^ ": names the trace") true
+          (String.starts_with ~prefix:(path ^ ": ") line)
+      | _ -> Alcotest.failf "%s: expected one stderr line, got %S" label stderr)
+
+(* A recoloring round's page moves are not on the tape, so a
+   page-coloring tape relabelled with a dynamic-recoloring header must
+   be refused rather than replayed as a run that never recolored. *)
+let test_replay_cli_dynamic_header () =
+  let tape =
+    with_tape (fun path ->
+        let code, _ =
+          Helpers.run_cli
+            [ "record"; "tomcatv"; "-p"; "2"; "-s"; "64"; "--policy"; "pc"; "-o"; path ]
+        in
+        Alcotest.(check int) "record exit code" 0 code;
+        read_file path)
+  in
+  check_replay_refused "dynamic(pc) header"
+    (reencode ~header:(fun h -> { h with Btrace.policy = "dynamic(pc)" }) tape Fun.id)
+
 let test_replay_cli_bad_header () =
   List.iter
-    (fun (label, tape) ->
-      with_tape (fun path ->
-          write_file path tape;
-          let code, stderr = Helpers.run_cli [ "replay"; path ] in
-          Alcotest.(check int) (label ^ ": exit code") 2 code;
-          match String.split_on_char '\n' stderr with
-          | [ line; "" ] ->
-            Alcotest.(check bool) (label ^ ": names the trace") true
-              (String.starts_with ~prefix:(path ^ ": ") line)
-          | _ -> Alcotest.failf "%s: expected one stderr line, got %S" label stderr))
+    (fun (label, tape) -> check_replay_refused label tape)
     [
       ("unknown bench", header_only ~bench:"tomcatX" ());
       ("zero CPUs", header_only ~n_cpus:0 ());
@@ -718,6 +739,8 @@ let suite =
         QCheck_alcotest.to_alcotest test_btrace_corruption_fuzz;
         Alcotest.test_case "bad header fields are corrupt" `Quick test_btrace_bad_header_corrupt;
         Alcotest.test_case "replay CLI rejects bad headers" `Quick test_replay_cli_bad_header;
+        Alcotest.test_case "replay CLI rejects dynamic-recoloring tapes" `Quick
+          test_replay_cli_dynamic_header;
         Alcotest.test_case "overlong varint is corrupt" `Quick test_btrace_varint_overflow;
         Alcotest.test_case "phase markers must match the window" `Quick
           test_btrace_phase_structure;
