@@ -34,12 +34,17 @@
 #                     its golden artifact exactly, and
 #                     `pcolor probe` must recover each configured hash
 #                     from eviction sets exactly
+#   make exports-check  every `val` in lib/*/*.mli has a user outside its
+#                     module, resolved by the compiler (ocamlcmt -annot
+#                     over the .cmt files); test-only exports must be
+#                     listed, with a reason, in tools/exports_allowlist.txt
+#                     (tools/exports_check.sh, ~10 s; not part of tier-1)
 #   make bench        full reproduction harness at the default scale
 
 DUNE ?= dune
 BENCH_THRESHOLD ?= 0.25
 
-.PHONY: build test bench bench-smoke bench-check timeline-check hash-check clean
+.PHONY: build test bench bench-smoke bench-check timeline-check hash-check exports-check clean
 
 build:
 	$(DUNE) build
@@ -178,6 +183,9 @@ timeline-check:
 	  --scale 64 --metrics-out _build/timeline_off.json
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/timeline_off.json \
 	  _build/timeline_record.json --exact --ignore timeline
+
+exports-check:
+	DUNE=$(DUNE) tools/exports_check.sh
 
 bench:
 	$(DUNE) exec bench/main.exe

@@ -16,17 +16,28 @@ module Spec = Pcolor.Workloads.Spec
 module Table = Pcolor.Util.Table
 module Pool = Pcolor.Util.Pool
 
+(* A bad environment value is one stderr line and exit 2, never an
+   uncaught exception. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
 (* Scale divisor for data sets and caches.  4 preserves the paper's
    color-space geometry closely (64 colors on the base machine) and
    keeps the full harness to tens of minutes; override with
    PCOLOR_SCALE=1|4|16|64|256 (1 = the paper's exact geometry, slow;
-   256 = smoke-sized, for trace round-trip checks). *)
+   64 = smoke-sized, what CI runs).  256 leaves the 1 MB L2 of the sgi
+   and sgi-2way models fewer than two colors, so every section that
+   simulates them refuses it. *)
 let scale =
   match Sys.getenv_opt "PCOLOR_SCALE" with
   | Some s -> (
-    match int_of_string_opt s with
+    match int_of_string_opt (String.trim s) with
     | Some (1 | 4 | 16 | 64 | 256 as v) -> v
-    | _ -> failwith "PCOLOR_SCALE must be 1, 4, 16, 64 or 256")
+    | _ -> usage_error "PCOLOR_SCALE=%S: use 1, 4, 16, 64 or 256" s)
   | None -> 4
 
 (* Fast mode trims CPU sweeps; used by CI-style smoke runs. *)
@@ -39,14 +50,16 @@ let alpha_cpu_counts = if fast then [ 1; 8 ] else [ 1; 2; 4; 8 ]
 type machine = Sgi | Sgi_2way | Sgi_4mb | Alpha
 
 let machine_cfg machine ~n_cpus =
-  let base =
+  let name, base =
     match machine with
-    | Sgi -> Config.sgi_base ~n_cpus ()
-    | Sgi_2way -> Config.sgi_2way ~n_cpus ()
-    | Sgi_4mb -> Config.sgi_4mb ~n_cpus ()
-    | Alpha -> Config.alphaserver ~n_cpus ()
+    | Sgi -> ("sgi", Config.sgi_base ~n_cpus ())
+    | Sgi_2way -> ("sgi-2way", Config.sgi_2way ~n_cpus ())
+    | Sgi_4mb -> ("sgi-4mb", Config.sgi_4mb ~n_cpus ())
+    | Alpha -> ("alpha", Config.alphaserver ~n_cpus ())
   in
-  Config.scale base scale
+  try Config.scale base scale
+  with Invalid_argument msg ->
+    usage_error "PCOLOR_SCALE=%d is too large for the %s machine model (%s)" scale name msg
 
 let cdpc = Run.Cdpc { fallback = `Page_coloring; via_touch = false }
 
@@ -58,18 +71,20 @@ let jobs = Pool.default_jobs ()
 
 (* Optional structured tracing: PCOLOR_TRACE=path streams every
    experiment's phase spans and VM events into one Chrome-trace JSONL
-   file (each experiment gets its own trace pid). *)
+   file (each experiment gets its own trace pid).  Opened at startup,
+   not lazily: experiments on several domains would otherwise race to
+   force the lazy value, and the loser raises
+   [CamlinternalLazy.Undefined]. *)
 let trace_sink =
-  lazy
-    (match Sys.getenv_opt "PCOLOR_TRACE" with
-    | None -> None
-    | Some path ->
-      let sink = Pcolor.Obs.Trace.open_sink ~path in
-      at_exit (fun () -> Pcolor.Obs.Trace.close sink);
-      Some sink)
+  match Sys.getenv_opt "PCOLOR_TRACE" with
+  | None -> None
+  | Some path ->
+    let sink = Pcolor.Obs.Trace.open_sink ~path in
+    at_exit (fun () -> Pcolor.Obs.Trace.close sink);
+    Some sink
 
 let obs_ctx () =
-  match Lazy.force trace_sink with
+  match trace_sink with
   | None -> Pcolor.Obs.Ctx.disabled
   | Some sink -> Pcolor.Obs.Ctx.create ~trace:(Pcolor.Obs.Trace.buffer sink) ()
 
@@ -129,14 +144,15 @@ let exp ?(prefetch = false) ~bench ~machine ~n_cpus ~policy () =
 let exp_cost e = float_of_int e.e_n_cpus *. (Spec.find e.e_bench).Spec.table1_mb
 
 (* [prefill exps] computes every not-yet-cached experiment of the grid
-   on the domain pool.  Results land in the cache only; callers then
+   with [Pool.run_all].  Results land in the cache only; callers then
    render tables sequentially, so table output is independent of the
    completion order.
 
-   Tasks are submitted longest-processing-time-first: grid order groups
-   cheap single-CPU runs before expensive 8/16-CPU ones, so FIFO order
-   regularly started a multi-minute experiment last and left every other
-   domain idle for its whole tail. *)
+   Tasks are listed longest-processing-time-first, and the pool starts
+   them in list order: grid order groups cheap single-CPU runs before
+   expensive 8/16-CPU ones, so grid order regularly started a
+   multi-minute experiment last and left every other domain idle for its
+   whole tail. *)
 let prefill exps =
   let seen = Hashtbl.create 64 in
   let todo =

@@ -56,23 +56,10 @@ let machine_arg =
     & info [ "m"; "machine" ]
         ~doc:"Machine model: $(b,sgi) (1MB DM), $(b,sgi-2way), $(b,sgi-4mb), $(b,alpha).")
 
-(* Accepts both the short CLI spellings and the {!Run.policy_name}
-   labels, so recorded trace headers round-trip through it. *)
-let parse_policy = function
-  | "pc" | "page-coloring" -> Ok Run.Page_coloring
-  | "bh" | "bin-hopping" -> Ok Run.Bin_hopping
-  | "bh-unaligned" | "bin-hopping-unaligned" -> Ok Run.Bin_hopping_unaligned
-  | "random" -> Ok Run.Random_colors
-  | "cdpc" -> Ok (Run.Cdpc { fallback = `Page_coloring; via_touch = false })
-  | "cdpc-bh" -> Ok (Run.Cdpc { fallback = `Bin_hopping; via_touch = false })
-  | "cdpc-touch" -> Ok (Run.Cdpc { fallback = `Bin_hopping; via_touch = true })
-  | "cdpc-hash" -> Ok (Run.Cdpc_hash { fallback = `Page_coloring })
-  | "cdpc-hash-bh" -> Ok (Run.Cdpc_hash { fallback = `Bin_hopping })
-  | "dynamic" | "dynamic(pc)" -> Ok (Run.Dynamic_recoloring { base = `Page_coloring })
-  | "dynamic-bh" | "dynamic(bh)" -> Ok (Run.Dynamic_recoloring { base = `Bin_hopping })
-  | s -> Error (`Msg ("unknown policy: " ^ s))
-
-let policy_conv = Arg.conv (parse_policy, fun fmt p -> Format.pp_print_string fmt (Run.policy_name p))
+let policy_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Run.policy_of_name s)),
+      fun fmt p -> Format.pp_print_string fmt (Run.policy_name p) )
 
 let policy_arg =
   Arg.(
@@ -234,7 +221,9 @@ let check_scale scale =
     usage_error "--scale: %s (got %d)" Pcolor.Workloads.Gen.scales_doc scale
 
 (* The CPU count and scale are checked here, before anything is built,
-   because every command that simulates goes through [config_of].
+   because every command that simulates goes through [config_of].  An
+   accepted scale can still be too large for a machine model (256 leaves
+   the 1 MB direct-mapped L2 one color), which is a usage error too.
    [slices]/[llc_hash] (the hashed/sliced LLC, DESIGN §16) are applied
    AFTER scaling — the scaled geometry determines the color count the
    hash must divide — and re-validated, so an impossible combination
@@ -243,7 +232,12 @@ let check_scale scale =
 let config_of ?slices ?llc_hash machine n_cpus scale =
   if n_cpus < 1 then usage_error "--cpus: need at least one CPU (got %d)" n_cpus;
   check_scale scale;
-  let cfg = machine_config machine n_cpus scale in
+  let cfg =
+    try machine_config machine n_cpus scale
+    with Invalid_argument msg ->
+      usage_error "--scale: %d is too large for the %s machine model (%s)" scale
+        (machine_name machine) msg
+  in
   match (slices, llc_hash) with
   | None, None -> cfg
   | _ -> (
@@ -517,9 +511,9 @@ let mix_cmd =
       let parsed =
         List.map
           (fun name ->
-            match parse_policy (String.trim name) with
+            match Run.policy_of_name (String.trim name) with
             | Ok p -> p
-            | Error (`Msg m) ->
+            | Error m ->
               Printf.eprintf "%s\n" m;
               exit 2)
           names
@@ -769,7 +763,7 @@ let replay_cmd =
       | None -> die "unknown machine model %S in trace header" h.Btrace.machine
     in
     let policy =
-      match parse_policy h.Btrace.policy with
+      match Run.policy_of_name h.Btrace.policy with
       | Ok p -> p
       | Error _ -> die "unknown policy %S in trace header" h.Btrace.policy
     in

@@ -10,9 +10,6 @@ type mode =
   | Natural  (** 8-byte packing, no padding — Figure 9's "unaligned" baseline *)
   | Aligned  (** line-aligned with group-aware line-granular padding *)
 
-(** Default start address of the data segment. *)
-val default_base : int
-
 (** [layout ~cfg ~mode ~groups arrays] assigns [base] addresses in
     declaration order and returns the end of the data segment.
     [groups] is the summary's co-access relation on array ids. *)

@@ -24,10 +24,6 @@ val circular_distance : c:int -> int -> int -> int
     virtual page under rotation [r]. *)
 val start_color : n_colors:int -> seg_info -> int -> int
 
-(** [conflicts ~grouped ~n_colors a b] is the paper's three-part
-    conflict test between two segments. *)
-val conflicts : grouped:(int -> int -> bool) -> n_colors:int -> seg_info -> seg_info -> bool
-
 (** [rotations ~n_colors ~grouped segs] chooses every segment's
     rotation, processing segments in order and maximizing the minimum
     circular distance to already-placed conflicting segments' start

@@ -40,12 +40,3 @@ let classify cfg =
 (** [inversion_name cfg] names the hash inversion for decision-log
     [chosen_by] entries, e.g. ["hash-inverse(sandybridge)"]. *)
 let inversion_name cfg = Printf.sprintf "hash-inverse(%s)" (Ahash.spec_to_string cfg.Config.l2_hash)
-
-(** [generate ~ablation ~cfg ~summary ~program ~n_cpus] runs the §5.2
-    colorer unchanged — its positions are already the right *bin*
-    schedule — and returns the hints with the placement info.  The
-    hash-awareness lives entirely in {!classify}: pair the two when
-    building the kernel. *)
-let generate ?ablation ~cfg ~summary ~program ~n_cpus () =
-  let ablation = Option.value ablation ~default:Colorer.full_algorithm in
-  Colorer.generate_ablated ~ablation ~cfg ~summary ~program ~n_cpus

@@ -13,16 +13,3 @@ val classify : Pcolor_memsim.Config.t -> int -> int
 (** [inversion_name cfg] names the inversion for decision-log
     [chosen_by] entries, e.g. ["hash-inverse(sandybridge)"]. *)
 val inversion_name : Pcolor_memsim.Config.t -> string
-
-(** [generate ?ablation ~cfg ~summary ~program ~n_cpus ()] runs the
-    §5.2 colorer (default: the full algorithm) and returns its hints
-    and placement info; pair with {!classify} when building the
-    kernel. *)
-val generate :
-  ?ablation:Colorer.ablation ->
-  cfg:Pcolor_memsim.Config.t ->
-  summary:Pcolor_comp.Summary.t ->
-  program:Pcolor_comp.Ir.program ->
-  n_cpus:int ->
-  unit ->
-  Pcolor_vm.Hints.t * Colorer.info

@@ -33,10 +33,6 @@ val pages_of : interval list -> page_size:int -> int list
     (vpage, cpu) pair touched in the steady state. *)
 val touch_points : Ir.program -> n_cpus:int -> page_size:int -> (int * int) list
 
-(** [inner_span nest r] is the elements the reference spans at fixed
-    depth-0. *)
-val inner_span : Ir.nest -> Ir.ref_ -> int
-
 (** [unit_density nest r] is the covered fraction of a distributed
     unit, 1.0 when fully dense or undistributed. *)
 val unit_density : Ir.nest -> Ir.ref_ -> float

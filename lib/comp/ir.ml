@@ -144,16 +144,6 @@ let min_max_index r ~bounds ~lo0 ~hi0 =
     Some (!lo, !hi)
   end
 
-(** [total_inner_iters nest] is the product of all bounds below depth 0 —
-    the work per distributed iteration. *)
-let total_inner_iters nest =
-  let n = Array.length nest.bounds in
-  let p = ref 1 in
-  for l = 1 to n - 1 do
-    p := !p * nest.bounds.(l)
-  done;
-  !p
-
 (** [data_set_bytes p] is the summed size of all arrays — the paper's
     Table 1 metric. *)
 let data_set_bytes p = List.fold_left (fun acc a -> acc + bytes a) 0 p.arrays

@@ -88,8 +88,5 @@ val check_program : program -> unit
     [None] when empty. *)
 val min_max_index : ref_ -> bounds:int array -> lo0:int -> hi0:int -> (int * int) option
 
-(** [total_inner_iters nest] is the work per distributed iteration. *)
-val total_inner_iters : nest -> int
-
 (** [data_set_bytes p] sums all array sizes (Table 1's metric). *)
 val data_set_bytes : program -> int

@@ -19,16 +19,6 @@ let range (nest : Ir.nest) ~n_cpus ~cpu =
   | Parallel { policy; direction } -> Partition.range policy direction ~n_cpus ~cpu ~trip
   | Suppressed | Sequential -> if cpu = master then (0, trip) else (0, 0)
 
-(** [iters nest ~n_cpus ~cpu] is the number of depth-0 iterations CPU
-    [cpu] executes. *)
-let iters nest ~n_cpus ~cpu =
-  let lo, hi = range nest ~n_cpus ~cpu in
-  hi - lo
-
-(** [is_parallel nest] discriminates nests that run on all CPUs. *)
-let is_parallel (nest : Ir.nest) =
-  match nest.kind with Parallel _ -> true | Suppressed | Sequential -> false
-
 (** [validate_coverage nest ~n_cpus] checks that per-CPU ranges tile
     [\[0, trip)] exactly — the property tests' workhorse.  Returns [true]
     when coverage is exact and disjoint. *)

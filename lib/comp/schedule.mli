@@ -9,12 +9,6 @@ val master : int
     [cpu] executes. *)
 val range : Ir.nest -> n_cpus:int -> cpu:int -> int * int
 
-(** [iters nest ~n_cpus ~cpu] is the CPU's iteration count. *)
-val iters : Ir.nest -> n_cpus:int -> cpu:int -> int
-
-(** [is_parallel nest] discriminates nests that run on all CPUs. *)
-val is_parallel : Ir.nest -> bool
-
 (** [validate_coverage nest ~n_cpus] checks the per-CPU ranges tile
     [\[0, trip)] exactly. *)
 val validate_coverage : Ir.nest -> n_cpus:int -> bool

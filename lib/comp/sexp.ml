@@ -101,17 +101,3 @@ let of_string s =
   | Some _ -> error ~line:lx.line ~col:lx.col "trailing input after expression"
   | None -> ());
   v
-
-(** [of_string_many s] parses a sequence of top-level expressions. *)
-let of_string_many s =
-  let lx = { src = s; pos = 0; line = 1; col = 1 } in
-  let items = ref [] in
-  let rec loop () =
-    skip_ws lx;
-    match peek lx with
-    | None -> List.rev !items
-    | Some _ ->
-      items := parse_one lx :: !items;
-      loop ()
-  in
-  loop ()

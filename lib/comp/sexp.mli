@@ -14,6 +14,3 @@ val to_string : t -> string
 (** [of_string s] parses exactly one S-expression, rejecting trailing
     input.  Raises {!Parse_error}. *)
 val of_string : string -> t
-
-(** [of_string_many s] parses a sequence of top-level expressions. *)
-val of_string_many : string -> t list

@@ -5,21 +5,12 @@
 
 exception Format_error of string
 
-(** [of_sexp sx] converts one [(program ...)] form.  Raises
-    {!Format_error} on semantic errors and validation errors from
-    {!Ir.check_program} on invalid IR. *)
-val of_sexp : Sexp.t -> Ir.program
-
 (** [of_string s] parses a full program text ({!Sexp.Parse_error} /
     {!Format_error}). *)
 val of_string : string -> Ir.program
 
 (** [of_file path] reads and parses a program file. *)
 val of_file : string -> Ir.program
-
-(** [to_sexp p] converts a program to its textual form (array bases are
-    not serialized; layout reassigns them on load). *)
-val to_sexp : Ir.program -> Sexp.t
 
 (** [to_string p] renders text that {!of_string} reads back to a
     structurally equal program. *)

@@ -9,7 +9,8 @@
 
     Sub-libraries (also usable directly):
 
-    - {!Util} — deterministic RNG, bit utilities, statistics, tables
+    - {!Util} — deterministic RNG, bit utilities, int tables, the
+      parallel map, text tables and charts
     - {!Memsim} — caches, TLB, bus, coherence, the machine model
     - {!Vm} — frame pool, page tables, mapping policies, the kernel
     - {!Comp} — loop-nest IR, partitioning, footprints, summaries,

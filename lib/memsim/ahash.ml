@@ -189,8 +189,6 @@ let name t = t.name
 
 let masks t = Array.copy t.masks
 
-let slice_bits t = t.slice_bits
-
 let group_bits t = t.group_bits
 
 let n_slices t = 1 lsl t.slice_bits

@@ -33,8 +33,6 @@ val name : t -> string
 
 val masks : t -> int array
 
-val slice_bits : t -> int
-
 val group_bits : t -> int
 
 val n_slices : t -> int

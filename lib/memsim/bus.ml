@@ -40,12 +40,6 @@ let add_upgrade t c = t.upgrade_cycles <- t.upgrade_cycles + c
 (** [busy_cycles t] is total occupancy across categories. *)
 let busy_cycles t = t.data_cycles + t.writeback_cycles + t.upgrade_cycles
 
-(** [occupancy ~busy ~wall] is the utilization in [0,1]: [busy] bus
-    cycles offered during [wall] cycles of wall-clock time.  Demand may
-    exceed capacity (>1) before the contention fixed point is applied. *)
-let occupancy ~busy ~wall =
-  if wall <= 0 then 0.0 else float_of_int busy /. float_of_int wall
-
 (** [stretch_factor rho] multiplies memory latency under utilization
     [rho].  M/M/1 waiting-time shape [1 + rho/(1-rho)] with the pole
     clamped: utilization is capped at 0.95 so the factor never exceeds
@@ -60,9 +54,3 @@ let stretch_factor rho =
 
 (** [categories t] is [(data, writeback, upgrade)] occupancy in cycles. *)
 let categories t = (t.data_cycles, t.writeback_cycles, t.upgrade_cycles)
-
-(** [add_into dst src] accumulates [src]'s occupancy into [dst]. *)
-let add_into dst src =
-  dst.data_cycles <- dst.data_cycles + src.data_cycles;
-  dst.writeback_cycles <- dst.writeback_cycles + src.writeback_cycles;
-  dst.upgrade_cycles <- dst.upgrade_cycles + src.upgrade_cycles

@@ -22,10 +22,6 @@ val add_upgrade : t -> int -> unit
 (** [busy_cycles t] is total occupancy. *)
 val busy_cycles : t -> int
 
-(** [occupancy ~busy ~wall] is utilization in [0, ∞) (demand may exceed
-    capacity before the fixed point). *)
-val occupancy : busy:int -> wall:int -> float
-
 (** [stretch_factor rho] is the memory-latency multiplier under
     utilization [rho]: 1 below 30%, then climbing with the M/M/1
     waiting-time shape, clamped at the 0.95 pole. *)
@@ -33,6 +29,3 @@ val stretch_factor : float -> float
 
 (** [categories t] is [(data, writeback, upgrade)] cycles. *)
 val categories : t -> int * int * int
-
-(** [add_into dst src] accumulates [src] into [dst]. *)
-val add_into : t -> t -> unit

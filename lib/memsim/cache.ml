@@ -64,9 +64,6 @@ let create (g : Config.cache_geom) =
 (** [line_of t addr] is the line number containing byte address [addr]. *)
 let line_of t addr = addr lsr t.line_bits
 
-(** [line_bits t] exposes the line-offset width (log2 of line size). *)
-let line_bits t = t.line_bits
-
 (** [n_sets t] is the set count; [set_of_line t line] the set a line
     number indexes into (attribution keys misses by set). *)
 let n_sets t = t.nsets
@@ -209,7 +206,7 @@ let clean t addr =
   if slot >= 0 then t.ways.(slot) <- t.ways.(slot) land lnot 1
 
 (** [flush t] empties the cache and resets statistics-free state; hit and
-    miss counters are preserved (use {!reset_stats}). *)
+    miss counters are preserved. *)
 let flush t =
   Array.fill t.ways 0 (Array.length t.ways) (-1);
   Array.fill t.stamp 0 (Array.length t.stamp) 0
@@ -218,12 +215,6 @@ let flush t =
 let hits t = t.hits
 
 let misses t = t.misses
-
-(** [reset_stats t] zeroes the hit/miss counters without touching cache
-    contents (used when discarding warm-up phases, §3.2). *)
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
 
 (** [resident_lines t] lists the line numbers currently cached (test
     helper; O(cache size)). *)

@@ -11,9 +11,6 @@ val create : Config.cache_geom -> t
 (** [line_of t addr] is the line number containing byte [addr]. *)
 val line_of : t -> int -> int
 
-(** [line_bits t] is log2 of the line size. *)
-val line_bits : t -> int
-
 (** [n_sets t] is the set count. *)
 val n_sets : t -> int
 
@@ -65,10 +62,6 @@ val flush : t -> unit
 val hits : t -> int
 
 val misses : t -> int
-
-(** [reset_stats t] zeroes counters without touching contents (warm-up
-    discard, §3.2). *)
-val reset_stats : t -> unit
 
 (** [resident_lines t] lists cached line numbers (test helper). *)
 val resident_lines : t -> int list

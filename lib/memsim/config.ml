@@ -74,9 +74,6 @@ let resolved_hash t =
     cache size / (page size × associativity) (§2.1). *)
 let n_colors t = t.l2.size / (t.page_size * t.l2.assoc)
 
-(** [ns_to_cycles t ns] converts nanoseconds to CPU cycles. *)
-let ns_to_cycles t ns = ns * t.clock_mhz / 1000
-
 (** [line_bus_cycles t] is the bus occupancy (in CPU cycles) of one
     L2-line transfer at the configured bandwidth. *)
 let line_bus_cycles t =

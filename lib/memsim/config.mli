@@ -44,9 +44,6 @@ val n_colors : t -> int
     log2 (n_colors / l2_slices)). *)
 val resolved_hash : t -> Ahash.t
 
-(** [ns_to_cycles t ns] converts nanoseconds to CPU cycles. *)
-val ns_to_cycles : t -> int -> int
-
 (** [line_bus_cycles t] is the bus occupancy (CPU cycles) of one
     L2-line transfer. *)
 val line_bus_cycles : t -> int

@@ -61,13 +61,6 @@ let make_stats () =
 let total_mem_stall s =
   s.stall_onchip + Array.fold_left ( + ) 0 s.stall_by_class + s.stall_pf_late + s.stall_pf_full
 
-(** [mcpi s] is memory cycles per instruction — the paper's headline
-    memory-behaviour metric (an MCPI of 1.0 means half the useful time is
-    memory stall). *)
-let mcpi s =
-  if s.instructions = 0 then 0.0
-  else float_of_int (total_mem_stall s) /. float_of_int s.instructions
-
 (* Translation-memo geometry: 64 direct-mapped entries indexed by the
    vpage's low bits — enough that the handful of pages a nest cycles
    through between TLB content changes rarely collide. *)
@@ -896,10 +889,8 @@ let publish_metrics t reg =
   put "memsim.bus.writeback_cycles" wb;
   put "memsim.bus.upgrade_cycles" upg
 
-(** [l1_cache t ~cpu] / [l2_cache t ~cpu] / [tlb t ~cpu] expose per-CPU
-    components for tests and detailed probes. *)
-let l1_cache t ~cpu = t.cpus.(cpu).l1
-
+(** [l2_cache t ~cpu] / [tlb t ~cpu] expose per-CPU components for tests
+    and detailed probes. *)
 let l2_cache t ~cpu = t.cpus.(cpu).l2
 
 let tlb t ~cpu = t.cpus.(cpu).tlb

@@ -32,9 +32,6 @@ type cpu_stats = {
 (** [total_mem_stall s] sums every memory-system stall cycle. *)
 val total_mem_stall : cpu_stats -> int
 
-(** [mcpi s] is memory cycles per instruction. *)
-val mcpi : cpu_stats -> float
-
 type t
 
 (** [create ?obs cfg] builds an empty machine.  [obs] (default
@@ -189,10 +186,8 @@ val touch_page :
     the hot path carries no metric updates. *)
 val publish_metrics : t -> Pcolor_obs.Metrics.t -> unit
 
-(** [l1_cache t ~cpu] / [l2_cache t ~cpu] / [tlb t ~cpu] expose per-CPU
-    components for tests and probes. *)
-val l1_cache : t -> cpu:int -> Cache.t
-
+(** [l2_cache t ~cpu] / [tlb t ~cpu] expose per-CPU components for
+    tests and probes. *)
 val l2_cache : t -> cpu:int -> Slice.t
 
 val tlb : t -> cpu:int -> Tlb.t

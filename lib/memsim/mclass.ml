@@ -26,9 +26,6 @@ let to_string = function
     paper groups as "replacement misses". *)
 let is_replacement = function Capacity | Conflict -> true | _ -> false
 
-(** [is_communication c] is true for sharing misses. *)
-let is_communication = function True_sharing | False_sharing -> true | _ -> false
-
 (** Per-class counter array indexed by the class's position in {!all}. *)
 type counts = int array
 
@@ -50,7 +47,3 @@ let get (counts : counts) c = counts.(index c)
 
 (** [total counts] sums every class. *)
 let total (counts : counts) = Array.fold_left ( + ) 0 counts
-
-(** [add_into dst src] accumulates [src] into [dst]. *)
-let add_into (dst : counts) (src : counts) =
-  Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src

@@ -14,9 +14,6 @@ val to_string : t -> string
     "replacement misses"). *)
 val is_replacement : t -> bool
 
-(** [is_communication c] is true for sharing misses. *)
-val is_communication : t -> bool
-
 (** Per-class counters, indexed by {!index}. *)
 type counts = int array
 
@@ -34,6 +31,3 @@ val get : counts -> t -> int
 
 (** [total counts] sums every class. *)
 val total : counts -> int
-
-(** [add_into dst src] accumulates [src] into [dst]. *)
-val add_into : counts -> counts -> unit

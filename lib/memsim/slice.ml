@@ -84,17 +84,11 @@ let[@inline] route t addr = if t.n_slices = 1 then 0 else slice_of_frame t (addr
 let[@inline] slice_of_line t line =
   if t.n_slices = 1 then 0 else slice_of_frame t (line lsr t.page_line_bits)
 
-let n_slices t = t.n_slices
-
-let hash t = t.hash
-
 let slice t i = t.slices.(i)
 
 (* ---- Cache API mirror (what Machine routes through) ---- *)
 
 let line_of t addr = Cache.line_of t.slices.(0) addr
-
-let line_bits t = Cache.line_bits t.slices.(0)
 
 (** [n_sets t] is the total set count across slices — equal to the
     unsliced cache's set count for the same geometry. *)
@@ -116,8 +110,6 @@ let flush t = Array.iter Cache.flush t.slices
 let hits t = Array.fold_left (fun acc c -> acc + Cache.hits c) 0 t.slices
 
 let misses t = Array.fold_left (fun acc c -> acc + Cache.misses c) 0 t.slices
-
-let reset_stats t = Array.iter Cache.reset_stats t.slices
 
 let resident_lines t =
   Array.to_list t.slices |> List.concat_map Cache.resident_lines |> List.sort_uniq compare

@@ -9,10 +9,6 @@ type t
     slices routed by [hash]; [page_bits] = log2 page size. *)
 val create : Config.cache_geom -> n_slices:int -> hash:Ahash.t -> page_bits:int -> t
 
-val n_slices : t -> int
-
-val hash : t -> Ahash.t
-
 (** [slice t i] is slice [i]'s underlying cache. *)
 val slice : t -> int -> Cache.t
 
@@ -32,8 +28,6 @@ val route : t -> int -> int
 
 val line_of : t -> int -> int
 
-val line_bits : t -> int
-
 val n_sets : t -> int
 
 val set_of_line : t -> int -> int
@@ -47,7 +41,5 @@ val flush : t -> unit
 val hits : t -> int
 
 val misses : t -> int
-
-val reset_stats : t -> unit
 
 val resident_lines : t -> int list

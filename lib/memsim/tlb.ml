@@ -147,10 +147,5 @@ let hits t = t.hits
 
 let misses t = t.misses
 
-(** [reset_stats t] zeroes counters, keeping contents. *)
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
 (** [occupancy t] is the number of live translations. *)
 let occupancy t = Pcolor_util.Itab.length t.slot_of

@@ -49,8 +49,5 @@ val hits : t -> int
 
 val misses : t -> int
 
-(** [reset_stats t] zeroes counters, keeping contents. *)
-val reset_stats : t -> unit
-
 (** [occupancy t] is the number of live translations. *)
 val occupancy : t -> int

@@ -141,8 +141,6 @@ let create ~n_colors ~n_classes () =
 
 let n_colors t = t.n_colors
 
-let n_classes t = t.n_classes
-
 (** [record t ~cls ~frame ~set ~victim_frame ~replacement] accounts one
     external-cache miss of class index [cls] brought in by a reference
     to physical page [frame] mapping to cache set [set].

@@ -22,8 +22,6 @@ val create : n_colors:int -> n_classes:int -> unit -> t
 (** [n_colors t] / [n_classes t] echo the creation geometry. *)
 val n_colors : t -> int
 
-val n_classes : t -> int
-
 (** [record t ~cls ~frame ~set ~victim_frame ~replacement] accounts one
     external-cache miss: class index [cls], evictor physical page
     [frame], cache set [set], evicted line's physical page

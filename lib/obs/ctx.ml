@@ -26,10 +26,6 @@ let create ?metrics ?trace ?attrib ?sampler ?prof ?sample () =
   let sample = match sample with Some s -> s | None -> sample_from_env () in
   { metrics; trace; attrib; sampler; prof; sample }
 
-let enabled t =
-  t.metrics <> None || t.trace <> None || t.attrib <> None
-  || t.sampler <> None || t.prof <> None
-
 let metrics t = t.metrics
 
 let trace t = t.trace

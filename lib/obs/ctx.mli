@@ -18,7 +18,9 @@ type t = {
 val disabled : t
 
 (** [create ?metrics ?trace ?attrib ?sampler ?prof ?sample ()] builds a
-    context; [sample] defaults to {!sample_from_env}. *)
+    context; [sample] defaults to true when [PCOLOR_OBS_SAMPLE] is set
+    to [1]/[true]/[on]/[yes] — the opt-in knob for per-reference
+    signals. *)
 val create :
   ?metrics:Metrics.t ->
   ?trace:Trace.buffer ->
@@ -28,13 +30,6 @@ val create :
   ?sample:bool ->
   unit ->
   t
-
-(** [sample_from_env ()] is true when [PCOLOR_OBS_SAMPLE] is set to
-    [1]/[true]/[on] — the opt-in knob for per-reference signals. *)
-val sample_from_env : unit -> bool
-
-(** [enabled t] is true when any instrument is attached. *)
-val enabled : t -> bool
 
 (** [metrics t] / [trace t] / [attrib t] / [sampler t] accessors. *)
 val metrics : t -> Metrics.t option

@@ -13,10 +13,6 @@
 (** The shared log source ("pcolor"). *)
 val src : Logs.src
 
-(** [run_id ()] is this process's diagnostic run id (minted on first
-    use; stable for the process lifetime). *)
-val run_id : unit -> string
-
 (** [init ()] reads [PCOLOR_LOG] and, when set, installs a stderr
     reporter at the requested level.  Unknown level strings warn on
     stderr and default to [info].  Call once from each executable's

@@ -25,10 +25,6 @@ type snapshot = (string * value) list
 
 let create () = { mutex = Mutex.create (); cells = Hashtbl.create 64 }
 
-let process_registry = lazy (create ())
-
-let process () = Lazy.force process_registry
-
 let register t name make match_existing =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.cells name with
@@ -78,10 +74,6 @@ let add c n = ignore (Atomic.fetch_and_add c n)
 
 let set g v = Atomic.set g v
 
-let rec set_max g v =
-  let cur = Atomic.get g in
-  if v > cur && not (Atomic.compare_and_set g cur v) then set_max g v
-
 (* First bucket whose bound admits v; the linear scan beats binary
    search at the handful of buckets the simulator uses. *)
 let observe h v =
@@ -129,8 +121,6 @@ let merge snaps =
     snaps;
   Hashtbl.fold (fun name v acc -> (name, v) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let equal (a : snapshot) (b : snapshot) = a = b
 
 let to_json snap =
   Json.Obj

@@ -7,9 +7,7 @@
     the call site.  Simulation code keeps one registry per run (so
     domain-parallel experiment grids stay deterministic: per-run
     snapshots are merged in submission order and integer addition is
-    order-independent); process-wide machinery such as the domain pool
-    reports into the shared {!process} registry, whose wall-clock
-    values are intentionally excluded from determinism checks. *)
+    order-independent). *)
 
 type t
 (** A registry: a mutex-protected name → cell table.  Registration
@@ -37,9 +35,6 @@ type snapshot = (string * value) list
 
 val create : unit -> t
 
-val process : unit -> t
-(** The shared process-wide registry (pool/queue instrumentation). *)
-
 (** [counter t name] registers (or finds) a counter.  Raises
     [Invalid_argument] if [name] exists with a different kind. *)
 val counter : t -> string -> counter
@@ -54,10 +49,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val set : gauge -> int -> unit
 
-(** [set_max g v] raises the gauge to [v] if [v] is larger (high-water
-    marks; lock-free). *)
-val set_max : gauge -> int -> unit
-
 val observe : histogram -> int -> unit
 
 (** [snapshot t] reads every cell, sorted by name. *)
@@ -67,8 +58,6 @@ val snapshot : t -> snapshot
     histograms add per-bucket (bounds must agree).  Raises
     [Invalid_argument] on kind or bound mismatches. *)
 val merge : snapshot list -> snapshot
-
-val equal : snapshot -> snapshot -> bool
 
 (** [to_json snap] is a name → descriptor object, e.g.
     [{"memsim.l1_hits":{"type":"counter","value":42}, ...}]. *)

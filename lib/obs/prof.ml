@@ -106,18 +106,3 @@ let render t =
       (Printf.sprintf "  %-16s %10s %12.6f\n" "total" "" total);
     Buffer.contents b
   end
-
-let to_json t =
-  Json.Obj
-    (List.map
-       (fun r ->
-         ( r.name,
-           Json.Obj
-             [
-               ("calls", Json.Int r.calls);
-               ("wall_s", Json.Float r.wall_s);
-               ("minor_words", Json.Float r.minor_words);
-               ("promoted_words", Json.Float r.promoted_words);
-               ("major_collections", Json.Int r.major_collections);
-             ] ))
-       (rows t))

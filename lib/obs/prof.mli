@@ -45,5 +45,3 @@ val rows : t -> row list
 (** [render t] is a plain-text table of {!rows} plus a share-of-total
     column (percent of the summed bracketed wall time). *)
 val render : t -> string
-
-val to_json : t -> Json.t

@@ -79,13 +79,10 @@ let create ?(epoch_cycles = default_epoch_cycles) ~n_cpus ~n_counters ~n_global 
     flushed = false;
   }
 
-let epoch_cycles t = t.epoch_cycles
 let n_cpus t = t.n_cpus
 let n_counters t = t.n_counters
 let n_global t = t.n_global
-let row_width t = t.row_width
 let n_rows t = t.n_rows
-let n_events t = t.n_events
 let scratch t = t.scratch
 
 let due t ~cpu ~time = time >= Array.unsafe_get t.next_due cpu
@@ -134,7 +131,6 @@ let cell t ~row ~col =
   t.store.((row * t.row_width) + col)
 
 let set_job t ~cpu asid = t.job.(cpu) <- asid
-let job t ~cpu = t.job.(cpu)
 
 let mark_switch t ~time ~from_asid ~to_asid =
   let need = 3 * (t.n_events + 1) in

@@ -24,13 +24,10 @@ val default_epoch_cycles : int
     epoch. *)
 val create : ?epoch_cycles:int -> n_cpus:int -> n_counters:int -> n_global:int -> unit -> t
 
-val epoch_cycles : t -> int
 val n_cpus : t -> int
 val n_counters : t -> int
 val n_global : t -> int
-val row_width : t -> int
 val n_rows : t -> int
-val n_events : t -> int
 
 (** [due t ~cpu ~time] is true when [cpu]'s clock crossed its next
     epoch boundary — the only check on the simulation hot path. *)
@@ -58,14 +55,9 @@ val cell : t -> row:int -> col:int -> int
     address space [asid] (the scheduler's dispatch hook). *)
 val set_job : t -> cpu:int -> int -> unit
 
-val job : t -> cpu:int -> int
-
 (** [mark_switch t ~time ~from_asid ~to_asid] records a context-switch
     instant on the timeline. *)
 val mark_switch : t -> time:int -> from_asid:int -> to_asid:int -> unit
-
-(** [event t i] is the [i]-th switch as [(time, from, to)]. *)
-val event : t -> int -> int * int * int
 
 (** One-shot end-of-run flush guard: {!flushed} after {!set_flushed}
     lets the producer commit final partial rows exactly once. *)
@@ -81,6 +73,7 @@ val reset : t -> unit
 val iter_rows : t -> (int -> unit) -> unit
 
 (** [to_json ~columns t] is the schema-v4 ["timeline"] artifact
-    section: epoch size, column names (length must equal
-    {!row_width}), delta rows, and switch events. *)
+    section: epoch size, column names (one per row column:
+    {!header_width} + [n_counters] + [n_global]), delta rows, and
+    switch events. *)
 val to_json : columns:string list -> t -> Json.t

@@ -77,44 +77,6 @@ let summarize xs =
 
 (* ---- Experiment aggregates ---- *)
 
-(** Welford-style streaming accumulator for mean and variance. *)
-type acc = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
-
-(** [create ()] is an empty accumulator. *)
-let create () = { n = 0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
-
-(** [add acc x] folds one observation into [acc]. *)
-let add acc x =
-  acc.n <- acc.n + 1;
-  let delta = x -. acc.mean in
-  acc.mean <- acc.mean +. (delta /. float_of_int acc.n);
-  acc.m2 <- acc.m2 +. (delta *. (x -. acc.mean));
-  if x < acc.min_v then acc.min_v <- x;
-  if x > acc.max_v then acc.max_v <- x
-
-(** [count acc] is the number of observations folded so far. *)
-let count acc = acc.n
-
-(** [mean acc] is the sample mean; 0 when empty. *)
-let mean acc = if acc.n = 0 then 0.0 else acc.mean
-
-(** [variance acc] is the unbiased sample variance; 0 for n < 2. *)
-let variance acc = if acc.n < 2 then 0.0 else acc.m2 /. float_of_int (acc.n - 1)
-
-(** [stddev acc] is the sample standard deviation. *)
-let stddev acc = sqrt (variance acc)
-
-(** [min_value acc] / [max_value acc]; 0 when empty. *)
-let min_value acc = if acc.n = 0 then 0.0 else acc.min_v
-
-let max_value acc = if acc.n = 0 then 0.0 else acc.max_v
-
 (** [mean_of xs] is the arithmetic mean of a list; 0 for []. *)
 let mean_of xs =
   match xs with
@@ -136,9 +98,6 @@ let geomean xs =
         0.0 xs
     in
     exp (sum_logs /. float_of_int (List.length xs))
-
-(** [percent part whole] is [100 * part / whole], 0 when [whole] = 0. *)
-let percent part whole = if whole = 0.0 then 0.0 else 100.0 *. part /. whole
 
 (** [ratio a b] is [a /. b] with 0 for a zero denominator; used for
     speedup computations where a degenerate run yields 0. *)

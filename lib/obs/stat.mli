@@ -11,7 +11,7 @@
     in, same summary out, bit for bit.  No randomness, no environment.
 
     The module also holds the aggregate helpers experiment reports use
-    (a streaming accumulator, geometric mean, guarded ratios). *)
+    (arithmetic and geometric means, guarded ratios). *)
 
 type summary = {
   n : int;  (** number of trials *)
@@ -44,38 +44,12 @@ val summarize : float array -> summary
 
 (** {2 Experiment aggregates} *)
 
-(** Welford-style streaming accumulator. *)
-type acc
-
-(** [create ()] is an empty accumulator. *)
-val create : unit -> acc
-
-(** [add acc x] folds one observation. *)
-val add : acc -> float -> unit
-
-val count : acc -> int
-
-(** [mean acc] is the sample mean (0 when empty). *)
-val mean : acc -> float
-
-(** [variance acc] is the unbiased sample variance (0 for n < 2). *)
-val variance : acc -> float
-
-val stddev : acc -> float
-
-val min_value : acc -> float
-
-val max_value : acc -> float
-
 (** [mean_of xs] is the arithmetic mean of a list (0 for []). *)
 val mean_of : float list -> float
 
 (** [geomean xs] is the geometric mean (the SPEC rating); raises
     [Invalid_argument] on non-positive inputs, 0 for []. *)
 val geomean : float list -> float
-
-(** [percent part whole] is [100·part/whole] (0 on zero denominator). *)
-val percent : float -> float -> float
 
 (** [ratio a b] is [a /. b] with 0 on a zero denominator. *)
 val ratio : float -> float -> float

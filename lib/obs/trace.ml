@@ -13,15 +13,11 @@ type buffer = { sink : sink; bpid : int; buf : Buffer.t }
 
 let open_sink ~path = { spath = path; oc = open_out path; mutex = Mutex.create (); next_pid = 1; closed = false }
 
-let path sink = sink.spath
-
 let buffer sink =
   Mutex.protect sink.mutex (fun () ->
       let pid = sink.next_pid in
       sink.next_pid <- pid + 1;
       { sink; bpid = pid; buf = Buffer.create 4096 })
-
-let pid buf = buf.bpid
 
 let event buf ~ph ~ts ~tid ?cat ?args name =
   let fields =

@@ -19,15 +19,9 @@ type buffer
 (** [open_sink ~path] opens (truncates) the trace file. *)
 val open_sink : path:string -> sink
 
-(** [path sink] is the file the sink writes to. *)
-val path : sink -> string
-
 (** [buffer sink] allocates a private event buffer with a fresh
     process id (thread-safe). *)
 val buffer : sink -> buffer
-
-(** [pid buf] is the buffer's trace process id. *)
-val pid : buffer -> int
 
 (** [duration_begin buf ~ts ~tid name] / [duration_end buf ~ts ~tid
     name] bracket a span on thread [tid] ([ph:"B"]/[ph:"E"]). *)

@@ -3,10 +3,6 @@
     machine-readable audit sections ([pcolor explain] renders them,
     [pcolor diff] compares them). *)
 
-(** [array_of_vpage ~page_size program vpage] names the array whose
-    allocated bytes overlap virtual page [vpage], if any. *)
-val array_of_vpage : page_size:int -> Pcolor_comp.Ir.program -> int -> string option
-
 (** [attribution_json ~kernel ~program ~page_size attrib] is the
     artifact's ["attribution"] section: per-class totals, per-color
     histograms, hottest eviction pairs / frames / cache sets, each

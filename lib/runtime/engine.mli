@@ -138,13 +138,6 @@ val last_contention : t -> float
 (** [overheads t] exposes the overhead accumulators. *)
 val overheads : t -> Pcolor_stats.Overheads.t
 
-(** [machine t] / [kernel t] / [program t] expose the wired components. *)
-val machine : t -> Pcolor_memsim.Machine.t
-
-val kernel : t -> Pcolor_vm.Kernel.t
-
-val program : t -> Pcolor_comp.Ir.program
-
 (** [cpus t] is the physical CPU range [(first, count)] the engine
     schedules onto. *)
 val cpus : t -> int * int

@@ -48,6 +48,23 @@ let policy_name = function
   | Dynamic_recoloring { base = `Page_coloring } -> "dynamic(pc)"
   | Dynamic_recoloring { base = `Bin_hopping } -> "dynamic(bh)"
 
+(** [policy_of_name s] inverts {!policy_name} and also accepts the short
+    CLI spellings ([pc], [bh], [dynamic], ...), so a label stored in a
+    tape header parses back to the policy that wrote it. *)
+let policy_of_name = function
+  | "pc" | "page-coloring" -> Ok Page_coloring
+  | "bh" | "bin-hopping" -> Ok Bin_hopping
+  | "bh-unaligned" | "bin-hopping-unaligned" -> Ok Bin_hopping_unaligned
+  | "random" -> Ok Random_colors
+  | "cdpc" -> Ok (Cdpc { fallback = `Page_coloring; via_touch = false })
+  | "cdpc-bh" -> Ok (Cdpc { fallback = `Bin_hopping; via_touch = false })
+  | "cdpc-touch" -> Ok (Cdpc { fallback = `Bin_hopping; via_touch = true })
+  | "cdpc-hash" -> Ok (Cdpc_hash { fallback = `Page_coloring })
+  | "cdpc-hash-bh" -> Ok (Cdpc_hash { fallback = `Bin_hopping })
+  | "dynamic" | "dynamic(pc)" -> Ok (Dynamic_recoloring { base = `Page_coloring })
+  | "dynamic-bh" | "dynamic(bh)" -> Ok (Dynamic_recoloring { base = `Bin_hopping })
+  | s -> Error ("unknown policy: " ^ s)
+
 type setup = {
   cfg : Pcolor_memsim.Config.t;
   make_program : unit -> Ir.program;

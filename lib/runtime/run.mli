@@ -29,6 +29,12 @@ type policy_choice =
 (** [policy_name c] is the report label. *)
 val policy_name : policy_choice -> string
 
+(** [policy_of_name s] inverts {!policy_name} and also accepts the short
+    CLI spellings ([pc], [bh], [bh-unaligned], [cdpc-bh], [dynamic],
+    [dynamic-bh], ...), so a label stored in a tape header parses back
+    to the policy that wrote it.  [Error] names the unknown string. *)
+val policy_of_name : string -> (policy_choice, string) result
+
 type setup = {
   cfg : Pcolor_memsim.Config.t;
   make_program : unit -> Ir.program;

@@ -29,10 +29,3 @@ let plan ?(cap = 2) (p : Pcolor_comp.Ir.program) =
     warm caches and fault in pages before measurement. *)
 let warmup_plan (p : Pcolor_comp.Ir.program) =
   List.map (fun (phase_idx, _) -> { phase_idx; simulate = 1; weight = 0.0 }) p.steady
-
-(** [simulated_fraction plan_steps program] reports how much of the real
-    steady state is actually simulated — a cost/fidelity diagnostic. *)
-let simulated_fraction steps (p : Pcolor_comp.Ir.program) =
-  let real = List.fold_left (fun acc (_, occ) -> acc + occ) 0 p.steady in
-  let sim = List.fold_left (fun acc s -> acc + s.simulate) 0 steps in
-  if real = 0 then 0.0 else float_of_int sim /. float_of_int real

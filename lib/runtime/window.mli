@@ -14,7 +14,3 @@ val plan : ?cap:int -> Pcolor_comp.Ir.program -> step list
 
 (** [warmup_plan p] is one pass over each steady phase. *)
 val warmup_plan : Pcolor_comp.Ir.program -> step list
-
-(** [simulated_fraction steps p] is the fraction of the real steady
-    state actually simulated. *)
-val simulated_fraction : step list -> Pcolor_comp.Ir.program -> float

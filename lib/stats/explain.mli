@@ -8,14 +8,6 @@
     bounds the per-page decision listing. *)
 val render : ?top:int -> ?page_rows:int -> Pcolor_obs.Json.t -> string
 
-(** [render_attribution ?top buf v] appends just the attribution
-    section for the ["attribution"] object [v]. *)
-val render_attribution : ?top:int -> Buffer.t -> Pcolor_obs.Json.t -> unit
-
-(** [render_decisions ?page_rows buf v] appends just the decision-log
-    section for the ["coloring_decisions"] object [v]. *)
-val render_decisions : ?page_rows:int -> Buffer.t -> Pcolor_obs.Json.t -> unit
-
 (** [per_array_rollup artifact] aggregates the attribution hot frames
     by owning array into a stable
     [{"per_array": {array: {class: count}}}] shape that {!Delta.diff}

@@ -45,15 +45,6 @@ let sum = Array.fold_left ( +. ) 0.0
     CPUs. *)
 let totals t = (sum t.imbalance, sum t.sequential, sum t.suppressed, sum t.sync)
 
-(** [copy t] snapshots the accumulators. *)
-let copy t =
-  {
-    imbalance = Array.copy t.imbalance;
-    sequential = Array.copy t.sequential;
-    suppressed = Array.copy t.suppressed;
-    sync = Array.copy t.sync;
-  }
-
 (** [barrier_cost ~n_cpus] is the cycle cost of one software barrier —
     logarithmic in the processor count (a tournament barrier). *)
 let barrier_cost ~n_cpus =

@@ -25,9 +25,6 @@ val add_sync : t -> cpu:int -> float -> unit
     over CPUs. *)
 val totals : t -> float * float * float * float
 
-(** [copy t] snapshots the accumulators. *)
-val copy : t -> t
-
 (** [barrier_cost ~n_cpus] is one software barrier's cycle cost
     (logarithmic in the processor count). *)
 val barrier_cost : n_cpus:int -> int

@@ -14,23 +14,12 @@ type t = {
   events : (int * int * int) array;  (** time, from-asid, to-asid *)
 }
 
-(** [of_json v] decodes a ["timeline"] section value. *)
-val of_json : Pcolor_obs.Json.t -> (t, string) result
-
 (** [of_artifact v] finds and decodes the ["timeline"] section of a
     full run/mix artifact. *)
 val of_artifact : Pcolor_obs.Json.t -> (t, string) result
 
 (** [col t name] is the column's index, if present. *)
 val col : t -> string -> int option
-
-(** [n_epochs t] is one past the highest committed epoch (0 when the
-    timeline is empty). *)
-val n_epochs : t -> int
-
-(** [series ?job t pred] sums every column matched by [pred] into a
-    dense per-epoch array (rows of [job] only, when given). *)
-val series : ?job:int -> t -> (string -> bool) -> float array
 
 (** [miss_series ?job t] sums the [l2_miss.*] columns per epoch. *)
 val miss_series : ?job:int -> t -> float array
@@ -55,10 +44,6 @@ type change = { epoch : int; score : float; before : float; after : float }
 val detect : ?window:int -> ?threshold:float -> float array -> change list
 
 type segment = { seg_from : int; seg_to : int; seg_mean : float }
-
-(** [segments s changes] splits [0, length s) at the change epochs,
-    each span annotated with its mean level. *)
-val segments : float array -> change list -> segment list
 
 (** [render t] is the [pcolor timeline] view: sparklines for the
     miss/conflict/stall series, detected phases, the per-job split and

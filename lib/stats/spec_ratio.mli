@@ -3,14 +3,6 @@
     numbers are testbed-specific; only ratios between policies are
     reproduction targets. *)
 
-(** The SPEC95 reference times in seconds, used for their relative
-    weights. *)
-val spec95_reference_seconds : (string * float) list
-
-(** [reference_of name] is a benchmark's reference weight (1000.0 for
-    unknown names). *)
-val reference_of : string -> float
-
 (** [ratio ~ref_cycles ~measured_cycles] is one benchmark's rating. *)
 val ratio : ref_cycles:float -> measured_cycles:float -> float
 

@@ -21,11 +21,6 @@ let ceil_div a b =
 (** [round_up a b] rounds [a] up to the next multiple of [b]. *)
 let round_up a b = ceil_div a b * b
 
-(** [round_down a b] rounds [a] down to a multiple of [b]. *)
-let round_down a b =
-  if b <= 0 then invalid_arg "Bits.round_down: divisor must be positive";
-  a / b * b
-
 (** [next_pow2 n] is the smallest power of two >= [max 1 n]. *)
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in

@@ -13,16 +13,11 @@ val ceil_div : int -> int -> int
 (** [round_up a b] / [round_down a b] round to multiples of [b]. *)
 val round_up : int -> int -> int
 
-val round_down : int -> int -> int
-
 (** [next_pow2 n] is the smallest power of two ≥ [max 1 n]. *)
 val next_pow2 : int -> int
 
 (** [popcount n] counts set bits of a non-negative int. *)
 val popcount : int -> int
-
-(** [iter_bits n f] applies [f] to each set-bit index, lowest first. *)
-val iter_bits : int -> (int -> unit) -> unit
 
 (** [bits_to_list n] is the ascending set-bit indices (processor-set
     rendering). *)

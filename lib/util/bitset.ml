@@ -14,9 +14,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
   { bits = Bytes.make (max 1 ((n + 7) lsr 3)) '\000' }
 
-(** [capacity t] is the number of indices the current buffer covers. *)
-let capacity t = Bytes.length t.bits lsl 3
-
 (** [mem t i] tests membership; indices beyond the capacity are absent.
     Never allocates. *)
 let mem t i =
@@ -41,12 +38,3 @@ let set t i =
   if byte >= Bytes.length t.bits then grow t (byte + 1);
   Bytes.unsafe_set t.bits byte
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.bits byte) lor (1 lsl (i land 7))))
-
-(** [reset t] empties the set, keeping the buffer. *)
-let reset t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
-
-(** [cardinal t] counts members (linear scan; for tests and probes). *)
-let cardinal t =
-  let n = ref 0 in
-  Bytes.iter (fun c -> n := !n + Bits.popcount (Char.code c)) t.bits;
-  !n

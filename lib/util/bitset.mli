@@ -7,9 +7,6 @@ type t
 (** [create n] is an empty set pre-sized for indices below [n]. *)
 val create : int -> t
 
-(** [capacity t] is the number of indices the current buffer covers. *)
-val capacity : t -> int
-
 (** [mem t i] tests membership; indices beyond the capacity are absent.
     Never allocates. *)
 val mem : t -> int -> bool
@@ -17,9 +14,3 @@ val mem : t -> int -> bool
 (** [set t i] inserts [i], growing the buffer geometrically as needed.
     Raises [Invalid_argument] on a negative index. *)
 val set : t -> int -> unit
-
-(** [reset t] empties the set, keeping the buffer. *)
-val reset : t -> unit
-
-(** [cardinal t] counts members (linear scan; for tests and probes). *)
-val cardinal : t -> int

@@ -31,8 +31,6 @@ let[@inline] find t key =
     if key < Array.length t.dense then Array.unsafe_get t.dense key else -1
   else Itab.find t.spill key ~default:(-1)
 
-let mem t key = find t key >= 0
-
 let[@inline never] grow t key =
   let n = ref (Array.length t.dense) in
   while key >= !n do n := !n * 2 done;
@@ -47,14 +45,5 @@ let[@inline] set t key v =
     Array.unsafe_set t.dense key v
   end
   else Itab.set t.spill key v
-
-let remove t key =
-  if is_dense key then begin
-    if key < Array.length t.dense && Array.unsafe_get t.dense key >= 0 then begin
-      t.dense_count <- t.dense_count - 1;
-      Array.unsafe_set t.dense key (-1)
-    end
-  end
-  else Itab.remove t.spill key
 
 let length t = t.dense_count + Itab.length t.spill

@@ -22,15 +22,9 @@ val create : initial:int -> t
 (** [find t key] is [key]'s value, or [-1] when absent.  No growth. *)
 val find : t -> int -> int
 
-(** [mem t key] is [find t key >= 0]. *)
-val mem : t -> int -> bool
-
 (** [set t key v] binds [key] to [v] ([v >= 0]), growing the array
     when [key] is past its end. *)
 val set : t -> int -> int -> unit
-
-(** [remove t key] drops [key]'s binding if present. *)
-val remove : t -> int -> unit
 
 (** [length t] is the number of bindings. *)
 val length : t -> int

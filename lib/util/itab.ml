@@ -240,12 +240,6 @@ module Set = struct
     Array.fill t.keys 0 (Array.length t.keys) (-1);
     t.size <- 0
 
-  let iter f t =
-    for i = 0 to t.mask do
-      let k = t.keys.(i) in
-      if k >= 0 then f k
-    done
-
   let fold f t init =
     let acc = ref init in
     for i = 0 to t.mask do

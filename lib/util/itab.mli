@@ -56,6 +56,5 @@ module Set : sig
   val add : t -> int -> unit
 
   val reset : t -> unit
-  val iter : (int -> unit) -> t -> unit
   val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 end

@@ -1,34 +1,8 @@
-(** A small fixed-size domain pool (stdlib [Domain] + [Mutex] /
-    [Condition], no dependencies) for fanning independent work units —
-    one trace-driven simulation each — across cores.
+(* Workers claim list indices from one [Atomic] counter, so tasks start
+   in list order; the calling domain is one of the workers.  A failing
+   task does not stop the others: its exception is kept (first one wins)
+   and re-raised once every worker domain has been joined. *)
 
-    Workers pull tasks from a shared FIFO under a mutex ("work-stealing
-    lite": one queue, idle workers steal the head).  With [jobs <= 1]
-    every task runs inline in the submitting domain, in submission
-    order, so a single-job pool is byte-identical to the sequential
-    program — the determinism escape hatch [PCOLOR_JOBS=1] relies on
-    this.
-
-    Tasks must not submit to the pool they run on (no nested submit);
-    the first exception a task raises is re-raised from {!wait}. *)
-
-type t = {
-  jobs : int;
-  mutex : Mutex.t;
-  work : (unit -> unit) Queue.t;
-  have_work : Condition.t; (* signalled on submit and shutdown *)
-  all_done : Condition.t; (* signalled when [pending] reaches zero *)
-  mutable pending : int; (* tasks queued or running *)
-  mutable stop : bool;
-  mutable failure : exn option; (* first task exception, re-raised by wait *)
-  mutable workers : unit Domain.t list;
-}
-
-(** [default_jobs ()] is the pool width requested by the environment:
-    [PCOLOR_JOBS] if set, otherwise
-    [Domain.recommended_domain_count ()].  Raises [Failure] with a
-    message naming the offending value when [PCOLOR_JOBS] is not a
-    positive integer. *)
 let default_jobs () =
   match Sys.getenv_opt "PCOLOR_JOBS" with
   | Some s -> (
@@ -42,144 +16,26 @@ let default_jobs () =
            s))
   | None -> Domain.recommended_domain_count ()
 
-(* Pool instrumentation reports into the shared process-wide registry:
-   queue metrics are wall-clock-dependent, so they live outside per-run
-   registries and are excluded from determinism checks. *)
-type pool_metrics = {
-  m_submitted : Pcolor_obs.Metrics.counter;
-  m_completed : Pcolor_obs.Metrics.counter;
-  m_busy_us : Pcolor_obs.Metrics.counter; (* summed wall-clock inside tasks *)
-  m_depth_hwm : Pcolor_obs.Metrics.gauge; (* queue-depth high-water mark *)
-}
-
-let pool_metrics =
-  lazy
-    (let reg = Pcolor_obs.Metrics.process () in
-     {
-       m_submitted = Pcolor_obs.Metrics.counter reg "pool.tasks_submitted";
-       m_completed = Pcolor_obs.Metrics.counter reg "pool.tasks_completed";
-       m_busy_us = Pcolor_obs.Metrics.counter reg "pool.busy_us";
-       m_depth_hwm = Pcolor_obs.Metrics.gauge reg "pool.queue_depth_hwm";
-     })
-
-(* Run one task, charging its wall-clock to the busy counter. *)
-let run_task task =
-  let pm = Lazy.force pool_metrics in
-  let t0 = Unix.gettimeofday () in
-  let finally () =
-    Pcolor_obs.Metrics.add pm.m_busy_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-    Pcolor_obs.Metrics.incr pm.m_completed
-  in
-  Fun.protect ~finally task
-
-let rec worker t =
-  Mutex.lock t.mutex;
-  while Queue.is_empty t.work && not t.stop do
-    Condition.wait t.have_work t.mutex
-  done;
-  if Queue.is_empty t.work then Mutex.unlock t.mutex (* stop *)
-  else begin
-    let task = Queue.pop t.work in
-    Mutex.unlock t.mutex;
-    (try run_task task
-     with e ->
-       Mutex.lock t.mutex;
-       if t.failure = None then t.failure <- Some e;
-       Mutex.unlock t.mutex);
-    Mutex.lock t.mutex;
-    t.pending <- t.pending - 1;
-    if t.pending = 0 then Condition.broadcast t.all_done;
-    Mutex.unlock t.mutex;
-    worker t
-  end
-
-(** [create ~jobs] starts a pool of [jobs] worker domains ([jobs <= 1]
-    starts none and runs tasks inline). *)
-let create ~jobs =
-  let t =
-    {
-      jobs = max 1 jobs;
-      mutex = Mutex.create ();
-      work = Queue.create ();
-      have_work = Condition.create ();
-      all_done = Condition.create ();
-      pending = 0;
-      stop = false;
-      failure = None;
-      workers = [];
-    }
-  in
-  if t.jobs > 1 then t.workers <- List.init t.jobs (fun _ -> Domain.spawn (fun () -> worker t));
-  t
-
-(** [jobs t] is the pool width (>= 1). *)
-let jobs t = t.jobs
-
-(** [submit t task] enqueues [task]; with a single-job pool it runs
-    [task] before returning. *)
-let submit t task =
-  let pm = Lazy.force pool_metrics in
-  Pcolor_obs.Metrics.incr pm.m_submitted;
-  if t.jobs <= 1 then run_task task
-  else begin
-    Mutex.lock t.mutex;
-    t.pending <- t.pending + 1;
-    Queue.push task t.work;
-    Pcolor_obs.Metrics.set_max pm.m_depth_hwm (Queue.length t.work);
-    Condition.signal t.have_work;
-    Mutex.unlock t.mutex
-  end
-
-(** [wait t] blocks until every submitted task has finished, then
-    re-raises the first task exception, if any. *)
-let wait t =
-  if t.jobs > 1 then begin
-    Mutex.lock t.mutex;
-    while t.pending > 0 do
-      Condition.wait t.all_done t.mutex
-    done;
-    Mutex.unlock t.mutex
-  end;
-  match t.failure with
-  | Some e ->
-    t.failure <- None;
-    raise e
-  | None -> ()
-
-let stop_and_join t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.have_work;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.workers;
-  t.workers <- []
-
-(** [shutdown t] waits for outstanding tasks, then joins the worker
-    domains.  The pool must not be used afterwards. *)
-let shutdown t =
-  (try wait t
-   with e ->
-     stop_and_join t;
-     raise e);
-  stop_and_join t
-
-(** [run_all ~jobs tasks] runs [tasks] to completion on a one-shot pool;
-    [jobs <= 1] runs them inline in list order. *)
 let run_all ~jobs tasks =
-  if jobs <= 1 then
-    List.iter
-      (fun task ->
-        Pcolor_obs.Metrics.incr (Lazy.force pool_metrics).m_submitted;
-        run_task task)
-      tasks
+  if jobs <= 1 then List.iter (fun task -> task ()) tasks
   else begin
-    let t = create ~jobs in
-    List.iter (submit t) tasks;
-    shutdown t
+    let tasks = Array.of_list tasks in
+    let n = Array.length tasks in
+    let next = Atomic.make 0 in
+    let failure = Atomic.make None in
+    let rec worker () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (try tasks.(i) () with e -> ignore (Atomic.compare_and_set failure None (Some e)));
+        worker ()
+      end
+    in
+    let helpers = List.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn worker) in
+    worker ();
+    List.iter Domain.join helpers;
+    Option.iter raise (Atomic.get failure)
   end
 
-(** [map ~jobs f xs] is [List.map f xs] computed on a one-shot pool;
-    results keep list order regardless of scheduling. *)
 let map ~jobs f xs =
   let input = Array.of_list xs in
   let out = Array.make (Array.length input) None in

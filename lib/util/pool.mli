@@ -1,11 +1,11 @@
-(** A small fixed-size domain pool for fanning independent work units
-    across cores (stdlib [Domain] + [Mutex]/[Condition] only).
+(** One-shot parallel map over a list of independent work units (stdlib
+    [Domain] + [Atomic] only): each call spawns its worker domains, runs
+    every task and joins them before returning.
 
-    With [jobs <= 1] tasks run inline in submission order — byte-
-    identical to the sequential program, the [PCOLOR_JOBS=1] escape
-    hatch.  Tasks must not submit to the pool they run on. *)
-
-type t
+    With [jobs <= 1] tasks run inline, in list order — byte-identical to
+    the sequential program, the [PCOLOR_JOBS=1] escape hatch.  Otherwise
+    workers claim tasks in list order, so a caller that sorts its tasks
+    costliest-first keeps that start order. *)
 
 (** [default_jobs ()] is [PCOLOR_JOBS] if set, otherwise
     [Domain.recommended_domain_count ()].  Raises [Failure] (naming the
@@ -13,29 +13,11 @@ type t
     integer. *)
 val default_jobs : unit -> int
 
-(** [create ~jobs] starts a pool of [jobs] worker domains ([jobs <= 1]
-    starts none and runs tasks inline). *)
-val create : jobs:int -> t
-
-(** [jobs t] is the pool width (>= 1). *)
-val jobs : t -> int
-
-(** [submit t task] enqueues [task]; a single-job pool runs it before
-    returning. *)
-val submit : t -> (unit -> unit) -> unit
-
-(** [wait t] blocks until every submitted task has finished, then
-    re-raises the first task exception, if any. *)
-val wait : t -> unit
-
-(** [shutdown t] waits for outstanding tasks, then joins the workers.
-    The pool must not be used afterwards. *)
-val shutdown : t -> unit
-
-(** [run_all ~jobs tasks] runs [tasks] to completion on a one-shot
-    pool; [jobs <= 1] runs them inline in list order. *)
+(** [run_all ~jobs tasks] runs every task to completion on up to [jobs]
+    domains.  The first task exception is re-raised after every domain
+    has been joined. *)
 val run_all : jobs:int -> (unit -> unit) list -> unit
 
-(** [map ~jobs f xs] is [List.map f xs] computed on a one-shot pool;
-    results keep list order regardless of scheduling. *)
+(** [map ~jobs f xs] is [List.map f xs] computed as {!run_all}; results
+    keep list order regardless of scheduling. *)
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list

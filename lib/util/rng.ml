@@ -15,10 +15,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
     streams. *)
 let create seed = { state = Int64.of_int seed }
 
-(** [copy t] duplicates the generator, including its position in the
-    stream. *)
-let copy t = { state = t.state }
-
 let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -37,20 +33,6 @@ let int t bound =
   (* keep 62 bits so the value fits OCaml's tagged int non-negatively *)
   let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   v mod bound
-
-(** [float t bound] is uniform in [\[0.0, bound)]. *)
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
-  bound *. v /. 9007199254740992.0 (* 2^53 *)
-
-(** [bool t] is a fair coin flip. *)
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-(** [split t] derives an independent generator, advancing [t] once.
-    Used to give each simulated CPU its own stream. *)
-let split t =
-  let seed = next_int64 t in
-  { state = mix64 seed }
 
 (** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
 let shuffle t arr =

@@ -8,24 +8,9 @@ type t
     streams. *)
 val create : int -> t
 
-(** [copy t] duplicates the generator including its stream position. *)
-val copy : t -> t
-
-(** [next_int64 t] advances and returns the next raw 64-bit value. *)
-val next_int64 : t -> int64
-
 (** [int t bound] is uniform in [\[0, bound)]; raises
     [Invalid_argument] when [bound <= 0]. *)
 val int : t -> int -> int
-
-(** [float t bound] is uniform in [\[0.0, bound)]. *)
-val float : t -> float -> float
-
-(** [bool t] is a fair coin flip. *)
-val bool : t -> bool
-
-(** [split t] derives an independent generator (per-CPU streams). *)
-val split : t -> t
 
 (** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit

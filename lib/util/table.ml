@@ -30,9 +30,6 @@ let add_separator t = t.separators <- List.length t.rows :: t.separators
 (** [fcell ?(prec=2) v] formats a float cell. *)
 let fcell ?(prec = 2) v = Printf.sprintf "%.*f" prec v
 
-(** [icell v] formats an int cell. *)
-let icell v = string_of_int v
-
 (** [pcell v] formats a percentage cell. *)
 let pcell v = Printf.sprintf "%.1f%%" v
 

@@ -17,8 +17,6 @@ val add_separator : t -> unit
 (** Cell formatters. *)
 val fcell : ?prec:int -> float -> string
 
-val icell : int -> string
-
 val pcell : float -> string
 
 (** [render t] produces the table as a string, title first. *)

@@ -161,10 +161,8 @@ let evict t ~vpage =
     Frame_pool.release t.pool frame;
     Some frame
 
-(** [policy t] / [pool t] / [page_table t] expose kernel internals for
-    inspection and tests. *)
-let policy t = t.policy
-
+(** [pool t] / [page_table t] expose kernel internals for inspection and
+    tests. *)
 let pool t = t.pool
 
 let page_table t = t.table

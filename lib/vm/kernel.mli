@@ -48,10 +48,8 @@ val recolor : t -> vpage:int -> preferred:int -> (int * int) option
     The caller must first invalidate TLB entries and cached lines. *)
 val evict : t -> vpage:int -> int option
 
-(** [policy t] / [pool t] / [page_table t] expose internals for
-    inspection and tests. *)
-val policy : t -> Policy.t
-
+(** [pool t] / [page_table t] expose internals for inspection and
+    tests. *)
 val pool : t -> Frame_pool.t
 
 val page_table : t -> Page_table.t

@@ -18,30 +18,11 @@ type recovery = {
 
 val default_window : int
 
-(** [oracle slice ~assoc ~page_bits ~group_bits ~window x y] — [true]
-    iff probe frames [x lsl group_bits] and [y lsl group_bits] land in
-    the same slice (eviction-set measurement).  Raises
-    [Invalid_argument] when [x = y]. *)
-val oracle :
-  Pcolor_memsim.Slice.t ->
-  assoc:int ->
-  page_bits:int ->
-  group_bits:int ->
-  window:int ->
-  int ->
-  int ->
-  bool
-
 (** [recover ?window cfg] builds a fresh standalone slice cache from
     [cfg] and recovers its hash from conflicts alone ([window] defaults
     to {!default_window}; the hash must not tap frame bits at or above
     [group_bits + window]). *)
 val recover : ?window:int -> Pcolor_memsim.Config.t -> recovery
-
-(** [check cfg r] — [Ok ()] iff the recovery names the configured
-    hash's frame partition exactly (same slice count, same canonical
-    row space); [Error] renders the disagreement. *)
-val check : Pcolor_memsim.Config.t -> recovery -> (unit, string) result
 
 (** [recover] + [check]: the CI gate.  [Error] carries the (wrong)
     recovery for rendering. *)

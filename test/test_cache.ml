@@ -92,9 +92,7 @@ let test_flush_and_stats () =
   Alcotest.(check int) "misses" 1 (Cache.misses c);
   Cache.flush c;
   Alcotest.(check bool) "flushed" false (Cache.contains c 0);
-  Alcotest.(check int) "stats preserved by flush" 1 (Cache.hits c);
-  Cache.reset_stats c;
-  Alcotest.(check int) "stats reset" 0 (Cache.hits c)
+  Alcotest.(check int) "stats preserved by flush" 1 (Cache.hits c)
 
 (* Reference model: set-associative LRU via association lists. *)
 let reference_model ~nsets ~assoc trace =
@@ -483,16 +481,10 @@ let test_bus_accounting () =
   Alcotest.(check int) "busy" 160 (Bus.busy_cycles b);
   let d, w, u = Bus.categories b in
   Alcotest.(check (list int)) "categories" [ 100; 50; 10 ] [ d; w; u ];
-  let b2 = Bus.create () in
-  Bus.add_data b2 1;
-  Bus.add_into b2 b;
-  Alcotest.(check int) "add_into" 161 (Bus.busy_cycles b2);
   Bus.reset b;
   Alcotest.(check int) "reset" 0 (Bus.busy_cycles b)
 
 let test_bus_occupancy_stretch () =
-  Alcotest.(check (float 1e-9)) "occupancy" 0.5 (Bus.occupancy ~busy:50 ~wall:100);
-  Alcotest.(check (float 1e-9)) "occupancy zero wall" 0.0 (Bus.occupancy ~busy:50 ~wall:0);
   Alcotest.(check (float 1e-9)) "no stretch when idle" 1.0 (Bus.stretch_factor 0.2);
   Alcotest.(check bool) "stretch grows" true (Bus.stretch_factor 0.9 > Bus.stretch_factor 0.6);
   Alcotest.(check bool) "stretch capped" true (Bus.stretch_factor 5.0 <= 20.0)

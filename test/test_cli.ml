@@ -204,6 +204,15 @@ let suite =
           (rejects ~flag:"--slices/--llc-hash"
              [ "run"; "tomcatv"; "-s"; "64"; "--slices"; "3" ]);
         Alcotest.test_case "run --engine=batch" `Quick test_engine_batch_refused;
+        (* an accepted scale that leaves a machine model's L2 fewer than
+           two colors *)
+        Alcotest.test_case "run --scale 256" `Quick
+          (rejects ~flag:"--scale" [ "run"; "tomcatv"; "-p"; "4"; "-s"; "256" ]);
+        Alcotest.test_case "run --machine sgi-2way --scale 256" `Quick
+          (rejects ~flag:"--scale"
+             [ "run"; "tomcatv"; "--machine"; "sgi-2way"; "-p"; "4"; "-s"; "256" ]);
+        Alcotest.test_case "mix --scale 256" `Quick
+          (rejects ~flag:"--scale" [ "mix"; "tomcatv"; "swim"; "-p"; "4"; "-s"; "256" ]);
       ] );
     ( "cli.paths",
       [
@@ -243,6 +252,8 @@ let suite =
         Alcotest.test_case "pattern --order cdpc" `Quick
           (accepts [ "pattern"; "swim"; "--order"; "cdpc"; "-p"; "8"; "-s"; "16" ]);
         Alcotest.test_case "hints" `Quick (accepts [ "hints"; "su2cor"; "-p"; "8"; "-s"; "16" ]);
+        Alcotest.test_case "run --machine sgi-4mb --scale 256" `Quick
+          (accepts [ "run"; "tomcatv"; "--machine"; "sgi-4mb"; "-p"; "4"; "-s"; "256" ]);
       ] );
     ( "cli.perf",
       [

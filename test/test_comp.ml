@@ -109,7 +109,7 @@ let test_schedule () =
   let seq = Ir.make_nest ~label:"s" ~kind:Ir.Sequential ~bounds:[| 6 |] ~refs:[] () in
   Alcotest.(check (pair int int)) "master gets all" (0, 6) (Schedule.range seq ~n_cpus:4 ~cpu:0);
   Alcotest.(check (pair int int)) "slaves idle" (0, 0) (Schedule.range seq ~n_cpus:4 ~cpu:3);
-  Alcotest.(check bool) "seq not parallel" false (Schedule.is_parallel seq)
+  Alcotest.(check bool) "seq not parallel" false (match seq.kind with Ir.Parallel _ -> true | _ -> false)
 
 let test_footprint_norm () =
   let open Footprint in

@@ -143,10 +143,6 @@ let test_bitset () =
   Bitset.set b 1_000;
   Alcotest.(check bool) "grown" true (Bitset.mem b 1_000);
   Alcotest.(check bool) "old bit survives growth" true (Bitset.mem b 3);
-  Alcotest.(check int) "cardinal" 2 (Bitset.cardinal b);
-  Bitset.reset b;
-  Alcotest.(check bool) "reset clears" false (Bitset.mem b 3);
-  Alcotest.(check int) "reset cardinal" 0 (Bitset.cardinal b);
   Alcotest.check_raises "negative rejected" (Invalid_argument "Bitset.set: negative index")
     (fun () -> Bitset.set b (-1))
 
@@ -154,12 +150,17 @@ let test_pool_map_order () =
   let xs = List.init 50 Fun.id in
   let f x = x * x in
   Alcotest.(check (list int)) "map preserves order" (List.map f xs) (Pool.map ~jobs:4 f xs);
-  Alcotest.(check (list int)) "jobs=1 inline" (List.map f xs) (Pool.map ~jobs:1 f xs)
+  Alcotest.(check (list int)) "jobs=1 inline" (List.map f xs) (Pool.map ~jobs:1 f xs);
+  Alcotest.(check (list int)) "empty list" [] (Pool.map ~jobs:4 f []);
+  Alcotest.(check (list int)) "fewer tasks than domains" [ 49 ] (Pool.map ~jobs:8 f [ 7 ])
 
 let test_pool_propagates_failure () =
   Alcotest.check_raises "worker exception re-raised" (Failure "boom") (fun () ->
       Pool.run_all ~jobs:4
-        (List.init 8 (fun i () -> if i = 5 then failwith "boom")))
+        (List.init 8 (fun i () -> if i = 5 then failwith "boom")));
+  (* every domain was joined: the next map runs to completion, in order *)
+  let xs = List.init 20 Fun.id in
+  Alcotest.(check (list int)) "map after a failure" (List.map succ xs) (Pool.map ~jobs:4 succ xs)
 
 let suite =
   [

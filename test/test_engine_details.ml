@@ -18,8 +18,7 @@ let test_config_presets () =
   let m4 = Config.sgi_4mb () in
   Alcotest.(check int) "4MB quadruples colors" 1024 (Config.n_colors m4);
   let alpha = Config.alphaserver () in
-  Alcotest.(check int) "alpha colors" 512 (Config.n_colors alpha);
-  Alcotest.(check int) "ns conversion" 175 (Config.ns_to_cycles alpha 500)
+  Alcotest.(check int) "alpha colors" 512 (Config.n_colors alpha)
 
 let test_config_scale () =
   let sgi = Config.sgi_base () in

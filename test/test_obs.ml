@@ -71,11 +71,8 @@ let test_counter_gauge () =
   Metrics.add c 41;
   let g = Metrics.gauge reg "g" in
   Metrics.set g 7;
-  Metrics.set_max g 3;
-  (* lower: no change *)
-  Metrics.set_max g 9;
   Alcotest.(check bool) "snapshot values" true
-    (Metrics.snapshot reg = [ ("c", Metrics.Counter 42); ("g", Metrics.Gauge 9) ])
+    (Metrics.snapshot reg = [ ("c", Metrics.Counter 42); ("g", Metrics.Gauge 7) ])
 
 let test_kind_collision () =
   let reg = Metrics.create () in
@@ -137,7 +134,7 @@ let batch_metrics ~jobs =
 let test_metrics_jobs_identical () =
   let seq = batch_metrics ~jobs:1 and par = batch_metrics ~jobs:4 in
   Alcotest.(check bool) "merged snapshots equal for jobs=1 and jobs=4" true
-    (Metrics.equal seq par)
+    (seq = par)
 
 let test_metrics_nonempty () =
   let snap = batch_metrics ~jobs:1 in

@@ -28,6 +28,33 @@ let check_single_job_identity ~label ~cfg ~prefetch ~make_program policy =
     true
     (o.Run.report = mix.Mix.reports.(0))
 
+(* Every [Run.policy_choice] a command line can name. *)
+let all_policies =
+  [
+    Run.Page_coloring;
+    Run.Bin_hopping;
+    Run.Bin_hopping_unaligned;
+    Run.Random_colors;
+    Run.Cdpc { fallback = `Page_coloring; via_touch = false };
+    Run.Cdpc { fallback = `Bin_hopping; via_touch = false };
+    Run.Cdpc { fallback = `Bin_hopping; via_touch = true };
+    Run.Cdpc_hash { fallback = `Page_coloring };
+    Run.Cdpc_hash { fallback = `Bin_hopping };
+    Run.Dynamic_recoloring { base = `Page_coloring };
+    Run.Dynamic_recoloring { base = `Bin_hopping };
+  ]
+
+(* Replay parses the [policy_name] label stored in a tape header, so
+   every label must parse back to its policy. *)
+let test_policy_names_round_trip () =
+  Alcotest.(check int) "eleven policies" 11 (List.length all_policies);
+  List.iter
+    (fun p ->
+      let name = Run.policy_name p in
+      Alcotest.(check bool) (name ^ " round-trips") true (Run.policy_of_name name = Ok p))
+    all_policies;
+  Alcotest.(check bool) "unknown name" true (Result.is_error (Run.policy_of_name "nope"))
+
 (* Every policy, without and with software prefetch, prefetching on a
    2-slice hashed LLC, and on a workload whose conflicts make the
    dynamic policies actually move pages: a job's recolor hook,
@@ -43,19 +70,7 @@ let test_single_job_identity () =
     (fun (label, cfg, prefetch, make_program) ->
       List.iter
         (check_single_job_identity ~label ~cfg ~prefetch ~make_program)
-        [
-          Run.Page_coloring;
-          Run.Bin_hopping;
-          Run.Bin_hopping_unaligned;
-          Run.Random_colors;
-          Run.Cdpc { fallback = `Page_coloring; via_touch = false };
-          Run.Cdpc { fallback = `Bin_hopping; via_touch = false };
-          Run.Cdpc { fallback = `Bin_hopping; via_touch = true };
-          Run.Cdpc_hash { fallback = `Page_coloring };
-          Run.Cdpc_hash { fallback = `Bin_hopping };
-          Run.Dynamic_recoloring { base = `Page_coloring };
-          Run.Dynamic_recoloring { base = `Bin_hopping };
-        ])
+        all_policies)
     [
       ("fig4", flat, false, fig4);
       ("fig4 prefetch", flat, true, fig4);
@@ -227,6 +242,7 @@ let suite =
         Alcotest.test_case "space sharing deterministic, disjoint" `Quick
           test_space_sharing_deterministic;
         Alcotest.test_case "flush mode switches and flushes" `Quick test_tlb_flush_mode;
+        Alcotest.test_case "policy names round-trip" `Quick test_policy_names_round_trip;
       ] );
     Helpers.qsuite "sched:props"
       [ prop_alloc_nearest_free_color; prop_race_jitter_deterministic ];
