@@ -10,7 +10,7 @@ module Colorer = Pcolor.Cdpc.Colorer
 
 let run_with ?(policy = cdpc) ?(ablation = Colorer.full_algorithm) ~bench ~n_cpus () =
   let d = Spec.find bench in
-  let cfg = machine_cfg Sgi ~n_cpus in
+  let cfg = machine_cfg "sgi" ~n_cpus in
   Run.run
     {
       (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy) with

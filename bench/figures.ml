@@ -43,7 +43,7 @@ let figure2 () =
     (List.concat_map
        (fun (d : Spec.descriptor) ->
          List.map
-           (fun n_cpus -> exp ~bench:d.name ~machine:Sgi ~n_cpus ~policy:Run.Page_coloring ())
+           (fun n_cpus -> exp ~bench:d.name ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring ())
            cpu_counts)
        Spec.all);
   let runs =
@@ -51,7 +51,7 @@ let figure2 () =
       (fun (d : Spec.descriptor) ->
         ( d.name,
           List.map
-            (fun p -> (p, experiment ~bench:d.name ~machine:Sgi ~n_cpus:p ~policy:Run.Page_coloring ()))
+            (fun p -> (p, experiment ~bench:d.name ~machine:"sgi" ~n_cpus:p ~policy:Run.Page_coloring ()))
             cpu_counts ))
       Spec.all
   in
@@ -159,7 +159,7 @@ let access_patterns () =
   List.iter
     (fun bench ->
       let d = Spec.find bench in
-      let cfg = machine_cfg Sgi ~n_cpus in
+      let cfg = machine_cfg "sgi" ~n_cpus in
       let prepared =
         Run.prepare (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy:cdpc)
       in
@@ -178,27 +178,14 @@ let access_patterns () =
            ~title:(Printf.sprintf "[Fig 5] %s: pages touched, CDPC coloring order" bench)
            ~cols:100 ~n_rows:n_cpus ~x_max:(max 1 info.total_pages) cpts);
       (* density comparison *)
-      let density points x_max =
-        let per_cpu = Hashtbl.create 32 in
-        List.iter
-          (fun (pos, cpu) ->
-            Hashtbl.replace per_cpu cpu
-              (pos :: Option.value ~default:[] (Hashtbl.find_opt per_cpu cpu)))
-          points;
-        let ds =
-          Hashtbl.fold
-            (fun _ ps acc ->
-              let distinct = List.length (List.sort_uniq compare ps) in
-              let span = 1 + List.fold_left max 0 ps - List.fold_left min max_int ps in
-              (float_of_int distinct /. float_of_int span) :: acc)
-            per_cpu []
-        in
-        ignore x_max;
-        Pcolor.Obs.Stat.mean_of ds
+      let density points =
+        Pcolor.Obs.Stat.mean_of
+          (List.map
+             (fun (_, distinct, span) -> float_of_int distinct /. float_of_int span)
+             (Chart.density points))
       in
       note "%s: mean per-CPU density %.0f%% (VA order) -> %.0f%% (coloring order)" bench
-        (100.0 *. density pts x_max)
-        (100.0 *. density cpts info.total_pages);
+        (100.0 *. density pts) (100.0 *. density cpts);
       print_newline ())
     [ "tomcatv"; "swim"; "hydro2d" ];
   note "shape check: sparse scattered bands in VA order become dense contiguous runs in";
@@ -243,7 +230,7 @@ let pc_vs_cdpc ~machine ~benches ~cpus ~title () =
 
 let figure6 () =
   let speedups =
-    pc_vs_cdpc ~machine:Sgi
+    pc_vs_cdpc ~machine:"sgi"
       ~benches:(List.map (fun (d : Spec.descriptor) -> d.name) Spec.figure6_benchmarks)
       ~cpus:cpu_counts
       ~title:
@@ -278,13 +265,13 @@ let figure7 () =
   let benches = [ "tomcatv"; "swim"; "hydro2d"; "su2cor"; "mgrid"; "applu" ] in
   let cpus = if fast then [ 4; 16 ] else [ 2; 4; 8; 16 ] in
   let s2 =
-    pc_vs_cdpc ~machine:Sgi_2way ~benches ~cpus
+    pc_vs_cdpc ~machine:"sgi-2way" ~benches ~cpus
       ~title:
         (Printf.sprintf "Figure 7a: CDPC on a 1MB two-way set-associative cache (scale %d)" scale)
       ()
   in
   let s4 =
-    pc_vs_cdpc ~machine:Sgi_4mb ~benches ~cpus
+    pc_vs_cdpc ~machine:"sgi-4mb" ~benches ~cpus
       ~title:(Printf.sprintf "Figure 7b: CDPC on a 4MB direct-mapped cache (scale %d)" scale)
       ()
   in
@@ -314,10 +301,10 @@ let figure8 () =
          List.concat_map
            (fun n_cpus ->
              [
-               exp ~bench ~machine:Sgi ~n_cpus ~policy:Run.Page_coloring ();
-               exp ~bench ~machine:Sgi ~n_cpus ~policy:Run.Page_coloring ~prefetch:true ();
-               exp ~bench ~machine:Sgi ~n_cpus ~policy:cdpc ();
-               exp ~bench ~machine:Sgi ~n_cpus ~policy:cdpc ~prefetch:true ();
+               exp ~bench ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring ();
+               exp ~bench ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring ~prefetch:true ();
+               exp ~bench ~machine:"sgi" ~n_cpus ~policy:cdpc ();
+               exp ~bench ~machine:"sgi" ~n_cpus ~policy:cdpc ~prefetch:true ();
              ])
            cpus)
        benches);
@@ -333,10 +320,10 @@ let figure8 () =
         (bench
         :: List.map
              (fun n_cpus ->
-               let base = experiment ~bench ~machine:Sgi ~n_cpus ~policy:Run.Page_coloring () in
-               let pf = experiment ~bench ~machine:Sgi ~n_cpus ~policy:Run.Page_coloring ~prefetch:true () in
-               let cd = experiment ~bench ~machine:Sgi ~n_cpus ~policy:cdpc () in
-               let cdpf = experiment ~bench ~machine:Sgi ~n_cpus ~policy:cdpc ~prefetch:true () in
+               let base = experiment ~bench ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring () in
+               let pf = experiment ~bench ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring ~prefetch:true () in
+               let cd = experiment ~bench ~machine:"sgi" ~n_cpus ~policy:cdpc () in
+               let cdpf = experiment ~bench ~machine:"sgi" ~n_cpus ~policy:cdpc ~prefetch:true () in
                let s r = Report.speedup ~base r in
                if bench = "tomcatv" && n_cpus = 4 then tom4 := (s pf, s cd, s cdpf);
                Printf.sprintf "%.2f / %.2f / %.2f" (s pf) (s cd) (s cdpf))
@@ -373,7 +360,7 @@ let figure9 () =
          List.concat_map
            (fun n_cpus ->
              List.map
-               (fun (_, policy) -> exp ~bench:d.name ~machine:Alpha ~n_cpus ~policy ())
+               (fun (_, policy) -> exp ~bench:d.name ~machine:"alpha" ~n_cpus ~policy ())
                alpha_policies)
            alpha_cpu_counts)
        Spec.all);
@@ -393,7 +380,7 @@ let figure9 () =
              (fun n_cpus ->
                List.map
                  (fun (_, policy) ->
-                   let r = experiment ~bench:d.name ~machine:Alpha ~n_cpus ~policy () in
+                   let r = experiment ~bench:d.name ~machine:"alpha" ~n_cpus ~policy () in
                    Printf.sprintf "%.0f" (r.Report.wall_cycles /. 1e6))
                  alpha_policies)
              alpha_cpu_counts))
@@ -401,7 +388,7 @@ let figure9 () =
   Table.print t;
   let pmax = List.fold_left max 1 alpha_cpu_counts in
   let wall bench policy =
-    (experiment ~bench ~machine:Alpha ~n_cpus:pmax ~policy ()).Report.wall_cycles
+    (experiment ~bench ~machine:"alpha" ~n_cpus:pmax ~policy ()).Report.wall_cycles
   in
   note "shape checks at %d CPUs:" pmax;
   List.iter
@@ -434,11 +421,11 @@ let table2 () =
   prefill
     (List.concat_map
        (fun (d : Spec.descriptor) ->
-         exp ~bench:d.name ~machine:Alpha ~n_cpus:1 ~policy:Run.Page_coloring ()
+         exp ~bench:d.name ~machine:"alpha" ~n_cpus:1 ~policy:Run.Page_coloring ()
          :: List.concat_map
               (fun n_cpus ->
                 List.map
-                  (fun (_, policy) -> exp ~bench:d.name ~machine:Alpha ~n_cpus ~policy ())
+                  (fun (_, policy) -> exp ~bench:d.name ~machine:"alpha" ~n_cpus ~policy ())
                   alpha_policies)
               alpha_cpu_counts)
        Spec.all);
@@ -449,7 +436,7 @@ let table2 () =
       (List.map
          (fun (d : Spec.descriptor) ->
            ( d.name,
-             (experiment ~bench:d.name ~machine:Alpha ~n_cpus:1 ~policy:Run.Page_coloring ())
+             (experiment ~bench:d.name ~machine:"alpha" ~n_cpus:1 ~policy:Run.Page_coloring ())
                .Report.wall_cycles ))
          Spec.all)
   in
@@ -464,7 +451,7 @@ let table2 () =
         ( name,
           List.map
             (fun (d : Spec.descriptor) ->
-              let r = experiment ~bench:d.name ~machine:Alpha ~n_cpus:pmax ~policy () in
+              let r = experiment ~bench:d.name ~machine:"alpha" ~n_cpus:pmax ~policy () in
               ( d.name,
                 Pcolor.Stats.Spec_ratio.ratio ~ref_cycles:(refs d.name)
                   ~measured_cycles:r.Report.wall_cycles ))
@@ -498,10 +485,10 @@ let table2 () =
       (List.map
          (fun (d : Spec.descriptor) ->
            let uni =
-             (experiment ~bench:d.name ~machine:Alpha ~n_cpus:1 ~policy:Run.Page_coloring ())
+             (experiment ~bench:d.name ~machine:"alpha" ~n_cpus:1 ~policy:Run.Page_coloring ())
                .Report.wall_cycles
            in
-           let r = experiment ~bench:d.name ~machine:Alpha ~n_cpus:p ~policy:cdpc_touch () in
+           let r = experiment ~bench:d.name ~machine:"alpha" ~n_cpus:p ~policy:cdpc_touch () in
            uni /. r.Report.wall_cycles)
          Spec.all)
   in

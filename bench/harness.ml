@@ -47,19 +47,11 @@ let cpu_counts = if fast then [ 1; 4; 16 ] else [ 1; 2; 4; 8; 16 ]
 
 let alpha_cpu_counts = if fast then [ 1; 8 ] else [ 1; 2; 4; 8 ]
 
-type machine = Sgi | Sgi_2way | Sgi_4mb | Alpha
-
+(* [machine] is a {!Config.models} name. *)
 let machine_cfg machine ~n_cpus =
-  let name, base =
-    match machine with
-    | Sgi -> ("sgi", Config.sgi_base ~n_cpus ())
-    | Sgi_2way -> ("sgi-2way", Config.sgi_2way ~n_cpus ())
-    | Sgi_4mb -> ("sgi-4mb", Config.sgi_4mb ~n_cpus ())
-    | Alpha -> ("alpha", Config.alphaserver ~n_cpus ())
-  in
-  try Config.scale base scale
+  try Config.scale ((List.assoc machine Config.models) ~n_cpus ()) scale
   with Invalid_argument msg ->
-    usage_error "PCOLOR_SCALE=%d is too large for the %s machine model (%s)" scale name msg
+    usage_error "PCOLOR_SCALE=%d is too large for the %s machine model (%s)" scale machine msg
 
 let cdpc = Run.Cdpc { fallback = `Page_coloring; via_touch = false }
 
@@ -102,9 +94,7 @@ let cache_add k r = Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache k
 let cache_size () = Mutex.protect cache_mutex (fun () -> Hashtbl.length cache)
 
 let key ~bench ~machine ~n_cpus ~policy ~prefetch =
-  Printf.sprintf "%s/%s/%d/%s/%b" bench
-    (match machine with Sgi -> "sgi" | Sgi_2way -> "2way" | Sgi_4mb -> "4mb" | Alpha -> "alpha")
-    n_cpus (Run.policy_name policy) prefetch
+  Printf.sprintf "%s/%s/%d/%s/%b" bench machine n_cpus (Run.policy_name policy) prefetch
 
 let experiment ?(prefetch = false) ~bench ~machine ~n_cpus ~policy () =
   let k = key ~bench ~machine ~n_cpus ~policy ~prefetch in
@@ -129,7 +119,7 @@ let experiment ?(prefetch = false) ~bench ~machine ~n_cpus ~policy () =
 (* An experiment grid entry for prefill. *)
 type exp = {
   e_bench : string;
-  e_machine : machine;
+  e_machine : string;
   e_n_cpus : int;
   e_policy : Run.policy_choice;
   e_prefetch : bool;

@@ -53,7 +53,7 @@ let policy_cells =
 let benches = [ "turb3d"; "hydro2d" ]
 
 let cfg_with hash =
-  let base = machine_cfg Sgi ~n_cpus in
+  let base = machine_cfg "sgi" ~n_cpus in
   Config.validate { base with Config.l2_slices = n_slices; l2_hash = hash }
 
 let run_cell ~bench ~hash ~policy =

@@ -296,7 +296,7 @@ let warm_up_pair () =
   List.iter
     (fun prefetch ->
       let d = Pcolor.Workloads.Spec.find "tomcatv" in
-      let cfg = Harness.machine_cfg Harness.Sgi ~n_cpus:4 in
+      let cfg = Harness.machine_cfg "sgi" ~n_cpus:4 in
       let setup =
         {
           (Harness.Run.default_setup ~cfg

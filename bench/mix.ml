@@ -26,7 +26,7 @@ let mixes =
 let policies = [ Run.Page_coloring; Run.Bin_hopping; cdpc ]
 
 let run_mix ~benches ~policy =
-  let cfg = machine_cfg Sgi ~n_cpus:8 in
+  let cfg = machine_cfg "sgi" ~n_cpus:8 in
   let specs =
     List.map
       (fun bench -> Job.spec ~policy ~name:bench (fun () -> (Spec.find bench).build ~scale ()))

@@ -20,6 +20,15 @@ module Spec = Pcolor.Workloads.Spec
 
 (* ---- shared arguments ---- *)
 
+(* A bad command-line value is one stderr line naming the flag and exit
+   2, never an uncaught exception. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
 let bench_arg =
   let doc = "Benchmark name (" ^ String.concat ", " Spec.names ^ ")." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
@@ -39,20 +48,21 @@ let scale_arg =
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (bin-hopping race).")
 
 let cap_arg =
-  Arg.(value & opt int 2 & info [ "cap" ] ~doc:"Representative-window phase occurrence cap.")
+  let checked cap =
+    if cap < 1 then usage_error "--cap: need at least one phase occurrence (got %d)" cap;
+    cap
+  in
+  Term.(
+    const checked
+    $ Arg.(value & opt int 2 & info [ "cap" ] ~doc:"Representative-window phase occurrence cap."))
 
 let prefetch_arg =
   Arg.(value & flag & info [ "prefetch" ] ~doc:"Enable compiler-inserted prefetching.")
 
-let machine_names =
-  [ ("sgi", `Sgi); ("sgi-2way", `Sgi2); ("sgi-4mb", `Sgi4); ("alpha", `Alpha) ]
-
-let machine_name m = fst (List.find (fun (_, v) -> v = m) machine_names)
-
 let machine_arg =
   Arg.(
     value
-    & opt (enum machine_names) `Sgi
+    & opt (enum (List.map (fun (name, _) -> (name, name)) Config.models)) "sgi"
     & info [ "m"; "machine" ]
         ~doc:"Machine model: $(b,sgi) (1MB DM), $(b,sgi-2way), $(b,sgi-4mb), $(b,alpha).")
 
@@ -120,15 +130,6 @@ let prof_arg =
            after the run. Off by default; when off the run is byte-identical and the hot path \
            allocation-free.")
 
-(* A bad command-line value is one stderr line naming the flag and exit
-   2, never an uncaught exception. *)
-let usage_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline msg;
-      exit 2)
-    fmt
-
 (* An output file is checked before anything runs, so a missing
    directory is one stderr line naming the flag, not a [Sys_error]
    after the whole simulation. *)
@@ -139,80 +140,6 @@ let check_out_path ~flag path =
   if Sys.file_exists path && Sys.is_directory path then
     usage_error "%s: %s: is a directory" flag path
 
-(* Observability plumbing shared by run/compare: a sink (when tracing)
-   and a constructor for per-run contexts.  Each run gets its own
-   registry, attribution engine and trace buffer so parallel policy
-   runs stay independent.  An artifact request ([--metrics-out]) turns
-   on both the registry and conflict attribution: the artifact's
-   "attribution" section is what [pcolor explain] renders. *)
-type obs_io = {
-  sink : Pcolor.Obs.Trace.sink option;
-  fresh_ctx : unit -> Pcolor.Obs.Ctx.t * Pcolor.Obs.Metrics.t option;
-}
-
-let obs_io_of ~trace_path ~metrics_out ?timeline ?prof cfg =
-  Option.iter (check_out_path ~flag:"--metrics-out") metrics_out;
-  let sink =
-    Option.map
-      (fun path ->
-        try Pcolor.Obs.Trace.open_sink ~path with Sys_error msg -> usage_error "--trace: %s" msg)
-      trace_path
-  in
-  let fresh_ctx () =
-    let metrics = if metrics_out <> None then Some (Pcolor.Obs.Metrics.create ()) else None in
-    let attrib =
-      if metrics_out <> None then
-        Some
-          (Pcolor.Obs.Attrib.create ~n_colors:(Config.n_colors cfg)
-             ~n_classes:(List.length Pcolor.Memsim.Mclass.all) ())
-      else None
-    in
-    let sampler =
-      Option.map
-        (fun epoch_cycles -> Pcolor.Memsim.Machine.sampler_for ~epoch_cycles cfg)
-        timeline
-    in
-    let trace = Option.map Pcolor.Obs.Trace.buffer sink in
-    (Pcolor.Obs.Ctx.create ?metrics ?trace ?attrib ?sampler ?prof (), metrics)
-  in
-  { sink; fresh_ctx }
-
-let close_obs io = Option.iter Pcolor.Obs.Trace.close io.sink
-
-let prof_of flag = if flag then Some (Pcolor.Obs.Prof.create ()) else None
-
-let prof_bracket prof phase f =
-  match prof with
-  | None -> f ()
-  | Some p ->
-    Pcolor.Obs.Prof.start p phase;
-    let r = f () in
-    Pcolor.Obs.Prof.stop p phase;
-    r
-
-let prof_print prof =
-  Option.iter (fun p -> print_string (Pcolor.Obs.Prof.render p)) prof
-
-let write_json_file path json =
-  try
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (Pcolor.Obs.Json.pretty json);
-        output_char oc '\n')
-  with Sys_error msg -> usage_error "--metrics-out: %s" msg
-
-(* The scaled machine model, unchecked: raises [Invalid_argument] on a
-   geometry [Config] rejects.  [replay] calls it directly, so a tape's
-   header errors name the tape instead of a flag. *)
-let machine_config machine n_cpus scale =
-  let base =
-    match machine with
-    | `Sgi -> Config.sgi_base ~n_cpus ()
-    | `Sgi2 -> Config.sgi_2way ~n_cpus ()
-    | `Sgi4 -> Config.sgi_4mb ~n_cpus ()
-    | `Alpha -> Config.alphaserver ~n_cpus ()
-  in
-  Config.scale base scale
-
 let find_bench bench =
   match Spec.find bench with d -> d | exception Invalid_argument msg -> usage_error "%s" msg
 
@@ -221,7 +148,7 @@ let check_scale scale =
     usage_error "--scale: %s (got %d)" Pcolor.Workloads.Gen.scales_doc scale
 
 (* The CPU count and scale are checked here, before anything is built,
-   because every command that simulates goes through [config_of].  An
+   because every command that simulates goes through [machine_term].  An
    accepted scale can still be too large for a machine model (256 leaves
    the 1 MB direct-mapped L2 one color), which is a usage error too.
    [slices]/[llc_hash] (the hashed/sliced LLC, DESIGN §16) are applied
@@ -229,14 +156,13 @@ let check_scale scale =
    hash must divide — and re-validated, so an impossible combination
    (slices > colors, rank-deficient masks) fails with a message rather
    than a backtrace. *)
-let config_of ?slices ?llc_hash machine n_cpus scale =
+let config_of ?slices ?llc_hash model n_cpus scale =
   if n_cpus < 1 then usage_error "--cpus: need at least one CPU (got %d)" n_cpus;
   check_scale scale;
   let cfg =
-    try machine_config machine n_cpus scale
+    try Config.scale ((List.assoc model Config.models) ~n_cpus ()) scale
     with Invalid_argument msg ->
-      usage_error "--scale: %d is too large for the %s machine model (%s)" scale
-        (machine_name machine) msg
+      usage_error "--scale: %d is too large for the %s machine model (%s)" scale model msg
   in
   match (slices, llc_hash) with
   | None, None -> cfg
@@ -276,10 +202,108 @@ let llc_hash_arg =
           "Slice-selection hash: $(b,identity) (classic positional colors), $(b,xor-fold), \
            $(b,sandybridge), or $(b,masks:0x..,..) (explicit GF(2) mask rows over frame bits).")
 
-let setup_of ~cfg bench scale policy prefetch seed cap =
+(* A simulating command's machine: the checked config, its
+   [Config.models] name and the scale divisor. *)
+type machine = { cfg : Config.t; model : string; scale : int }
+
+(* [--machine/-p/-s], plus [--slices/--llc-hash] when [sliced], checked
+   through [config_of] before the command runs. *)
+let machine_term ~sliced =
+  let machine model n_cpus scale (slices, llc_hash) =
+    { cfg = config_of ?slices ?llc_hash model n_cpus scale; model; scale }
+  in
+  let slicing =
+    if sliced then Term.(const (fun s h -> (s, h)) $ slices_arg $ llc_hash_arg)
+    else Term.const (None, None)
+  in
+  Term.(const machine $ machine_arg $ cpus_arg $ scale_arg $ slicing)
+
+(* The run outputs, opened: a trace sink (when tracing), the artifact
+   path, the host profiler (when [--prof]) and a constructor for per-run
+   contexts.  Each run gets its own registry, attribution engine and
+   trace buffer so parallel policy runs stay independent.  An artifact
+   request ([--metrics-out]) turns on both the registry and conflict
+   attribution: the artifact's "attribution" section is what [pcolor
+   explain] renders. *)
+type outputs = {
+  trace_path : string option;
+  sink : Pcolor.Obs.Trace.sink option;
+  metrics_out : string option;
+  prof : Pcolor.Obs.Prof.t option;
+  fresh_ctx : unit -> Pcolor.Obs.Ctx.t;
+}
+
+(* [--trace/--metrics-out/--timeline], plus [--prof] when [prof]: the
+   flags are checked at once, and the term yields a function that opens
+   the outputs for a checked config. *)
+let outputs_term ~prof =
+  let outputs trace_path metrics_out timeline prof_flag =
+    Option.iter
+      (fun e -> if e < 1 then usage_error "--timeline: need a positive epoch (got %d cycles)" e)
+      timeline;
+    fun cfg ->
+      Option.iter (check_out_path ~flag:"--metrics-out") metrics_out;
+      let sink =
+        Option.map
+          (fun path ->
+            try Pcolor.Obs.Trace.open_sink ~path
+            with Sys_error msg -> usage_error "--trace: %s" msg)
+          trace_path
+      in
+      let prof = if prof_flag then Some (Pcolor.Obs.Prof.create ()) else None in
+      let fresh_ctx () =
+        let metrics = Option.map (fun _ -> Pcolor.Obs.Metrics.create ()) metrics_out in
+        let attrib =
+          Option.map
+            (fun _ ->
+              Pcolor.Obs.Attrib.create ~n_colors:(Config.n_colors cfg)
+                ~n_classes:(List.length Pcolor.Memsim.Mclass.all) ())
+            metrics_out
+        in
+        let sampler =
+          Option.map
+            (fun epoch_cycles -> Pcolor.Memsim.Machine.sampler_for ~epoch_cycles cfg)
+            timeline
+        in
+        let trace = Option.map Pcolor.Obs.Trace.buffer sink in
+        Pcolor.Obs.Ctx.create ?metrics ?trace ?attrib ?sampler ?prof ()
+      in
+      { trace_path; sink; metrics_out; prof; fresh_ctx }
+  in
+  Term.(
+    const outputs $ trace_arg $ metrics_out_arg $ timeline_arg
+    $ if prof then prof_arg else const false)
+
+(* The tail of every simulating command on machine [m], in order: the
+   artifact ([json] of its provenance stamp, built and written inside
+   the profiler's Serialize bracket), the profile table, the trace
+   sink's close. *)
+let finish_outputs io m ~what ~seed ?(jobs = 1) json =
+  let module Prof = Pcolor.Obs.Prof in
+  Option.iter
+    (fun path ->
+      let provenance =
+        Pcolor.Obs.Provenance.collect ~scale:m.scale ~jobs ~seed
+          ~config_hash:(Pcolor.Obs.Provenance.hash_value m.cfg)
+          ()
+      in
+      Option.iter (fun p -> Prof.start p Prof.Serialize) io.prof;
+      (try
+         Out_channel.with_open_text path (fun oc ->
+             output_string oc (Pcolor.Obs.Json.pretty (json provenance));
+             output_char oc '\n')
+       with Sys_error msg -> usage_error "--metrics-out: %s" msg);
+      Option.iter (fun p -> Prof.stop p Prof.Serialize) io.prof;
+      Printf.eprintf "wrote %s artifact to %s\n%!" what path)
+    io.metrics_out;
+  Option.iter (fun p -> print_string (Prof.render p)) io.prof;
+  Option.iter Pcolor.Obs.Trace.close io.sink;
+  Option.iter (fun path -> Printf.eprintf "wrote trace to %s\n%!" path) io.trace_path
+
+let setup_of m bench policy prefetch seed cap =
   let d = find_bench bench in
   {
-    (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy) with
+    (Run.default_setup ~cfg:m.cfg ~make_program:(fun () -> d.build ~scale:m.scale ()) ~policy) with
     prefetch;
     seed;
     cap;
@@ -311,48 +335,24 @@ let list_cmd =
 (* ---- run ---- *)
 
 let run_cmd =
-  let action bench machine n_cpus scale policy prefetch seed cap engine trace_path metrics_out
-      timeline prof_flag slices llc_hash =
-    let cfg = config_of ?slices ?llc_hash machine n_cpus scale in
-    let prof = prof_of prof_flag in
-    let io = obs_io_of ~trace_path ~metrics_out ?timeline ?prof cfg in
-    let obs, _metrics = io.fresh_ctx () in
-    let setup =
-      {
-        (setup_of ~cfg bench scale policy prefetch seed cap) with
-        obs;
-        engine;
-      }
+  let action bench m policy prefetch seed cap engine open_outputs =
+    let io = open_outputs m.cfg in
+    let o =
+      Run.run { (setup_of m bench policy prefetch seed cap) with obs = io.fresh_ctx (); engine }
     in
-    let o = Run.run setup in
     Format.printf "%a@." Report.pp o.report;
-    Option.iter
-      (fun path ->
-        let provenance =
-          Pcolor.Obs.Provenance.collect ~scale ~jobs:1 ~seed
-            ~config_hash:(Pcolor.Obs.Provenance.hash_value setup.cfg)
-            ()
-        in
-        prof_bracket prof Pcolor.Obs.Prof.Serialize (fun () ->
-            write_json_file path (Run.artifact_json ~provenance o));
-        Printf.eprintf "wrote run artifact to %s\n%!" path)
-      metrics_out;
-    prof_print prof;
-    close_obs io;
-    Option.iter (fun path -> Printf.eprintf "wrote trace to %s\n%!" path) trace_path
+    finish_outputs io m ~what:"run" ~seed (fun provenance -> Run.artifact_json ~provenance o)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark under one policy and print the report.")
     Term.(
-      const action $ bench_arg $ machine_arg $ cpus_arg $ scale_arg $ policy_arg $ prefetch_arg
-      $ seed_arg $ cap_arg $ engine_arg $ trace_arg $ metrics_out_arg $ timeline_arg $ prof_arg
-      $ slices_arg $ llc_hash_arg)
+      const action $ bench_arg $ machine_term ~sliced:true $ policy_arg $ prefetch_arg $ seed_arg
+      $ cap_arg $ engine_arg $ outputs_term ~prof:true)
 
 (* ---- compare ---- *)
 
 let compare_cmd =
-  let action bench machine n_cpus scale prefetch seed cap engine trace_path metrics_out timeline
-      slices llc_hash =
-    let hashed = match slices with Some k when k > 1 -> true | _ -> false in
+  let action bench m prefetch seed cap engine open_outputs =
+    let hashed = m.cfg.Config.l2_slices > 1 in
     let policies =
       [
         Run.Page_coloring;
@@ -365,10 +365,9 @@ let compare_cmd =
          the hash *)
       @ (if hashed then [ Run.Cdpc_hash { fallback = `Page_coloring } ] else [])
     in
-    let cfg = config_of ?slices ?llc_hash machine n_cpus scale in
     (* look the bench up before fanning out, so a bad name is reported once *)
     ignore (find_bench bench);
-    let io = obs_io_of ~trace_path ~metrics_out ?timeline cfg in
+    let io = open_outputs m.cfg in
     let jobs = min (Pcolor.Util.Pool.default_jobs ()) (List.length policies) in
     (* each policy is an independent simulation: fan them out across
        PCOLOR_JOBS domains (PCOLOR_JOBS=1 for strictly sequential); the
@@ -379,19 +378,14 @@ let compare_cmd =
     let outcomes =
       Pcolor.Util.Pool.map ~jobs
         (fun policy ->
-          let obs, _ = io.fresh_ctx () in
           Run.run
-            {
-              (setup_of ~cfg bench scale policy prefetch seed cap) with
-              obs;
-              engine;
-            })
+            { (setup_of m bench policy prefetch seed cap) with obs = io.fresh_ctx (); engine })
         policies
     in
     let reports = List.map (fun (o : Run.outcome) -> o.report) outcomes in
     let t =
       Pcolor.Util.Table.create
-        ~title:(Printf.sprintf "%s, %d CPUs, scale 1/%d" bench n_cpus scale)
+        ~title:(Printf.sprintf "%s, %d CPUs, scale 1/%d" bench m.cfg.Config.n_cpus m.scale)
         [ "policy"; "wall cycles"; "MCPI"; "conflict"; "capacity"; "comm"; "bus%" ]
     in
     let base = ref None in
@@ -415,32 +409,19 @@ let compare_cmd =
       reports;
     Pcolor.Util.Table.print t;
     print_endline "(wall-cycle multiplier is relative to the first row; >1 = faster than it)";
-    Option.iter
-      (fun path ->
-        let provenance =
-          Pcolor.Obs.Provenance.collect ~scale ~jobs ~seed
-            ~config_hash:(Pcolor.Obs.Provenance.hash_value cfg)
-            ()
-        in
+    finish_outputs io m ~what:"compare" ~seed ~jobs (fun provenance ->
         let module J = Pcolor.Obs.Json in
-        let runs = List.map (fun o -> Run.artifact_json o) outcomes in
-        write_json_file path
-          (J.Obj
-             [
-               ("schema_version", J.Int Pcolor.Obs.Provenance.schema_version);
-               ("provenance", Pcolor.Obs.Provenance.to_json provenance);
-               ("runs", J.Arr runs);
-             ]);
-        Printf.eprintf "wrote compare artifact to %s\n%!" path)
-      metrics_out;
-    close_obs io;
-    Option.iter (fun path -> Printf.eprintf "wrote trace to %s\n%!" path) trace_path
+        J.Obj
+          [
+            ("schema_version", J.Int Pcolor.Obs.Provenance.schema_version);
+            ("provenance", Pcolor.Obs.Provenance.to_json provenance);
+            ("runs", J.Arr (List.map (fun o -> Run.artifact_json o) outcomes));
+          ])
   in
   Cmd.v (Cmd.info "compare" ~doc:"Compare all mapping policies on one benchmark.")
     Term.(
-      const action $ bench_arg $ machine_arg $ cpus_arg $ scale_arg $ prefetch_arg $ seed_arg
-      $ cap_arg $ engine_arg $ trace_arg $ metrics_out_arg $ timeline_arg $ slices_arg
-      $ llc_hash_arg)
+      const action $ bench_arg $ machine_term ~sliced:true $ prefetch_arg $ seed_arg $ cap_arg
+      $ engine_arg $ outputs_term ~prof:false)
 
 (* ---- mix: multiprogrammed job mixes over one shared frame pool ---- *)
 
@@ -500,10 +481,10 @@ let mix_cmd =
             "Per-job mapping policies, comma-separated (same names as $(b,pcolor run)); one \
              value is broadcast to every job. Default: $(b,cdpc).")
   in
-  let action benches machine n_cpus scale sched_policy quantum switch_cost tlb mem_frames
-      policy_str prefetch seed cap engine trace_path metrics_out timeline prof_flag slices
-      llc_hash =
-    let k = List.length benches in
+  let action benches m sched_policy quantum switch_cost tlb mem_frames policy_str prefetch seed
+      cap engine open_outputs =
+    let module Sched = Pcolor.Sched.Scheduler in
+    let k = List.length benches and n_cpus = m.cfg.Config.n_cpus in
     let policies =
       let names =
         match policy_str with None -> [ "cdpc" ] | Some s -> String.split_on_char ',' s
@@ -513,49 +494,43 @@ let mix_cmd =
           (fun name ->
             match Run.policy_of_name (String.trim name) with
             | Ok p -> p
-            | Error m ->
-              Printf.eprintf "%s\n" m;
-              exit 2)
+            | Error e -> usage_error "--policy: %s" e)
           names
       in
       match parsed with
       | [ p ] -> List.init k (fun _ -> p)
       | ps when List.length ps = k -> ps
-      | ps ->
-        Printf.eprintf "--policy: %d policies for %d jobs\n" (List.length ps) k;
-        exit 2
+      | ps -> usage_error "--policy: %d policies for %d jobs" (List.length ps) k
     in
     (match mem_frames with
     | Some n when n < 1 -> usage_error "--mem-frames: need at least one frame (got %d)" n
     | _ -> ());
-    let cfg = config_of ?slices ?llc_hash machine n_cpus scale in
-    let prof = prof_of prof_flag in
-    let io = obs_io_of ~trace_path ~metrics_out ?timeline ?prof cfg in
-    let obs, _ = io.fresh_ctx () in
+    if sched_policy = Sched.Space && k > n_cpus then
+      usage_error "--sched: %d space-shared jobs on %d CPUs (need a CPU per job)" k n_cpus;
+    let io = open_outputs m.cfg in
     let specs =
       List.map2
         (fun bench policy ->
           let d = find_bench bench in
           Pcolor.Sched.Job.spec ~policy ~prefetch ~seed ~engine_kind:engine ~name:bench (fun () ->
-              d.build ~scale ()))
+              d.build ~scale:m.scale ()))
         benches policies
     in
-    let sched = { Pcolor.Sched.Scheduler.policy = sched_policy; quantum; switch_cost; tlb } in
-    match Pcolor.Sched.Mix.run ~cfg ~sched ?mem_frames ~cap ~obs specs with
+    let sched = { Sched.policy = sched_policy; quantum; switch_cost; tlb } in
+    match Pcolor.Sched.Mix.run ~cfg:m.cfg ~sched ?mem_frames ~cap ~obs:(io.fresh_ctx ()) specs with
     | exception Pcolor.Vm.Kernel.Out_of_frames { cpu; vpage } ->
       Printf.eprintf
         "out of physical frames (cpu%d, vpage %d): the mix's working set exceeds --mem-frames \
          even after reclaim\n"
         cpu vpage;
-      close_obs io;
       exit 1
     | outcome ->
       let t =
         Pcolor.Util.Table.create
           ~title:
             (Printf.sprintf "%d-job %s mix, %d CPUs, scale 1/%d, quantum %d" k
-               (Pcolor.Sched.Scheduler.policy_name sched_policy)
-               n_cpus scale quantum)
+               (Sched.policy_name sched_policy)
+               n_cpus m.scale quantum)
           [ "job"; "policy"; "cpus"; "wall cycles"; "MCPI"; "conflict"; "faults"; "honored%" ]
       in
       let module C = Pcolor.Memsim.Mclass in
@@ -583,7 +558,7 @@ let mix_cmd =
             outcome.Pcolor.Sched.Mix.reports.(j.Pcolor.Sched.Job.asid))
         outcome.Pcolor.Sched.Mix.jobs;
       row "aggregate"
-        (Pcolor.Sched.Scheduler.policy_name sched_policy)
+        (Sched.policy_name sched_policy)
         (Printf.sprintf "0+%d" n_cpus) outcome.Pcolor.Sched.Mix.aggregate;
       Pcolor.Util.Table.print t;
       let st = outcome.Pcolor.Sched.Mix.sched_stats in
@@ -593,23 +568,10 @@ let mix_cmd =
       Printf.printf
         "sched: %d dispatches, %d switches (%d cycles, %d TLB flushes); reclaim: %d \
          invocations, %d evictions, %d second chances\n"
-        st.Pcolor.Sched.Scheduler.dispatches st.Pcolor.Sched.Scheduler.switches
-        st.Pcolor.Sched.Scheduler.switch_cycles st.Pcolor.Sched.Scheduler.tlb_flushes invocations
-        evictions second_chances;
-      Option.iter
-        (fun path ->
-          let provenance =
-            Pcolor.Obs.Provenance.collect ~scale ~jobs:1 ~seed
-              ~config_hash:(Pcolor.Obs.Provenance.hash_value cfg)
-              ()
-          in
-          prof_bracket prof Pcolor.Obs.Prof.Serialize (fun () ->
-              write_json_file path (Pcolor.Sched.Mix.artifact_json ~provenance outcome));
-          Printf.eprintf "wrote mix artifact to %s\n%!" path)
-        metrics_out;
-      prof_print prof;
-      close_obs io;
-      Option.iter (fun path -> Printf.eprintf "wrote trace to %s\n%!" path) trace_path
+        st.Sched.dispatches st.Sched.switches st.Sched.switch_cycles st.Sched.tlb_flushes
+        invocations evictions second_chances;
+      finish_outputs io m ~what:"mix" ~seed (fun provenance ->
+          Pcolor.Sched.Mix.artifact_json ~provenance outcome)
   in
   Cmd.v
     (Cmd.info "mix"
@@ -618,10 +580,9 @@ let mix_cmd =
           and policy, competing for one shared frame pool under a gang or space-sharing \
           scheduler.")
     Term.(
-      const action $ benches_arg $ machine_arg $ cpus_arg $ scale_arg $ sched_arg $ quantum_arg
+      const action $ benches_arg $ machine_term ~sliced:true $ sched_arg $ quantum_arg
       $ switch_cost_arg $ tlb_arg $ mem_frames_arg $ mix_policy_arg $ prefetch_arg $ seed_arg
-      $ cap_arg $ engine_arg $ trace_arg $ metrics_out_arg $ timeline_arg $ prof_arg $ slices_arg
-      $ llc_hash_arg)
+      $ cap_arg $ engine_arg $ outputs_term ~prof:true)
 
 (* ---- probe: eviction-set hash recovery self-test ---- *)
 
@@ -635,10 +596,12 @@ let probe_cmd =
             "Frame bits probed above the group bits (the hash must not tap bits at or above \
              group_bits + $(docv)).")
   in
-  let action machine n_cpus scale slices llc_hash window =
+  let action { cfg; _ } window =
     let module Probe = Pcolor.Workloads.Probe in
     let module Ahash = Pcolor.Memsim.Ahash in
-    let cfg = config_of ?slices ?llc_hash machine n_cpus scale in
+    let bound = Probe.max_window cfg in
+    if window < 1 || window > bound then
+      usage_error "--window: need 1 to %d frame bits on this machine (got %d)" bound window;
     let configured = Config.resolved_hash cfg in
     Printf.printf "machine %s: %d colors, %d slice(s), configured hash %s\n" cfg.Config.name
       (Config.n_colors cfg) cfg.Config.l2_slices (Ahash.name configured);
@@ -658,8 +621,7 @@ let probe_cmd =
           (eviction-set conflict oracle + GF(2) matrix learning), render the recovered bit \
           matrix and check it against the configured hash. Exits 1 on mismatch — the \
           hashed-LLC self-test gate.")
-    Term.(
-      const action $ machine_arg $ cpus_arg $ scale_arg $ slices_arg $ llc_hash_arg $ window_arg)
+    Term.(const action $ machine_term ~sliced:true $ window_arg)
 
 (* ---- record / replay: binary reference traces ---- *)
 
@@ -670,20 +632,18 @@ let record_cmd =
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Binary trace output path.")
   in
-  let action bench machine n_cpus scale policy prefetch seed cap out trace_path metrics_out
-      timeline =
+  let action bench m policy prefetch seed cap out open_outputs =
     (match policy with
     | Run.Dynamic_recoloring _ ->
-      Printf.eprintf "record: dynamic recoloring depends on runtime feedback and cannot be \
-                      replayed deterministically — pick a static policy\n";
-      exit 2
+      usage_error "record: dynamic recoloring depends on runtime feedback and cannot be \
+                   replayed deterministically — pick a static policy"
     | _ -> ());
     let header =
       {
         Btrace.bench;
-        machine = machine_name machine;
-        n_cpus;
-        scale;
+        machine = m.model;
+        n_cpus = m.cfg.Config.n_cpus;
+        scale = m.scale;
         policy = Run.policy_name policy;
         prefetch;
         seed;
@@ -691,37 +651,18 @@ let record_cmd =
         provenance = Option.value ~default:"" (Pcolor.Obs.Provenance.git_describe ());
       }
     in
-    let cfg = config_of machine n_cpus scale in
     check_out_path ~flag:"-o" out;
     (* every other output opens first: a refused one leaves no empty tape *)
-    let io = obs_io_of ~trace_path ~metrics_out ?timeline cfg in
-    let oc =
-      try open_out_bin out
-      with Sys_error msg ->
-        close_obs io;
-        usage_error "-o: %s" msg
-    in
+    let io = open_outputs m.cfg in
+    let oc = try open_out_bin out with Sys_error msg -> usage_error "-o: %s" msg in
     let w = Btrace.create_writer oc header in
-    let obs, _ = io.fresh_ctx () in
-    let setup =
-      { (setup_of ~cfg bench scale policy prefetch seed cap) with obs }
-    in
+    let setup = { (setup_of m bench policy prefetch seed cap) with obs = io.fresh_ctx () } in
     let o = Run.run ~recorder:(Btrace.recorder w) setup in
     Btrace.finish w;
     let bytes = pos_out oc in
     close_out oc;
     Format.printf "%a@." Report.pp o.report;
-    Option.iter
-      (fun path ->
-        let provenance =
-          Pcolor.Obs.Provenance.collect ~scale ~jobs:1 ~seed
-            ~config_hash:(Pcolor.Obs.Provenance.hash_value setup.Run.cfg)
-            ()
-        in
-        write_json_file path (Run.artifact_json ~provenance o);
-        Printf.eprintf "wrote run artifact to %s\n%!" path)
-      metrics_out;
-    close_obs io;
+    finish_outputs io m ~what:"run" ~seed (fun provenance -> Run.artifact_json ~provenance o);
     Printf.eprintf "wrote %d-byte trace to %s\n%!" bytes out
   in
   Cmd.v
@@ -733,15 +674,15 @@ let record_cmd =
           $(b,pcolor replay) needs only the file. Observability flags ($(b,--metrics-out), \
           $(b,--trace), $(b,--timeline)) apply to the recording run itself.")
     Term.(
-      const action $ bench_arg $ machine_arg $ cpus_arg $ scale_arg $ policy_arg $ prefetch_arg
-      $ seed_arg $ cap_arg $ out_arg $ trace_arg $ metrics_out_arg $ timeline_arg)
+      const action $ bench_arg $ machine_term ~sliced:false $ policy_arg $ prefetch_arg $ seed_arg
+      $ cap_arg $ out_arg $ outputs_term ~prof:false)
 
 let replay_cmd =
   let file_arg =
     Arg.(
       required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Binary trace to replay.")
   in
-  let action file trace_path metrics_out timeline =
+  let action file open_outputs =
     if Sys.is_directory file then usage_error "%s: is a directory, not a trace" file;
     let ic = try open_in_bin file with Sys_error msg -> usage_error "%s" msg in
     (* a bad tape or header is a one-line message and exit 2, never a backtrace *)
@@ -757,9 +698,9 @@ let replay_cmd =
       try Btrace.open_reader ic with Btrace.Error c -> die "%s" (Btrace.corruption_message c)
     in
     let h = Btrace.header r in
-    let machine =
-      match List.assoc_opt h.Btrace.machine machine_names with
-      | Some m -> m
+    let model =
+      match List.assoc_opt h.Btrace.machine Config.models with
+      | Some model -> model
       | None -> die "unknown machine model %S in trace header" h.Btrace.machine
     in
     let policy =
@@ -769,33 +710,31 @@ let replay_cmd =
     in
     if not (List.mem h.Btrace.bench Spec.names) then
       die "unknown benchmark %S in trace header" h.Btrace.bench;
-    let cfg =
-      try machine_config machine h.Btrace.n_cpus h.Btrace.scale
-      with Invalid_argument m -> die "%s (trace header)" m
+    let m =
+      try
+        {
+          cfg = Config.scale (model ~n_cpus:h.Btrace.n_cpus ()) h.Btrace.scale;
+          model = h.Btrace.machine;
+          scale = h.Btrace.scale;
+        }
+      with Invalid_argument msg -> die "%s (trace header)" msg
     in
-    let io = obs_io_of ~trace_path ~metrics_out ?timeline cfg in
-    let obs, _ = io.fresh_ctx () in
+    (* the sink an error below leaves open is flushed by [exit] *)
+    let io = open_outputs m.cfg in
     let setup =
       {
-        (setup_of ~cfg h.Btrace.bench h.Btrace.scale policy h.Btrace.prefetch h.Btrace.seed
-           h.Btrace.cap)
-        with
-        obs;
+        (setup_of m h.Btrace.bench policy h.Btrace.prefetch h.Btrace.seed h.Btrace.cap) with
+        obs = io.fresh_ctx ();
       }
     in
     let o =
       try Btrace.replay r ~setup with
-      | Btrace.Error c ->
-        close_obs io;
-        die "%s" (Btrace.corruption_message c)
-      | Sys_error m ->
-        close_obs io;
-        die "%s" m
-      | Invalid_argument m ->
+      | Btrace.Error c -> die "%s" (Btrace.corruption_message c)
+      | Sys_error msg -> die "%s" msg
+      | Invalid_argument msg ->
         (* the header passed the reader's checks but the workload
            cannot be built from it (e.g. a scale the kernel lacks) *)
-        close_obs io;
-        die "%s (trace header)" m
+        die "%s (trace header)" msg
     in
     close_in ic;
     Printf.printf "replaying %s: %s on %s, %d CPUs, scale 1/%d, policy %s%s%s\n" file
@@ -803,18 +742,8 @@ let replay_cmd =
       (if h.Btrace.prefetch then ", prefetch" else "")
       (if h.Btrace.provenance = "" then "" else " (recorded at " ^ h.Btrace.provenance ^ ")");
     Format.printf "%a@." Report.pp o.report;
-    Option.iter
-      (fun path ->
-        let provenance =
-          Pcolor.Obs.Provenance.collect ~scale:h.Btrace.scale ~jobs:1 ~seed:h.Btrace.seed
-            ~config_hash:(Pcolor.Obs.Provenance.hash_value setup.Run.cfg)
-            ()
-        in
-        write_json_file path (Run.artifact_json ~provenance o);
-        Printf.eprintf "wrote replay artifact to %s\n%!" path)
-      metrics_out;
-    close_obs io;
-    Option.iter (fun path -> Printf.eprintf "wrote trace to %s\n%!" path) trace_path
+    finish_outputs io m ~what:"replay" ~seed:h.Btrace.seed (fun provenance ->
+        Run.artifact_json ~provenance o)
   in
   Cmd.v
     (Cmd.info "replay"
@@ -823,17 +752,17 @@ let replay_cmd =
           bounded batches (never materialized), and the counters come out byte-identical to \
           the recorded run. Observability flags ($(b,--metrics-out), $(b,--trace), \
           $(b,--timeline)) produce the same artifact sections a live run would.")
-    Term.(const action $ file_arg $ trace_arg $ metrics_out_arg $ timeline_arg)
+    Term.(const action $ file_arg $ outputs_term ~prof:false)
 
 (* ---- pattern (Figures 3 and 5) ---- *)
 
 (* The benchmark through the run's own compile-time pipeline under CDPC:
    the laid-out program and its §5.2 placement. *)
-let cdpc_prepare ~cfg bench scale =
+let cdpc_prepare m bench =
   let d = find_bench bench in
   Run.prepare
-    (Run.default_setup ~cfg
-       ~make_program:(fun () -> d.build ~scale ())
+    (Run.default_setup ~cfg:m.cfg
+       ~make_program:(fun () -> d.build ~scale:m.scale ())
        ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }))
 
 let pattern_cmd =
@@ -845,9 +774,9 @@ let pattern_cmd =
           ~doc:"X axis: $(b,va) = virtual-address order (Figure 3), $(b,cdpc) = coloring order \
                 (Figure 5).")
   in
-  let action bench machine n_cpus scale order =
-    let cfg = config_of machine n_cpus scale in
-    let p = cdpc_prepare ~cfg bench scale in
+  let action bench ({ cfg; _ } as m) order =
+    let n_cpus = cfg.Config.n_cpus in
+    let p = cdpc_prepare m bench in
     let points, x_max, what =
       match order with
       | `Va ->
@@ -868,37 +797,25 @@ let pattern_cmd =
               n_cpus what (Config.n_colors cfg))
          ~cols:100 ~n_rows:n_cpus ~x_max points);
     (* per-CPU density over the occupied span *)
-    let per_cpu = Hashtbl.create 64 in
     List.iter
-      (fun (pos, cpu) ->
-        Hashtbl.replace per_cpu cpu
-          (pos :: Option.value ~default:[] (Hashtbl.find_opt per_cpu cpu)))
-      points;
-    List.iter
-      (fun cpu ->
-        match Hashtbl.find_opt per_cpu cpu with
-        | None -> ()
-        | Some ps ->
-          let distinct = List.length (List.sort_uniq compare ps) in
-          let span = 1 + List.fold_left max 0 ps - List.fold_left min max_int ps in
-          Printf.printf "cpu%2d: %4d pages over a span of %4d (density %3.0f%%)\n" cpu distinct
-            span
-            (100.0 *. float_of_int distinct /. float_of_int span))
-      (List.init n_cpus Fun.id)
+      (fun (cpu, distinct, span) ->
+        Printf.printf "cpu%2d: %4d pages over a span of %4d (density %3.0f%%)\n" cpu distinct span
+          (100.0 *. float_of_int distinct /. float_of_int span))
+      (Pcolor.Util.Chart.density points)
   in
   Cmd.v
     (Cmd.info "pattern" ~doc:"Plot page-level access patterns (Figures 3 and 5).")
-    Term.(const action $ bench_arg $ machine_arg $ cpus_arg $ scale_arg $ order_arg)
+    Term.(const action $ bench_arg $ machine_term ~sliced:false $ order_arg)
 
 (* ---- hints ---- *)
 
 let hints_cmd =
-  let action bench machine n_cpus scale =
-    let p = cdpc_prepare ~cfg:(config_of machine n_cpus scale) bench scale in
+  let action bench m =
+    let p = cdpc_prepare m bench in
     Format.printf "%a@." Pcolor.Cdpc.Colorer.pp_placement (snd (Option.get p.Run.hints_info))
   in
   Cmd.v (Cmd.info "hints" ~doc:"Dump the CDPC hint placement for a benchmark.")
-    Term.(const action $ bench_arg $ machine_arg $ cpus_arg $ scale_arg)
+    Term.(const action $ bench_arg $ machine_term ~sliced:false)
 
 (* ---- run-file: user-defined programs in the textual format ---- *)
 
@@ -906,8 +823,7 @@ let run_file_cmd =
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Program file (.sexp).")
   in
-  let action file machine n_cpus scale policy prefetch seed cap =
-    let cfg = config_of machine n_cpus scale in
+  let action file { cfg; _ } policy prefetch seed cap =
     let setup =
       {
         (Run.default_setup ~cfg
@@ -933,8 +849,8 @@ let run_file_cmd =
     (Cmd.info "run-file"
        ~doc:"Run a user-defined program (textual IR; see examples/programs/).")
     Term.(
-      const action $ file_arg $ machine_arg $ cpus_arg $ scale_arg $ policy_arg $ prefetch_arg
-      $ seed_arg $ cap_arg)
+      const action $ file_arg $ machine_term ~sliced:false $ policy_arg $ prefetch_arg $ seed_arg
+      $ cap_arg)
 
 (* ---- dump: export a built-in benchmark as text ---- *)
 
@@ -972,7 +888,7 @@ let summary_cmd =
 
 (* ---- explain / diff: read artifacts back ---- *)
 
-let read_artifact path =
+let read_json path =
   let contents =
     try
       let ic = open_in_bin path in
@@ -989,11 +905,20 @@ let read_artifact path =
     Printf.eprintf "%s: invalid JSON: %s\n" path e;
     exit 2
 
-let artifact_pos_arg ~at ~docv ~doc =
-  Arg.(required & pos at (some file) None & info [] ~docv ~doc)
-
 let schema_of artifact =
   Option.bind (Pcolor.Obs.Json.member "schema_version" artifact) Pcolor.Obs.Json.to_int_opt
+
+(* A run, compare or mix artifact: JSON that carries an integer
+   [schema_version], so any other JSON file is refused by name instead
+   of rendering as an empty report. *)
+let read_artifact path =
+  let artifact = read_json path in
+  if schema_of artifact = None then
+    usage_error "%s: not a pcolor artifact (no integer schema_version)" path;
+  artifact
+
+let artifact_pos_arg ~at ~docv ~doc =
+  Arg.(required & pos at (some file) None & info [] ~docv ~doc)
 
 let epoch_range_conv =
   let parse s =
@@ -1032,6 +957,9 @@ let explain_cmd =
              artifact produced with $(b,--timeline).")
   in
   let action path top page_rows at =
+    Option.iter
+      (fun (lo, hi) -> if hi < lo then usage_error "--at: bad epoch range %d-%d (LO > HI)" lo hi)
+      at;
     let artifact = read_artifact path in
     (match schema_of artifact with
     | Some v when v <> Pcolor.Obs.Provenance.schema_version ->
@@ -1045,11 +973,7 @@ let explain_cmd =
       | Error msg ->
         Printf.eprintf "%s: %s\n" path msg;
         exit 2
-      | Ok tl -> (
-        try print_string (Pcolor.Stats.Phases.render_window tl ~lo ~hi)
-        with Invalid_argument msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2))
+      | Ok tl -> print_string (Pcolor.Stats.Phases.render_window tl ~lo ~hi))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1084,7 +1008,8 @@ let timeline_cmd =
           ~doc:"Change-point significance threshold (mean shift / pooled deviation).")
   in
   let action path job window threshold =
-    let artifact = read_artifact path in
+    if window < 1 then usage_error "--window: need at least one epoch per side (got %d)" window;
+    let artifact = read_json path in
     match Pcolor.Stats.Phases.of_artifact artifact with
     | Error msg ->
       Printf.eprintf "%s: %s\n" path msg;
@@ -1215,7 +1140,7 @@ let ledger_path_arg =
    PERF_LEDGER.jsonl both live at the repository root. *)
 let load_spec cmd ledger =
   let path = Filename.concat (Filename.dirname ledger) "BENCHMARK.json" in
-  match Pcolor.Stats.Perf.spec_of_json (read_artifact path) with
+  match Pcolor.Stats.Perf.spec_of_json (read_json path) with
   | Ok spec -> spec
   | Error e -> usage_error "perf %s: %s: %s" cmd path e
 

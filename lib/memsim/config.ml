@@ -137,6 +137,12 @@ let alphaserver ?(n_cpus = 8) () =
       l2_hash = Ahash.Identity;
     }
 
+(** The machine models by the name [--machine], tape headers and the
+    bench harness use: the base machine, Figure 7's two variants and
+    the §7 validation machine. *)
+let models =
+  [ ("sgi", sgi_base); ("sgi-2way", sgi_2way); ("sgi-4mb", sgi_4mb); ("alpha", alphaserver) ]
+
 (** [scale t factor] shrinks both cache levels by [factor] (a power of
     two), keeping page and line sizes fixed.  Workload data sets are
     scaled by the same factor so the dataset-to-aggregate-cache ratio —

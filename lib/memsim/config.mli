@@ -62,6 +62,11 @@ val sgi_4mb : ?n_cpus:int -> unit -> t
     direct-mapped external caches, 8 KB pages. *)
 val alphaserver : ?n_cpus:int -> unit -> t
 
+(** The machine models by name, as [--machine], tape headers and the
+    bench harness spell them: [sgi] ({!sgi_base}), [sgi-2way],
+    [sgi-4mb] and [alpha] ({!alphaserver}). *)
+val models : (string * (?n_cpus:int -> unit -> t)) list
+
 (** [scale t factor] shrinks both cache levels by [factor] (a power of
     two), keeping page and line sizes fixed; workloads scale their data
     sets by the same factor, preserving every crossover.  Raises

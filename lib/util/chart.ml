@@ -100,15 +100,20 @@ let scatter ~title ~cols ~n_rows ~x_max points =
   done;
   Buffer.contents buf
 
-(** [density points ~x_max ~buckets] returns per-bucket occupancy in
-    [0,1]: the fraction of positions inside each of [buckets] equal
-    slices of [0,x_max) that appear in [points].  Used to quantify the
+(** [density points] is, for each row of the [(position, row)] points
+    in ascending row order, [(row, distinct, span)]: the row's distinct
+    positions and the width of the range they occupy.  Quantifies the
     sparse-vs-dense contrast between Figures 3 and 5. *)
-let density points ~x_max ~buckets =
-  if buckets <= 0 || x_max <= 0 then invalid_arg "Chart.density";
-  let seen = Hashtbl.create 1024 in
-  List.iter (fun p -> if p >= 0 && p < x_max then Hashtbl.replace seen p ()) points;
-  let counts = Array.make buckets 0 in
-  Hashtbl.iter (fun p () -> counts.(p * buckets / x_max) <- counts.(p * buckets / x_max) + 1) seen;
-  let bucket_span = float_of_int x_max /. float_of_int buckets in
-  Array.map (fun c -> float_of_int c /. bucket_span) counts
+let density points =
+  let rows = Hashtbl.create 64 in
+  List.iter
+    (fun (pos, row) ->
+      Hashtbl.replace rows row (pos :: Option.value ~default:[] (Hashtbl.find_opt rows row)))
+    points;
+  Hashtbl.fold
+    (fun row ps acc ->
+      let distinct = List.length (List.sort_uniq compare ps) in
+      let span = 1 + List.fold_left max 0 ps - List.fold_left min max_int ps in
+      (row, distinct, span) :: acc)
+    rows []
+  |> List.sort compare

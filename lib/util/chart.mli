@@ -24,6 +24,7 @@ val sparkline : float array -> string
     cells print the processor's hex digit, contested cells ['*']. *)
 val scatter : title:string -> cols:int -> n_rows:int -> x_max:int -> (int * int) list -> string
 
-(** [density points ~x_max ~buckets] is per-bucket occupancy in [0,1]
-    over equal slices of [\[0, x_max)]. *)
-val density : int list -> x_max:int -> buckets:int -> float array
+(** [density points] is, per row of the [(position, row)] points in
+    ascending row order, [(row, distinct, span)]: the row's distinct
+    positions and the width of the range they occupy. *)
+val density : (int * int) list -> (int * int * int) list

@@ -70,10 +70,21 @@ let oracle slice ~assoc ~page_bits ~group_bits ~window x y =
   ignore (Slice.access slice ~addr:(addr_of fx) ~write:false);
   Slice.misses slice > before
 
+(** [max_window cfg] is the widest probe window whose addresses fit in
+    a non-negative OCaml int: page bits, group bits, the window and the
+    eviction-set offsets above it stack up to [Sys.int_size - 1] bits. *)
+let max_window (cfg : Config.t) =
+  Sys.int_size - 1
+  - Bits.log2 cfg.Config.page_size
+  - Ahash.group_bits (Config.resolved_hash cfg)
+  - Bits.log2 cfg.Config.l2.Config.assoc
+
 (** [recover ?window cfg] builds a fresh standalone slice cache from
     [cfg]'s external-cache geometry (the configured hash is inside the
     black box) and recovers the hash from conflicts alone. *)
 let recover ?(window = default_window) (cfg : Config.t) =
+  if window < 1 || window > max_window cfg then
+    invalid_arg (Printf.sprintf "Probe.recover: window %d outside 1..%d" window (max_window cfg));
   let hash = Config.resolved_hash cfg in
   let page_bits = Bits.log2 cfg.Config.page_size in
   let group_bits = Ahash.group_bits hash in

@@ -18,10 +18,16 @@ type recovery = {
 
 val default_window : int
 
+(** [max_window cfg] is the widest [window] whose probe addresses (page,
+    group and window bits plus the eviction-set offsets above them) fit
+    in a non-negative OCaml int. *)
+val max_window : Pcolor_memsim.Config.t -> int
+
 (** [recover ?window cfg] builds a fresh standalone slice cache from
     [cfg] and recovers its hash from conflicts alone ([window] defaults
     to {!default_window}; the hash must not tap frame bits at or above
-    [group_bits + window]). *)
+    [group_bits + window]).  Raises [Invalid_argument] unless
+    [1 <= window <= max_window cfg]. *)
 val recover : ?window:int -> Pcolor_memsim.Config.t -> recovery
 
 (** [recover] + [check]: the CI gate.  [Error] carries the (wrong)

@@ -167,6 +167,48 @@ let test_check_rejects () =
           one_line ~prefix:"perf check: " label stderr)
         [ ("absent stamp", "A", "Z"); ("no comparable section", "A", "B") ])
 
+(* A run artifact with a timeline section, written once, for the
+   explain/timeline flag cases. *)
+let timeline_artifact =
+  lazy
+    (let path = Filename.concat (Filename.get_temp_dir_name ()) "pcolor_cli_timeline.json" in
+     let code, stderr =
+       Helpers.run_cli
+         [ "run"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--timeline=20000"; "--metrics-out"; path ]
+     in
+     if code <> 0 then Alcotest.failf "writing the timeline artifact failed (%d): %s" code stderr;
+     path)
+
+let rejects_artifact ~flag cmd args () =
+  rejects ~flag (cmd :: Lazy.force timeline_artifact :: args) ()
+
+(* One name table serves [--machine] and tape headers: a tape recorded
+   on a non-default model replays on that model, to the same report. *)
+let test_record_replay_models () =
+  let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
+  let report path =
+    match Pcolor.Obs.Json.parse (read_file path) with
+    | Ok v -> Pcolor.Obs.Json.member "report" v
+    | Error e -> Alcotest.failf "%s: %s" path e
+  in
+  List.iter
+    (fun machine ->
+      let tape = tmp ("pcolor_cli_" ^ machine ^ ".pcbt")
+      and recorded = tmp ("pcolor_cli_" ^ machine ^ "_record.json")
+      and replayed = tmp ("pcolor_cli_" ^ machine ^ "_replay.json") in
+      let run args =
+        let code, stderr = Helpers.run_cli args in
+        Alcotest.(check int) (String.concat " " args ^ ": exit code; stderr " ^ stderr) 0 code
+      in
+      run
+        [ "record"; "swim"; "--machine"; machine; "-s"; "64"; "-p"; "2"; "-o"; tape;
+          "--metrics-out"; recorded ];
+      run [ "replay"; tape; "--metrics-out"; replayed ];
+      Alcotest.(check bool) (machine ^ ": report present") true (report recorded <> None);
+      Alcotest.(check bool) (machine ^ ": replayed report = recorded") true
+        (report recorded = report replayed))
+    [ "sgi-2way"; "alpha" ]
+
 (* [accepts args] runs the CLI on [args] and expects success: exit 0,
    nothing on stderr. *)
 let accepts args () =
@@ -213,6 +255,54 @@ let suite =
              [ "run"; "tomcatv"; "--machine"; "sgi-2way"; "-p"; "4"; "-s"; "256" ]);
         Alcotest.test_case "mix --scale 256" `Quick
           (rejects ~flag:"--scale" [ "mix"; "tomcatv"; "swim"; "-p"; "4"; "-s"; "256" ]);
+        (* the shared cap and timeline checks, before any output opens *)
+        Alcotest.test_case "run --cap 0" `Quick
+          (rejects ~flag:"--cap" [ "run"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--cap"; "0" ]);
+        Alcotest.test_case "compare --cap 0" `Quick
+          (rejects ~flag:"--cap" [ "compare"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--cap"; "0" ]);
+        Alcotest.test_case "mix --cap 0" `Quick
+          (rejects ~flag:"--cap" [ "mix"; "tomcatv"; "swim"; "-s"; "64"; "-p"; "2"; "--cap"; "0" ]);
+        Alcotest.test_case "record --cap 0" `Quick
+          (rejects ~flag:"--cap" ~no_file:tape
+             [ "record"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--cap"; "0"; "-o"; tape ]);
+        Alcotest.test_case "run-file --cap 0" `Quick
+          (rejects ~flag:"--cap"
+             [ "run-file"; "../examples/programs/jacobi.sexp"; "-s"; "64"; "-p"; "2"; "--cap"; "0" ]);
+        Alcotest.test_case "run --timeline=0" `Quick
+          (rejects ~flag:"--timeline" [ "run"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--timeline=0" ]);
+        Alcotest.test_case "compare --timeline=-1" `Quick
+          (rejects ~flag:"--timeline"
+             [ "compare"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--timeline=-1" ]);
+        Alcotest.test_case "mix --timeline=0" `Quick
+          (rejects ~flag:"--timeline"
+             [ "mix"; "tomcatv"; "swim"; "-s"; "64"; "-p"; "2"; "--timeline=0" ]);
+        Alcotest.test_case "record --timeline=0" `Quick
+          (rejects ~flag:"--timeline" ~no_file:tape
+             [ "record"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--timeline=0"; "-o"; tape ]);
+        Alcotest.test_case "replay --timeline=-1" `Quick
+          (rejects_replay ~flag:"--timeline" [ "--timeline=-1" ]);
+        (* command-specific values *)
+        Alcotest.test_case "mix --sched space, more jobs than CPUs" `Quick
+          (rejects ~flag:"--sched"
+             [ "mix"; "tomcatv"; "swim"; "hydro2d"; "-s"; "64"; "-p"; "2"; "--sched"; "space" ]);
+        Alcotest.test_case "mix --policy foo" `Quick
+          (rejects ~flag:"--policy" [ "mix"; "tomcatv"; "swim"; "-s"; "64"; "--policy"; "foo" ]);
+        (* the probe's addresses overflow an OCaml int past 48 window
+           bits on this machine: 50 used to pass a false mismatch, 100
+           to crash *)
+        Alcotest.test_case "probe --window 50" `Quick
+          (rejects ~flag:"--window" [ "probe"; "-s"; "64"; "--window"; "50" ]);
+        Alcotest.test_case "probe --window 100" `Quick
+          (rejects ~flag:"--window" [ "probe"; "-s"; "64"; "--window"; "100" ]);
+        Alcotest.test_case "timeline --job 0 --window 0" `Quick
+          (rejects_artifact ~flag:"--window" "timeline" [ "--job"; "0"; "--window"; "0" ]);
+        Alcotest.test_case "explain --at 5-2" `Quick
+          (rejects_artifact ~flag:"--at" "explain" [ "--at"; "5-2" ]);
+        (* JSON that is not a pcolor artifact *)
+        Alcotest.test_case "explain BENCHMARK.json" `Quick
+          (rejects ~flag:"../BENCHMARK.json" [ "explain"; "../BENCHMARK.json" ]);
+        Alcotest.test_case "diff BENCHMARK.json" `Quick
+          (rejects_artifact ~flag:"../BENCHMARK.json" "diff" [ "../BENCHMARK.json" ]);
       ] );
     ( "cli.paths",
       [
@@ -254,6 +344,9 @@ let suite =
         Alcotest.test_case "hints" `Quick (accepts [ "hints"; "su2cor"; "-p"; "8"; "-s"; "16" ]);
         Alcotest.test_case "run --machine sgi-4mb --scale 256" `Quick
           (accepts [ "run"; "tomcatv"; "--machine"; "sgi-4mb"; "-p"; "4"; "-s"; "256" ]);
+        Alcotest.test_case "probe --window at the bound" `Quick
+          (accepts [ "probe"; "-s"; "64"; "--window"; "48" ]);
+        Alcotest.test_case "record/replay on sgi-2way and alpha" `Quick test_record_replay_models;
       ] );
     ( "cli.perf",
       [

@@ -115,9 +115,9 @@ let test_chart_scatter () =
   Alcotest.(check char) "cpu1 glyph at end" '1' l1.[String.index l1 '|' + 8]
 
 let test_chart_density () =
-  let d = Chart.density [ 0; 1; 2; 3 ] ~x_max:8 ~buckets:2 in
-  Alcotest.(check (float 1e-9)) "first bucket full" 1.0 d.(0);
-  Alcotest.(check (float 1e-9)) "second empty" 0.0 d.(1)
+  let d = Chart.density [ (3, 1); (0, 0); (1, 0); (7, 1); (2, 0); (3, 0); (3, 1) ] in
+  Alcotest.(check (list (triple int int int)))
+    "row 0 dense, row 1 sparse; rows ascending" [ (0, 4, 4); (1, 2, 5) ] d
 
 (* --- Itab: open-addressing int->int table --- *)
 
