@@ -15,7 +15,9 @@
 #                     golden/tlb_*.json, a mix with the recolor and
 #                     cdpc-touch job hooks against golden/dynamic_mix.json
 #                     and a 2-way-L2 run against
-#                     golden/l2_2way.json --exact, plus `pcolor perf
+#                     golden/l2_2way.json and a 16-CPU prefetching
+#                     mix against golden/prefetch_mix_16p.json
+#                     --exact, plus `pcolor perf
 #                     history` over the perf ledger.  Host speed is
 #                     perfbench's job (perfbench/, BENCHMARK.json):
 #                     `pcolor perf ingest` records its results and
@@ -114,6 +116,14 @@ bench-check:
 	  --scale 64 --policy page-coloring --metrics-out _build/l2_2way.json
 	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/l2_2way.json \
 	  _build/l2_2way.json --exact
+	@# Prefetch and bus-contention gate: a 16-CPU prefetching mix with a
+	@# timeline (non-zero late and full-queue prefetch stalls, bus-knee
+	@# crossings) must reproduce its committed golden exactly, so the
+	@# contention stretch of every stall counter is pinned.
+	$(DUNE) exec bin/pcolor_cli.exe -- mix applu swim -p 16 -s 64 --policy cdpc \
+	  --prefetch --timeline --metrics-out _build/prefetch_mix_16p.json
+	$(DUNE) exec bin/pcolor_cli.exe -- diff golden/prefetch_mix_16p.json \
+	  _build/prefetch_mix_16p.json --exact
 	@# Cross-PR trend from the append-only perf ledger (perfbench
 	@# results recorded with `pcolor perf ingest`).
 	$(DUNE) exec bin/pcolor_cli.exe -- perf history

@@ -56,10 +56,80 @@ let make_stats () =
     pf_useful = 0;
   }
 
+(* ---- the counter table ---------------------------------------------- *)
+
+type source = Per_cpu of (cpu_stats -> int) | Machine_wide of (Bus.t -> int)
+
+type counter = {
+  name : string;
+  source : source;
+  cls : Mclass.t option;
+  mem_stall : bool;
+  stretched : bool;
+}
+
+(* Every counter the machine reports, named once: the timeline row, the
+   metrics ("memsim." ^ name) and [Totals] derive from this table.
+   Per-CPU rows come first, then the machine-wide bus rows.  [mem_stall]
+   rows make up [total_mem_stall], by which the engine stretches the CPU
+   clocks; [stretched] rows are the ones [Totals.accumulate] scales by
+   the contention factor.  The two sets differ in the on-chip stall (a
+   known deviation, DESIGN §6). *)
+let counters =
+  let cpu ?cls ?(mem_stall = false) ?(stretched = false) name read =
+    { name; source = Per_cpu read; cls; mem_stall; stretched }
+  in
+  let per_class ?mem_stall ?stretched name read =
+    List.map
+      (fun c -> cpu ~cls:c ?mem_stall ?stretched (name c) (fun s -> read s (Mclass.index c)))
+      Mclass.all
+  in
+  let bus name read =
+    { name; source = Machine_wide read; cls = None; mem_stall = false; stretched = false }
+  in
+  Array.of_list
+    ([
+       cpu "instructions" (fun s -> s.instructions);
+       cpu "l1_hits" (fun s -> s.l1_hits);
+       cpu "l1_misses" (fun s -> s.l1_misses);
+       cpu "l2_hits" (fun s -> s.l2_hits);
+     ]
+    @ per_class (fun c -> "l2_miss." ^ Mclass.to_string c) (fun s i -> s.l2_miss_counts.(i))
+    @ [ cpu "stall.onchip_cycles" ~mem_stall:true (fun s -> s.stall_onchip) ]
+    @ per_class ~mem_stall:true ~stretched:true
+        (fun c -> "stall." ^ Mclass.to_string c ^ "_cycles")
+        (fun s i -> s.stall_by_class.(i))
+    @ [
+        cpu "stall.prefetch_late_cycles" ~mem_stall:true ~stretched:true (fun s -> s.stall_pf_late);
+        cpu "stall.prefetch_full_cycles" ~mem_stall:true ~stretched:true (fun s -> s.stall_pf_full);
+        cpu "kernel_cycles" (fun s -> s.kernel_cycles);
+        cpu "tlb_misses" (fun s -> s.tlb_misses);
+        cpu "page_fault_cycles" (fun s -> s.page_fault_cycles);
+        cpu "prefetch.issued" (fun s -> s.pf_issued);
+        cpu "prefetch.dropped_tlb" (fun s -> s.pf_dropped_tlb);
+        cpu "prefetch.useless" (fun s -> s.pf_useless);
+        cpu "prefetch.useful" (fun s -> s.pf_useful);
+        bus "bus.data_cycles" (fun b -> match Bus.categories b with d, _, _ -> d);
+        bus "bus.writeback_cycles" (fun b -> match Bus.categories b with _, w, _ -> w);
+        bus "bus.upgrade_cycles" (fun b -> match Bus.categories b with _, _, u -> u);
+      ])
+
+let n_per_cpu =
+  Array.fold_left (fun n k -> match k.source with Per_cpu _ -> n + 1 | _ -> n) 0 counters
+
+let n_machine_wide = Array.length counters - n_per_cpu
+
+let column name =
+  match Array.find_index (fun k -> String.equal k.name name) counters with
+  | Some i -> i
+  | None -> invalid_arg ("Machine.column: no counter " ^ name)
+
 (** [total_mem_stall s] is every cycle of memory-system stall: on-chip
     miss service, external misses by class, and prefetch-related stalls. *)
 let total_mem_stall s =
-  s.stall_onchip + Array.fold_left ( + ) 0 s.stall_by_class + s.stall_pf_late + s.stall_pf_full
+  Array.fold_left
+    (fun acc k -> match k.source with Per_cpu f when k.mem_stall -> acc + f s | _ -> acc)
+    0 counters
 
 (* Translation-memo geometry: 64 direct-mapped entries indexed by the
    vpage's low bits — enough that the handful of pages a nest cycles
@@ -91,7 +161,7 @@ type cpu = {
   memo_vpage : int array; (* -1 = invalid *)
   memo_slot : int array;
   memo_gen : int array;
-  stats : cpu_stats;
+  mutable stats : cpu_stats; (* replaced, not zeroed, by [reset_stats] *)
 }
 
 type t = {
@@ -126,35 +196,12 @@ type t = {
          classification site only when a sampler is attached *)
 }
 
-(* The per-CPU counter columns of a timeline row, in [fill_scratch]
-   order.  The names match the summed [publish_metrics] registry names
-   (without the "memsim." prefix) so rows reconcile against the
-   aggregate snapshot by name. *)
-let counter_columns =
-  [ "instructions"; "l1_hits"; "l1_misses"; "l2_hits" ]
-  @ List.map (fun c -> "l2_miss." ^ Mclass.to_string c) Mclass.all
-  @ [ "stall.onchip_cycles" ]
-  @ List.map (fun c -> "stall." ^ Mclass.to_string c ^ "_cycles") Mclass.all
-  @ [
-      "stall.prefetch_late_cycles";
-      "stall.prefetch_full_cycles";
-      "kernel_cycles";
-      "tlb_misses";
-      "page_fault_cycles";
-      "prefetch.issued";
-      "prefetch.dropped_tlb";
-      "prefetch.useless";
-      "prefetch.useful";
-    ]
-
-let n_counter_columns = List.length counter_columns
-
 (** [sampler_for ?epoch_cycles cfg] dimensions a timeline sampler for
-    [cfg]: the full per-CPU counter set plus the machine-wide bus
-    categories and per-color conflict pressure. *)
+    [cfg]: the table's per-CPU rows, then its machine-wide rows and
+    per-color conflict pressure. *)
 let sampler_for ?epoch_cycles (cfg : Config.t) =
-  Pcolor_obs.Sampler.create ?epoch_cycles ~n_cpus:cfg.n_cpus ~n_counters:n_counter_columns
-    ~n_global:(3 + Config.n_colors cfg) ()
+  Pcolor_obs.Sampler.create ?epoch_cycles ~n_cpus:cfg.n_cpus ~n_counters:n_per_cpu
+    ~n_global:(n_machine_wide + Config.n_colors cfg) ()
 
 (** [create ?obs cfg] builds an empty machine.  [obs] (default
     disabled) attaches the observability context: page faults become
@@ -213,8 +260,8 @@ let create ?(obs = Pcolor_obs.Ctx.disabled) (cfg : Config.t) =
         let module S = Pcolor_obs.Sampler in
         if
           S.n_cpus sm <> cfg.n_cpus
-          || S.n_counters sm <> n_counter_columns
-          || S.n_global sm <> 3 + Config.n_colors cfg
+          || S.n_counters sm <> n_per_cpu
+          || S.n_global sm <> n_machine_wide + Config.n_colors cfg
         then invalid_arg "Machine.create: sampler dimensions do not match the machine (use sampler_for)";
         Some sm);
     n_colors = Config.n_colors cfg;
@@ -240,6 +287,13 @@ let set_cpu_time t ~cpu v = t.cpus.(cpu).time <- v
 
 (** [stats t ~cpu] is CPU [cpu]'s mutable statistics record. *)
 let stats t ~cpu = t.cpus.(cpu).stats
+
+(** [total t i] is column [i]'s machine-wide value: a per-CPU counter
+    summed over every CPU. *)
+let total t i =
+  match counters.(i).source with
+  | Per_cpu f -> Array.fold_left (fun acc c -> acc + f c.stats) 0 t.cpus
+  | Machine_wide f -> f t.bus
 
 (** [tick t ~cpu n] charges [n] cycles of instruction execution
     ([n] instructions on the single-issue CPU). *)
@@ -566,31 +620,13 @@ let has_sampler t = match t.sampler with Some _ -> true | None -> false
 let sampler t = t.sampler
 
 (* Fill the sampler scratch buffer with CPU [c]'s cumulative counters
-   ([counter_columns] order) followed by the machine-wide columns (bus
-   categories, then per-color conflict pressure). *)
+   in table order (per-CPU rows, then the machine-wide ones) followed by
+   the per-color conflict pressure. *)
 let fill_scratch t c (buf : int array) =
-  let s = c.stats in
-  buf.(0) <- s.instructions;
-  buf.(1) <- s.l1_hits;
-  buf.(2) <- s.l1_misses;
-  buf.(3) <- s.l2_hits;
-  Array.blit s.l2_miss_counts 0 buf 4 (Array.length s.l2_miss_counts);
-  buf.(9) <- s.stall_onchip;
-  Array.blit s.stall_by_class 0 buf 10 (Array.length s.stall_by_class);
-  buf.(15) <- s.stall_pf_late;
-  buf.(16) <- s.stall_pf_full;
-  buf.(17) <- s.kernel_cycles;
-  buf.(18) <- s.tlb_misses;
-  buf.(19) <- s.page_fault_cycles;
-  buf.(20) <- s.pf_issued;
-  buf.(21) <- s.pf_dropped_tlb;
-  buf.(22) <- s.pf_useless;
-  buf.(23) <- s.pf_useful;
-  let data, wb, upg = Bus.categories t.bus in
-  buf.(24) <- data;
-  buf.(25) <- wb;
-  buf.(26) <- upg;
-  Array.blit t.sampler_colors 0 buf 27 t.n_colors
+  for i = 0 to Array.length counters - 1 do
+    buf.(i) <- (match counters.(i).source with Per_cpu f -> f c.stats | Machine_wide f -> f t.bus)
+  done;
+  Array.blit t.sampler_colors 0 buf (Array.length counters) t.n_colors
 
 let commit_sample t sm c =
   fill_scratch t c (Pcolor_obs.Sampler.scratch sm);
@@ -622,9 +658,8 @@ let sample_flush t =
 (** [timeline_columns t] names every column of a timeline row, header
     included. *)
 let timeline_columns t =
-  [ "epoch"; "cpu"; "job"; "time" ]
-  @ counter_columns
-  @ [ "bus.data_cycles"; "bus.writeback_cycles"; "bus.upgrade_cycles" ]
+  Pcolor_obs.Sampler.header
+  @ Array.to_list (Array.map (fun k -> k.name) counters)
   @ List.init t.n_colors (fun i -> "conflict.color." ^ string_of_int i)
 
 (** [timeline_json t] is the schema-v4 ["timeline"] artifact section,
@@ -642,30 +677,25 @@ let emit_timeline_counters t buf =
   | None -> ()
   | Some sm ->
     let module S = Pcolor_obs.Sampler in
-    let h = S.header_width in
-    let miss0 = h + 4 in
-    let gl0 = h + n_counter_columns in
+    let columns = timeline_columns t in
+    let col name = Option.get (List.find_index (String.equal name) columns) in
+    let cpu_col = col "cpu" and time_col = col "time" in
+    let miss_cols =
+      List.map (fun c -> (Mclass.to_string c, col ("l2_miss." ^ Mclass.to_string c))) Mclass.all
+    in
+    let bus_cols = List.init n_machine_wide (fun i -> col counters.(n_per_cpu + i).name) in
+    let color_cols = List.init t.n_colors (fun i -> col ("conflict.color." ^ string_of_int i)) in
     S.iter_rows sm (fun r ->
-        let cpu = S.cell sm ~row:r ~col:1 in
-        let time = S.cell sm ~row:r ~col:3 in
-        let miss_args =
-          List.mapi
-            (fun i cls -> (Mclass.to_string cls, Pcolor_obs.Json.Int (S.cell sm ~row:r ~col:(miss0 + i))))
-            Mclass.all
-        in
+        let cell c = S.cell sm ~row:r ~col:c in
+        let sum cols = List.fold_left (fun acc c -> acc + cell c) 0 cols in
+        let cpu = cell cpu_col and time = cell time_col in
+        let miss_args = List.map (fun (cls, c) -> (cls, Pcolor_obs.Json.Int (cell c))) miss_cols in
         Pcolor_obs.Trace.counter buf ~ts:time ~tid:cpu ~cat:"timeline" ~args:miss_args "l2-miss";
-        let bus_busy =
-          S.cell sm ~row:r ~col:gl0 + S.cell sm ~row:r ~col:(gl0 + 1) + S.cell sm ~row:r ~col:(gl0 + 2)
-        in
-        let pressure = ref 0 in
-        for i = 0 to t.n_colors - 1 do
-          pressure := !pressure + S.cell sm ~row:r ~col:(gl0 + 3 + i)
-        done;
         Pcolor_obs.Trace.counter buf ~ts:time ~tid:cpu ~cat:"timeline"
           ~args:
             [
-              ("conflict_pressure", Pcolor_obs.Json.Int !pressure);
-              ("bus_busy", Pcolor_obs.Json.Int bus_busy);
+              ("conflict_pressure", Pcolor_obs.Json.Int (sum color_cols));
+              ("bus_busy", Pcolor_obs.Json.Int (sum bus_cols));
             ]
           "pressure")
 
@@ -852,42 +882,13 @@ let invalidate_frame_everywhere t ~frame =
     touching them in a chosen order at startup (§5.3). *)
 let touch_page t ~cpu ~vaddr ~translate = ignore (translate_addr t t.cpus.(cpu) ~translate vaddr)
 
-(** [publish_metrics t reg] registers and sets the machine's summed
-    cross-CPU counters in [reg] — called once per run after the
-    measured pass, so the simulator hot path carries no metric
-    updates.  Deterministic given a deterministic run. *)
+(** [publish_metrics t reg] registers and sets every table counter's
+    machine-wide value in [reg] as ["memsim." ^ name] — called once per
+    run after the measured pass, so the simulator hot path carries no
+    metric updates.  Deterministic given a deterministic run. *)
 let publish_metrics t reg =
   let module Mx = Pcolor_obs.Metrics in
-  let sum f = Array.fold_left (fun acc c -> acc + f c.stats) 0 t.cpus in
-  let put name v = Mx.add (Mx.counter reg name) v in
-  put "memsim.instructions" (sum (fun s -> s.instructions));
-  put "memsim.l1_hits" (sum (fun s -> s.l1_hits));
-  put "memsim.l1_misses" (sum (fun s -> s.l1_misses));
-  put "memsim.l2_hits" (sum (fun s -> s.l2_hits));
-  List.iter
-    (fun cls ->
-      put
-        ("memsim.l2_miss." ^ Mclass.to_string cls)
-        (sum (fun s -> Mclass.get s.l2_miss_counts cls)))
-    Mclass.all;
-  put "memsim.stall.onchip_cycles" (sum (fun s -> s.stall_onchip));
-  List.iter
-    (fun cls ->
-      put ("memsim.stall." ^ Mclass.to_string cls ^ "_cycles") (sum (fun s -> s.stall_by_class.(Mclass.index cls))))
-    Mclass.all;
-  put "memsim.stall.prefetch_late_cycles" (sum (fun s -> s.stall_pf_late));
-  put "memsim.stall.prefetch_full_cycles" (sum (fun s -> s.stall_pf_full));
-  put "memsim.kernel_cycles" (sum (fun s -> s.kernel_cycles));
-  put "memsim.tlb_misses" (sum (fun s -> s.tlb_misses));
-  put "memsim.page_fault_cycles" (sum (fun s -> s.page_fault_cycles));
-  put "memsim.prefetch.issued" (sum (fun s -> s.pf_issued));
-  put "memsim.prefetch.dropped_tlb" (sum (fun s -> s.pf_dropped_tlb));
-  put "memsim.prefetch.useless" (sum (fun s -> s.pf_useless));
-  put "memsim.prefetch.useful" (sum (fun s -> s.pf_useful));
-  let data, wb, upg = Bus.categories t.bus in
-  put "memsim.bus.data_cycles" data;
-  put "memsim.bus.writeback_cycles" wb;
-  put "memsim.bus.upgrade_cycles" upg
+  Array.iteri (fun i k -> Mx.add (Mx.counter reg ("memsim." ^ k.name)) (total t i)) counters
 
 (** [l2_cache t ~cpu] / [tlb t ~cpu] expose per-CPU components for tests
     and detailed probes. *)
@@ -901,23 +902,8 @@ let tlb t ~cpu = t.cpus.(cpu).tlb
 let reset_stats t =
   Array.iter
     (fun c ->
-      let s = c.stats in
-      s.instructions <- 0;
-      s.l1_hits <- 0;
-      s.l1_misses <- 0;
-      s.l2_hits <- 0;
-      Array.fill s.l2_miss_counts 0 (Array.length s.l2_miss_counts) 0;
-      s.stall_onchip <- 0;
-      Array.fill s.stall_by_class 0 (Array.length s.stall_by_class) 0;
-      s.stall_pf_late <- 0;
-      s.stall_pf_full <- 0;
-      s.kernel_cycles <- 0;
-      s.tlb_misses <- 0;
-      s.page_fault_cycles <- 0;
-      s.pf_issued <- 0;
-      s.pf_dropped_tlb <- 0;
-      s.pf_useless <- 0;
-      s.pf_useful <- 0;
+      (* a fresh record: no caller holds a [cpu_stats] across a reset *)
+      c.stats <- make_stats ();
       (* the local clock rebases to zero, so in-flight prefetch
          completion times from before the reset are meaningless *)
       c.pf_count <- 0;

@@ -9,7 +9,7 @@
     uncontended latencies and recorded by cause; the engine applies the
     bus-contention stretch per region. *)
 
-(** Per-CPU statistics (mutable; reset by {!reset_stats}). *)
+(** Per-CPU statistics (mutable; replaced by {!reset_stats}). *)
 type cpu_stats = {
   mutable instructions : int;
   mutable l1_hits : int;
@@ -29,7 +29,37 @@ type cpu_stats = {
   mutable pf_useful : int;  (** demand hit a completed prefetch *)
 }
 
-(** [total_mem_stall s] sums every memory-system stall cycle. *)
+(** {2 The counter table}
+
+    Every counter the machine reports is one row of {!counters}: the
+    timeline row, the published metrics and the weighted [Totals]
+    accumulator are derived from it.  Adding a counter means a
+    [cpu_stats] field, its zero in a fresh record, its increment and
+    one row. *)
+
+(** Where a row reads its value: a CPU's statistics record, or the
+    machine-wide bus account. *)
+type source = Per_cpu of (cpu_stats -> int) | Machine_wide of (Bus.t -> int)
+
+type counter = {
+  name : string;  (** timeline column; the metric is ["memsim." ^ name] *)
+  source : source;
+  cls : Mclass.t option;  (** the class a per-class row counts *)
+  mem_stall : bool;  (** counts toward {!total_mem_stall} *)
+  stretched : bool;  (** [Totals.accumulate] scales it by the contention factor *)
+}
+
+(** [counters] is the table: per-CPU rows first, then the machine-wide
+    bus categories.  [mem_stall] and [stretched] differ in the on-chip
+    stall, which stretches the engine's clocks but is reported
+    unstretched (DESIGN §6). *)
+val counters : counter array
+
+(** [column name] is the index of the row named [name] in {!counters}.
+    Raises [Invalid_argument] on an unknown name. *)
+val column : string -> int
+
+(** [total_mem_stall s] sums the [mem_stall] rows of one CPU. *)
 val total_mem_stall : cpu_stats -> int
 
 type t
@@ -54,8 +84,13 @@ val cpu_time : t -> cpu:int -> int
 (** [set_cpu_time t ~cpu v] forces the counter (barrier sync). *)
 val set_cpu_time : t -> cpu:int -> int -> unit
 
-(** [stats t ~cpu] is the CPU's mutable statistics record. *)
+(** [stats t ~cpu] is the CPU's mutable statistics record; {!reset_stats}
+    replaces it with a fresh one. *)
 val stats : t -> cpu:int -> cpu_stats
+
+(** [total t i] is row [i] of {!counters} machine-wide: a per-CPU
+    counter summed over every CPU. *)
+val total : t -> int -> int
 
 (** [tick t ~cpu n] charges [n] cycles of instruction execution. *)
 val tick : t -> cpu:int -> int -> unit
@@ -151,8 +186,8 @@ val sample_point : t -> cpu:int -> unit
 val sample_flush : t -> unit
 
 (** [timeline_columns t] names every timeline column:
-    [epoch; cpu; job; time], the per-CPU counter set, bus categories,
-    and [conflict.color.N]. *)
+    {!Pcolor_obs.Sampler.header}, the names of {!counters}, and
+    [conflict.color.N]. *)
 val timeline_columns : t -> string list
 
 (** [timeline_json t] is the schema-v4 ["timeline"] artifact section
@@ -180,10 +215,9 @@ val invalidate_frame_everywhere : t -> frame:int -> unit
 val touch_page :
   t -> cpu:int -> vaddr:int -> translate:(cpu:int -> vpage:int -> int * int) -> unit
 
-(** [publish_metrics t reg] registers and sets the machine's summed
-    cross-CPU counters (hits, misses by class, stalls, bus occupancy,
-    prefetch and VM accounting) in [reg] — called once after a run, so
-    the hot path carries no metric updates. *)
+(** [publish_metrics t reg] registers and sets every row of {!counters}
+    machine-wide in [reg], as ["memsim." ^ name] — called once after a
+    run, so the hot path carries no metric updates. *)
 val publish_metrics : t -> Pcolor_obs.Metrics.t -> unit
 
 (** [l2_cache t ~cpu] / [tlb t ~cpu] expose per-CPU components for
@@ -192,7 +226,8 @@ val l2_cache : t -> cpu:int -> Slice.t
 
 val tlb : t -> cpu:int -> Tlb.t
 
-(** [reset_stats t] zeroes statistics, clocks, in-flight prefetches and
-    the bus account while keeping cache/TLB/directory contents — the
-    warm-up discard (§3.2). *)
+(** [reset_stats t] zeroes statistics (a fresh [cpu_stats] per CPU, so
+    a record read before the reset keeps its old values), clocks,
+    in-flight prefetches and the bus account while keeping
+    cache/TLB/directory contents — the warm-up discard (§3.2). *)
 val reset_stats : t -> unit

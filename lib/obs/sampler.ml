@@ -26,9 +26,11 @@
     maintains the assignment via [set_job] and records context-switch
     instants via [mark_switch]. *)
 
-(* Row layout: [epoch; cpu; job; time] ++ per-CPU counter deltas ++
-   global deltas. *)
-let header_width = 4
+(* Row layout: [header] ++ per-CPU counter deltas ++ global deltas;
+   [commit] writes the header cells in this order. *)
+let header = [ "epoch"; "cpu"; "job"; "time" ]
+
+let header_width = List.length header
 
 type t = {
   epoch_cycles : int;

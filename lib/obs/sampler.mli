@@ -13,8 +13,8 @@
 
 type t
 
-(** Leading columns of every row: [epoch; cpu; job; time]. *)
-val header_width : int
+(** Names of the leading columns of every row: [epoch; cpu; job; time]. *)
+val header : string list
 
 val default_epoch_cycles : int
 
@@ -74,6 +74,6 @@ val iter_rows : t -> (int -> unit) -> unit
 
 (** [to_json ~columns t] is the schema-v4 ["timeline"] artifact
     section: epoch size, column names (one per row column:
-    {!header_width} + [n_counters] + [n_global]), delta rows, and
+    {!header} + [n_counters] + [n_global]), delta rows, and
     switch events. *)
 val to_json : columns:string list -> t -> Json.t

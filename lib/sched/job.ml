@@ -77,14 +77,9 @@ type t = {
   mutable dispatches : int;
 }
 
-(* machine-wide per-class external-miss totals (cheap: n_cpus × 5) *)
-let class_totals machine ~into =
-  let n = M.n_cpus machine in
-  Array.fill into 0 (Array.length into) 0;
-  for cpu = 0 to n - 1 do
-    let s = M.stats machine ~cpu in
-    Array.iteri (fun i v -> into.(i) <- into.(i) + v) s.M.l2_miss_counts
-  done
+(* the external-miss columns, in Mclass.index order *)
+let miss_columns =
+  Array.of_list (List.map (fun c -> M.column ("l2_miss." ^ Mclass.to_string c)) Mclass.all)
 
 (** [create ~cfg ~machine ~pool ~obs ~asid ~relocate ~cpus ~cap spec]
     builds the job through {!Run}'s own stages: the prepared program
@@ -156,12 +151,11 @@ let run_one_measured t machine =
   match t.measured with
   | [] -> ()
   | (s, left) :: rest ->
-    let before = Mclass.make_counts () in
-    class_totals machine ~into:before;
+    let before = Array.map (M.total machine) miss_columns in
     Engine.run_measured_occurrence t.run.engine ~after_phase:t.run.after_phase ~into:t.totals s;
-    let after = Mclass.make_counts () in
-    class_totals machine ~into:after;
-    Array.iteri (fun i v -> t.l2_measured.(i) <- t.l2_measured.(i) + v - before.(i)) after;
+    Array.iteri
+      (fun i col -> t.l2_measured.(i) <- t.l2_measured.(i) + M.total machine col - before.(i))
+      miss_columns;
     t.measured <- (if left <= 1 then rest else (s, left - 1) :: rest)
 
 (** [report ~cfg t] is the per-job report, built exactly as {!Run.run}

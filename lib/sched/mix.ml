@@ -95,14 +95,7 @@ let run ~cfg ?(sched = Sched.default) ?mem_frames ?(cap = 2) ?(obs = Pcolor_obs.
   let n_colors = Config.n_colors cfg in
   let extent = Array.fold_left (fun m s -> max m (probe_extent ~cfg s)) 0 specs in
   let va_span = Pcolor_util.Bits.next_pow2 (max extent (n_colors * cfg.Config.page_size)) in
-  let frames =
-    match mem_frames with
-    | Some f -> f
-    | None ->
-      (* ample: the lone-kernel default (>= 256 MB, >= 4x aggregate L2) *)
-      let l2_frames = cfg.Config.l2.Config.size / cfg.Config.page_size in
-      max (4 * l2_frames * cfg.Config.n_cpus) (256 * 1024 * 1024 / cfg.Config.page_size)
-  in
+  let frames = Option.value mem_frames ~default:(Kernel.ample_frames cfg) in
   let pool =
     (* One shared pool for every address space.  If any job is
        hash-aware (Cdpc_hash), the pool is classified by the inverted

@@ -37,6 +37,9 @@ let as_arr what = function
   | J.Arr l -> Ok l
   | _ -> Error (Printf.sprintf "timeline: %s is not an array" what)
 
+let at_least what n =
+  if n < 1 then Error (Printf.sprintf "timeline: %s is %d, not positive" what n) else Ok ()
+
 let of_json json =
   let* epoch_cycles = field "epoch_cycles" json in
   let* epoch_cycles = as_int "epoch_cycles" epoch_cycles in
@@ -92,7 +95,29 @@ let of_json json =
       (Ok []) events
   in
   let events = Array.of_list (List.rev events) in
-  Ok { epoch_cycles; n_cpus; columns; rows; events }
+  let* () = at_least "epoch_cycles" epoch_cycles in
+  let* () = at_least "n_cpus" n_cpus in
+  let header name =
+    match Array.find_index (String.equal name) columns with
+    | Some i -> Ok i
+    | None -> Error (Printf.sprintf "timeline: no %S column" name)
+  in
+  let* e = header "epoch" in
+  let* cpu = header "cpu" in
+  let* _ = header "job" in
+  let* _ = header "time" in
+  let bad =
+    Array.find_mapi
+      (fun i r ->
+        if r.(e) < 0 then Some (Printf.sprintf "timeline: row %d has epoch %d" i r.(e))
+        else if r.(cpu) < 0 || r.(cpu) >= n_cpus then
+          Some (Printf.sprintf "timeline: row %d has cpu %d (n_cpus %d)" i r.(cpu) n_cpus)
+        else None)
+      rows
+  in
+  match bad with
+  | Some msg -> Error msg
+  | None -> Ok { epoch_cycles; n_cpus; columns; rows; events }
 
 let of_artifact json =
   match J.member "timeline" json with

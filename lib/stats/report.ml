@@ -46,12 +46,19 @@ type t = {
     ~hints_honored ~hints_fallback totals] computes the report. *)
 let of_totals ~benchmark ~machine ~n_cpus ~policy ~prefetch ~page_faults ~hints_honored
     ~hints_fallback (tt : Totals.t) =
-  let instr = tt.instructions in
+  let module C = Pcolor_memsim.Mclass in
+  let get = Totals.get tt in
+  let by_class column = Array.of_list (List.map (fun c -> get (column (C.to_string c))) C.all) in
+  let miss = by_class (fun c -> "l2_miss." ^ c) in
+  let instr = get "instructions" in
   let per_instr v = if instr <= 0.0 then 0.0 else v /. instr in
   let mem_stall = Totals.total_mem_stall tt in
   let combined = Totals.sum_time tt in
-  let l2_misses = Array.fold_left ( +. ) 0.0 tt.miss in
-  let bus_busy = tt.bus_data +. tt.bus_wb +. tt.bus_upg in
+  let l1_misses = get "l1_misses" in
+  let l2_misses = Array.fold_left ( +. ) 0.0 miss in
+  let bus_data = get "bus.data_cycles" and bus_wb = get "bus.writeback_cycles" in
+  let bus_upg = get "bus.upgrade_cycles" in
+  let bus_busy = bus_data +. bus_wb +. bus_upg in
   let occupancy = if tt.wall <= 0.0 then 0.0 else bus_busy /. tt.wall in
   let frac v = if bus_busy <= 0.0 then 0.0 else v /. bus_busy in
   {
@@ -66,24 +73,25 @@ let of_totals ~benchmark ~machine ~n_cpus ~policy ~prefetch ~page_faults ~hints_
     mem_stall_cycles = mem_stall;
     instructions = instr;
     mcpi = per_instr mem_stall;
-    mcpi_onchip = per_instr tt.stall_onchip;
-    mcpi_by_class = Array.map per_instr tt.stall;
-    mcpi_prefetch = per_instr (tt.stall_pf_late +. tt.stall_pf_full);
-    l2_misses_by_class = Array.copy tt.miss;
-    l2_miss_rate = (if tt.l1_misses <= 0.0 then 0.0 else l2_misses /. tt.l1_misses);
-    ov_kernel = tt.kernel;
+    mcpi_onchip = per_instr (get "stall.onchip_cycles");
+    mcpi_by_class = Array.map per_instr (by_class (fun c -> "stall." ^ c ^ "_cycles"));
+    mcpi_prefetch =
+      per_instr (get "stall.prefetch_late_cycles" +. get "stall.prefetch_full_cycles");
+    l2_misses_by_class = miss;
+    l2_miss_rate = (if l1_misses <= 0.0 then 0.0 else l2_misses /. l1_misses);
+    ov_kernel = get "kernel_cycles";
     ov_imbalance = Array.fold_left ( +. ) 0.0 tt.ov_imbalance;
     ov_sequential = Array.fold_left ( +. ) 0.0 tt.ov_sequential;
     ov_suppressed = Array.fold_left ( +. ) 0.0 tt.ov_suppressed;
     ov_sync = Array.fold_left ( +. ) 0.0 tt.ov_sync;
     bus_occupancy = Float.min occupancy 1.0;
-    bus_data_frac = frac tt.bus_data;
-    bus_wb_frac = frac tt.bus_wb;
-    bus_upg_frac = frac tt.bus_upg;
-    pf_issued = tt.pf_issued;
-    pf_dropped = tt.pf_dropped;
-    pf_useful = tt.pf_useful;
-    tlb_misses = tt.tlb_misses;
+    bus_data_frac = frac bus_data;
+    bus_wb_frac = frac bus_wb;
+    bus_upg_frac = frac bus_upg;
+    pf_issued = get "prefetch.issued";
+    pf_dropped = get "prefetch.dropped_tlb";
+    pf_useful = get "prefetch.useful";
+    tlb_misses = get "tlb_misses";
     page_faults;
     hints_honored;
     hints_fallback;

@@ -5,30 +5,14 @@
     deltas by the phase's real occurrence count.  [Totals] is the flat
     record those weighted deltas accumulate into; the engine snapshots it
     from the machine at phase boundaries, subtracts, applies the bus
-    contention stretch [f] to stall fields, multiplies by the phase
-    weight, and folds into the run's accumulator. *)
+    contention stretch [f] to the stretched counters, multiplies by the
+    phase weight, and folds into the run's accumulator. *)
+
+module M = Pcolor_memsim.Machine
 
 type t = {
   n_cpus : int;
-  mutable instructions : float;
-  mutable l1_hits : float;
-  mutable l1_misses : float;
-  mutable l2_hits : float;
-  miss : float array; (* 5 classes, Mclass.index order *)
-  mutable stall_onchip : float;
-  stall : float array; (* stall cycles per miss class *)
-  mutable stall_pf_late : float;
-  mutable stall_pf_full : float;
-  mutable kernel : float;
-  mutable tlb_misses : float;
-  mutable fault_cycles : float;
-  mutable pf_issued : float;
-  mutable pf_dropped : float;
-  mutable pf_useless : float;
-  mutable pf_useful : float;
-  mutable bus_data : float;
-  mutable bus_wb : float;
-  mutable bus_upg : float;
+  counters : float array; (* Machine.counters order *)
   time : float array; (* per-CPU cycle counters *)
   ov_imbalance : float array;
   ov_sequential : float array;
@@ -41,25 +25,7 @@ type t = {
 let create ~n_cpus =
   {
     n_cpus;
-    instructions = 0.0;
-    l1_hits = 0.0;
-    l1_misses = 0.0;
-    l2_hits = 0.0;
-    miss = Array.make 5 0.0;
-    stall_onchip = 0.0;
-    stall = Array.make 5 0.0;
-    stall_pf_late = 0.0;
-    stall_pf_full = 0.0;
-    kernel = 0.0;
-    tlb_misses = 0.0;
-    fault_cycles = 0.0;
-    pf_issued = 0.0;
-    pf_dropped = 0.0;
-    pf_useless = 0.0;
-    pf_useful = 0.0;
-    bus_data = 0.0;
-    bus_wb = 0.0;
-    bus_upg = 0.0;
+    counters = Array.make (Array.length M.counters) 0.0;
     time = Array.make n_cpus 0.0;
     ov_imbalance = Array.make n_cpus 0.0;
     ov_sequential = Array.make n_cpus 0.0;
@@ -68,70 +34,40 @@ let create ~n_cpus =
     wall = 0.0;
   }
 
+(** [get t name] is the counter column [name]. *)
+let get t name = t.counters.(M.column name)
+
 (** [snapshot machine ov] reads the machine's cumulative statistics and
-    the overhead accumulators into an absolute [t]. *)
+    the overhead accumulators into an absolute [t].  Each column is the
+    machine-wide integer total converted once: every partial sum stays
+    far below 2{^53}, so this equals summing the per-CPU values as
+    floats. *)
 let snapshot machine (ov : Overheads.t) =
-  let module M = Pcolor_memsim.Machine in
   let n = M.n_cpus machine in
   let t = create ~n_cpus:n in
+  Array.iteri (fun i _ -> t.counters.(i) <- float_of_int (M.total machine i)) t.counters;
   for cpu = 0 to n - 1 do
-    let s = M.stats machine ~cpu in
-    t.instructions <- t.instructions +. float_of_int s.M.instructions;
-    t.l1_hits <- t.l1_hits +. float_of_int s.l1_hits;
-    t.l1_misses <- t.l1_misses +. float_of_int s.l1_misses;
-    t.l2_hits <- t.l2_hits +. float_of_int s.l2_hits;
-    Array.iteri (fun i v -> t.miss.(i) <- t.miss.(i) +. float_of_int v) s.l2_miss_counts;
-    t.stall_onchip <- t.stall_onchip +. float_of_int s.stall_onchip;
-    Array.iteri (fun i v -> t.stall.(i) <- t.stall.(i) +. float_of_int v) s.stall_by_class;
-    t.stall_pf_late <- t.stall_pf_late +. float_of_int s.stall_pf_late;
-    t.stall_pf_full <- t.stall_pf_full +. float_of_int s.stall_pf_full;
-    t.kernel <- t.kernel +. float_of_int s.kernel_cycles;
-    t.tlb_misses <- t.tlb_misses +. float_of_int s.tlb_misses;
-    t.fault_cycles <- t.fault_cycles +. float_of_int s.page_fault_cycles;
-    t.pf_issued <- t.pf_issued +. float_of_int s.pf_issued;
-    t.pf_dropped <- t.pf_dropped +. float_of_int s.pf_dropped_tlb;
-    t.pf_useless <- t.pf_useless +. float_of_int s.pf_useless;
-    t.pf_useful <- t.pf_useful +. float_of_int s.pf_useful;
     t.time.(cpu) <- float_of_int (M.cpu_time machine ~cpu);
     t.ov_imbalance.(cpu) <- ov.imbalance.(cpu);
     t.ov_sequential.(cpu) <- ov.sequential.(cpu);
     t.ov_suppressed.(cpu) <- ov.suppressed.(cpu);
     t.ov_sync.(cpu) <- ov.sync.(cpu)
   done;
-  let d, w, u = Pcolor_memsim.Bus.categories (M.bus machine) in
-  t.bus_data <- float_of_int d;
-  t.bus_wb <- float_of_int w;
-  t.bus_upg <- float_of_int u;
   t
 
 (** [accumulate ~into ~start ~fin ~f ~weight] folds the delta
-    [fin - start] into the accumulator: stall fields are stretched by
-    the contention factor [f]; per-CPU time deltas gain the stretched
-    extra stall; everything is multiplied by the phase [weight].  The
-    weighted wall-clock is the maximum stretched per-CPU delta. *)
+    [fin - start] into the accumulator: the table's stretched counters
+    are multiplied by the contention factor [f]; per-CPU time deltas
+    gain the stretched extra stall; everything is multiplied by the
+    phase [weight].  The weighted wall-clock is the maximum stretched
+    per-CPU delta. *)
 let accumulate ~into ~start ~fin ~f ~weight =
   let d a b = (a -. b) *. weight in
-  into.instructions <- into.instructions +. d fin.instructions start.instructions;
-  into.l1_hits <- into.l1_hits +. d fin.l1_hits start.l1_hits;
-  into.l1_misses <- into.l1_misses +. d fin.l1_misses start.l1_misses;
-  into.l2_hits <- into.l2_hits +. d fin.l2_hits start.l2_hits;
-  Array.iteri (fun i _ -> into.miss.(i) <- into.miss.(i) +. d fin.miss.(i) start.miss.(i)) into.miss;
-  into.stall_onchip <- into.stall_onchip +. d fin.stall_onchip start.stall_onchip;
   Array.iteri
-    (fun i _ -> into.stall.(i) <- into.stall.(i) +. (d fin.stall.(i) start.stall.(i) *. f))
-    into.stall;
-  into.stall_pf_late <- into.stall_pf_late +. (d fin.stall_pf_late start.stall_pf_late *. f);
-  into.stall_pf_full <- into.stall_pf_full +. (d fin.stall_pf_full start.stall_pf_full *. f);
-  into.kernel <- into.kernel +. d fin.kernel start.kernel;
-  into.tlb_misses <- into.tlb_misses +. d fin.tlb_misses start.tlb_misses;
-  into.fault_cycles <- into.fault_cycles +. d fin.fault_cycles start.fault_cycles;
-  into.pf_issued <- into.pf_issued +. d fin.pf_issued start.pf_issued;
-  into.pf_dropped <- into.pf_dropped +. d fin.pf_dropped start.pf_dropped;
-  into.pf_useless <- into.pf_useless +. d fin.pf_useless start.pf_useless;
-  into.pf_useful <- into.pf_useful +. d fin.pf_useful start.pf_useful;
-  into.bus_data <- into.bus_data +. d fin.bus_data start.bus_data;
-  into.bus_wb <- into.bus_wb +. d fin.bus_wb start.bus_wb;
-  into.bus_upg <- into.bus_upg +. d fin.bus_upg start.bus_upg;
+    (fun i (k : M.counter) ->
+      let v = d fin.counters.(i) start.counters.(i) in
+      into.counters.(i) <- into.counters.(i) +. if k.stretched then v *. f else v)
+    M.counters;
   let wall_delta = ref 0.0 in
   for cpu = 0 to into.n_cpus - 1 do
     (* The engine already added the stretched extra stall to the raw CPU
@@ -149,9 +85,27 @@ let accumulate ~into ~start ~fin ~f ~weight =
   done;
   into.wall <- into.wall +. (!wall_delta *. weight)
 
-(** [total_mem_stall t] is all memory-system stall cycles. *)
+(** [total_mem_stall t] sums the table's [mem_stall] columns in table
+    order, each run of per-class columns folded from 0.0 into one term
+    first: [onchip +. Σclass +. late +. full], the association every
+    committed artifact was produced with. *)
 let total_mem_stall t =
-  t.stall_onchip +. Array.fold_left ( +. ) 0.0 t.stall +. t.stall_pf_late +. t.stall_pf_full
+  let module C = Pcolor_memsim.Mclass in
+  let last = List.length C.all - 1 in
+  let sum = ref 0.0 and by_class = ref 0.0 in
+  Array.iteri
+    (fun i (k : M.counter) ->
+      if k.mem_stall then
+        match k.cls with
+        | None -> sum := !sum +. t.counters.(i)
+        | Some c ->
+          by_class := !by_class +. t.counters.(i);
+          if C.index c = last then begin
+            sum := !sum +. !by_class;
+            by_class := 0.0
+          end)
+    M.counters;
+  !sum
 
 (** [sum_time t] is the combined (summed over CPUs) cycle count —
     Figure 2's combined-execution-time metric. *)

@@ -1,29 +1,11 @@
 (** Weighted accumulation of simulation statistics: the flat record the
     representative-window technique (§3.2) folds phase deltas into,
-    with the bus-contention stretch applied to stall fields and the
-    phase occurrence weight to everything. *)
+    with the bus-contention stretch applied to the stretched counters
+    and the phase occurrence weight to everything. *)
 
 type t = {
   n_cpus : int;
-  mutable instructions : float;
-  mutable l1_hits : float;
-  mutable l1_misses : float;
-  mutable l2_hits : float;
-  miss : float array;  (** 5 classes, {!Pcolor_memsim.Mclass.index} order *)
-  mutable stall_onchip : float;
-  stall : float array;  (** stall cycles per miss class *)
-  mutable stall_pf_late : float;
-  mutable stall_pf_full : float;
-  mutable kernel : float;
-  mutable tlb_misses : float;
-  mutable fault_cycles : float;
-  mutable pf_issued : float;
-  mutable pf_dropped : float;
-  mutable pf_useless : float;
-  mutable pf_useful : float;
-  mutable bus_data : float;
-  mutable bus_wb : float;
-  mutable bus_upg : float;
+  counters : float array;  (** {!Pcolor_memsim.Machine.counters} order *)
   time : float array;  (** per-CPU cycle counters *)
   ov_imbalance : float array;
   ov_sequential : float array;
@@ -35,16 +17,23 @@ type t = {
 (** [create ~n_cpus] is a zeroed accumulator. *)
 val create : n_cpus:int -> t
 
+(** [get t name] is the counter column [name] (a
+    {!Pcolor_memsim.Machine.counters} row name).  Raises
+    [Invalid_argument] on an unknown name. *)
+val get : t -> string -> float
+
 (** [snapshot machine ov] reads cumulative machine statistics and
     overhead accumulators into an absolute record. *)
 val snapshot : Pcolor_memsim.Machine.t -> Overheads.t -> t
 
 (** [accumulate ~into ~start ~fin ~f ~weight] folds the delta
-    [fin − start]: stall fields stretched by [f], everything multiplied
-    by [weight]; the weighted wall adds the maximum per-CPU delta. *)
+    [fin − start]: stretched counters scaled by [f], everything
+    multiplied by [weight]; the weighted wall adds the maximum per-CPU
+    delta. *)
 val accumulate : into:t -> start:t -> fin:t -> f:float -> weight:float -> unit
 
-(** [total_mem_stall t] is all memory-system stall cycles. *)
+(** [total_mem_stall t] is all memory-system stall cycles (the
+    [mem_stall] columns). *)
 val total_mem_stall : t -> float
 
 (** [sum_time t] is the combined (summed over CPUs) cycle count —

@@ -37,14 +37,15 @@ type t = {
     colors.  [classify] (ignored when [pool] is given) builds a hashed
     frame pool whose bins follow the given frame → bin map instead of
     [frame mod n_colors] (hash-aware coloring, DESIGN §16). *)
+(** [ample_frames cfg] is the default frame count: enough for any
+    SPEC95fp data set (>= 256 MB) and never less than 4x the aggregate
+    external-cache capacity. *)
+let ample_frames (cfg : Pcolor_memsim.Config.t) =
+  let l2_frames = cfg.l2.size / cfg.page_size in
+  max (4 * l2_frames * cfg.n_cpus) (256 * 1024 * 1024 / cfg.page_size)
+
 let create ~cfg ~policy ?mem_frames ?pool ?classify () =
   let n_colors = Pcolor_memsim.Config.n_colors cfg in
-  let default_frames =
-    (* Ample memory: enough for any SPEC95fp data set (>= 256 MB) and
-       never less than 4x the aggregate external-cache capacity. *)
-    let l2_frames = cfg.Pcolor_memsim.Config.l2.size / cfg.page_size in
-    max (4 * l2_frames * cfg.n_cpus) (256 * 1024 * 1024 / cfg.page_size)
-  in
   let pool =
     match pool with
     | Some p ->
@@ -52,7 +53,7 @@ let create ~cfg ~policy ?mem_frames ?pool ?classify () =
         invalid_arg "Kernel.create: shared pool color count mismatch";
       p
     | None ->
-      let frames = Option.value mem_frames ~default:default_frames in
+      let frames = Option.value mem_frames ~default:(ample_frames cfg) in
       (match classify with
       | None -> Frame_pool.create ~frames ~n_colors
       | Some classify -> Frame_pool.create_classified ~classify ~frames ~n_colors)

@@ -9,9 +9,12 @@ type t
     carries the faulting CPU and virtual page for diagnostics. *)
 exception Out_of_frames of { cpu : int; vpage : int }
 
+(** [ample_frames cfg] is the default frame count: at least 256 MB
+    and 4× the aggregate external-cache capacity. *)
+val ample_frames : Pcolor_memsim.Config.t -> int
+
 (** [create ~cfg ~policy ?mem_frames ?pool ?classify ()] builds a kernel
-    managing [mem_frames] physical frames (default: ample — at least
-    256 MB and 4× the aggregate external-cache capacity).  Shrink
+    managing [mem_frames] physical frames (default {!ample_frames}).  Shrink
     [mem_frames] to exercise hint fallback under memory pressure; pass
     [pool] to share one frame pool between several kernels
     (multiprogramming).  [classify] (ignored with [pool]) builds a

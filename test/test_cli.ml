@@ -182,6 +182,43 @@ let timeline_artifact =
 let rejects_artifact ~flag cmd args () =
   rejects ~flag (cmd :: Lazy.force timeline_artifact :: args) ()
 
+module J = Pcolor.Obs.Json
+
+let set_field key v = function
+  | J.Obj fields -> J.Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) fields)
+  | j -> j
+
+(* [map_list key f j] replaces the array under [key] by [f] of its
+   elements. *)
+let map_list key f j =
+  match J.member key j with Some (J.Arr l) -> set_field key (J.Arr (f l)) j | _ -> j
+
+(* Timeline edits: one column renamed, or one cell set in every row
+   ([~first]: in the first row only). *)
+let rename_column i =
+  map_list "columns" (List.mapi (fun j c -> if j = i then J.Str "renamed" else c))
+
+let set_cell ?(first = false) col v =
+  map_list "rows"
+    (List.mapi (fun i r ->
+         match r with
+         | J.Arr cells when i = 0 || not first ->
+           J.Arr (List.mapi (fun j c -> if j = col then J.Int v else c) cells)
+         | r -> r))
+
+(* [rejects_timeline name edit cmd args] writes a copy of the timeline
+   artifact whose "timeline" section went through [edit] and expects
+   [cmd] on it to be refused with one line naming the copy. *)
+let rejects_timeline name edit cmd args () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) ("pcolor_cli_" ^ name ^ ".json") in
+  (match J.parse (read_file (Lazy.force timeline_artifact)) with
+  | Ok a ->
+    let tl = edit (Option.get (J.member "timeline" a)) in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (J.to_string (set_field "timeline" tl a)))
+  | Error e -> Alcotest.fail e);
+  rejects ~flag:path (cmd :: path :: args) ()
+
 (* One name table serves [--machine] and tape headers: a tape recorded
    on a non-default model replays on that model, to the same report. *)
 let test_record_replay_models () =
@@ -298,6 +335,23 @@ let suite =
           (rejects_artifact ~flag:"--window" "timeline" [ "--job"; "0"; "--window"; "0" ]);
         Alcotest.test_case "explain --at 5-2" `Quick
           (rejects_artifact ~flag:"--at" "explain" [ "--at"; "5-2" ]);
+        (* a malformed timeline section: one line naming the file *)
+        Alcotest.test_case "timeline without an epoch column" `Quick
+          (rejects_timeline "no_epoch" (rename_column 0) "timeline" []);
+        Alcotest.test_case "explain --at without an epoch column" `Quick
+          (rejects_timeline "no_epoch" (rename_column 0) "explain" [ "--at"; "0-3" ]);
+        Alcotest.test_case "timeline without a job column" `Quick
+          (rejects_timeline "no_job" (rename_column 2) "timeline" []);
+        Alcotest.test_case "explain --at without a job column" `Quick
+          (rejects_timeline "no_job" (rename_column 2) "explain" [ "--at"; "0-3" ]);
+        Alcotest.test_case "timeline with negative epochs" `Quick
+          (rejects_timeline "neg_epoch" (set_cell 0 (-5)) "timeline" []);
+        Alcotest.test_case "timeline with a cpu past n_cpus" `Quick
+          (rejects_timeline "big_cpu" (set_cell ~first:true 1 2) "timeline" []);
+        Alcotest.test_case "timeline with n_cpus 0" `Quick
+          (rejects_timeline "no_cpus" (set_field "n_cpus" (J.Int 0)) "timeline" []);
+        Alcotest.test_case "timeline with epoch_cycles 0" `Quick
+          (rejects_timeline "zero_epoch" (set_field "epoch_cycles" (J.Int 0)) "timeline" []);
         (* JSON that is not a pcolor artifact *)
         Alcotest.test_case "explain BENCHMARK.json" `Quick
           (rejects ~flag:"../BENCHMARK.json" [ "explain"; "../BENCHMARK.json" ]);

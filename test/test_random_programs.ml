@@ -161,10 +161,14 @@ let prop_miss_classes_partition_misses =
         }
       in
       let o = Run.run s in
-      let t = o.totals in
-      let by_class = Array.fold_left ( +. ) 0.0 t.miss in
+      let get = Pcolor.Stats.Totals.get o.totals in
+      let by_class =
+        List.fold_left
+          (fun acc c -> acc +. get ("l2_miss." ^ Pcolor.Memsim.Mclass.to_string c))
+          0.0 Pcolor.Memsim.Mclass.all
+      in
       (* l1_misses = l2 hits + l2 misses (every L1 miss goes to L2) *)
-      abs_float (t.l1_misses -. (t.l2_hits +. by_class)) < 1e-6)
+      abs_float (get "l1_misses" -. (get "l2_hits" +. by_class)) < 1e-6)
 
 let suite =
   [

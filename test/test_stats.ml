@@ -23,23 +23,29 @@ let test_barrier_cost_monotone () =
   Alcotest.(check bool) "grows with p" true
     (Overheads.barrier_cost ~n_cpus:4 <= Overheads.barrier_cost ~n_cpus:16)
 
+(* [set t name v] writes one counter column of an accumulator. *)
+let set (t : Totals.t) name v = t.counters.(Pcolor.Memsim.Machine.column name) <- v
+
 let test_totals_accumulate_math () =
   let start = Totals.create ~n_cpus:2 in
   let fin = Totals.create ~n_cpus:2 in
-  fin.instructions <- 100.0;
-  fin.stall.(2) <- 50.0;
-  (* conflict stall *)
+  set fin "instructions" 100.0;
+  set fin "stall.conflict_cycles" 50.0;
+  set fin "stall.onchip_cycles" 10.0;
   fin.time.(0) <- 300.0;
   fin.time.(1) <- 200.0;
-  fin.bus_data <- 40.0;
+  set fin "bus.data_cycles" 40.0;
   let into = Totals.create ~n_cpus:2 in
   Totals.accumulate ~into ~start ~fin ~f:2.0 ~weight:3.0;
-  Alcotest.(check (float 1e-9)) "instructions x weight" 300.0 into.instructions;
-  Alcotest.(check (float 1e-9)) "stall x f x weight" 300.0 into.stall.(2);
+  let get = Totals.get into in
+  Alcotest.(check (float 1e-9)) "instructions x weight" 300.0 (get "instructions");
+  Alcotest.(check (float 1e-9)) "stall x f x weight" 300.0 (get "stall.conflict_cycles");
+  Alcotest.(check (float 1e-9)) "onchip stall x weight, unstretched" 30.0
+    (get "stall.onchip_cycles");
   Alcotest.(check (float 1e-9)) "time x weight (already stretched)" 900.0 into.time.(0);
   Alcotest.(check (float 1e-9)) "wall = max dt x weight" 900.0 into.wall;
-  Alcotest.(check (float 1e-9)) "bus x weight" 120.0 into.bus_data;
-  Alcotest.(check (float 1e-9)) "total mem stall" 300.0 (Totals.total_mem_stall into);
+  Alcotest.(check (float 1e-9)) "bus x weight" 120.0 (get "bus.data_cycles");
+  Alcotest.(check (float 1e-9)) "total mem stall" 330.0 (Totals.total_mem_stall into);
   Alcotest.(check (float 1e-9)) "sum time" 1500.0 (Totals.sum_time into)
 
 let test_totals_snapshot_of_machine () =
@@ -49,23 +55,27 @@ let test_totals_snapshot_of_machine () =
   Pcolor.Memsim.Machine.tick m ~cpu:0 7;
   let ov = Overheads.create ~n_cpus:2 in
   let t = Totals.snapshot m ov in
-  Alcotest.(check (float 1e-9)) "instructions" 7.0 t.instructions;
-  Alcotest.(check (float 1e-9)) "one miss" 1.0 (Array.fold_left ( +. ) 0.0 t.miss);
+  Alcotest.(check (float 1e-9)) "instructions" 7.0 (Totals.get t "instructions");
+  Alcotest.(check (float 1e-9)) "one miss" 1.0
+    (List.fold_left
+       (fun acc c -> acc +. Totals.get t ("l2_miss." ^ Pcolor.Memsim.Mclass.to_string c))
+       0.0 Pcolor.Memsim.Mclass.all);
   Alcotest.(check bool) "time tracked" true (t.time.(0) > 0.0)
 
 let mk_report ?(mem_stall_class = 2) () =
   let t = Totals.create ~n_cpus:2 in
-  t.instructions <- 1000.0;
-  t.stall.(mem_stall_class) <- 500.0;
-  t.stall_onchip <- 100.0;
-  t.miss.(mem_stall_class) <- 5.0;
-  t.l1_misses <- 10.0;
+  let cls = Pcolor.Memsim.Mclass.to_string (List.nth Pcolor.Memsim.Mclass.all mem_stall_class) in
+  set t "instructions" 1000.0;
+  set t ("stall." ^ cls ^ "_cycles") 500.0;
+  set t "stall.onchip_cycles" 100.0;
+  set t ("l2_miss." ^ cls) 5.0;
+  set t "l1_misses" 10.0;
   t.time.(0) <- 2000.0;
   t.time.(1) <- 1500.0;
   t.wall <- 2000.0;
-  t.bus_data <- 600.0;
-  t.bus_wb <- 200.0;
-  t.kernel <- 50.0;
+  set t "bus.data_cycles" 600.0;
+  set t "bus.writeback_cycles" 200.0;
+  set t "kernel_cycles" 50.0;
   t.ov_imbalance.(1) <- 500.0;
   Report.of_totals ~benchmark:"x" ~machine:"tiny" ~n_cpus:2 ~policy:"page-coloring"
     ~prefetch:false ~page_faults:3 ~hints_honored:2 ~hints_fallback:1 t

@@ -111,7 +111,7 @@ let test_reconciliation () =
   let cfg = Helpers.tiny_cfg ~n_cpus:2 () in
   let o =
     Run.run
-      (setup ~policy:Run.Page_coloring ~prefetch:true ~obs:(obs_with_sampler cfg)
+      (setup ~policy:Run.Page_coloring ~prefetch:true ~obs:(obs_with_sampler ~full:true cfg)
          ~engine:Pcolor.Runtime.Engine.Runs ())
   in
   let machine = o.Run.machine in
@@ -123,32 +123,52 @@ let test_reconciliation () =
     done;
     !t
   in
-  let checks =
+  let per_class prefix suffix f =
+    List.map
+      (fun cls -> (prefix ^ Mclass.to_string cls ^ suffix, agg (fun s -> f s cls)))
+      Mclass.all
+  in
+  (* every per-CPU counter column, each read through its own record
+     field rather than through the machine's column table *)
+  let per_cpu =
     [
       ("instructions", agg (fun s -> s.M.instructions));
       ("l1_hits", agg (fun s -> s.M.l1_hits));
       ("l1_misses", agg (fun s -> s.M.l1_misses));
       ("l2_hits", agg (fun s -> s.M.l2_hits));
-      ("tlb_misses", agg (fun s -> s.M.tlb_misses));
-      ("kernel_cycles", agg (fun s -> s.M.kernel_cycles));
-      ("prefetch.issued", agg (fun s -> s.M.pf_issued));
-      ("prefetch.useful", agg (fun s -> s.M.pf_useful));
     ]
-    @ List.map
-        (fun cls ->
-          ( "l2_miss." ^ Mclass.to_string cls,
-            agg (fun s -> Mclass.get s.M.l2_miss_counts cls) ))
-        Mclass.all
+    @ per_class "l2_miss." "" (fun s cls -> Mclass.get s.M.l2_miss_counts cls)
+    @ [ ("stall.onchip_cycles", agg (fun s -> s.M.stall_onchip)) ]
+    @ per_class "stall." "_cycles" (fun s cls -> s.M.stall_by_class.(Mclass.index cls))
+    @ [
+        ("stall.prefetch_late_cycles", agg (fun s -> s.M.stall_pf_late));
+        ("stall.prefetch_full_cycles", agg (fun s -> s.M.stall_pf_full));
+        ("kernel_cycles", agg (fun s -> s.M.kernel_cycles));
+        ("tlb_misses", agg (fun s -> s.M.tlb_misses));
+        ("page_fault_cycles", agg (fun s -> s.M.page_fault_cycles));
+        ("prefetch.issued", agg (fun s -> s.M.pf_issued));
+        ("prefetch.dropped_tlb", agg (fun s -> s.M.pf_dropped_tlb));
+        ("prefetch.useless", agg (fun s -> s.M.pf_useless));
+        ("prefetch.useful", agg (fun s -> s.M.pf_useful));
+      ]
   in
-  List.iter
-    (fun (name, expected) ->
-      Alcotest.(check int) ("sum " ^ name) expected (col_sum cols sums name))
-    checks;
+  Alcotest.(check int) "every per-CPU counter column checked" 24 (List.length per_cpu);
+  Alcotest.(check int)
+    "timeline width" (4 + 24 + 3 + Config.n_colors cfg) (Array.length cols);
   (* machine-wide bus categories reconcile too *)
   let data, wb, upg = Pcolor.Memsim.Bus.categories (M.bus machine) in
-  Alcotest.(check int) "bus.data" data (col_sum cols sums "bus.data_cycles");
-  Alcotest.(check int) "bus.wb" wb (col_sum cols sums "bus.writeback_cycles");
-  Alcotest.(check int) "bus.upg" upg (col_sum cols sums "bus.upgrade_cycles")
+  let checks =
+    per_cpu
+    @ [ ("bus.data_cycles", data); ("bus.writeback_cycles", wb); ("bus.upgrade_cycles", upg) ]
+  in
+  let metrics = Option.get o.Run.metrics in
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check int) ("sum " ^ name) expected (col_sum cols sums name);
+      match List.assoc_opt ("memsim." ^ name) metrics with
+      | Some (Metrics.Counter v) -> Alcotest.(check int) ("metric memsim." ^ name) expected v
+      | _ -> Alcotest.fail ("no counter memsim." ^ name))
+    checks
 
 (* ---------- sampling must not perturb the simulation ---------- *)
 
