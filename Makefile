@@ -24,8 +24,10 @@
 #                     `pcolor perf check` compares two commits
 #   make timeline-check  record/replay observability-parity gate plus
 #                     the timeline-off byte-identity gate: a taped run
-#                     must yield the same artifact (timeline included)
-#                     and the same Chrome trace as a live run,
+#                     (tomcatv, and a prefetching swim whose tape carries
+#                     prefetch words) must yield the same artifact
+#                     (timeline included) and the same Chrome trace as a
+#                     live run,
 #                     attaching the sampler must not
 #                     move a single simulated counter, and a tape with a
 #                     bad header must fail with exit 2 and one line
@@ -176,6 +178,18 @@ timeline-check:
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/timeline_record.json \
 	  _build/timeline_replay.json --exact
 	cmp _build/timeline_record.trace.json _build/timeline_replay.trace.json
+	@# Prefetching parity pair: the tomcatv tape above issues no
+	@# prefetch, so only this one carries the prefetch words of the
+	@# tape's run records end to end.
+	$(DUNE) exec bin/pcolor_cli.exe -- record swim --policy cdpc --prefetch --cpus 4 \
+	  --scale 64 -o _build/timeline_pf.pcbt --timeline=100000 \
+	  --metrics-out _build/timeline_pf_record.json --trace _build/timeline_pf_record.trace.json
+	$(DUNE) exec bin/pcolor_cli.exe -- replay _build/timeline_pf.pcbt \
+	  --timeline=100000 --metrics-out _build/timeline_pf_replay.json \
+	  --trace _build/timeline_pf_replay.trace.json
+	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/timeline_pf_record.json \
+	  _build/timeline_pf_replay.json --exact
+	cmp _build/timeline_pf_record.trace.json _build/timeline_pf_replay.trace.json
 	@# Bad-header gate: a copy of the tape whose header names an unknown
 	@# benchmark ("tomcatX": byte 12 is the name's last letter) must be
 	@# refused with exit 2 and a single stderr line, never a backtrace.

@@ -669,7 +669,7 @@ let record_cmd =
     (Cmd.info "record"
        ~doc:
          "Run one benchmark on the runs engine and stream every reference into a compact \
-          binary trace (delta-encoded run-coalesced records, format v2). The trace embeds its \
+          binary trace (predicted run-coalesced records, format v3). The trace embeds its \
           setup, so \
           $(b,pcolor replay) needs only the file. Observability flags ($(b,--metrics-out), \
           $(b,--trace), $(b,--timeline)) apply to the recording run itself.")

@@ -11,34 +11,64 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(* The escape sequence of a character [add_escaped] cannot copy as is. *)
+let add_escape buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | '\012' -> Buffer.add_string buf "\\f"
+  | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+
+(* Each run of characters that need no escape is copied in one call,
+   so a plain string is a single [add_substring]. *)
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let clean = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c < ' ' || c = '"' || c = '\\' then begin
+      Buffer.add_substring buf s !clean (i - !clean);
+      add_escape buf c;
+      clean := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !clean (String.length s - !clean);
   Buffer.add_char buf '"'
 
+(* Decimal digits of [n <= 0], most significant first.  Working on the
+   non-positive side covers [min_int], whose negation overflows. *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+(* [string_of_int n], written straight into [buf]. *)
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+  else add_neg_digits buf (-n)
+
 (* %.12g round-trips every value the simulator reports and never emits a
-   bare trailing dot; non-finite values have no JSON spelling. *)
+   bare trailing dot; non-finite values have no JSON spelling.  An
+   integral value below 1e15 prints as "%.1f" would: its digits, then
+   ".0" (and "-0.0" for negative zero). *)
 let add_float buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then Buffer.add_string buf (Printf.sprintf "%.1f" f)
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    if Float.sign_bit f && f = 0. then Buffer.add_char buf '-';
+    add_int buf (int_of_float f);
+    Buffer.add_string buf ".0"
+  end
   else if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.12g" f)
   else Buffer.add_string buf "null"
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> add_float buf f
   | Str s -> add_escaped buf s
   | Arr vs ->
@@ -65,9 +95,18 @@ let to_string v =
   to_buffer buf v;
   Buffer.contents buf
 
+(* Indentation is cut from one shared run of spaces. *)
+let spaces = String.make 64 ' '
+
+let rec add_spaces buf n =
+  if n <= String.length spaces then Buffer.add_substring buf spaces 0 n
+  else begin
+    Buffer.add_string buf spaces;
+    add_spaces buf (n - String.length spaces)
+  end
+
 let pretty v =
   let buf = Buffer.create 1024 in
-  let pad n = Buffer.add_string buf (String.make n ' ') in
   let rec go indent = function
     | (Null | Bool _ | Int _ | Float _ | Str _) as v -> to_buffer buf v
     | Arr [] -> Buffer.add_string buf "[]"
@@ -76,11 +115,11 @@ let pretty v =
       List.iteri
         (fun i v ->
           if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
+          add_spaces buf (indent + 2);
           go (indent + 2) v)
         vs;
       Buffer.add_char buf '\n';
-      pad indent;
+      add_spaces buf indent;
       Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj kvs ->
@@ -88,13 +127,13 @@ let pretty v =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
+          add_spaces buf (indent + 2);
           add_escaped buf k;
           Buffer.add_string buf ": ";
           go (indent + 2) v)
         kvs;
       Buffer.add_char buf '\n';
-      pad indent;
+      add_spaces buf indent;
       Buffer.add_char buf '}'
   in
   go 0 v;
@@ -119,148 +158,182 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
   end
 
+(* Integers of at most this many digits cannot overflow an OCaml int
+   and are accumulated in place; longer ones go through
+   [int_of_string_opt], which also finds the ones beyond the int
+   range. *)
+let max_inline_digits = 18
+
+(* The parser reads [s] in place: [!pos] is the next character, and
+   every read of [s.[!pos]] is guarded by [!pos < n]. *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
   let fail msg = raise (Bad (!pos, msg)) in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
+  let at () = String.unsafe_get s !pos in
+  let looking_at c = !pos < n && at () = c in
+  let expect c = if looking_at c then incr pos else fail (Printf.sprintf "expected %c" c) in
   let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
+    while !pos < n && (match at () with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
+      incr pos
     done
   in
   let literal word =
-    String.iter (fun c -> if peek () = Some c then advance () else fail ("bad literal " ^ word)) word
+    for i = 0 to String.length word - 1 do
+      if looking_at word.[i] then incr pos else fail ("bad literal " ^ word)
+    done
   in
-  let string_ () =
-    expect '"';
-    let buf = Buffer.create 16 in
+  let hex_digit () =
+    if !pos >= n then fail "bad \\u escape";
+    let d =
+      match at () with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    incr pos;
+    d
+  in
+  (* the rest of a string from its first escape or control character,
+     decoded onto [buf] *)
+  let escaped_tail buf =
     let fin = ref false in
     while not !fin do
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' ->
-        advance ();
+      if !pos >= n then fail "unterminated string";
+      match at () with
+      | '"' ->
+        incr pos;
         fin := true
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some (('"' | '\\' | '/') as c) ->
+      | '\\' -> (
+        incr pos;
+        if !pos >= n then fail "bad escape";
+        match at () with
+        | ('"' | '\\' | '/') as c ->
           Buffer.add_char buf c;
-          advance ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance ()
-        | Some 'u' ->
-          advance ();
+          incr pos
+        | 'b' -> Buffer.add_char buf '\b'; incr pos
+        | 'f' -> Buffer.add_char buf '\012'; incr pos
+        | 'n' -> Buffer.add_char buf '\n'; incr pos
+        | 'r' -> Buffer.add_char buf '\r'; incr pos
+        | 't' -> Buffer.add_char buf '\t'; incr pos
+        | 'u' ->
+          incr pos;
           let code = ref 0 in
           for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' as c) ->
-              code := (!code * 16) + (Char.code c - Char.code '0');
-              advance ()
-            | Some ('a' .. 'f' as c) ->
-              code := (!code * 16) + (Char.code c - Char.code 'a' + 10);
-              advance ()
-            | Some ('A' .. 'F' as c) ->
-              code := (!code * 16) + (Char.code c - Char.code 'A' + 10);
-              advance ()
-            | _ -> fail "bad \\u escape"
+            code := (!code * 16) + hex_digit ()
           done;
           add_utf8 buf !code
         | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some c ->
+      | c when c < ' ' -> fail "control character in string"
+      | c ->
         Buffer.add_char buf c;
-        advance ()
+        incr pos
     done;
     Buffer.contents buf
   in
-  let digits () =
-    let saw = ref false in
-    let continue = ref true in
-    while !continue do
-      match peek () with
-      | Some '0' .. '9' ->
-        saw := true;
-        advance ()
-      | _ -> continue := false
+  (* a string with no escape is one [String.sub] of the input *)
+  let string_ () =
+    expect '"';
+    let start = !pos in
+    while
+      !pos < n
+      &&
+      let c = at () in
+      c <> '"' && c <> '\\' && c >= ' '
+    do
+      incr pos
     done;
-    if not !saw then fail "expected digit"
+    if looking_at '"' then begin
+      incr pos;
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (!pos - start + 16) in
+      Buffer.add_substring buf s start (!pos - start);
+      escaped_tail buf
+    end
+  in
+  let digits () =
+    let start = !pos in
+    while !pos < n && match at () with '0' .. '9' -> true | _ -> false do
+      incr pos
+    done;
+    if !pos = start then fail "expected digit"
   in
   let number () =
     let start = !pos in
-    if peek () = Some '-' then advance ();
+    let negative = looking_at '-' in
+    if negative then incr pos;
     (* JSON forbids leading zeros: "0" is fine, "01" is not *)
     let int_start = !pos in
     digits ();
-    if !pos - int_start > 1 && s.[int_start] = '0' then fail "leading zero";
+    let int_digits = !pos - int_start in
+    if int_digits > 1 && s.[int_start] = '0' then fail "leading zero";
     let fractional = ref false in
-    if peek () = Some '.' then begin
+    if looking_at '.' then begin
       fractional := true;
-      advance ();
+      incr pos;
       digits ()
     end;
-    (match peek () with
-    | Some ('e' | 'E') ->
+    if looking_at 'e' || looking_at 'E' then begin
       fractional := true;
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+      incr pos;
+      if looking_at '+' || looking_at '-' then incr pos;
       digits ()
-    | _ -> ());
-    let text = String.sub s start (!pos - start) in
-    if !fractional then Float (float_of_string text)
+    end;
+    if !fractional then Float (float_of_string (String.sub s start (!pos - start)))
+    else if int_digits <= max_inline_digits then begin
+      let v = ref 0 in
+      for i = int_start to !pos - 1 do
+        v := (!v * 10) + (Char.code (String.unsafe_get s i) - Char.code '0')
+      done;
+      Int (if negative then - !v else !v)
+    end
     else
+      let text = String.sub s start (!pos - start) in
       (* integers beyond OCaml's int range degrade to float *)
       match int_of_string_opt text with Some i -> Int i | None -> Float (float_of_string text)
   in
   let rec value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (string_ ())
-    | Some 't' -> literal "true"; Bool true
-    | Some 'f' -> literal "false"; Bool false
-    | Some 'n' -> literal "null"; Null
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some '[' ->
-      advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match at () with
+    | '"' -> Str (string_ ())
+    | 't' -> literal "true"; Bool true
+    | 'f' -> literal "false"; Bool false
+    | 'n' -> literal "null"; Null
+    | '-' | '0' .. '9' -> number ()
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if looking_at ']' then begin
+        incr pos;
         Arr []
       end
       else begin
         let items = ref [ value () ] in
         skip_ws ();
-        while peek () = Some ',' do
-          advance ();
+        while looking_at ',' do
+          incr pos;
           items := value () :: !items;
           skip_ws ()
         done;
         expect ']';
         Arr (List.rev !items)
       end
-    | Some '{' ->
-      advance ();
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if looking_at '}' then begin
+        incr pos;
         Obj []
       end
       else begin
         let members = ref [ member () ] in
         skip_ws ();
-        while peek () = Some ',' do
-          advance ();
+        while looking_at ',' do
+          incr pos;
           skip_ws ();
           members := member () :: !members;
           skip_ws ()
@@ -268,7 +341,7 @@ let parse s =
         expect '}';
         Obj (List.rev !members)
       end
-    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
+    | c -> fail (Printf.sprintf "unexpected character %c" c)
   and member () =
     skip_ws ();
     let key = string_ () in

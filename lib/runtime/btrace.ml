@@ -2,22 +2,32 @@
     simulation events, replay it later without re-generating (or ever
     materializing) the reference stream.
 
-    The format (v2) is a flat event tape mirroring exactly what the
+    The format (v3) is a flat event tape mirroring exactly what the
     engine does: RUN_SECTION opens one CPU's share of a nest with its
     per-reference innermost strides, RUNS carries run records
     ({!Pcolor_comp.Walker.fill_runs} encoding: a repeat count plus one
-    head group whose packed entries are zigzag-delta varints keyed per
-    reference slot), TICK/ONCHIP carry aggregate cycle charges,
+    head group of packed (address word, prefetch word) entries),
+    TICK/ONCHIP carry aggregate cycle charges,
     BARRIER/PHASE_BEGIN/PHASE_END/RESET mark the synchronization
     structure, and TOUCH records the §5.3 page-touch order.  Batches are
     bounded (the engine's reusable batch), so both recording and replay
     stream in O(batch) memory — a scale-1024 trace never exists as a
     list.
 
-    Format v1 carried per-reference SECTION/BATCH records (tags 8 and
-    9).  Nothing writes it any more and the reader refuses it: a v1
-    header is {!Bad_version}, and tags 8/9 inside a v2 tape are
-    {!Corrupt} like any unknown tag.
+    A v3 run record is predicted: one varint
+    [count lsl 2 lor explicit lsl 1 lor has_pf] heads it, and each
+    slot's address word is taken to be the previous record's advanced
+    by the walker's own step, [(stride × previous count) lsl 1] (the
+    prediction restarts from zero at every RUN_SECTION).  Only an
+    [explicit] record carries the zigzag residual of every slot against
+    that prediction, and only a [has_pf] record carries its prefetch
+    words (all zero otherwise).  Inside an innermost loop every record
+    is predicted, so most records are the one varint.
+
+    Formats v1 (per-reference SECTION/BATCH records, tags 8 and 9) and
+    v2 (one zigzag delta and one prefetch varint per reference word) are
+    no longer read: their headers are {!Bad_version}, and tags 8/9
+    inside a v3 tape are {!Corrupt} like any unknown tag.
 
     Replay is a thin adapter onto the live run's own code.
     {!Run.build} rebuilds the kernel, machine and engine from the setup
@@ -60,13 +70,10 @@ type header = {
 
 let magic = "PCBT"
 
-(* Format v2 added the run-coalesced record pair (RUN_SECTION/RUNS);
-   v1's per-reference records are no longer read.  The writer always
-   emits the current version; the reader accepts anything in
-   [min_version, version]. *)
-let version = 2
-
-let min_version = 2
+(* Format v2 added the run-coalesced record pair (RUN_SECTION/RUNS), v3
+   predicted run records; v1 and v2 tapes are no longer read.  Writer
+   and reader speak this version only. *)
+let version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Typed errors *)
@@ -203,14 +210,34 @@ let kind_of_code = function
   | c -> fail (Corrupt (Printf.sprintf "bad barrier kind code %d" c))
 
 (* ------------------------------------------------------------------ *)
+(* Run-record prediction *)
+
+(* The prediction, kept identically by writer and decoder:
+   slot [r]'s next address word is [head.(r) + step.(r) × count], the
+   previous record's head advanced by its repeat count. *)
+type predictor = {
+  mutable nrefs : int; (* current RUN_SECTION's reference count *)
+  mutable step : int array; (* per-slot innermost stride, lsl 1 *)
+  mutable head : int array; (* per-slot previous address word *)
+  mutable count : int; (* previous record's repeat count *)
+}
+
+let predictor () = { nrefs = 0; step = [||]; head = [||]; count = 0 }
+
+let[@inline] predicted p r = Array.unsafe_get p.head r + (Array.unsafe_get p.step r * p.count)
+
+(* A RUN_SECTION restarts the prediction from zero. *)
+let open_section p ~nrefs strides =
+  p.nrefs <- nrefs;
+  p.step <- Array.init nrefs (fun r -> strides.(r) lsl 1);
+  if Array.length p.head < nrefs then p.head <- Array.make nrefs 0
+  else Array.fill p.head 0 nrefs 0;
+  p.count <- 0
+
+(* ------------------------------------------------------------------ *)
 (* Writer *)
 
-type writer = {
-  sink : sink;
-  mutable nrefs : int; (* current RUN_SECTION's reference count *)
-  mutable prev : int array; (* per-slot previous packed entry (delta base) *)
-  mutable finished : bool;
-}
+type writer = { sink : sink; pred : predictor; mutable finished : bool }
 
 let create_writer oc (h : header) =
   let s = { oc; obuf = Bytes.create chunk_bytes; opos = 0 } in
@@ -225,18 +252,10 @@ let create_writer oc (h : header) =
   put_varint s h.seed;
   put_varint s h.cap;
   put_string s h.provenance;
-  { sink = s; nrefs = 0; prev = [||]; finished = false }
+  { sink = s; pred = predictor (); finished = false }
 
 let recorder w : Engine.recorder =
-  let s = w.sink in
-  (* one packed entry: the address word as a zigzag delta against the
-     slot's previous one, then the prefetch word *)
-  let entry slot data i =
-    let w0 = Array.unsafe_get data i in
-    put_varint s (zigzag (w0 - Array.unsafe_get w.prev slot));
-    Array.unsafe_set w.prev slot w0;
-    put_varint s (Array.unsafe_get data (i + 1))
-  in
+  let s = w.sink and p = w.pred in
   let cpu_value tag ~cpu n =
     put_byte s tag;
     put_varint s cpu;
@@ -250,25 +269,39 @@ let recorder w : Engine.recorder =
         put_varint s nrefs;
         put_varint s instr_per_iter;
         put_varint s extra_onchip_stall;
-        w.nrefs <- nrefs;
-        if Array.length w.prev < nrefs then w.prev <- Array.make nrefs 0
-        else Array.fill w.prev 0 nrefs 0;
+        open_section p ~nrefs strides;
         for r = 0 to nrefs - 1 do
           put_varint s (zigzag strides.(r))
         done);
     rec_runs =
       (fun (b : Walker.batch) ->
-        let nrefs = w.nrefs in
+        let nrefs = p.nrefs and data = b.data in
         let stride = 1 + (2 * nrefs) in
         let m = b.len / stride in
         put_byte s tag_runs;
         put_varint s m;
         for rec_ = 0 to m - 1 do
-          let base = rec_ * stride in
-          put_varint s (Array.unsafe_get b.data base);
+          (* the record's first slot; its count sits just before *)
+          let at = (rec_ * stride) + 1 in
+          let explicit = ref 0 and has_pf = ref 0 in
           for r = 0 to nrefs - 1 do
-            entry r b.data (base + 1 + (2 * r))
-          done
+            if Array.unsafe_get data (at + (2 * r)) <> predicted p r then explicit := 2;
+            if Array.unsafe_get data (at + (2 * r) + 1) <> 0 then has_pf := 1
+          done;
+          let count = Array.unsafe_get data (at - 1) in
+          put_varint s ((count lsl 2) lor !explicit lor !has_pf);
+          if !explicit <> 0 then
+            for r = 0 to nrefs - 1 do
+              put_varint s (zigzag (Array.unsafe_get data (at + (2 * r)) - predicted p r))
+            done;
+          if !has_pf <> 0 then
+            for r = 0 to nrefs - 1 do
+              put_varint s (Array.unsafe_get data (at + (2 * r) + 1))
+            done;
+          for r = 0 to nrefs - 1 do
+            Array.unsafe_set p.head r (Array.unsafe_get data (at + (2 * r)))
+          done;
+          p.count <- count
         done);
     rec_tick = cpu_value tag_tick;
     rec_onchip = cpu_value tag_onchip;
@@ -293,6 +326,59 @@ let finish w =
 (* ------------------------------------------------------------------ *)
 (* Reader *)
 
+(* Decoding one run record's slots into [data.(at)], [data.(at + 1)],
+   ...: [predict] writes the predicted address words with no prefetch,
+   [correct] adds one residual to each predicted address word (an
+   explicit record), [prefetch_words] sets the prefetch words.  [predict] makes
+   no call, so its loop runs in registers.  [predict] and [correct]
+   return the [lor] of the address words, negative iff one of them
+   is. *)
+let predict p data at =
+  let neg = ref 0 in
+  for r = 0 to p.nrefs - 1 do
+    let w0 = predicted p r in
+    neg := !neg lor w0;
+    Array.unsafe_set p.head r w0;
+    Array.unsafe_set data (at + (2 * r)) w0;
+    Array.unsafe_set data (at + (2 * r) + 1) 0
+  done;
+  !neg
+
+let correct s p data at =
+  let head = p.head and neg = ref 0 in
+  for r = 0 to p.nrefs - 1 do
+    let w0 = Array.unsafe_get head r + unzigzag (get_varint s) in
+    neg := !neg lor w0;
+    Array.unsafe_set head r w0;
+    Array.unsafe_set data (at + (2 * r)) w0
+  done;
+  !neg
+
+let prefetch_words s p data at =
+  for r = 0 to p.nrefs - 1 do
+    Array.unsafe_set data (at + (2 * r) + 1) (get_varint s)
+  done
+
+(* [get_records s p data m] decodes a RUNS payload of [m] records into
+   [data] in the {!Walker.fill_runs} layout, advancing the prediction.
+   An explicit record is predicted first and then corrected: the
+   residuals are against the prediction. *)
+let get_records s p data m =
+  let stride = 1 + (2 * p.nrefs) in
+  for rec_ = 0 to m - 1 do
+    let base = rec_ * stride in
+    let v = get_varint s in
+    let count = v lsr 2 in
+    if count < 1 || count > Walker.max_run_count then
+      fail (Corrupt (Printf.sprintf "run count %d out of bounds" count));
+    Array.unsafe_set data base count;
+    let neg = predict p data (base + 1) in
+    let neg = if v land 2 <> 0 then correct s p data (base + 1) else neg in
+    if neg < 0 then fail (Corrupt "negative reference address");
+    if v land 1 <> 0 then prefetch_words s p data (base + 1);
+    p.count <- count
+  done
+
 type reader = { src : source; hdr : header }
 
 (* Bounds on decoded structure fields, far above anything a real tape
@@ -308,7 +394,7 @@ let of_source src =
     let m = get_chars src (String.length magic) in
     if m <> magic then fail (Bad_magic m);
     let v = get_byte src in
-    if v < min_version || v > version then fail (Bad_version { found = v; expected = version });
+    if v <> version then fail (Bad_version { found = v; expected = version });
     let bench = get_string src in
     let machine = get_string src in
     let n_cpus = get_varint src in
@@ -345,8 +431,7 @@ let decode r (rc : Engine.recorder) =
     if c < 0 || c >= n then fail (Corrupt (Printf.sprintf "cpu %d out of range" c));
     c
   in
-  (* current RUN_SECTION state *)
-  let nrefs = ref 0 and prev = ref [||] in
+  let p = predictor () in
   let batch = ref (Walker.create_batch ()) in
   (* the batch with room for [len] ints, grown on demand *)
   let batch_of len =
@@ -354,35 +439,17 @@ let decode r (rc : Engine.recorder) =
     !batch.len <- len;
     !batch
   in
-  (* the inverse of the writer's [entry] *)
-  let entry slot data i =
-    let w0 = Array.unsafe_get !prev slot + unzigzag (get_varint s) in
-    if w0 < 0 then fail (Corrupt "negative reference address");
-    Array.unsafe_set !prev slot w0;
-    Array.unsafe_set data i w0;
-    Array.unsafe_set data (i + 1) (get_varint s)
-  in
   let running = ref true in
   try
     while !running do
       let tag = get_byte s in
       if tag = tag_runs then begin
         let m = get_varint s in
-        let nr = !nrefs in
+        let nr = p.nrefs in
         if nr <= 0 then fail (Corrupt "RUNS before any RUN_SECTION");
         if m < 0 || m > max_run_records then fail (Corrupt "oversized run batch");
-        let stride = 1 + (2 * nr) in
-        let b = batch_of (m * stride) in
-        for rec_ = 0 to m - 1 do
-          let base = rec_ * stride in
-          let count = get_varint s in
-          if count < 1 || count > Walker.max_run_count then
-            fail (Corrupt (Printf.sprintf "run count %d out of bounds" count));
-          Array.unsafe_set b.data base count;
-          for slot = 0 to nr - 1 do
-            entry slot b.data (base + 1 + (2 * slot))
-          done
-        done;
+        let b = batch_of (m * (1 + (2 * nr))) in
+        get_records s p b.data m;
         rc.rec_runs b
       end
       else if tag = tag_run_section then begin
@@ -392,9 +459,8 @@ let decode r (rc : Engine.recorder) =
           fail (Corrupt (Printf.sprintf "run section with %d references" nr));
         let instr_per_iter = get_varint s in
         let extra_onchip_stall = get_varint s in
-        nrefs := nr;
-        if Array.length !prev < nr then prev := Array.make nr 0 else Array.fill !prev 0 nr 0;
         let strides = Array.init nr (fun _ -> unzigzag (get_varint s)) in
+        open_section p ~nrefs:nr strides;
         rc.rec_run_section ~cpu ~nrefs:nr ~instr_per_iter ~extra_onchip_stall ~strides
       end
       else if tag = tag_tick then begin

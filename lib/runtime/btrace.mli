@@ -1,12 +1,18 @@
 (** Binary reference traces: record a runs-engine run as a stream of
     simulation events (run-coalesced records in the
-    {!Pcolor_comp.Walker} encoding, delta-encoded as varints), replay
-    it later through {!Pcolor_memsim.Machine.consume_runs} and the
-    engine's own phase bracket and barrier — byte-identical counters,
-    O(batch) memory in both directions.
+    {!Pcolor_comp.Walker} encoding), replay it later through
+    {!Pcolor_memsim.Machine.consume_runs} and the engine's own phase
+    bracket and barrier — byte-identical counters, O(batch) memory in
+    both directions.
 
-    Writer and reader speak format v2 only: a v1 tape (per-reference
-    batch records) is refused with {!Bad_version}.
+    Writer and reader speak format v3 only, and a v1 or v2 tape is
+    refused with {!Bad_version}.  A v3 run record is one varint
+    [count lsl 2 lor explicit lsl 1 lor has_pf].  Each slot's address
+    word is predicted as the previous record's, advanced by
+    [(innermost stride × previous count) lsl 1], and the prediction
+    restarts from zero at every run section.  Only an [explicit]
+    record (one that breaks the prediction) carries a zigzag residual
+    per slot, and only a [has_pf] record carries its prefetch words.
 
     Replay honors the observability context in the setup: metrics,
     phase spans and instants, attribution and the cycle-epoch timeline

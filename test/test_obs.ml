@@ -1,6 +1,9 @@
 (* Observability subsystem tests:
 
-   1. Json printer/validator unit coverage;
+   1. Json printer/validator unit coverage: the committed golden
+      artifacts reprint byte for byte, random values survive both
+      printers and the parser, and rejected inputs keep their message
+      and offset;
    2. metrics registry semantics — counters, gauges, histogram bucket
       boundaries, kind collisions, merge;
    3. the determinism contract: metrics snapshots are identical for
@@ -60,6 +63,130 @@ let test_json_roundtrip () =
       Json.Float Float.nan;
       Json.Float Float.infinity;
       Json.Obj [ ("nested", Json.Arr [ Json.Obj []; Json.Arr [] ]) ];
+    ]
+
+(* Parsing a committed golden artifact and pretty-printing it gives the
+   file back, apart from the one newline the writer appends. *)
+let test_json_golden_reprint () =
+  let dir = "../golden" in
+  let files = Sys.readdir dir |> Array.to_list |> List.filter (String.ends_with ~suffix:".json") in
+  Alcotest.(check bool) "golden artifacts found" true (files <> []);
+  List.iter
+    (fun f ->
+      let text = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+      match Json.parse text with
+      | Error e -> Alcotest.failf "%s: %s" f e
+      | Ok v -> Alcotest.(check string) f text (Json.pretty v ^ "\n"))
+    (List.sort compare files)
+
+(* JSON values the printers write exactly: every int (min_int, 18- and
+   19-digit ones included), floats whose %.12g or %.1f spelling is
+   exact, and strings of any bytes (control characters print as \u
+   escapes). *)
+let gen_json =
+  QCheck.Gen.(
+    let int_ =
+      oneof
+        [
+          oneofl [ min_int; max_int; 0; -1; 999_999_999_999_999_999; -999_999_999_999_999_999;
+                   1_000_000_000_000_000_000; -1_234_567_890_123_456_789 ];
+          int;
+          small_signed_int;
+        ]
+    in
+    let float_ =
+      oneof
+        [
+          map (fun i -> Float.of_int i) (int_range (-1_000_000) 1_000_000);
+          oneofl [ -0.0; 0.5; -1e30; 1e15; 12345678901.5 ];
+          map (fun f -> float_of_string (Printf.sprintf "%.9g" f)) (float_range (-1e6) 1e6);
+        ]
+    in
+    let string_ = string_size ~gen:char (int_bound 12) in
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int_;
+                 map (fun f -> Json.Float f) float_;
+                 map (fun s -> Json.Str s) string_;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 4))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair string_ (self (n / 4)))) );
+               ]))
+
+let test_json_parse_inverts_printers =
+  QCheck.Test.make ~name:"parse inverts to_string and pretty" ~count:500 (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = Ok v && Json.parse (Json.pretty v) = Ok v)
+
+(* Integral floats print as "%.1f" does, negative zero included;
+   integers at the edges of the int range parse as [Int] or degrade to
+   [Float] as [int_of_string] decides; and nesting deeper than the
+   shared run of indentation spaces still indents by two per level. *)
+let test_json_edges () =
+  List.iter
+    (fun f -> Alcotest.(check string) "integral float" (Printf.sprintf "%.1f" f) (Json.to_string (Json.Float f)))
+    [ -0.0; 0.0; 3.0; -5.0; 999_999_999_999_999.; -123456789012345. ];
+  List.iter
+    (fun (text, expected) ->
+      Alcotest.(check bool) text true (Json.parse text = Ok expected))
+    [
+      ("4611686018427387903", Json.Int max_int);
+      ("-4611686018427387904", Json.Int min_int);
+      ("4611686018427387904", Json.Float 4611686018427387904.);
+      ("9999999999999999999", Json.Float 1e19);
+      ("-999999999999999999", Json.Int (-999_999_999_999_999_999));
+      ("-0", Json.Int 0);
+    ];
+  let depth = 40 in
+  let rec nest d = if d = 0 then Json.Int 1 else Json.Arr [ nest (d - 1) ] in
+  let expected =
+    String.concat "" (List.init depth (fun d -> String.make (2 * d) ' ' ^ "[\n"))
+    ^ String.make (2 * depth) ' ' ^ "1\n"
+    ^ String.concat "\n" (List.init depth (fun d -> String.make (2 * (depth - 1 - d)) ' ' ^ "]"))
+    ^ "\n"
+  in
+  Alcotest.(check string) "deep nesting" expected (Json.pretty (nest depth))
+
+(* Each rejected input keeps its message and the offset it names. *)
+let test_json_rejections () =
+  List.iter
+    (fun (input, expected) ->
+      match Json.parse input with
+      | Ok _ -> Alcotest.failf "%S parsed" input
+      | Error e -> Alcotest.(check string) (Printf.sprintf "%S" input) expected e)
+    [
+      ("01", "offset 2: leading zero");
+      ("-012", "offset 4: leading zero");
+      ("[1, 00]", "offset 6: leading zero");
+      ("\"a\001b\"", "offset 2: control character in string");
+      ("\"tab\there\"", "offset 4: control character in string");
+      ("\"\\x\"", "offset 2: bad escape");
+      ("\"\\u12g4\"", "offset 5: bad \\u escape");
+      ("\"ab\\", "offset 4: bad escape");
+      ("\"abc", "offset 4: unterminated string");
+      ("{\"a\":1} x", "offset 8: trailing garbage");
+      ("[1,2", "offset 4: expected ]");
+      ("{\"a\" 1}", "offset 5: expected :");
+      ("{1:2}", "offset 1: expected \"");
+      ("[1,]", "offset 3: unexpected character ]");
+      ("tru", "offset 3: bad literal true");
+      ("", "offset 0: unexpected end of input");
+      ("1.", "offset 2: expected digit");
+      ("-", "offset 1: expected digit");
+      ("1e", "offset 2: expected digit");
     ]
 
 (* ---- 2. metrics registry ---- *)
@@ -313,6 +440,11 @@ let suite =
         Alcotest.test_case "printer" `Quick test_json_print;
         Alcotest.test_case "validator" `Quick test_json_check;
         Alcotest.test_case "print/validate round-trip" `Quick test_json_roundtrip;
+        Alcotest.test_case "golden artifacts reprint byte for byte" `Quick
+          test_json_golden_reprint;
+        QCheck_alcotest.to_alcotest test_json_parse_inverts_printers;
+        Alcotest.test_case "rejected inputs keep message and offset" `Quick test_json_rejections;
+        Alcotest.test_case "number edges and deep nesting" `Quick test_json_edges;
       ] );
     ( "obs.metrics",
       [

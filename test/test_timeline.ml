@@ -12,11 +12,14 @@
      byte-identical Chrome trace (spans, instants, counters);
    - malformed binary traces raise the typed {!Btrace.Error}, never a
      bare [Failure] or garbage counters (unit cases + corruption fuzz),
-     including truncations around the codec's chunk boundaries, retired
-     v1 headers and v1 record tags, and [pcolor replay] turns a bad
-     header into exit 2 and one line;
-   - tapes stay byte-identical to format v2 as first written (golden
-     MD5s), and decoding re-encodes a tape byte for byte;
+     including truncations around the codec's chunk boundaries and at
+     every byte of a tape, retired v1/v2 headers and v1 record tags, and
+     [pcolor replay] turns a bad header into exit 2 and one line;
+   - tapes stay byte-identical to format v3 as first written (golden
+     MD5s), decoding re-encodes a tape byte for byte, and random run
+     sections (mispredicted records, prefetch words, zero and negative
+     strides, maximal counts, records across a chunk edge) survive the
+     writer and the decoder;
    - the change-point detector finds a clean mean shift;
    - a 2-job gang mix yields per-job rows, switch events and a
      reconciling timeline. *)
@@ -220,8 +223,10 @@ let with_tape f =
   let path = Filename.temp_file "pcolor_tl" ".btrace" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let record_tape ~path ?obs ?rows ?cols ?(provenance = "test") () =
-  let s = setup ?obs ~policy:Run.Page_coloring ?rows ?cols ~engine:Pcolor.Runtime.Engine.Runs () in
+let record_tape ~path ?obs ?rows ?cols ?(prefetch = false) ?(provenance = "test") () =
+  let s =
+    setup ?obs ~policy:Run.Page_coloring ~prefetch ?rows ?cols ~engine:Pcolor.Runtime.Engine.Runs ()
+  in
   let oc = open_out_bin path in
   let w =
     Btrace.create_writer oc
@@ -231,7 +236,7 @@ let record_tape ~path ?obs ?rows ?cols ?(provenance = "test") () =
         n_cpus = 2;
         scale = 1;
         policy = "pc";
-        prefetch = false;
+        prefetch;
         seed = s.Run.seed;
         cap = s.Run.cap;
         provenance;
@@ -363,8 +368,12 @@ let test_btrace_error_paths () =
       let versioned = Bytes.of_string tape in
       Bytes.set versioned 4 '\009';
       (match opens_as_error (Bytes.to_string versioned) with
-      | Some (Btrace.Bad_version { found = 9; expected = 2 }) -> ()
+      | Some (Btrace.Bad_version { found = 9; expected = 3 }) -> ()
       | _ -> Alcotest.fail "patched version byte must be Bad_version");
+      Bytes.set versioned 4 '\002';
+      (match opens_as_error (Bytes.to_string versioned) with
+      | Some (Btrace.Bad_version { found = 2; expected = 3 }) -> ()
+      | _ -> Alcotest.fail "a v2 header must be Bad_version");
       (* strip the END marker: replay must report a truncated stream *)
       with_tape (fun cut ->
           write_file cut (String.sub tape 0 (String.length tape - 1));
@@ -372,18 +381,23 @@ let test_btrace_error_paths () =
           | _ -> Alcotest.fail "END-stripped tape must not replay"
           | exception Btrace.Error (Btrace.Truncated _) -> ()))
 
-(* ---------- retired format v1 ---------- *)
+(* ---------- retired formats v1 and v2 ---------- *)
 
-(* Format v1 (per-reference batch records) is no longer read: a tape
-   whose header says v1 is refused at open, before any event. *)
+(* Formats v1 (per-reference batch records) and v2 (unpredicted run
+   records) are no longer read: a tape whose header says either is
+   refused at open, before any event. *)
 let test_btrace_v1_bad_version () =
   with_tape (fun path ->
       let _ = record_tape ~path () in
       let tape = Bytes.of_string (read_file path) in
       Bytes.set tape 4 '\001';
+      (match opens_as_error (Bytes.to_string tape) with
+      | Some (Btrace.Bad_version { found = 1; expected = 3 }) -> ()
+      | _ -> Alcotest.fail "a v1 header must be Bad_version");
+      Bytes.set tape 4 '\002';
       match opens_as_error (Bytes.to_string tape) with
-      | Some (Btrace.Bad_version { found = 1; expected = 2 }) -> ()
-      | _ -> Alcotest.fail "a v1 header must be Bad_version")
+      | Some (Btrace.Bad_version { found = 2; expected = 3 }) -> ()
+      | _ -> Alcotest.fail "a v2 header must be Bad_version")
 
 let test_btrace_corruption_fuzz =
   QCheck.Test.make ~name:"corrupted tapes raise Btrace.Error or replay" ~count:40
@@ -440,7 +454,7 @@ let test_btrace_bad_header_corrupt () =
       ("window cap 0", header_only ~cap:0 ());
     ]
 
-(* v1's SECTION (8) and BATCH (9) tags inside a v2 tape are unknown
+(* v1's SECTION (8) and BATCH (9) tags inside a v3 tape are unknown
    events, Corrupt like any other. *)
 let test_btrace_v1_tags_corrupt () =
   let body =
@@ -587,9 +601,8 @@ let test_replay_cli_bad_header () =
 
 (* ---------- pinned tape format ---------- *)
 
-(* MD5s of tapes as format v2 first wrote them: the small one by the
-   per-byte channel writer, the multi-chunk one (the size of the
-   chunk-boundary tests' tape) by the chunked writer.  The writer must
+(* MD5s of tapes as format v3 first wrote them: a small one and a
+   multi-chunk one (the chunk-boundary tests' tape).  The writer must
    keep producing them exactly: tapes already on disk and fresh ones
    stay byte-identical. *)
 let test_btrace_golden_md5 () =
@@ -599,17 +612,17 @@ let test_btrace_golden_md5 () =
           let _ = record_tape ~path ~rows ~cols () in
           Alcotest.(check string) label md5 (Digest.to_hex (Digest.file path))))
     [
-      ("fig4 runs tape", 8, 128, "fb28b6aded280e76f74098174c4fce93");
-      ("multi-chunk runs tape", 64, 512, "7f5d72db4e66454e8e329523d1abe185");
+      ("fig4 runs tape", 8, 128, "742e69bd328e817e07c8bdb89a68f3aa");
+      ("multi-chunk runs tape", 128, 2048, "c2fd97b1adccd95a503c1cfbec88309c");
     ]
 
 (* ---------- chunk boundaries ---------- *)
 
-(* A tape of about 170 KiB: reads cross two refill boundaries
+(* A tape of about 190 KiB: reads cross two refill boundaries
    mid-record. *)
-let big_rows = 64
+let big_rows = 128
 
-let big_cols = 512
+let big_cols = 2048
 
 let record_big ~path ?obs ?provenance () =
   record_tape ~path ?obs ~rows:big_rows ~cols:big_cols ?provenance ()
@@ -693,6 +706,163 @@ let test_btrace_decode_roundtrip () =
       close_out oc;
       Alcotest.(check bool) "re-encoded tape is identical" true (read_file copy = tape))
 
+(* ---------- v3 run records ---------- *)
+
+module Walker = Pcolor.Comp.Walker
+
+(* The events a decoder hands a recorder, as data: each RUN_SECTION
+   with its strides and each RUNS batch's records. *)
+type event = Section of int * int array | Runs of int array
+
+let capture events : Engine.recorder =
+  {
+    rec_run_section =
+      (fun ~cpu ~nrefs ~instr_per_iter:_ ~extra_onchip_stall:_ ~strides ->
+        events := Section (cpu, Array.sub strides 0 nrefs) :: !events);
+    rec_runs = (fun b -> events := Runs (Array.sub b.Walker.data 0 b.Walker.len) :: !events);
+    rec_tick = (fun ~cpu:_ _ -> ());
+    rec_onchip = (fun ~cpu:_ _ -> ());
+    rec_barrier = (fun _ -> ());
+    rec_reset = (fun () -> ());
+    rec_touch = (fun ~cpu:_ ~vpage:_ -> ());
+    rec_phase_begin = (fun () -> ());
+    rec_phase_end = (fun () -> ());
+  }
+
+(* One random run record: its count, whether it follows the walker's
+   advance, fallback address words (used when it does not, or when the
+   advance would go negative), and its prefetch words, all zero when
+   [has_pf] is false. *)
+let gen_record nrefs =
+  QCheck.Gen.(
+    let* count = frequency [ (1, return Walker.max_run_count); (6, int_range 1 8) ] in
+    let* follows = frequency [ (3, return true); (1, return false) ] in
+    let* words = array_repeat nrefs (int_bound ((1 lsl 40) - 1)) in
+    let* has_pf = bool in
+    let+ pfs = array_repeat nrefs (frequency [ (1, return 0); (2, int_range 1 4096) ]) in
+    (count, follows, words, if has_pf then pfs else Array.make nrefs 0))
+
+(* A section: cpu, strides (zero, small, large, negative) and records
+   split over one or two RUNS batches at [cut]. *)
+let gen_section =
+  QCheck.Gen.(
+    let* nrefs = int_range 1 4 in
+    let* cpu = int_bound 1 in
+    let* strides =
+      array_repeat nrefs
+        (frequency [ (1, return 0); (2, int_range (-64) 64); (1, int_range (-100_000) 100_000) ])
+    in
+    let* records = list_size (int_range 1 40) (gen_record nrefs) in
+    let+ cut = int_bound (List.length records) in
+    (cpu, strides, records, cut))
+
+(* [section_events (cpu, strides, records, cut)] turns a generated
+   section into the events the recorder is fed, in the
+   {!Walker.fill_runs} layout, advancing followed records exactly as the
+   walker would. *)
+let section_events (cpu, strides, records, cut) =
+  let nrefs = Array.length strides in
+  let head = Array.make nrefs 0 and prev_count = ref 0 in
+  let record (count, follows, words, pfs) =
+    let advanced = Array.mapi (fun r w -> w + ((strides.(r) * !prev_count) lsl 1)) head in
+    let heads = if follows && Array.for_all (fun w -> w >= 0) advanced then advanced else words in
+    Array.blit heads 0 head 0 nrefs;
+    prev_count := count;
+    Array.concat (List.init nrefs (fun r -> [| heads.(r); pfs.(r) |])) |> Array.append [| count |]
+  in
+  let encoded = List.map record records in
+  let batches =
+    List.filter (( <> ) [||])
+      [
+        Array.concat (List.filteri (fun i _ -> i < cut) encoded);
+        Array.concat (List.filteri (fun i _ -> i >= cut) encoded);
+      ]
+  in
+  Section (cpu, strides) :: List.map (fun b -> Runs b) batches
+
+(* [record_events ?provenance events] is the tape of [events], fed to
+   {!Btrace.recorder} as the engine would. *)
+let record_events ?(provenance = "") events =
+  with_tape (fun path ->
+      let oc = open_out_bin path in
+      let w =
+        Btrace.create_writer oc
+          {
+            Btrace.bench = "fig4";
+            machine = "tiny";
+            n_cpus = 2;
+            scale = 1;
+            policy = "pc";
+            prefetch = true;
+            seed = 0;
+            cap = 1;
+            provenance;
+          }
+      in
+      let rc = Btrace.recorder w in
+      List.iter
+        (function
+          | Section (cpu, strides) ->
+            rc.rec_run_section ~cpu ~nrefs:(Array.length strides) ~instr_per_iter:4
+              ~extra_onchip_stall:0 ~strides
+          | Runs data -> rc.rec_runs { Walker.data = Array.copy data; len = Array.length data })
+        events;
+      Btrace.finish w;
+      close_out oc;
+      read_file path)
+
+(* Random sections recorded by {!Btrace.recorder} decode to the same
+   events.  The provenance string pads the header so that a chunk edge
+   falls inside the records, and the tape is read from a channel, so
+   the decoder refills its window mid-record. *)
+let test_btrace_records_roundtrip =
+  QCheck.Test.make ~name:"random run sections survive record and decode" ~count:60
+    QCheck.(
+      make
+        Gen.(pair (list_size (int_range 1 4) gen_section) (int_range 0 3000)))
+    (fun (sections, pad) ->
+      let events = List.concat_map section_events sections in
+      let tape = record_events ~provenance:(String.make (Btrace.chunk_bytes - pad) 'x') events in
+      with_tape (fun path ->
+          write_file path tape;
+          let decoded = ref [] in
+          In_channel.with_open_bin path (fun ic ->
+              Btrace.decode (Btrace.open_reader ic) (capture decoded));
+          List.rev !decoded = events))
+
+(* A record whose address word comes out negative is Corrupt, whether
+   the word is predicted (the stride walks below zero) or carries a
+   residual, and so is a repeat count outside [1, max_run_count]. *)
+let test_btrace_record_bounds () =
+  let too_long = Walker.max_run_count + 1 in
+  List.iter
+    (fun (label, second, expected) ->
+      let tape = record_events [ Section (0, [| -1 |]); Runs (Array.append [| 1; 0; 0 |] second) ] in
+      match Btrace.decode (Btrace.open_string tape) (capture (ref [])) with
+      | () -> Alcotest.failf "%s: decoded" label
+      | exception Btrace.Error (Btrace.Corrupt msg) -> Alcotest.(check string) label expected msg)
+    [
+      ("predicted negative", [| 1; -2; 0 |], "negative reference address");
+      ("explicit negative", [| 1; -6; 0 |], "negative reference address");
+      ("zero count", [| 0; 8; 0 |], "run count 0 out of bounds");
+      ( "count past the bound",
+        [| too_long; 8; 0 |],
+        Printf.sprintf "run count %d out of bounds" too_long );
+    ]
+
+(* Every prefix of a prefetching tape fails as a typed truncation or
+   corruption, at open or in the decoder, never with another
+   exception. *)
+let test_btrace_every_prefix () =
+  let tape = with_tape (fun path -> ignore (record_tape ~path ~prefetch:true ()); read_file path) in
+  let null = capture (ref []) in
+  for len = 0 to String.length tape - 1 do
+    match Btrace.decode (Btrace.open_string (String.sub tape 0 len)) null with
+    | () -> Alcotest.failf "the %d-byte prefix decoded" len
+    | exception Btrace.Error (Btrace.Truncated _ | Btrace.Corrupt _) -> ()
+    | exception e -> Alcotest.failf "the %d-byte prefix raised %s" len (Printexc.to_string e)
+  done
+
 (* ---------- change-point detection ---------- *)
 
 let test_detect_step () =
@@ -770,6 +940,11 @@ let suite =
         QCheck_alcotest.to_alcotest test_btrace_truncation_fuzz;
         Alcotest.test_case "varint split across chunks" `Quick test_btrace_varint_split;
         Alcotest.test_case "decode re-encodes identically" `Quick test_btrace_decode_roundtrip;
+        QCheck_alcotest.to_alcotest test_btrace_records_roundtrip;
+        Alcotest.test_case "negative addresses and bad counts are corrupt" `Quick
+          test_btrace_record_bounds;
+        Alcotest.test_case "every tape prefix is Truncated or Corrupt" `Quick
+          test_btrace_every_prefix;
         Alcotest.test_case "change-point on a clean step" `Quick test_detect_step;
         Alcotest.test_case "no change-point on flat series" `Quick test_detect_flat;
         Alcotest.test_case "2-job mix timeline" `Quick test_mix_timeline;
