@@ -34,7 +34,10 @@ let bench_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
 
 let cpus_arg =
-  Arg.(value & opt int 8 & info [ "p"; "cpus" ] ~docv:"N" ~doc:"Number of processors.")
+  Arg.(
+    value & opt int 8
+    & info [ "p"; "cpus" ] ~docv:"N"
+        ~doc:(Printf.sprintf "Number of processors, 1 to %d." Config.max_cpus))
 
 let scale_arg =
   Arg.(
@@ -158,6 +161,8 @@ let check_scale scale =
    than a backtrace. *)
 let config_of ?slices ?llc_hash model n_cpus scale =
   if n_cpus < 1 then usage_error "--cpus: need at least one CPU (got %d)" n_cpus;
+  if n_cpus > Config.max_cpus then
+    usage_error "--cpus: at most %d CPUs (got %d)" Config.max_cpus n_cpus;
   check_scale scale;
   let cfg =
     try Config.scale ((List.assoc model Config.models) ~n_cpus ()) scale

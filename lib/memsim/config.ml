@@ -42,6 +42,14 @@ let check_geom g =
   if not (Pcolor_util.Bits.is_pow2 g.line) then invalid_arg "cache line not a power of two";
   if g.size < g.assoc * g.line then invalid_arg "cache smaller than one set"
 
+(** [max_cpus] bounds every machine: twice the paper's largest (16
+    CPUs).  CPU sets are int bitmasks (the directory's valid mask,
+    [Machine]'s invalidation fan-out, CDPC's segment owners), and with
+    at most 32 CPUs and 128-byte L2 lines a directory line's whole state
+    fits one immediate int: 32 valid bits + 6 writer bits + 1 dirty bit
+    + 16 written-word bits = 55 bits. *)
+let max_cpus = 32
+
 (** [validate t] checks all geometric invariants; raises
     [Invalid_argument] on nonsense configurations.  Returns [t]. *)
 let validate t =
@@ -49,6 +57,8 @@ let validate t =
   check_geom t.l2;
   if not (Pcolor_util.Bits.is_pow2 t.page_size) then invalid_arg "page size not a power of two";
   if t.n_cpus <= 0 then invalid_arg "need at least one CPU";
+  if t.n_cpus > max_cpus then invalid_arg (Printf.sprintf "more than %d CPUs" max_cpus);
+  if t.l2.line > 128 then invalid_arg "L2 line longer than 128 bytes";
   if t.page_size < t.l2.line then invalid_arg "page smaller than an L2 line";
   if not (Pcolor_util.Bits.is_pow2 t.l2_slices) then
     invalid_arg "l2_slices not a positive power of two";

@@ -31,8 +31,16 @@ type t = {
 (** [check_geom g] validates one cache geometry. *)
 val check_geom : cache_geom -> unit
 
-(** [validate t] checks all geometric invariants; raises
-    [Invalid_argument] on nonsense.  Returns [t]. *)
+(** [max_cpus] (32) is the largest CPU count any machine may have:
+    twice the paper's largest, and the width of the int CPU bitmasks
+    (directory valid masks, invalidation fan-out, CDPC segment owners).
+    With L2 lines of at most 128 bytes a directory line's state then
+    fits one immediate int. *)
+val max_cpus : int
+
+(** [validate t] checks all geometric invariants, including
+    [1 <= n_cpus <= max_cpus] and an L2 line of at most 128 bytes;
+    raises [Invalid_argument] on nonsense.  Returns [t]. *)
 val validate : t -> t
 
 (** [n_colors t] is the page-color count:

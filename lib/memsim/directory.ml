@@ -15,15 +15,13 @@
     State is kept per line — a validity bitmask over CPUs, the last
     writer, whether the writer's copy is dirty, and the mask of words
     written since the last writer change.  The directory is consulted on
-    every external-cache miss and every prefetch, so the representation
-    matters: when the whole per-line state fits in 62 bits (it does for
-    every paper configuration) it is packed into a single immediate int
-    stored in a {!Pcolor_util.Densemap} — a direct-indexed array over
-    physical line numbers, which frames from the compact frame pool keep
-    dense, so a probe is one bounds compare and one load, no hashing and
-    no boxing.  Wider configurations (many CPUs or very long lines) fall
-    back to the original record-in-[Hashtbl] representation with
-    identical semantics.
+    every external-cache miss and every prefetch, so the whole per-line
+    state is packed into a single immediate int — at most
+    {!Config.max_cpus} CPUs and 128-byte lines take 32 + 6 + 1 + 16 = 55
+    bits — stored in a {!Pcolor_util.Densemap}: a direct-indexed array
+    over physical line numbers, which frames from the compact frame pool
+    keep dense, so a probe is one bounds compare and one load, no
+    hashing and no boxing.
 
     Packed word layout, low to high:
     {v
@@ -37,22 +35,10 @@
     "incoherent, never written, clean" — while [writeback] and [evict]
     leave such a line unentered. *)
 
-type line_state = {
-  mutable valid_mask : int; (* bit c set: CPU c's cached copy is coherent *)
-  mutable writer : int; (* last writing CPU, -1 if never written *)
-  mutable dirty : bool; (* writer's copy not yet written back *)
-  mutable wmask : int; (* words written since writer acquired the line *)
-}
-
-type repr =
-  | Packed of Pcolor_util.Densemap.t (* line number -> packed word, -1 = never entered *)
-  | Boxed of (int, line_state) Hashtbl.t (* line number -> state *)
-
 type t = {
-  repr : repr;
+  tab : Pcolor_util.Densemap.t; (* line number -> packed word, -1 = never entered *)
   word_shift : int; (* log2 of word size, 8-byte words *)
   words_per_line_mask : int;
-  (* packed-layout geometry (meaningful only for [Packed]) *)
   valid_all : int; (* (1 lsl n_cpus) - 1 *)
   writer_shift : int; (* = n_cpus *)
   writer_mask : int; (* field mask for writer + 1, unshifted *)
@@ -61,25 +47,25 @@ type t = {
 }
 
 (** [create ?n_cpus ~line_size] builds an empty directory for
-    [line_size]-byte lines with 8-byte words.  [n_cpus] (default 32)
-    bounds the CPU ids that will be recorded; when the packed state for
-    that bound fits in an immediate int the fast flat representation is
-    used, otherwise the record fallback. *)
-let create ?(n_cpus = 32) ~line_size () =
+    [line_size]-byte lines with 8-byte words.  [n_cpus] (default
+    {!Config.max_cpus}) bounds the CPU ids that will be recorded.
+    Raises [Invalid_argument] when the packed state does not fit an
+    immediate int, which {!Config.validate} rules out for every
+    machine. *)
+let create ?(n_cpus = Config.max_cpus) ~line_size () =
   if line_size < 8 || not (Pcolor_util.Bits.is_pow2 line_size) then
     invalid_arg "Directory.create: bad line size";
   if n_cpus < 1 then invalid_arg "Directory.create: bad cpu count";
   let words_per_line = line_size / 8 in
   (* writer field holds writer + 1 in [0, n_cpus] *)
   let writer_bits = Pcolor_util.Bits.log2 (Pcolor_util.Bits.next_pow2 (n_cpus + 1)) in
-  let fits = n_cpus + writer_bits + 1 + words_per_line <= Sys.int_size - 1 in
+  if n_cpus + writer_bits + 1 + words_per_line > Sys.int_size - 1 then
+    invalid_arg "Directory.create: line state does not fit an int";
   {
-    repr =
-      (* start small and let the table grow: pre-sizing for the largest
-         runs made every machine pay ~1 MB of zeroed arrays up front,
-         which dominated creation time for the scaled-down experiments *)
-      (if fits then Packed (Pcolor_util.Densemap.create ~initial:(1 lsl 12))
-       else Boxed (Hashtbl.create (1 lsl 12)));
+    (* start small and let the table grow: pre-sizing for the largest
+       runs made every machine pay ~1 MB of zeroed arrays up front,
+       which dominated creation time for the scaled-down experiments *)
+    tab = Pcolor_util.Densemap.create ~initial:(1 lsl 12);
     word_shift = 3;
     words_per_line_mask = words_per_line - 1;
     valid_all = (1 lsl n_cpus) - 1;
@@ -109,14 +95,6 @@ let[@inline] pack t ~valid ~writer ~dirty ~wmask =
 (* a never-entered line reads as the all-zero word *)
 let[@inline] present_or_zero w = if w < 0 then 0 else w
 
-let get_boxed table line =
-  match Hashtbl.find_opt table line with
-  | Some s -> s
-  | None ->
-    let s = { valid_mask = 0; writer = -1; dirty = false; wmask = 0 } in
-    Hashtbl.add table line s;
-    s
-
 (* Verdicts are packed into an immediate int too (the directory is hit
    on every external miss and every prefetch):
      bit 0  coherent      bit 2  true sharing
@@ -140,32 +118,17 @@ let[@inline] v_sharing v =
     the word for the true/false-sharing test.  Decode the packed verdict
     with {!v_coherent}, {!v_sharing} and {!v_remote_dirty}. *)
 let inspect t ~cpu ~line ~addr =
-  match t.repr with
-  | Packed tab ->
-    let w = present_or_zero (Pcolor_util.Densemap.find tab line) in
-    let coherent = w land (1 lsl cpu) <> 0 in
-    let writer = p_writer t w in
-    let sharing =
-      if coherent || writer < 0 || writer = cpu then 0
-      else if p_wmask t w land word_bit t addr <> 0 then 4
-      else 8
-    in
-    (if coherent then 1 else 0)
-    lor (if p_dirty t w && writer >= 0 && writer <> cpu then 2 else 0)
-    lor sharing
-  | Boxed table -> (
-    match Hashtbl.find_opt table line with
-    | None -> 0
-    | Some s ->
-      let coherent = s.valid_mask land (1 lsl cpu) <> 0 in
-      let sharing =
-        if coherent || s.writer < 0 || s.writer = cpu then 0
-        else if s.wmask land word_bit t addr <> 0 then 4
-        else 8
-      in
-      (if coherent then 1 else 0)
-      lor (if s.dirty && s.writer >= 0 && s.writer <> cpu then 2 else 0)
-      lor sharing)
+  let w = present_or_zero (Pcolor_util.Densemap.find t.tab line) in
+  let coherent = w land (1 lsl cpu) <> 0 in
+  let writer = p_writer t w in
+  let sharing =
+    if coherent || writer < 0 || writer = cpu then 0
+    else if p_wmask t w land word_bit t addr <> 0 then 4
+    else 8
+  in
+  (if coherent then 1 else 0)
+  lor (if p_dirty t w && writer >= 0 && writer <> cpu then 2 else 0)
+  lor sharing
 
 (** [record_read t ~cpu ~line] notes that CPU [cpu] now holds a coherent
     copy.  If the line was dirty at another CPU, that copy transitions to
@@ -173,20 +136,12 @@ let inspect t ~cpu ~line ~addr =
     Returns [true] if this read forced a remote dirty line clean (so the
     caller can also clean the remote cache's dirty bit). *)
 let record_read t ~cpu ~line =
-  match t.repr with
-  | Packed tab ->
-    let w = present_or_zero (Pcolor_util.Densemap.find tab line) in
-    let writer = p_writer t w in
-    let forced_clean = p_dirty t w && writer >= 0 && writer <> cpu in
-    let w = if forced_clean then w land lnot t.dirty_bit else w in
-    Pcolor_util.Densemap.set tab line (w lor (1 lsl cpu));
-    forced_clean
-  | Boxed table ->
-    let s = get_boxed table line in
-    let forced_clean = s.dirty && s.writer >= 0 && s.writer <> cpu in
-    if forced_clean then s.dirty <- false;
-    s.valid_mask <- s.valid_mask lor (1 lsl cpu);
-    forced_clean
+  let w = present_or_zero (Pcolor_util.Densemap.find t.tab line) in
+  let writer = p_writer t w in
+  let forced_clean = p_dirty t w && writer >= 0 && writer <> cpu in
+  let w = if forced_clean then w land lnot t.dirty_bit else w in
+  Pcolor_util.Densemap.set t.tab line (w lor (1 lsl cpu));
+  forced_clean
 
 (** [record_write t ~cpu ~line ~addr] makes CPU [cpu] the exclusive owner
     and accumulates the written word into the mask (the mask resets when
@@ -195,60 +150,27 @@ let record_read t ~cpu ~line =
     CPUs whose copies were invalidated — the caller uses a nonempty mask
     to account an upgrade/invalidate bus transaction. *)
 let record_write t ~cpu ~line ~addr =
-  match t.repr with
-  | Packed tab ->
-    let w = present_or_zero (Pcolor_util.Densemap.find tab line) in
-    let me = 1 lsl cpu in
-    let invalidated = p_valid t w land lnot me in
-    let wmask = if p_writer t w <> cpu then 0 else p_wmask t w in
-    Pcolor_util.Densemap.set tab line
-      (pack t ~valid:me ~writer:cpu ~dirty:true ~wmask:(wmask lor word_bit t addr));
-    invalidated
-  | Boxed table ->
-    let s = get_boxed table line in
-    let me = 1 lsl cpu in
-    let invalidated = s.valid_mask land lnot me in
-    if s.writer <> cpu then begin
-      s.writer <- cpu;
-      s.wmask <- 0
-    end;
-    s.wmask <- s.wmask lor word_bit t addr;
-    s.dirty <- true;
-    s.valid_mask <- me;
-    invalidated
+  let w = present_or_zero (Pcolor_util.Densemap.find t.tab line) in
+  let me = 1 lsl cpu in
+  let invalidated = p_valid t w land lnot me in
+  let wmask = if p_writer t w <> cpu then 0 else p_wmask t w in
+  Pcolor_util.Densemap.set t.tab line
+    (pack t ~valid:me ~writer:cpu ~dirty:true ~wmask:(wmask lor word_bit t addr));
+  invalidated
 
 (** [writeback t ~cpu ~line] marks the line clean if [cpu] owned it
     dirty (victim eviction wrote it to memory). *)
 let writeback t ~cpu ~line =
-  match t.repr with
-  | Packed tab ->
-    (* a writeback to an untracked line does not create one *)
-    let w = Pcolor_util.Densemap.find tab line in
-    if w >= 0 && p_writer t w = cpu then
-      Pcolor_util.Densemap.set tab line (w land lnot t.dirty_bit)
-  | Boxed table -> (
-    match Hashtbl.find_opt table line with
-    | Some s when s.writer = cpu -> s.dirty <- false
-    | _ -> ())
+  (* a writeback to an untracked line does not create one *)
+  let w = Pcolor_util.Densemap.find t.tab line in
+  if w >= 0 && p_writer t w = cpu then
+    Pcolor_util.Densemap.set t.tab line (w land lnot t.dirty_bit)
 
 (** [evict t ~cpu ~line] clears CPU [cpu]'s validity bit after its cache
     dropped the line, keeping directory state consistent with caches. *)
 let evict t ~cpu ~line =
-  match t.repr with
-  | Packed tab ->
-    let w = Pcolor_util.Densemap.find tab line in
-    if w >= 0 then Pcolor_util.Densemap.set tab line (w land lnot (1 lsl cpu))
-  | Boxed table -> (
-    match Hashtbl.find_opt table line with
-    | Some s -> s.valid_mask <- s.valid_mask land lnot (1 lsl cpu)
-    | None -> ())
-
-(** [packed t] is true when the flat single-int representation is in use
-    (test/bench helper). *)
-let packed t = match t.repr with Packed _ -> true | Boxed _ -> false
+  let w = Pcolor_util.Densemap.find t.tab line in
+  if w >= 0 then Pcolor_util.Densemap.set t.tab line (w land lnot (1 lsl cpu))
 
 (** [lines t] is the number of lines the directory tracks (test helper). *)
-let lines t =
-  match t.repr with
-  | Packed tab -> Pcolor_util.Densemap.length tab
-  | Boxed table -> Hashtbl.length table
+let lines t = Pcolor_util.Densemap.length t.tab

@@ -6,16 +6,15 @@
     Consulted on every external-cache miss and every prefetch, so the
     per-line state (valid mask, writer, dirty, written-word mask) is
     packed into a single immediate int in a direct-indexed array over
-    physical line numbers when it fits in 62 bits — which covers every
-    paper configuration — with
-    the original record-per-line [Hashtbl] as a guarded fallback for
-    wider geometries. *)
+    physical line numbers: with at most {!Config.max_cpus} CPUs and
+    128-byte lines it takes 55 bits. *)
 
 type t
 
 (** [create ?n_cpus ~line_size ()] builds an empty directory (8-byte
-    words).  [n_cpus] (default 32) bounds recordable CPU ids and selects
-    the packed representation when the state fits an immediate int. *)
+    words).  [n_cpus] (default {!Config.max_cpus}) bounds recordable CPU
+    ids.  Raises [Invalid_argument] when the packed line state would not
+    fit an immediate int. *)
 val create : ?n_cpus:int -> line_size:int -> unit -> t
 
 (** [inspect t ~cpu ~line ~addr] reports without changing state; [addr]
@@ -53,10 +52,6 @@ val writeback : t -> cpu:int -> line:int -> unit
     explicit frame invalidation; ordinary evictions keep the bit so
     misses classify as replacement, not communication). *)
 val evict : t -> cpu:int -> line:int -> unit
-
-(** [packed t] is true when the flat single-int representation is in
-    use (test/bench helper). *)
-val packed : t -> bool
 
 (** [lines t] counts tracked lines (test helper). *)
 val lines : t -> int

@@ -382,9 +382,8 @@ let get_records s p data m =
 type reader = { src : source; hdr : header }
 
 (* Bounds on decoded structure fields, far above anything a real tape
-   contains: a fuzzed varint must not turn into a giant allocation. *)
-let max_cpus = 1 lsl 10
-
+   contains: a fuzzed varint must not turn into a giant allocation.  A
+   header's CPU count is bounded by the machine's own limit. *)
 let max_nrefs = 1 lsl 16
 
 let max_run_records = 1 lsl 20
@@ -398,7 +397,7 @@ let of_source src =
     let bench = get_string src in
     let machine = get_string src in
     let n_cpus = get_varint src in
-    if n_cpus < 1 || n_cpus > max_cpus then
+    if n_cpus < 1 || n_cpus > Pcolor_memsim.Config.max_cpus then
       fail (Corrupt (Printf.sprintf "header names %d CPUs" n_cpus));
     let scale = get_varint src in
     if not (Pcolor_util.Bits.is_pow2 scale) then

@@ -48,6 +48,30 @@ let frame_label v prefix =
   in
   Printf.sprintf "frame %d (color %d, %s)" frame color where
 
+(* [array_classes frames] folds an attribution section's [top_frames]
+   by owning array: [(array, [(class, count)])] in first-seen order. *)
+let array_classes frames =
+  let by_array = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun f ->
+      let name = Option.value ~default:"(unmapped)" (gets f "array") in
+      let cur =
+        match Hashtbl.find_opt by_array name with
+        | Some c -> c
+        | None ->
+          order := name :: !order;
+          []
+      in
+      let merged =
+        List.map
+          (fun (k, n) -> (k, n + Option.value ~default:0 (List.assoc_opt k cur)))
+          (class_counts f)
+      in
+      Hashtbl.replace by_array name (if merged = [] then cur else merged))
+    frames;
+  List.rev_map (fun a -> (a, Hashtbl.find by_array a)) !order
+
 (** [render_attribution ?top buf v] prints the ["attribution"] section:
     class totals, the [top] hottest eviction pairs, per-array stacked
     bars and the per-color heatmap. *)
@@ -68,42 +92,20 @@ let render_attribution ?(top = 10) buf v =
     pairs;
   if pairs = [] then add "  (none: no replacement misses recorded)\n";
   (* Per-array miss classes, aggregated from the hottest frames. *)
-  let by_array = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun f ->
-      let name = Option.value ~default:"(unmapped)" (gets f "array") in
-      let cur =
-        match Hashtbl.find_opt by_array name with
-        | Some c -> c
-        | None ->
-          order := name :: !order;
-          []
-      in
-      let merged =
-        List.map
-          (fun (k, n) ->
-            (k, n + Option.value ~default:0 (List.assoc_opt k cur)))
-          (class_counts f)
-      in
-      Hashtbl.replace by_array name (if merged = [] then cur else merged))
-    (getl v "top_frames");
-  let arrays = List.rev !order in
+  let arrays = array_classes (getl v "top_frames") in
   if arrays <> [] then begin
     add "\nper-array miss classes (from the %d hottest frames; %s):\n"
       (List.length (getl v "top_frames"))
       (String.concat " "
          (List.map (fun (k, _) -> class_glyph k ^ "=" ^ k)
-            (match arrays with a :: _ -> Hashtbl.find by_array a | [] -> [])));
+            (match arrays with (_, counts) :: _ -> counts | [] -> [])));
     let max_total =
       List.fold_left
-        (fun m a ->
-          max m (List.fold_left (fun s (_, n) -> s + n) 0 (Hashtbl.find by_array a)))
+        (fun m (_, counts) -> max m (List.fold_left (fun s (_, n) -> s + n) 0 counts))
         1 arrays
     in
     List.iter
-      (fun a ->
-        let counts = Hashtbl.find by_array a in
+      (fun (a, counts) ->
         let segs = List.map (fun (k, n) -> (class_glyph k, float_of_int n)) counts in
         let total = List.fold_left (fun s (_, n) -> s + n) 0 counts in
         add "  %-12s |%s| %d\n" a
@@ -214,37 +216,16 @@ let render_decisions ?(page_rows = 16) buf v =
     [Delta.diff] can pair across runs (the raw hot lists are rankings,
     so positional pairing is noise). *)
 let per_array_rollup artifact =
-  let by_array = Hashtbl.create 16 in
-  let order = ref [] in
-  (match J.member "attribution" artifact with
-  | Some att ->
-    List.iter
-      (fun f ->
-        let name = Option.value ~default:"(unmapped)" (gets f "array") in
-        let cur =
-          match Hashtbl.find_opt by_array name with
-          | Some c -> c
-          | None ->
-            order := name :: !order;
-            []
-        in
-        let merged =
-          List.map
-            (fun (k, n) -> (k, n + Option.value ~default:0 (List.assoc_opt k cur)))
-            (class_counts f)
-        in
-        Hashtbl.replace by_array name (if merged = [] then cur else merged))
-      (getl att "top_frames")
-  | None -> ());
+  let frames =
+    match J.member "attribution" artifact with Some att -> getl att "top_frames" | None -> []
+  in
   J.Obj
     [
       ( "per_array",
         J.Obj
-          (List.rev_map
-             (fun a ->
-               ( a,
-                 J.Obj (List.map (fun (k, n) -> (k, J.Int n)) (Hashtbl.find by_array a)) ))
-             !order) );
+          (List.map
+             (fun (a, counts) -> (a, J.Obj (List.map (fun (k, n) -> (k, J.Int n)) counts)))
+             (array_classes frames)) );
     ]
 
 (** [render ?top ?page_rows artifact] is the full [pcolor explain]

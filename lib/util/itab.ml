@@ -183,68 +183,3 @@ let fold f t init =
     if k >= 0 then acc := f k t.vals.(i) !acc
   done;
   !acc
-
-(** Open-addressing set of non-negative ints: the key array of {!t}
-    without the value plane.  Used for the engine's (vpage, cpu) trace
-    set, where [Hashtbl.replace tbl key ()] allocated a bucket cell per
-    new key. *)
-module Set = struct
-  type t = {
-    mutable keys : int array; (* -1 = empty *)
-    mutable mask : int;
-    mutable size : int;
-  }
-
-  let create ?(capacity = 16) () =
-    let cap = max 8 (Bits.next_pow2 (max 1 capacity)) in
-    { keys = Array.make cap (-1); mask = cap - 1; size = 0 }
-
-  let length t = t.size
-
-  let[@inline] probe t key =
-    let keys = t.keys in
-    let mask = t.mask in
-    let i = ref (hash key land mask) in
-    while
-      let k = Array.unsafe_get keys !i in
-      k <> key && k >= 0
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let mem t key =
-    check_key key;
-    t.keys.(probe t key) = key
-
-  let grow t =
-    let old = t.keys in
-    let cap = 2 * (t.mask + 1) in
-    t.keys <- Array.make cap (-1);
-    t.mask <- cap - 1;
-    Array.iter
-      (fun k -> if k >= 0 then t.keys.(probe t k) <- k)
-      old
-
-  (** [add t key] inserts [key] (idempotent). *)
-  let add t key =
-    check_key key;
-    if (t.size + 1) * 4 > (t.mask + 1) * 3 then grow t;
-    let i = probe t key in
-    if Array.unsafe_get t.keys i < 0 then begin
-      Array.unsafe_set t.keys i key;
-      t.size <- t.size + 1
-    end
-
-  let reset t =
-    Array.fill t.keys 0 (Array.length t.keys) (-1);
-    t.size <- 0
-
-  let fold f t init =
-    let acc = ref init in
-    for i = 0 to t.mask do
-      let k = t.keys.(i) in
-      if k >= 0 then acc := f k !acc
-    done;
-    !acc
-end

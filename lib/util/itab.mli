@@ -1,7 +1,7 @@
 (** Allocation-free open-addressing int→int hash table (linear probing,
-    power-of-two capacity, backward-shift deletion), plus an int-set
-    variant.  Keys must be non-negative; probes never allocate — [find]
-    returns a caller-supplied sentinel instead of an [option].
+    power-of-two capacity, backward-shift deletion).  Keys must be
+    non-negative; probes never allocate — [find] returns a
+    caller-supplied sentinel instead of an [option].
     Deterministic: fixed multiplicative hash, never seeded. *)
 
 type t
@@ -42,19 +42,3 @@ val iter : (int -> int -> unit) -> t -> unit
 
 (** [fold f t init] folds over bindings in slot order. *)
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-
-(** Open-addressing set of non-negative ints (same layout, no value
-    plane). *)
-module Set : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  val length : t -> int
-  val mem : t -> int -> bool
-
-  (** [add t key] inserts [key] (idempotent). *)
-  val add : t -> int -> unit
-
-  val reset : t -> unit
-  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-end

@@ -75,6 +75,22 @@ let create ~cfg ~policy ?mem_frames ?pool ?classify () =
     it reports progress (frames freed > 0) before giving up. *)
 let set_reclaim t f = t.reclaim <- Some f
 
+(* Books one grant against this kernel's hint counters: [Frame_pool.alloc]
+   honors a request exactly when the granted frame has the requested
+   color reduced modulo the pool's color count, so the frame alone
+   tells which counter the pool bumped. *)
+let book_grant t ~vpage ~preferred frame =
+  let n = Frame_pool.n_colors t.pool in
+  let preferred = ((preferred mod n) + n) mod n in
+  let granted = Frame_pool.color_of t.pool frame in
+  if granted = preferred then t.honored <- t.honored + 1
+  else begin
+    t.hint_fallbacks <- t.hint_fallbacks + 1;
+    Logs.debug ~src:Pcolor_obs.Log.src (fun m ->
+        m "vpage %d: preferred color %d exhausted, fell back to %d" vpage preferred granted)
+  end;
+  granted
+
 (** [translate t ~cpu ~vpage] is the {!Pcolor_memsim.Machine.access}
     callback: returns [(frame, kernel_cycles)], where [kernel_cycles] is
     zero for an already-mapped page and the configured page-fault cost
@@ -87,7 +103,6 @@ let translate t ~cpu ~vpage =
   else begin
     t.faults <- t.faults + 1;
     let preferred = Policy.preferred_color t.policy ~vpage in
-    let fallbacks_before = Frame_pool.fallbacks t.pool in
     let rec alloc_with_reclaim () =
       match Frame_pool.alloc t.pool ~preferred with
       | Some f -> f
@@ -97,16 +112,7 @@ let translate t ~cpu ~vpage =
         | _ -> raise (Out_of_frames { cpu; vpage }))
     in
     let frame = alloc_with_reclaim () in
-    let granted = Frame_pool.color_of t.pool frame in
-    if Frame_pool.fallbacks t.pool > fallbacks_before then begin
-      t.hint_fallbacks <- t.hint_fallbacks + 1;
-      Logs.debug ~src:Pcolor_obs.Log.src (fun m ->
-          m "fault cpu%d vpage %d: preferred color %d exhausted, fell back to %d" cpu vpage
-            (((preferred mod Frame_pool.n_colors t.pool) + Frame_pool.n_colors t.pool)
-            mod Frame_pool.n_colors t.pool)
-            granted)
-    end
-    else t.honored <- t.honored + 1;
+    let granted = book_grant t ~vpage ~preferred frame in
     t.color_granted.(granted) <- t.color_granted.(granted) + 1;
     Page_table.map t.table ~vpage ~frame;
     (frame, t.cfg.page_fault_cycles)
@@ -125,28 +131,20 @@ let recolor t ~vpage ~preferred =
   match Page_table.frame_of t.table vpage with
   | -1 -> None
   | old_frame -> (
-    let fallbacks_before = Frame_pool.fallbacks t.pool in
-    let honored_before = Frame_pool.honored t.pool in
     match Frame_pool.alloc t.pool ~preferred with
     | None -> None
     | Some new_frame ->
-      if Frame_pool.color_of t.pool new_frame = Frame_pool.color_of t.pool old_frame then begin
+      (* the pool booked this alloc either way; book it here too so
+         per-kernel counters keep summing to the shared pool's *)
+      let c = book_grant t ~vpage ~preferred new_frame in
+      if c = Frame_pool.color_of t.pool old_frame then begin
         Frame_pool.release t.pool new_frame;
-        (* The pool already booked this alloc; mirror it so per-kernel
-           counters keep summing to the shared pool's. *)
-        if Frame_pool.fallbacks t.pool > fallbacks_before then
-          t.hint_fallbacks <- t.hint_fallbacks + 1
-        else if Frame_pool.honored t.pool > honored_before then t.honored <- t.honored + 1;
         None
       end
       else begin
         ignore (Page_table.unmap t.table vpage);
         Page_table.map t.table ~vpage ~frame:new_frame;
         Frame_pool.release t.pool old_frame;
-        if Frame_pool.fallbacks t.pool > fallbacks_before then
-          t.hint_fallbacks <- t.hint_fallbacks + 1
-        else if Frame_pool.honored t.pool > honored_before then t.honored <- t.honored + 1;
-        let c = Frame_pool.color_of t.pool new_frame in
         t.color_granted.(c) <- t.color_granted.(c) + 1;
         Some (old_frame, new_frame)
       end)

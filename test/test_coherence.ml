@@ -55,52 +55,12 @@ let test_directory_word_mask_reset () =
   let v' = Dir.inspect d ~cpu:0 ~line:1 ~addr:8 in
   Alcotest.(check bool) "word 1 in cpu1's mask" true (Dir.v_sharing v' = `True)
 
-(* The packed single-int representation must be observationally identical
-   to the record-in-Hashtbl fallback.  n_cpus = 63 with 128 B lines needs
-   63 + 6 + 1 + 16 = 86 bits, forcing the boxed repr; the default fits
-   packed.  Drive both with the same random op sequence and compare every
-   return value and verdict. *)
-let prop_directory_packed_matches_boxed =
-  QCheck.Test.make ~name:"directory packed repr matches boxed repr" ~count:300
-    QCheck.(
-      list_of_size (Gen.int_range 1 150)
-        (quad (int_range 0 4) (int_range 0 3) (int_range 0 15) (int_range 0 15)))
-    (fun ops ->
-      let dp = Dir.create ~line_size:128 () in
-      let db = Dir.create ~n_cpus:63 ~line_size:128 () in
-      assert (Dir.packed dp);
-      assert (not (Dir.packed db));
-      List.for_all
-        (fun (op, cpu, line, word) ->
-          let addr = (line * 128) + (word * 8) in
-          let step_ok =
-            match op with
-            | 0 -> Dir.record_read dp ~cpu ~line = Dir.record_read db ~cpu ~line
-            | 1 ->
-              Dir.record_write dp ~cpu ~line ~addr = Dir.record_write db ~cpu ~line ~addr
-            | 2 ->
-              Dir.writeback dp ~cpu ~line;
-              Dir.writeback db ~cpu ~line;
-              true
-            | 3 ->
-              Dir.evict dp ~cpu ~line;
-              Dir.evict db ~cpu ~line;
-              true
-            | _ -> true
-          in
-          let vp = Dir.inspect dp ~cpu ~line ~addr in
-          let vb = Dir.inspect db ~cpu ~line ~addr in
-          step_ok
-          && Dir.v_coherent vp = Dir.v_coherent vb
-          && Dir.v_remote_dirty vp = Dir.v_remote_dirty vb
-          && Dir.v_sharing vp = Dir.v_sharing vb
-          && Dir.lines dp = Dir.lines db)
-        ops)
-
 (* Differential test of the packed (direct-indexed) directory against a
-   Hashtbl of per-line records written out from the protocol rules.
-   Lines come from both sides of the direct array's cap, so the dense
-   path and the spill table are both driven.  Every return value and
+   Hashtbl of per-line records written out from the protocol rules, on
+   a machine of [Config.max_cpus] CPUs: ops drawn over every CPU id
+   reach the top valid-mask bit and the widest writer field.  Lines
+   come from both sides of the direct array's cap, so the dense path
+   and the spill table are both driven.  Every return value and
    verdict must match, and so must [lines] — a writeback or evict to a
    never-entered line must not create it. *)
 type model_line = { mutable valid : int; mutable writer : int; mutable dirty : bool; mutable wmask : int }
@@ -110,10 +70,11 @@ let prop_directory_matches_model =
   QCheck.Test.make ~name:"directory matches Hashtbl model across the spill cap" ~count:300
     QCheck.(
       list_of_size (Gen.int_range 1 200)
-        (quad (int_range 0 4) (int_range 0 3) (int_range 0 63) (int_range 0 15)))
+        (quad (int_range 0 4)
+           (int_range 0 (Pcolor.Memsim.Config.max_cpus - 1))
+           (int_range 0 63) (int_range 0 15)))
     (fun ops ->
-      let d = Dir.create ~n_cpus:4 ~line_size:128 () in
-      assert (Dir.packed d);
+      let d = Dir.create ~n_cpus:Pcolor.Memsim.Config.max_cpus ~line_size:128 () in
       let model : (int, model_line) Hashtbl.t = Hashtbl.create 64 in
       let get line =
         match Hashtbl.find_opt model line with
@@ -444,6 +405,30 @@ let test_create_sized_by_caches () =
         (words <= float_of_int bound))
     [ sgi16; Pcolor.Memsim.Config.scale (Pcolor.Memsim.Config.sgi_base ~n_cpus:16 ()) 4 ]
 
+(* [Config.max_cpus] is the one CPU-count bound: every machine model
+   builds a machine at the bound (full size and scaled) and refuses one
+   CPU more, and [validate] refuses an L2 line the packed directory
+   cannot hold. *)
+let test_models_cpu_bound () =
+  let module Config = Pcolor.Memsim.Config in
+  let n = Config.max_cpus in
+  List.iter
+    (fun (name, (model : ?n_cpus:int -> unit -> Config.t)) ->
+      let cfg = model ~n_cpus:n () in
+      List.iter
+        (fun scale ->
+          let m = Machine.create (Config.scale cfg scale) in
+          Alcotest.(check int) (Printf.sprintf "%s /%d: cpus" name scale) n (Machine.n_cpus m))
+        [ 1; 64 ];
+      match model ~n_cpus:(n + 1) () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: %d CPUs accepted" name (n + 1))
+    Config.models;
+  let base = Config.sgi_base () in
+  match Config.validate { base with l2 = { base.l2 with line = 256 } } with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "256-byte L2 line accepted"
+
 let suite =
   [
     ( "coherence",
@@ -469,7 +454,8 @@ let suite =
         Alcotest.test_case "machine pool stream allocates no major words" `Quick
           test_pool_stream_no_major_alloc;
         Alcotest.test_case "machine create sized by the caches" `Quick test_create_sized_by_caches;
+        Alcotest.test_case "machine models take 1 to max_cpus CPUs" `Quick test_models_cpu_bound;
       ] );
     Helpers.qsuite "coherence:props"
-      [ prop_directory_packed_matches_boxed; prop_directory_matches_model ];
+      [ prop_directory_matches_model ];
   ]

@@ -351,6 +351,29 @@ let opens_as_error s =
           | _ -> None
           | exception Btrace.Error c -> Some c))
 
+(* A tape that ends right after its header: enough for [open_reader]
+   and for [pcolor replay] to judge the header. *)
+let header_only ?(bench = "tomcatv") ?(n_cpus = 2) ?(scale = 64) ?(cap = 2) () =
+  with_tape (fun path ->
+      let oc = open_out_bin path in
+      let w =
+        Btrace.create_writer oc
+          {
+            Btrace.bench;
+            machine = "sgi";
+            n_cpus;
+            scale;
+            policy = "page-coloring";
+            prefetch = false;
+            seed = 0;
+            cap;
+            provenance = "";
+          }
+      in
+      Btrace.finish w;
+      close_out oc;
+      read_file path)
+
 let test_btrace_error_paths () =
   (* a valid tape to mutate *)
   with_tape (fun path ->
@@ -374,6 +397,12 @@ let test_btrace_error_paths () =
       (match opens_as_error (Bytes.to_string versioned) with
       | Some (Btrace.Bad_version { found = 2; expected = 3 }) -> ()
       | _ -> Alcotest.fail "a v2 header must be Bad_version");
+      (* one CPU more than any machine may have *)
+      let n_cpus = Pcolor.Memsim.Config.max_cpus + 1 in
+      (match opens_as_error (header_only ~n_cpus ()) with
+      | Some (Btrace.Corrupt msg) ->
+        Alcotest.(check string) "cpu bound" (Printf.sprintf "header names %d CPUs" n_cpus) msg
+      | _ -> Alcotest.failf "a header naming %d CPUs must be Corrupt" n_cpus);
       (* strip the END marker: replay must report a truncated stream *)
       with_tape (fun cut ->
           write_file cut (String.sub tape 0 (String.length tape - 1));
@@ -417,29 +446,6 @@ let test_btrace_corruption_fuzz =
               | exception _ -> false)))
 
 (* ---------- bad header fields ---------- *)
-
-(* A tape that ends right after its header: enough for [open_reader]
-   and for [pcolor replay] to judge the header. *)
-let header_only ?(bench = "tomcatv") ?(n_cpus = 2) ?(scale = 64) ?(cap = 2) () =
-  with_tape (fun path ->
-      let oc = open_out_bin path in
-      let w =
-        Btrace.create_writer oc
-          {
-            Btrace.bench;
-            machine = "sgi";
-            n_cpus;
-            scale;
-            policy = "page-coloring";
-            prefetch = false;
-            seed = 0;
-            cap;
-            provenance = "";
-          }
-      in
-      Btrace.finish w;
-      close_out oc;
-      read_file path)
 
 let test_btrace_bad_header_corrupt () =
   List.iter

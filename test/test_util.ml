@@ -199,21 +199,6 @@ let prop_itab_matches_hashtbl =
           && Itab.length t = Hashtbl.length h)
         ops)
 
-let prop_iset_matches_hashtbl =
-  QCheck.Test.make ~name:"Itab.Set matches Hashtbl reference" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 200) (int_range 0 1000))
-    (fun keys ->
-      let s = Itab.Set.create ~capacity:8 () in
-      let h = Hashtbl.create 16 in
-      List.iter
-        (fun k ->
-          Itab.Set.add s k;
-          Hashtbl.replace h k ())
-        keys;
-      Itab.Set.length s = Hashtbl.length h
-      && List.for_all (Itab.Set.mem s) keys
-      && Itab.Set.fold (fun k acc -> acc && Hashtbl.mem h k) s true)
-
 let prop_round_trip_bits =
   QCheck.Test.make ~name:"log2 inverts shift" ~count:100
     QCheck.(int_range 0 30)
@@ -254,6 +239,5 @@ let suite =
         prop_round_trip_bits;
         prop_popcount_additive;
         prop_itab_matches_hashtbl;
-        prop_iset_matches_hashtbl;
       ];
   ]

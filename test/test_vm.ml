@@ -168,6 +168,36 @@ let test_kernel_histogram () =
   Alcotest.(check int) "each color granted twice" 2 h.(3);
   Alcotest.(check int) "total" 16 (Array.fold_left ( + ) 0 h)
 
+(* The kernel books each grant from the frame it got; with one kernel
+   per pool its hint counters must equal the pool's after every fault
+   and every recolor — honored, fallen back or refused as same-color —
+   including preferred colors outside [0, n_colors), which the pool
+   reduces modulo the color count. *)
+let test_kernel_books_like_pool () =
+  let cfg = Helpers.tiny_cfg () in
+  let policy = Policy.create ~n_colors:8 ~seed:1 (Policy.Base Page_coloring) in
+  (* two frames per color *)
+  let k = Kernel.create ~cfg ~policy ~mem_frames:16 () in
+  let pool = Kernel.pool k in
+  let agree label =
+    Alcotest.(check int) (label ^ ": honored") (Pool.honored pool) (Kernel.honored k);
+    Alcotest.(check int) (label ^ ": fallbacks") (Pool.fallbacks pool) (Kernel.hint_fallbacks k)
+  in
+  for v = 0 to 7 do
+    ignore (Kernel.translate k ~cpu:0 ~vpage:v)
+  done;
+  agree "faults";
+  (* color 3 as 11: its last free frame, honored *)
+  Alcotest.(check bool) "recolor 11" true (Kernel.recolor k ~vpage:0 ~preferred:(3 + 8) <> None);
+  agree "recolor 11";
+  (* color 3 as -5: exhausted, falls back to color 4 *)
+  Alcotest.(check bool) "recolor -5" true (Kernel.recolor k ~vpage:1 ~preferred:(3 - 8) <> None);
+  agree "recolor -5";
+  (* color 6 as 22: honored, then refused as vpage 6's own color *)
+  Alcotest.(check bool) "recolor 22" true (Kernel.recolor k ~vpage:6 ~preferred:(6 + 16) = None);
+  agree "recolor 22";
+  Alcotest.(check (pair int int)) "honored, fallbacks" (10, 1) (Kernel.honored k, Kernel.hint_fallbacks k)
+
 let suite =
   [
     ( "vm",
@@ -187,6 +217,7 @@ let suite =
         Alcotest.test_case "kernel fault/hit" `Quick test_kernel_fault_then_hit;
         Alcotest.test_case "kernel memory pressure" `Quick test_kernel_memory_pressure;
         Alcotest.test_case "kernel histogram" `Quick test_kernel_histogram;
+        Alcotest.test_case "kernel books hints like the pool" `Quick test_kernel_books_like_pool;
       ] );
     Helpers.qsuite "vm:props" [ prop_pool_no_double_alloc ];
   ]
