@@ -1065,7 +1065,8 @@ let diff_cmd =
       & info [ "exact" ]
           ~doc:
             "Identity mode: fail on $(i,any) difference — numeric moves in either direction, \
-             label changes, added/removed sections (provenance still skipped). The \
+             label changes, added/removed sections, every row of the attribution rankings and \
+             of the decision log's page listing (provenance still skipped). The \
              engine-equivalence gate.")
   in
   let ignore_arg =
@@ -1083,7 +1084,7 @@ let diff_cmd =
       Printf.eprintf "warning: schema v%d vs v%d — added/removed sections diff as structural\n%!"
         va vb
     | _ -> ());
-    let d = Pcolor.Stats.Delta.diff ~threshold ~ignore a b in
+    let d = Pcolor.Stats.Delta.diff ~threshold ~exact ~ignore a b in
     print_string (Pcolor.Stats.Delta.render d);
     (* per-array deltas: the raw hot lists are rankings, so they are
        aggregated by array name before pairing *)
@@ -1098,9 +1099,11 @@ let diff_cmd =
     end;
     let module D = Pcolor.Stats.Delta in
     if exact then begin
+      (* the rollup is derived from top_frames, which [d] compares row
+         by row: counting it too would count each difference twice *)
       let differences =
-        List.length (D.changed d) + List.length (D.changed dpa)
-        + List.length d.D.label_changes + List.length d.D.only_in_a + List.length d.D.only_in_b
+        List.length (D.changed d) + List.length d.D.label_changes + List.length d.D.only_in_a
+        + List.length d.D.only_in_b
       in
       if differences <> 0 then begin
         Printf.printf "%d difference(s) — artifacts are not identical\n" differences;

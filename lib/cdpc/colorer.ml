@@ -23,6 +23,7 @@ type placed_segment = {
   rotation : int;
   set_rank : int; (* rank of the segment's CPU set in the step-2 order; -1 = step ablated *)
   seg_rank : int; (* rank within its set's step-3 segment order *)
+  positions : int array; (* coloring-order position of page [first_page + j] *)
 }
 
 type info = {
@@ -87,49 +88,42 @@ let generate_ablated ~ablation ~(cfg : Pcolor_memsim.Config.t)
   List.iter
     (fun ((s : Segment.t), set_rank, seg_rank) ->
       let p0, p1 = Segment.pages s ~page_size in
-      let pages = ref [] in
-      for p = p0 to p1 do
-        if not (Hashtbl.mem claimed p) then begin
-          Hashtbl.replace claimed p ();
-          pages := p :: !pages
-        end
-      done;
-      let pages = List.rev !pages in
-      let n = List.length pages in
-      if n > 0 then begin
-        provisional := (s, set_rank, seg_rank, List.hd pages, n, !pos) :: !provisional;
-        pos := !pos + n
-      end)
+      let unclaimed p = not (Hashtbl.mem claimed p) in
+      let pages = List.filter unclaimed (List.init (p1 - p0 + 1) (( + ) p0)) in
+      List.iter (fun p -> Hashtbl.replace claimed p ()) pages;
+      match pages with
+      | [] -> ()
+      | first_page :: _ ->
+        let len = List.length pages in
+        let si = { Cyclic.pos = !pos; len; cpus = s.cpus; arr = s.array.Pcolor_comp.Ir.id } in
+        provisional := (s, set_rank, seg_rank, first_page, si) :: !provisional;
+        pos := !pos + len)
     ranked_order;
   let provisional = List.rev !provisional in
   let total_pages = !pos in
   (* Step 4 *)
-  let seg_infos =
-    Array.of_list
-      (List.map
-         (fun ((s : Segment.t), _, _, _, n, p) ->
-           { Cyclic.pos = p; len = n; cpus = s.cpus; arr = s.array.Pcolor_comp.Ir.id })
-         provisional)
-  in
+  let seg_infos = Array.of_list (List.map (fun (_, _, _, _, si) -> si) provisional) in
   let rots =
     if ablation.rotation then Cyclic.rotations ~n_colors ~grouped seg_infos
     else Array.make (Array.length seg_infos) 0
   in
+  (* Step 5: the final page order, computed once; each page's color is
+     its position modulo the color count (round-robin). *)
   let placed =
     List.mapi
-      (fun i ((s : Segment.t), set_rank, seg_rank, first_page, n_pages, p) ->
-        { seg = s; first_page; n_pages; pos = p; rotation = rots.(i); set_rank; seg_rank })
+      (fun i (seg, set_rank, seg_rank, first_page, (si : Cyclic.seg_info)) ->
+        let rotation = rots.(i) in
+        let positions = Array.init si.len (Cyclic.position ~seg:si ~rotation) in
+        { seg; first_page; n_pages = si.len; pos = si.pos; rotation; set_rank; seg_rank; positions })
       provisional
   in
-  (* Step 5: round-robin colors over final positions. *)
   let hints = Pcolor_vm.Hints.create ~n_colors in
-  List.iteri
-    (fun i ps ->
-      let si = seg_infos.(i) in
-      for j = 0 to ps.n_pages - 1 do
-        let position = Cyclic.position ~seg:si ~rotation:ps.rotation j in
-        Pcolor_vm.Hints.set hints ~vpage:(ps.first_page + j) ~color:(position mod n_colors)
-      done)
+  List.iter
+    (fun ps ->
+      Array.iteri
+        (fun j position ->
+          Pcolor_vm.Hints.set hints ~vpage:(ps.first_page + j) ~color:(position mod n_colors))
+        ps.positions)
     placed;
   (hints, { placed; total_pages; excluded; n_colors; page_size; set_order; ablation })
 
@@ -137,6 +131,16 @@ let generate_ablated ~ablation ~(cfg : Pcolor_memsim.Config.t)
     with the full algorithm enabled — the normal entry point. *)
 let generate ~cfg ~summary ~program ~n_cpus =
   generate_ablated ~ablation:full_algorithm ~cfg ~summary ~program ~n_cpus
+
+(** [order info] is the final page order: the vpage at each position
+    [0 .. total_pages - 1].  The placed positions are a permutation of
+    that range, so inverting them fills every slot. *)
+let order info =
+  let vpages = Array.make info.total_pages 0 in
+  List.iter
+    (fun ps -> Array.iteri (fun j position -> vpages.(position) <- ps.first_page + j) ps.positions)
+    info.placed;
+  vpages
 
 (** [coloring_order_points info] is the Figure 5 data: every
     [(position, cpu)] pair, where position is the page's index in the
@@ -146,18 +150,7 @@ let coloring_order_points info =
   List.concat_map
     (fun ps ->
       let cpus = Pcolor_util.Bits.bits_to_list ps.seg.Segment.cpus in
-      List.concat
-        (List.init ps.n_pages (fun j ->
-             let si =
-               {
-                 Cyclic.pos = ps.pos;
-                 len = ps.n_pages;
-                 cpus = ps.seg.Segment.cpus;
-                 arr = ps.seg.Segment.array.Pcolor_comp.Ir.id;
-               }
-             in
-             let p = Cyclic.position ~seg:si ~rotation:ps.rotation j in
-             List.map (fun c -> (p, c)) cpus)))
+      List.concat_map (fun p -> List.map (fun c -> (p, c)) cpus) (Array.to_list ps.positions))
     info.placed
 
 (** [per_cpu_color_spread info ~cpu] summarizes how CPU [cpu]'s pages
@@ -169,21 +162,13 @@ let per_cpu_color_spread info ~cpu =
   let pages = ref 0 in
   List.iter
     (fun ps ->
-      if ps.seg.Segment.cpus land (1 lsl cpu) <> 0 then begin
-        let si =
-          {
-            Cyclic.pos = ps.pos;
-            len = ps.n_pages;
-            cpus = ps.seg.Segment.cpus;
-            arr = ps.seg.Segment.array.Pcolor_comp.Ir.id;
-          }
-        in
-        for j = 0 to ps.n_pages - 1 do
-          incr pages;
-          let c = Cyclic.position ~seg:si ~rotation:ps.rotation j mod info.n_colors in
-          per_color.(c) <- per_color.(c) + 1
-        done
-      end)
+      if ps.seg.Segment.cpus land (1 lsl cpu) <> 0 then
+        Array.iter
+          (fun position ->
+            incr pages;
+            let c = position mod info.n_colors in
+            per_color.(c) <- per_color.(c) + 1)
+          ps.positions)
     info.placed;
   let distinct = Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 per_color in
   let worst = Array.fold_left max 0 per_color in

@@ -15,6 +15,10 @@ type placed_segment = {
   rotation : int;
   set_rank : int;  (** rank of the segment's CPU set in the step-2 order; -1 = step ablated *)
   seg_rank : int;  (** rank within its set's step-3 segment order *)
+  positions : int array;
+      (** [positions.(j)] is page [first_page + j]'s position in the
+          final page order (step 4's rotation applied); its hint color
+          is that position modulo the color count *)
 }
 
 type info = {
@@ -38,7 +42,9 @@ val full_algorithm : ablation
 
 (** [generate_ablated ~ablation ~cfg ~summary ~program ~n_cpus] runs
     the (possibly ablated) algorithm.  Array bases must be assigned
-    (run {!Align.layout} first). *)
+    (run {!Align.layout} first).  It is the one place the final page
+    order is derived: every reader below, the decision log and the
+    cdpc-touch realization read the placed segments' [positions]. *)
 val generate_ablated :
   ablation:ablation ->
   cfg:Pcolor_memsim.Config.t ->
@@ -55,6 +61,11 @@ val generate :
   program:Pcolor_comp.Ir.program ->
   n_cpus:int ->
   Pcolor_vm.Hints.t * info
+
+(** [order info] is the final page order as an array: the vpage at
+    each position [0 .. total_pages - 1].  Touching pages in this order
+    under bin hopping realizes the hint colors (§5.3). *)
+val order : info -> int array
 
 (** [coloring_order_points info] is the Figure 5 data: every
     (position, cpu) pair in coloring order. *)

@@ -33,28 +33,6 @@ type result = {
   excluded : Pcolor_comp.Ir.array_decl list; (* arrays CDPC declined to color *)
 }
 
-(* Per-CPU byte intervals restricted to one array, over the steady state. *)
-let array_cpu_intervals (p : Pcolor_comp.Ir.program) ~n_cpus ~array_id =
-  let phases = Array.of_list p.phases in
-  let per_cpu = Array.make n_cpus [] in
-  List.iter
-    (fun (idx, _) ->
-      List.iter
-        (fun (nest : Pcolor_comp.Ir.nest) ->
-          List.iter
-            (fun (r : Pcolor_comp.Ir.ref_) ->
-              if r.array.id = array_id then
-                for cpu = 0 to n_cpus - 1 do
-                  let lo0, hi0 = Pcolor_comp.Schedule.range nest ~n_cpus ~cpu in
-                  match Pcolor_comp.Footprint.ref_interval r ~bounds:nest.bounds ~lo0 ~hi0 with
-                  | Some iv -> per_cpu.(cpu) <- iv :: per_cpu.(cpu)
-                  | None -> ()
-                done)
-            nest.refs)
-        phases.(idx).Pcolor_comp.Ir.nests)
-    p.steady;
-  Array.map Pcolor_comp.Footprint.norm per_cpu
-
 (** [compute ~summary ~program ~n_cpus] produces the uniform access
     segments of every colorable array, and the list of excluded arrays.
     Array bases must have been assigned (layout ran). *)
@@ -69,7 +47,10 @@ let compute ~(summary : Pcolor_comp.Summary.t) ~(program : Pcolor_comp.Ir.progra
       if has_partitions && not (Pcolor_comp.Summary.colorable summary a.id) then
         excluded := a :: !excluded
       else begin
-        let per_cpu = array_cpu_intervals program ~n_cpus ~array_id:a.id in
+        let per_cpu =
+          Array.init n_cpus (fun cpu ->
+              Pcolor_comp.Footprint.program_cpu ~array_id:a.id program ~n_cpus ~cpu)
+        in
         (* Sweep: breakpoints at every interval endpoint, clipped to the array. *)
         let a_lo = a.base and a_hi = a.base + Pcolor_comp.Ir.bytes a in
         let points = ref [] in

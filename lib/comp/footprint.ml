@@ -42,18 +42,25 @@ let ref_interval (r : Ir.ref_) ~bounds ~lo0 ~hi0 =
         hi = r.array.base + ((hi_e + 1) * r.array.elem_size);
       }
 
-(** [nest_cpu nest ~n_cpus ~cpu] is the normalized byte intervals CPU
-    [cpu] touches executing its share of [nest]. *)
-let nest_cpu (nest : Ir.nest) ~n_cpus ~cpu =
+(** [nest_cpu ?array_id nest ~n_cpus ~cpu] is the normalized byte
+    intervals CPU [cpu] touches executing its share of [nest], counting
+    only references to array [array_id] when given. *)
+let nest_cpu ?array_id (nest : Ir.nest) ~n_cpus ~cpu =
   let lo0, hi0 = Schedule.range nest ~n_cpus ~cpu in
-  List.filter_map (fun r -> ref_interval r ~bounds:nest.bounds ~lo0 ~hi0) nest.refs |> norm
+  let wanted (r : Ir.ref_) = Option.fold array_id ~none:true ~some:(Int.equal r.array.id) in
+  List.filter_map
+    (fun r -> if wanted r then ref_interval r ~bounds:nest.bounds ~lo0 ~hi0 else None)
+    nest.refs
+  |> norm
 
-(** [program_cpu p ~n_cpus ~cpu] unions footprints over every nest of
-    every steady-state phase. *)
-let program_cpu (p : Ir.program) ~n_cpus ~cpu =
+(** [program_cpu ?array_id p ~n_cpus ~cpu] unions footprints over every
+    nest of every steady-state phase (restricted to one array when
+    [array_id] is given). *)
+let program_cpu ?array_id (p : Ir.program) ~n_cpus ~cpu =
   let phases = Array.of_list p.phases in
   List.concat_map
-    (fun (idx, _) -> List.concat_map (fun nest -> nest_cpu nest ~n_cpus ~cpu) phases.(idx).Ir.nests)
+    (fun (idx, _) ->
+      List.concat_map (fun nest -> nest_cpu ?array_id nest ~n_cpus ~cpu) phases.(idx).Ir.nests)
     p.steady
   |> norm
 

@@ -13,18 +13,17 @@ val norm : interval list -> interval list
 (** [total_bytes ivs] sums normalized lengths. *)
 val total_bytes : interval list -> int
 
-(** [ref_interval r ~bounds ~lo0 ~hi0] is the byte interval reference
-    [r] touches when depth-0 spans [\[lo0, hi0)]; [None] when empty.
-    Raises [Invalid_argument] on an unassigned array base. *)
-val ref_interval : Ir.ref_ -> bounds:int array -> lo0:int -> hi0:int -> interval option
+(** [nest_cpu ?array_id nest ~n_cpus ~cpu] is the CPU's normalized
+    footprint for one nest, counting only references to array
+    [array_id] when given.  Raises [Invalid_argument] on an unassigned
+    array base. *)
+val nest_cpu : ?array_id:int -> Ir.nest -> n_cpus:int -> cpu:int -> interval list
 
-(** [nest_cpu nest ~n_cpus ~cpu] is the CPU's normalized footprint for
-    one nest. *)
-val nest_cpu : Ir.nest -> n_cpus:int -> cpu:int -> interval list
-
-(** [program_cpu p ~n_cpus ~cpu] unions footprints over the steady
-    state. *)
-val program_cpu : Ir.program -> n_cpus:int -> cpu:int -> interval list
+(** [program_cpu ?array_id p ~n_cpus ~cpu] unions footprints over the
+    steady state: the CPU's whole footprint for Figure 3 and the
+    first-touch checks, or its footprint within one array
+    ([array_id]) for CDPC's step-1 segment sweep. *)
+val program_cpu : ?array_id:int -> Ir.program -> n_cpus:int -> cpu:int -> interval list
 
 (** [pages_of ivs ~page_size] is the sorted virtual pages overlapped. *)
 val pages_of : interval list -> page_size:int -> int list

@@ -158,34 +158,27 @@ let decisions_json ?hash (info : Pcolor_cdpc.Colorer.info) =
   let n_pages_emitted = ref 0 in
   List.iter
     (fun (ps : C.placed_segment) ->
-      let si =
-        {
-          Pcolor_cdpc.Cyclic.pos = ps.pos;
-          len = ps.n_pages;
-          cpus = ps.seg.Pcolor_cdpc.Segment.cpus;
-          arr = ps.seg.Pcolor_cdpc.Segment.array.Ir.id;
-        }
+      let array = J.Str ps.seg.Pcolor_cdpc.Segment.array.Ir.aname in
+      let step =
+        if ps.rotation <> 0 then "step4-rotation+step5-round-robin" else "step5-round-robin"
       in
-      for j = 0 to ps.n_pages - 1 do
-        if !n_pages_emitted < pages_cap then begin
-          incr n_pages_emitted;
-          let position = Pcolor_cdpc.Cyclic.position ~seg:si ~rotation:ps.rotation j in
-          let step =
-            if ps.rotation <> 0 then "step4-rotation+step5-round-robin" else "step5-round-robin"
-          in
-          let step = match hash with Some h -> step ^ "+" ^ h | None -> step in
-          pages :=
-            J.Obj
-              [
-                ("vpage", J.Int (ps.first_page + j));
-                ("array", J.Str ps.seg.Pcolor_cdpc.Segment.array.Ir.aname);
-                ("position", J.Int position);
-                ("color", J.Int (position mod info.n_colors));
-                ("chosen_by", J.Str step);
-              ]
-            :: !pages
-        end
-      done)
+      let chosen_by = J.Str (match hash with Some h -> step ^ "+" ^ h | None -> step) in
+      Array.iteri
+        (fun j position ->
+          if !n_pages_emitted < pages_cap then begin
+            incr n_pages_emitted;
+            pages :=
+              J.Obj
+                [
+                  ("vpage", J.Int (ps.first_page + j));
+                  ("array", array);
+                  ("position", J.Int position);
+                  ("color", J.Int (position mod info.n_colors));
+                  ("chosen_by", chosen_by);
+                ]
+              :: !pages
+          end)
+        ps.positions)
     info.placed;
   J.Obj
     [

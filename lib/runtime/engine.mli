@@ -59,7 +59,7 @@ val create :
 
 (** [touch_pages_in_order t vpages] makes the master fault pages in
     order — the §5.3 Digital-UNIX user-level CDPC implementation. *)
-val touch_pages_in_order : t -> int list -> unit
+val touch_pages_in_order : t -> int array -> unit
 
 (** {2 Stepping API}
 

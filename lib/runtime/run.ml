@@ -127,26 +127,6 @@ type outcome = {
       (* the run's conflict-attribution engine, if one was attached *)
 }
 
-(* Page-touch order realizing the hint colors under bin hopping: global
-   coloring-order positions ascending. *)
-let touch_order (info : Pcolor_cdpc.Colorer.info) =
-  let pairs = ref [] in
-  List.iter
-    (fun (ps : Pcolor_cdpc.Colorer.placed_segment) ->
-      let si =
-        {
-          Pcolor_cdpc.Cyclic.pos = ps.pos;
-          len = ps.n_pages;
-          cpus = ps.seg.Pcolor_cdpc.Segment.cpus;
-          arr = ps.seg.Pcolor_cdpc.Segment.array.Ir.id;
-        }
-      in
-      for j = 0 to ps.n_pages - 1 do
-        pairs := (Pcolor_cdpc.Cyclic.position ~seg:si ~rotation:ps.rotation j, ps.first_page + j) :: !pairs
-      done)
-    info.placed;
-  List.sort compare !pairs |> List.map snd
-
 (** [layout setup] is the layout step: a fresh checked program, its
     compiler summary and its §5.4 layout ([Natural] placement for
     [Bin_hopping_unaligned], [Aligned] for every other policy),
@@ -285,7 +265,8 @@ let wire ?cpus ?recorder (setup : setup) prepared ~kernel ~machine =
 let touch { setup; prepared; engine; _ } =
   match setup.policy with
   | Cdpc { via_touch = true; _ } ->
-    Engine.touch_pages_in_order engine (touch_order (snd (Option.get prepared.hints_info)))
+    Engine.touch_pages_in_order engine
+      (Pcolor_cdpc.Colorer.order (snd (Option.get prepared.hints_info)))
   | _ -> ()
 
 (** [build ?recorder setup] prepares the program, creates the kernel (a

@@ -86,10 +86,6 @@ type outcome = {
       (** the run's conflict-attribution engine, if one was attached *)
 }
 
-(** [touch_order info] is the page sequence whose first-touch order
-    realizes the hint colors under bin hopping (§5.3). *)
-val touch_order : Pcolor_cdpc.Colorer.info -> int list
-
 (** [layout setup] is the layout step, the one place a run's program,
     summary and §5.4 layout are derived: a fresh checked program, its
     compiler summary, and the layout ([Natural] for
@@ -146,8 +142,9 @@ val wire :
   built
 
 (** [touch b] is the cdpc-touch startup: the hinted pages faulted in
-    coloring order (§5.3) before {!Engine.startup}; a no-op under every
-    other policy. *)
+    the colorer's final page order ({!Pcolor_cdpc.Colorer.order}, §5.3)
+    before {!Engine.startup}, so bin hopping's cyclic counter grants
+    each page its hint color; a no-op under every other policy. *)
 val touch : built -> unit
 
 (** [build ?recorder setup] is a lone run's build step: {!prepare},

@@ -31,17 +31,19 @@ type t = {
 }
 
 (* Identity / environment fields: differing values are expected between
-   any two runs and mean nothing for regression detection.  The
-   attribution hot lists (top_pairs/top_frames/top_sets) and the
-   per-page decision listing are skipped too: they are rankings, so row
-   N names a different entity in each run and leaf-by-leaf pairing is
-   noise — aggregate them first (see [Explain.per_array_rollup]) to
-   compare. *)
-let skip_key = function
-  | "provenance" | "timestamp" | "hostname" | "git" | "jobs" | "seed" | "config_hash"
-  | "top_pairs" | "top_frames" | "top_sets" | "pages" ->
-    true
+   any two runs and mean nothing for regression detection. *)
+let identity_key = function
+  | "provenance" | "timestamp" | "hostname" | "git" | "jobs" | "seed" | "config_hash" -> true
   | _ -> false
+
+(* The attribution hot lists and the per-page decision listing are
+   rankings: when two runs differ, row N names a different entity in
+   each and leaf-by-leaf pairing is noise, so the threshold mode skips
+   them (aggregate first, see [Explain.per_array_rollup]).  Every
+   ranking is sorted into a total order, so identical runs list
+   identical rows and the exact mode compares them element by
+   element. *)
+let ranking_key = function "top_pairs" | "top_frames" | "top_sets" | "pages" -> true | _ -> false
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -69,14 +71,15 @@ let number = function J.Int i -> Some (float_of_int i) | J.Float f -> Some f | _
 
 let join path key = if path = "" then key else path ^ "." ^ key
 
-(** [diff ?threshold ?ignore a b] pairs the two trees' leaves.  A
-    numeric leaf regresses when it moves in its bad direction by more
+(** [diff ?threshold ?exact ?ignore a b] pairs the two trees' leaves.
+    A numeric leaf regresses when it moves in its bad direction by more
     than [threshold] relative to the old value (default 0.0: any bad
-    move counts).  [ignore] adds object keys to the built-in skip set —
-    e.g. [["timeline"]] to compare a sampled run against an unsampled
+    move counts).  [exact] (default false) also pairs the rankings.
+    [ignore] adds object keys to the built-in skip set — e.g.
+    [["timeline"]] to compare a sampled run against an unsampled
     baseline. *)
-let diff ?(threshold = 0.0) ?(ignore = []) a b =
-  let skip_key k = skip_key k || List.mem k ignore in
+let diff ?(threshold = 0.0) ?(exact = false) ?(ignore = []) a b =
+  let skip_key k = identity_key k || ((not exact) && ranking_key k) || List.mem k ignore in
   let entries = ref [] in
   let only_a = ref [] in
   let only_b = ref [] in

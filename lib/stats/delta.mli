@@ -2,7 +2,8 @@
     regression gate): pairs numeric leaves by dotted path, classifies
     each delta by the metric's good direction (inferred from the key
     name), and flags moves past a relative threshold as regressions.
-    Provenance/identity fields are skipped. *)
+    Provenance/identity fields are skipped; rankings are skipped
+    except in exact mode. *)
 
 type direction = Increase_bad | Decrease_bad | Neutral
 
@@ -27,11 +28,15 @@ type t = {
     name; unknown names are [Neutral] (reported, never a regression). *)
 val direction_of : string -> direction
 
-(** [diff ?threshold ?ignore a b] pairs the two trees' leaves;
+(** [diff ?threshold ?exact ?ignore a b] pairs the two trees' leaves;
     [threshold] (default 0) is the relative bad-direction move that
-    counts as a regression; [ignore] adds object keys to the built-in
+    counts as a regression; [exact] (default false) pairs the rankings
+    ([top_pairs], [top_frames], [top_sets], [pages]) element by element
+    instead of skipping them; [ignore] adds object keys to the built-in
     skip set (e.g. [["timeline"]]). *)
-val diff : ?threshold:float -> ?ignore:string list -> Pcolor_obs.Json.t -> Pcolor_obs.Json.t -> t
+val diff :
+  ?threshold:float -> ?exact:bool -> ?ignore:string list ->
+  Pcolor_obs.Json.t -> Pcolor_obs.Json.t -> t
 
 (** [regressions d] is the flagged subset of [d.entries]. *)
 val regressions : t -> entry list

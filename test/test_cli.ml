@@ -246,6 +246,36 @@ let test_record_replay_models () =
         (report recorded = report replayed))
     [ "sgi-2way"; "alpha" ]
 
+(* The exact gate compares the decision log's page listing row by row:
+   two artifacts that differ in one [pages] row only are not identical
+   under [--exact], while the threshold mode, which skips rankings,
+   reports no difference. *)
+let test_diff_exact_pages () =
+  let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("pcolor_cli_diff_" ^ name) in
+  let a = tmp "a.json" and b = tmp "b.json" in
+  let code, stderr =
+    Helpers.run_cli [ "run"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--policy"; "cdpc"; "--metrics-out"; a ]
+  in
+  if code <> 0 then Alcotest.failf "writing the cdpc artifact failed (%d): %s" code stderr;
+  let recolor_first_page =
+    List.mapi (fun i row -> if i = 0 then set_field "color" (J.Int 12345) row else row)
+  in
+  (match J.parse (read_file a) with
+  | Ok art ->
+    let decisions = Option.get (J.member "coloring_decisions" art) in
+    Alcotest.(check bool) "the artifact lists pages" true
+      (match J.member "pages" decisions with Some (J.Arr (_ :: _)) -> true | _ -> false);
+    Out_channel.with_open_bin b (fun oc ->
+        output_string oc
+          (J.to_string
+             (set_field "coloring_decisions" (map_list "pages" recolor_first_page decisions) art)))
+  | Error e -> Alcotest.fail e);
+  let diff args = fst (Helpers.run_cli ("diff" :: a :: b :: args)) in
+  Alcotest.(check int) "--exact on itself" 0 (fst (Helpers.run_cli [ "diff"; a; a; "--exact" ]));
+  Alcotest.(check int) "--exact sees the pages row" 1 (diff [ "--exact" ]);
+  Alcotest.(check int) "threshold mode skips rankings" 0 (diff []);
+  List.iter Sys.remove [ a; b ]
+
 (* [accepts args] runs the CLI on [args] and expects success: exit 0,
    nothing on stderr. *)
 let accepts args () =
@@ -416,4 +446,6 @@ let suite =
         Alcotest.test_case "check fails beyond the bound" `Quick test_check_bound;
         Alcotest.test_case "check rejects absent stamps" `Quick test_check_rejects;
       ] );
+    ( "cli.diff",
+      [ Alcotest.test_case "--exact compares the pages rows" `Quick test_diff_exact_pages ] );
   ]

@@ -88,7 +88,7 @@ let test_touch_order_is_position_permutation () =
   let p = Helpers.figure4_program () in
   let summary = Helpers.layout cfg p in
   let _, info = Pcolor.Cdpc.Colorer.generate ~cfg ~summary ~program:p ~n_cpus:2 in
-  let order = Run.touch_order info in
+  let order = Array.to_list (Pcolor.Cdpc.Colorer.order info) in
   Alcotest.(check int) "covers every placed page" info.total_pages (List.length order);
   Alcotest.(check int) "no duplicates" info.total_pages
     (List.length (List.sort_uniq compare order));

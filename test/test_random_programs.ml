@@ -8,6 +8,9 @@ module Gen_w = Pcolor.Workloads.Gen
 module Run = Pcolor.Runtime.Run
 module Colorer = Pcolor.Cdpc.Colorer
 module Segment = Pcolor.Cdpc.Segment
+module Footprint = Pcolor.Comp.Footprint
+module Engine = Pcolor.Runtime.Engine
+module Btrace = Pcolor.Runtime.Btrace
 
 (* ---- generator ---- *)
 
@@ -64,17 +67,49 @@ let build spec =
         Ir.make_nest ~label:(Printf.sprintf "rand%d" i) ~kind ~bounds ~refs ~body_instr:3 ())
       spec.nests
   in
-  (* nests with no refs are legal but boring; keep them anyway *)
+  (* every nest references at least one array (masks start at 1);
+     [arbitrary_refless_spec] below makes reference-free nests *)
   Gen_w.program c ~name:"rand"
     ~phases:[ { Ir.pname = "p"; nests } ]
     ~steady:[ (0, spec.occurrences) ]
     ~startup:10 ()
 
-let arbitrary_spec = QCheck.make ~print:(fun s -> Printf.sprintf "arrays=%d %dx%d nests=%d occ=%d"
-                                            s.n_arrays s.rows s.cols (List.length s.nests) s.occurrences)
-    spec_gen
+let print_spec s =
+  Printf.sprintf "arrays=%d %dx%d nests=%d occ=%d" s.n_arrays s.rows s.cols (List.length s.nests)
+    s.occurrences
+
+let arbitrary_spec = QCheck.make ~print:print_spec spec_gen
 
 let cfg () = Helpers.tiny_cfg ~n_cpus:3 ()
+
+(* Specs whose nests may issue no reference at all: each nest's array
+   mask drops to 0 (a reference-free nest) with even odds. *)
+let arbitrary_refless_spec =
+  QCheck.make ~print:print_spec
+    QCheck.Gen.(
+      let* spec = spec_gen in
+      let* drops = list_repeat (List.length spec.nests) bool in
+      return
+        {
+          spec with
+          nests = List.map2 (fun (k, m, st) d -> (k, (if d then 0 else m), st)) spec.nests drops;
+        })
+
+(* A program, a CPU count of 1 to 4 and a CDPC ablation (full, or each
+   of steps 2-4 on or off). *)
+let arbitrary_colored =
+  QCheck.make
+    ~print:(fun (spec, n_cpus, (a : Colorer.ablation)) ->
+      Printf.sprintf "%s cpus=%d sets=%b segs=%b rot=%b"
+        (print_spec spec)
+        n_cpus a.set_ordering a.segment_ordering a.rotation)
+    QCheck.Gen.(
+      triple spec_gen (int_range 1 4)
+        (map
+           (fun (full, (set_ordering, segment_ordering, rotation)) ->
+             if full then Colorer.full_algorithm
+             else { Colorer.set_ordering; segment_ordering; rotation })
+           (pair bool (triple bool bool bool))))
 
 let prop_segments_tile_footprint =
   QCheck.Test.make ~name:"segments cover accessed bytes with nonempty masks" ~count:60
@@ -170,6 +205,154 @@ let prop_miss_classes_partition_misses =
       (* l1_misses = l2 hits + l2 misses (every L1 miss goes to L2) *)
       abs_float (get "l1_misses" -. (get "l2_hits" +. by_class)) < 1e-6)
 
+(* The colorer's placed positions are the one statement of the §5.2
+   page order: they tile [0, total_pages), every hint is its page's
+   position mod the color count, and [Colorer.order] inverts them. *)
+let prop_positions_are_the_order =
+  QCheck.Test.make ~name:"placed positions: a permutation, the hints and the order" ~count:80
+    arbitrary_colored
+    (fun (spec, n_cpus, ablation) ->
+      let p = build spec in
+      let cfg = Helpers.tiny_cfg ~n_cpus () in
+      let summary = Helpers.layout cfg p in
+      let hints, info = Colorer.generate_ablated ~ablation ~cfg ~summary ~program:p ~n_cpus in
+      let pages =
+        List.concat_map
+          (fun (ps : Colorer.placed_segment) ->
+            List.mapi (fun j position -> (position, ps.first_page + j)) (Array.to_list ps.positions))
+          info.placed
+      in
+      let order = Colorer.order info in
+      List.sort compare (List.map fst pages) = List.init info.total_pages Fun.id
+      && List.for_all
+           (fun (position, vpage) ->
+             Pcolor.Vm.Hints.find hints vpage = Some (position mod info.n_colors)
+             && order.(position) = vpage)
+           pages
+      && Pcolor.Vm.Hints.count hints = info.total_pages
+      && List.length (List.sort_uniq compare (Array.to_list order)) = info.total_pages)
+
+(* The per-array, per-CPU steady-state interval walk that step 1 once
+   carried itself, kept as the oracle for [Footprint.program_cpu
+   ~array_id]: every reference to the array, every steady phase, every
+   CPU's scheduled depth-0 range, unioned. *)
+let oracle_array_cpu_intervals (p : Ir.program) ~n_cpus ~array_id =
+  let phases = Array.of_list p.phases in
+  let per_cpu = Array.make n_cpus [] in
+  List.iter
+    (fun (idx, _) ->
+      List.iter
+        (fun (nest : Ir.nest) ->
+          List.iter
+            (fun (r : Ir.ref_) ->
+              if r.array.id = array_id then
+                for cpu = 0 to n_cpus - 1 do
+                  let lo0, hi0 = Pcolor.Comp.Schedule.range nest ~n_cpus ~cpu in
+                  match Ir.min_max_index r ~bounds:nest.bounds ~lo0 ~hi0 with
+                  | Some (lo_e, hi_e) ->
+                    let iv =
+                      {
+                        Footprint.lo = r.array.base + (lo_e * r.array.elem_size);
+                        hi = r.array.base + ((hi_e + 1) * r.array.elem_size);
+                      }
+                    in
+                    per_cpu.(cpu) <- iv :: per_cpu.(cpu)
+                  | None -> ()
+                done)
+            nest.refs)
+        phases.(idx).Ir.nests)
+    p.steady;
+  Array.map Footprint.norm per_cpu
+
+(* Step 1 against the oracle walk: the per-array footprints agree
+   interval for interval, each segment's CPU set is exactly the CPUs
+   whose oracle footprint covers it, and the segments of an array cover
+   exactly the oracle footprints clipped to the array. *)
+let prop_segments_match_oracle_walk =
+  QCheck.Test.make ~name:"step-1 segments match the per-array interval walk" ~count:80
+    arbitrary_colored
+    (fun (spec, n_cpus, _) ->
+      let p = build spec in
+      let cfg = Helpers.tiny_cfg ~n_cpus () in
+      let summary = Helpers.layout cfg p in
+      let { Segment.segments; _ } = Segment.compute ~summary ~program:p ~n_cpus in
+      List.for_all
+        (fun (a : Ir.array_decl) ->
+          let oracle = oracle_array_cpu_intervals p ~n_cpus ~array_id:a.id in
+          let covers cpu lo hi =
+            List.exists (fun (iv : Footprint.interval) -> iv.lo <= lo && hi <= iv.hi) oracle.(cpu)
+          in
+          let mine = List.filter (fun s -> s.Segment.array.Ir.id = a.id) segments in
+          let a_lo = a.base and a_hi = a.base + Ir.bytes a in
+          let clipped =
+            Footprint.norm
+              (List.concat_map
+                 (List.filter_map (fun (iv : Footprint.interval) ->
+                      let lo = max a_lo iv.lo and hi = min a_hi iv.hi in
+                      if lo < hi then Some { Footprint.lo; hi } else None))
+                 (Array.to_list oracle))
+          in
+          List.for_all
+            (fun cpu -> Footprint.program_cpu ~array_id:a.id p ~n_cpus ~cpu = oracle.(cpu))
+            (List.init n_cpus Fun.id)
+          && List.for_all
+               (fun (s : Segment.t) ->
+                 List.for_all
+                   (fun cpu -> s.cpus land (1 lsl cpu) <> 0 = covers cpu s.lo s.hi)
+                   (List.init n_cpus Fun.id))
+               mine
+          && (mine = []
+             || Footprint.norm (List.map (fun (s : Segment.t) -> { Footprint.lo = s.lo; hi = s.hi }) mine)
+                = clipped))
+        p.arrays)
+
+(* A reference-free nest is one aggregate tick and one on-chip
+   aggregate per CPU on the runs engine: reports and touch sets match
+   the interpreter, and a recorded tape replays to the same report. *)
+let prop_refless_nests_agree =
+  QCheck.Test.make ~name:"reference-free nests: runs, interp and replay agree" ~count:25
+    arbitrary_refless_spec
+    (fun spec ->
+      let setup engine =
+        {
+          (Run.default_setup ~cfg:(cfg ())
+             ~make_program:(fun () -> build spec)
+             ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = true }))
+          with
+          cap = 1;
+          collect_trace = true;
+          engine;
+        }
+      in
+      let report (o : Run.outcome) = Format.asprintf "%a" Pcolor.Stats.Report.pp o.report in
+      let runs = Run.run (setup Engine.Runs) and interp = Run.run (setup Engine.Interp) in
+      let s = { (setup Engine.Runs) with collect_trace = false } in
+      let path = Filename.temp_file "pcolor_refless" ".pcbt" in
+      let replayed =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Out_channel.with_open_bin path (fun oc ->
+                let w =
+                  Btrace.create_writer oc
+                    {
+                      Btrace.bench = "rand";
+                      machine = "tiny";
+                      n_cpus = 3;
+                      scale = 1;
+                      policy = Run.policy_name s.policy;
+                      prefetch = false;
+                      seed = s.seed;
+                      cap = s.cap;
+                      provenance = "test";
+                    }
+                in
+                ignore (Run.run ~recorder:(Btrace.recorder w) s);
+                Btrace.finish w);
+            In_channel.with_open_bin path (fun ic -> Btrace.replay (Btrace.open_reader ic) ~setup:s))
+      in
+      report runs = report interp && runs.trace = interp.trace && report replayed = report runs)
+
 let suite =
   [
     Helpers.qsuite "random-programs"
@@ -179,5 +362,8 @@ let suite =
         prop_pipeline_deterministic;
         prop_policies_agree_on_instructions;
         prop_miss_classes_partition_misses;
+        prop_positions_are_the_order;
+        prop_segments_match_oracle_walk;
+        prop_refless_nests_agree;
       ];
   ]
