@@ -37,7 +37,7 @@ let test_shadow_access =
          ignore (Shadow.access s ((frame * lines_per_page) + (!i mod lines_per_page)))))
 
 (* hot-path table substrate: the open-addressing int table that backs
-   the TLB, prefetch and conflict maps, against the stdlib
+   the prefetch and conflict maps, against the stdlib
    Hashtbl it replaced.  Same pre-populated key set, same probe
    sequence: the delta is the data structure, not the workload. *)
 let itab_keys = Array.init 4096 (fun i -> i * 7919)
@@ -189,6 +189,27 @@ let test_tlb_refill =
          incr v;
          ignore (Pcolor.Memsim.Tlb.insert t ~vpage:!v ~frame:!v)))
 
+(* the two translation layers above the refill, through the machine's
+   [touch_page]: one warm page, so every touch is a translation-memo
+   hit; and two pages 64 apart, which share a memo slot but both stay
+   in the 64-entry TLB, so every touch misses the memo and hits the
+   TLB *)
+let test_touch ~name vpages =
+  let m = Pcolor.Memsim.Machine.create cfg_small in
+  let translate ~cpu:_ ~vpage = (vpage, 0) in
+  let vaddrs = Array.map (fun v -> v * cfg_small.page_size) vpages in
+  Array.iter (fun vaddr -> Pcolor.Memsim.Machine.touch_page m ~cpu:0 ~vaddr ~translate) vaddrs;
+  let i = ref 0 in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         incr i;
+         Pcolor.Memsim.Machine.touch_page m ~cpu:0 ~vaddr:vaddrs.(!i land (Array.length vaddrs - 1))
+           ~translate))
+
+let test_memo_hit = test_touch ~name:"translation: memo hit" [| 0 |]
+
+let test_tlb_hit_memo_miss = test_touch ~name:"translation: TLB hit, memo miss" [| 0; 64 |]
+
 let test_directory =
   let d = Pcolor.Memsim.Directory.create ~n_cpus:8 ~line_size:cfg_small.l2.line () in
   let i = ref 0 in
@@ -284,6 +305,8 @@ let all_tests =
     test_slice_route;
     test_l1_miss_l2_hit;
     test_invalidate_frame;
+    test_memo_hit;
+    test_tlb_hit_memo_miss;
     test_tlb_refill;
     test_directory;
     test_partition;

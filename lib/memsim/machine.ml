@@ -332,7 +332,7 @@ let paddr_of t ~frame ~vaddr = (frame lsl t.page_bits) lor (vaddr land t.page_ma
    common consecutive-references-to-one-page case: while the TLB
    generation is unchanged the memoized TLB slot provably still holds
    the translation, so a real lookup would hit — [Tlb.touch] replays
-   exactly that hit's counter and recency effects on the slot. *)
+   exactly that hit's recency effect on the slot. *)
 let translate_addr t c ~translate vaddr =
   let vpage = vpage_of t vaddr in
   let m = vpage land memo_mask in

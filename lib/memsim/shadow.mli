@@ -1,8 +1,9 @@
 (** Fully-associative LRU shadow cache with O(1) access, used to split
     replacement misses: a reference that misses in the real
     set-associative cache but hits here is a {e conflict} miss; a miss
-    in both is {e capacity}.  Its memory is sized by the shadowed cache,
-    not by the physical lines it has seen. *)
+    in both is {e capacity}.  It is a {!Pcolor_util.Lru} of physical
+    lines, so its memory is sized by the shadowed cache, not by the
+    physical lines it has seen. *)
 
 type t
 

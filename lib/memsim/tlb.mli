@@ -1,7 +1,7 @@
 (** Per-CPU fully-associative LRU TLB.  TLB-refill time is the dominant
     kernel overhead of the workloads (§4.1); prefetches to unmapped
-    pages are dropped (§6.2).  Every operation is O(1): a vpage→slot
-    table plus an intrusive recency list over the slots. *)
+    pages are dropped (§6.2).  Every operation is O(1): the vpages are a
+    {!Pcolor_util.Lru}, with the frame of each slot beside it. *)
 
 type t
 
@@ -9,7 +9,7 @@ type t
 val create : entries:int -> t
 
 (** [lookup_slot t vpage] is the slot caching [vpage], or [-1] on a
-    miss; a hit refreshes recency, and counters update either way. *)
+    miss; a hit refreshes recency. *)
 val lookup_slot : t -> int -> int
 
 (** [frame_at t slot] is the frame cached in [slot] (a slot returned by
@@ -17,14 +17,14 @@ val lookup_slot : t -> int -> int
 val frame_at : t -> int -> int
 
 (** [probe_frame t vpage] is the cached frame, or [-1] for "not
-    mapped", without statistics or recency effects (the prefetch
-    unit's non-faulting probe). *)
+    mapped", without recency effects (the prefetch unit's non-faulting
+    probe). *)
 val probe_frame : t -> int -> int
 
 (** [touch t slot] replays a guaranteed hit on a slot the caller has
     proven still holds its translation (memoized lookup at an unchanged
-    {!generation}): counters and recency advance exactly as
-    {!lookup_slot} would, without probing the table. *)
+    {!generation}): recency advances exactly as {!lookup_slot}'s
+    would, without probing the table. *)
 val touch : t -> int -> unit
 
 (** [generation t] changes whenever the TLB's contents change (insert,
@@ -43,11 +43,6 @@ val invalidate : t -> int -> unit
 
 (** [flush t] empties the TLB. *)
 val flush : t -> unit
-
-(** [hits t] / [misses t] are cumulative counters. *)
-val hits : t -> int
-
-val misses : t -> int
 
 (** [occupancy t] is the number of live translations. *)
 val occupancy : t -> int

@@ -78,8 +78,9 @@ let evict t kernel vpage frame =
     freed (0 only when no address space maps anything).  [cpu] is the
     faulting CPU; it is charged the kernel time of the sweep — one
     page-fault quantum for entering the reclaimer plus one TLB-refill
-    quantum per shootdown performed on its behalf, the same cost model
-    the recoloring daemon uses. *)
+    quantum per shootdown (one per page swept, whichever CPUs held its
+    translation).  The recoloring daemon charges differently: one
+    TLB-refill quantum on every CPU per moved page. *)
 let reclaim t ~cpu =
   t.invocations <- t.invocations + 1;
   let cfg = M.config t.machine in

@@ -219,11 +219,22 @@ let render_history ?section ?known records ~skipped =
         let rs = List.rev !(Hashtbl.find by_sect s) in
         let medians = Array.of_list (List.map (fun (r : Ledger.record) -> r.Ledger.median) rs) in
         let last = List.nth rs (List.length rs - 1) in
+        (* an ingested record holds one sample, so its own MAD is 0: the
+           spread is across the newest stamp's records *)
+        let newest =
+          Stat.summarize
+            (Array.of_list
+               (List.filter_map
+                  (fun (r : Ledger.record) ->
+                    if r.Ledger.git = last.Ledger.git then Some r.Ledger.median else None)
+                  rs))
+        in
         Buffer.add_string b
-          (Printf.sprintf "  %-*s %s  n=%d  last %.4g ± %.2g %s (git %s%s)\n" width s
+          (Printf.sprintf "  %-*s %s  n=%d  last %.4g ± %.2g %s (git %s, %d record%s%s)\n" width s
              (Pcolor_util.Chart.sparkline medians)
-             (Array.length medians) last.Ledger.median last.Ledger.mad
-             last.Ledger.unit_name last.Ledger.git
+             (Array.length medians) newest.Stat.median newest.Stat.mad last.Ledger.unit_name
+             last.Ledger.git newest.Stat.n
+             (if newest.Stat.n = 1 then "" else "s")
              (if last.Ledger.note = "" then "" else ", " ^ last.Ledger.note)))
       (List.rev !order)
   end;

@@ -85,9 +85,10 @@ val render_check : base:string -> fresh:string -> verdict list -> string
 
 (** [render_history ?section ?known records ~skipped] renders
     per-section trend sparklines from ledger records (file order =
-    time order): one strip per section, latest median ± MAD and its
-    git stamp.  [section] filters to one section; [known] filters to a
-    section whitelist (e.g. {!section_names}), summarizing — never
+    time order): one strip per section, and the newest git stamp with
+    the median ± MAD of that stamp's records and their count.
+    [section] filters to one section; [known] filters to a section
+    whitelist (e.g. {!section_names}), summarizing — never
     silently dropping — records outside it; [skipped] is the
     corrupt-line count from {!Pcolor_obs.Ledger.load}.  When a filter
     leaves nothing, the report says what the ledger does hold instead

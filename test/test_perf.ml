@@ -347,6 +347,17 @@ let test_render_history () =
   Alcotest.(check bool) "filter drops single_domain" false
     (contains ~needle:"single_domain" only_mix)
 
+(* the newest stamp's records (one sample each, as ingest writes them)
+   summarize to their median ± MAD, not to the last record's own MAD *)
+let test_render_history_newest_stamp () =
+  let records =
+    ingest_at "old" [ refs 1.0 ]
+    @ List.concat_map (fun v -> ingest_at "new" [ refs v ]) [ 10.0; 14.0; 11.0 ]
+  in
+  let s = Perf.render_history records ~skipped:0 in
+  Alcotest.(check bool) "median ± MAD of the stamp's records" true
+    (contains ~needle:"last 11 ± 1 refs/s (git new, 3 records)" s)
+
 let test_render_history_known_filter () =
   let records =
     [
@@ -508,6 +519,7 @@ let suite =
     ( "perf.history",
       [
         Alcotest.test_case "sparkline trend render" `Quick test_render_history;
+        Alcotest.test_case "newest stamp's median and MAD" `Quick test_render_history_newest_stamp;
         Alcotest.test_case "known-section filter summarizes stale records" `Quick
           test_render_history_known_filter;
         Alcotest.test_case "filtered-to-nothing says why" `Quick
