@@ -222,6 +222,80 @@ let test_directory =
               (Pcolor.Memsim.Directory.inspect d ~cpu ~line ~addr:(line * cfg_small.l2.line)));
          ignore (Pcolor.Memsim.Directory.record_read d ~cpu ~line)))
 
+(* the layers the consume loop pays per reference or event, beside
+   the miss path above: an L1 hit (four lines of one warm page, so the
+   translation memo and the L1 both hit), one bus charge, and a timeline
+   row commit (the clock advanced past the boundary each time; the store
+   is reset every 4096 rows so it stays the same size) *)
+let test_l1_hit =
+  let m = Pcolor.Memsim.Machine.create cfg_small in
+  let translate ~cpu:_ ~vpage = (vpage, 0) in
+  let line = cfg_small.l1.line in
+  for k = 0 to 3 do
+    Pcolor.Memsim.Machine.access m ~cpu:0 ~vaddr:(k * line) ~write:false ~translate
+  done;
+  let i = ref 0 in
+  Test.make ~name:"L1 hit (4 lines of one page)"
+    (Staged.stage (fun () ->
+         incr i;
+         Pcolor.Memsim.Machine.access m ~cpu:0 ~vaddr:((!i land 3) * line) ~write:false ~translate))
+
+let test_bus_charge =
+  let b = Pcolor.Memsim.Bus.create () in
+  Test.make ~name:"bus: data transfer charge"
+    (Staged.stage (fun () -> Pcolor.Memsim.Bus.add_data b 16))
+
+let test_sampler_commit =
+  let sampler = Pcolor.Memsim.Machine.sampler_for ~epoch_cycles:1 cfg_small in
+  let m =
+    Pcolor.Memsim.Machine.create ~obs:(Pcolor.Obs.Ctx.create ~sampler ()) cfg_small
+  in
+  let i = ref 0 in
+  Test.make ~name:"timeline: sampler row commit (8 CPUs)"
+    (Staged.stage (fun () ->
+         incr i;
+         if !i land 4095 = 0 then Pcolor.Obs.Sampler.reset sampler;
+         Pcolor.Memsim.Machine.tick m ~cpu:0 1;
+         Pcolor.Memsim.Machine.sample_point m ~cpu:0))
+
+(* the producer's layer: one batch at a time from the largest nest of
+   tomcatv (scale 16), one CPU's share on 8 CPUs, recompiled when
+   exhausted; reported per run record, so the layer model can cost the
+   walker apart from consume *)
+let walker_fill () =
+  let module Walker = Pcolor.Comp.Walker in
+  let p = Pcolor.Workloads.Tomcatv.program ~scale:16 () in
+  let nest =
+    List.fold_left
+      (fun (best : Pcolor.Comp.Ir.nest) (n : Pcolor.Comp.Ir.nest) ->
+        let size (n : Pcolor.Comp.Ir.nest) = Array.fold_left ( * ) (List.length n.refs) n.bounds in
+        if size n > size best then n else best)
+      (List.hd (List.hd p.phases).nests)
+      (List.concat_map (fun (ph : Pcolor.Comp.Ir.phase) -> ph.nests) p.phases)
+  in
+  let plan = Pcolor.Comp.Prefetcher.find Pcolor.Comp.Prefetcher.none nest in
+  let lo0, hi0 = Pcolor.Comp.Schedule.range nest ~n_cpus:8 ~cpu:0 in
+  let l1_line_bits = Pcolor.Util.Bits.log2 cfg_small.l1.line
+  and l2_line_bits = Pcolor.Util.Bits.log2 cfg_small.l2.line in
+  let fresh () = Walker.create ~nest ~plan ~lo0 ~hi0 ~l1_line_bits ~l2_line_bits in
+  let w = ref (fresh ()) in
+  let b = Walker.create_batch () in
+  (* the share's last batch is partial: count records per batch over
+     one whole share *)
+  let batches = ref 0 and records = ref 0 and fin = ref false in
+  while not !fin do
+    Walker.reset_batch b;
+    fin := Walker.fill_runs !w b;
+    incr batches;
+    records := !records + (b.len / (1 + (2 * Walker.nrefs !w)))
+  done;
+  w := fresh ();
+  ( Test.make ~name:"walker fill (tomcatv, one CPU's share)"
+      (Staged.stage (fun () ->
+           Walker.reset_batch b;
+           if Walker.fill_runs !w b then w := fresh ())),
+    !records / !batches )
+
 (* table2: partition arithmetic *)
 let test_partition =
   Test.make ~name:"table2: partition range (even)"
@@ -309,6 +383,9 @@ let all_tests =
     test_tlb_hit_memo_miss;
     test_tlb_refill;
     test_directory;
+    test_l1_hit;
+    test_bus_charge;
+    test_sampler_commit;
     test_partition;
   ]
 
@@ -342,6 +419,7 @@ let run () =
   in
   (* each test with the operations one run performs and their unit *)
   let decode, pairs = btrace_decode () in
+  let fill, records = walker_fill () in
   List.iter
     (fun (test, per_run, unit) ->
       let results = Benchmark.all cfg [ instance ] test in
@@ -353,5 +431,6 @@ let run () =
             Printf.printf "  %-56s %10.1f ns/%s\n" name (est /. float_of_int per_run) unit
           | _ -> Printf.printf "  %-56s (no estimate)\n" name)
         stats)
-    (List.map (fun t -> (t, 1, "op")) all_tests @ [ (decode, pairs, "pair") ]);
+    (List.map (fun t -> (t, 1, "op")) all_tests
+    @ [ (decode, pairs, "pair"); (fill, records, "record") ]);
   print_newline ()

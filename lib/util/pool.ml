@@ -16,6 +16,11 @@ let default_jobs () =
            s))
   | None -> Domain.recommended_domain_count ()
 
+(* Set on the calling domain while it works beside spawned workers. *)
+let sharing = Domain.DLS.new_key (fun () -> ref false)
+
+let parallel () = !(Domain.DLS.get sharing)
+
 let run_all ~jobs tasks =
   if jobs <= 1 then List.iter (fun task -> task ()) tasks
   else begin
@@ -31,7 +36,11 @@ let run_all ~jobs tasks =
       end
     in
     let helpers = List.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn worker) in
+    let flag = Domain.DLS.get sharing in
+    let was = !flag in
+    flag := was || helpers <> [];
     worker ();
+    flag := was;
     List.iter Domain.join helpers;
     Option.iter raise (Atomic.get failure)
   end

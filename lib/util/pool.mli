@@ -18,6 +18,11 @@ val default_jobs : unit -> int
     has been joined. *)
 val run_all : jobs:int -> (unit -> unit) list -> unit
 
+(** [parallel ()] is true while the calling domain runs tasks of a
+    {!run_all} that spawned worker domains: every core it asked for is
+    busy, so work should not fan out further. *)
+val parallel : unit -> bool
+
 (** [map ~jobs f xs] is [List.map f xs] computed as {!run_all}; results
     keep list order regardless of scheduling. *)
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -53,12 +53,15 @@ let layout ?(mode = Pcolor.Cdpc.Align.Aligned) cfg (p : Ir.program) =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
-(* The CLI sits next to the test binary in the build tree (test/dune
-   depends on it). *)
-let cli =
+(* [build_file parts] is a file the test stanza depends on, by its path
+   from the build tree's root, found from the test binary's directory so
+   the suite passes whatever the working directory. *)
+let build_file parts =
   List.fold_left Filename.concat
     (Filename.dirname Sys.executable_name)
-    [ Filename.parent_dir_name; "bin"; "pcolor_cli.exe" ]
+    (Filename.parent_dir_name :: parts)
+
+let cli = build_file [ "bin"; "pcolor_cli.exe" ]
 
 (* [run_cli ?stdin args] runs the CLI with stdout discarded and stdin
    read from the file [stdin], returning its exit code and everything it

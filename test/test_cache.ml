@@ -138,48 +138,6 @@ let test_shadow_lru () =
   Alcotest.(check bool) "0 kept" true (Shadow.mem s 0);
   Alcotest.(check int) "size" 4 (Shadow.size s)
 
-(* Reference FA-LRU via a list. *)
-let prop_shadow_matches_reference =
-  QCheck.Test.make ~name:"shadow matches FA-LRU reference" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 300) (int_range 0 20))
-    (fun lines ->
-      let s = Shadow.create (geom ~size:512 ~assoc:1 ~line:64) in
-      let model = ref [] in
-      List.for_all
-        (fun l ->
-          let got = Shadow.access s l in
-          let want = List.mem l !model in
-          let without = List.filter (( <> ) l) !model in
-          let trimmed = if List.length without >= 8 then List.filteri (fun i _ -> i < 7) without else without in
-          model := l :: trimmed;
-          got = want)
-        lines)
-
-(* Same oracle, but over a sparse key space and also checking final
-   residency and size, so evictions from the line index are exercised,
-   not just the hit sequence. *)
-let prop_shadow_state_matches_reference =
-  QCheck.Test.make ~name:"shadow residency matches FA-LRU reference" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 400) (map (fun k -> k * 977) (int_range 0 40)))
-    (fun lines ->
-      let s = Shadow.create (geom ~size:512 ~assoc:1 ~line:64) in
-      let model = ref [] in
-      let seq_ok =
-        List.for_all
-          (fun l ->
-            let got = Shadow.access s l in
-            let want = List.mem l !model in
-            let without = List.filter (( <> ) l) !model in
-            let trimmed = if List.length without >= 8 then List.filteri (fun i _ -> i < 7) without else without in
-            model := l :: trimmed;
-            got = want)
-          lines
-      in
-      seq_ok
-      && Shadow.size s = List.length !model
-      && List.for_all (Shadow.mem s) !model
-      && List.for_all (fun l -> List.mem l !model || not (Shadow.mem s l)) lines)
-
 (* A corrupt bucket chain can close into a cycle, and then the probe
    that would expose it never returns: [within seconds f] fails the case
    instead of hanging the suite (the signal handler runs at the probe
@@ -194,6 +152,54 @@ let within seconds f =
   arm 0.;
   Sys.set_signal Sys.sigalrm previous;
   ok
+
+(* Reference FA-LRU via a list. *)
+let prop_shadow_matches_reference =
+  QCheck.Test.make ~name:"shadow matches FA-LRU reference" ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 300) (int_range 0 20))
+    (fun lines ->
+      let s = Shadow.create (geom ~size:512 ~assoc:1 ~line:64) in
+      let model = ref [] in
+      within 10. (fun () ->
+          List.for_all
+            (fun l ->
+              let got = Shadow.access s l in
+              let want = List.mem l !model in
+              let without = List.filter (( <> ) l) !model in
+              let trimmed =
+                if List.length without >= 8 then List.filteri (fun i _ -> i < 7) without else without
+              in
+              model := l :: trimmed;
+              got = want)
+            lines))
+
+(* Same oracle, but over a sparse key space and also checking final
+   residency and size, so evictions from the line index are exercised,
+   not just the hit sequence. *)
+let prop_shadow_state_matches_reference =
+  QCheck.Test.make ~name:"shadow residency matches FA-LRU reference" ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 400) (map (fun k -> k * 977) (int_range 0 40)))
+    (fun lines ->
+      let s = Shadow.create (geom ~size:512 ~assoc:1 ~line:64) in
+      let model = ref [] in
+      within 10. (fun () ->
+          let seq_ok =
+            List.for_all
+              (fun l ->
+                let got = Shadow.access s l in
+                let want = List.mem l !model in
+                let without = List.filter (( <> ) l) !model in
+                let trimmed =
+                  if List.length without >= 8 then List.filteri (fun i _ -> i < 7) without else without
+                in
+                model := l :: trimmed;
+                got = want)
+              lines
+          in
+          seq_ok
+          && Shadow.size s = List.length !model
+          && List.for_all (Shadow.mem s) !model
+          && List.for_all (fun l -> List.mem l !model || not (Shadow.mem s l)) lines))
 
 (* The same FA-LRU oracle at the paper's scale-16 geometry: 64 KiB of
    128 B lines, so 512 slots and 1024 buckets.  Keys are built to share

@@ -406,7 +406,7 @@ let test_render_history_filtered_to_nothing () =
   (* the default filter is the repository's BENCHMARK.json: its
      workloads × metrics *)
   let spec =
-    match Perf.spec_of_json (parse (In_channel.with_open_bin "../BENCHMARK.json" In_channel.input_all)) with
+    match Perf.spec_of_json (parse (In_channel.with_open_bin (Helpers.build_file [ "BENCHMARK.json" ]) In_channel.input_all)) with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
