@@ -38,6 +38,11 @@
 #                     its golden artifact exactly, and
 #                     `pcolor probe` must recover each configured hash
 #                     from eviction sets exactly
+#   make figures-check  regenerate the figure6-9 and table2 harness
+#                     sections at PCOLOR_SCALE=4 into _build/figures-check/
+#                     and `pcolor diff --exact --ignore seconds` each
+#                     against its committed BENCH_<section>.json: every
+#                     simulated figure cell is pinned (~10 s on 2 cores)
 #   make exports-check  every `val` in lib/*/*.mli has a user outside its
 #                     module, resolved by the compiler (ocamlcmt -annot
 #                     over the .cmt files); test-only exports must be
@@ -48,7 +53,8 @@
 DUNE ?= dune
 BENCH_THRESHOLD ?= 0.25
 
-.PHONY: build test bench bench-smoke bench-check timeline-check hash-check exports-check clean
+.PHONY: build test bench bench-smoke bench-check timeline-check hash-check figures-check \
+  exports-check clean
 
 build:
 	$(DUNE) build
@@ -207,6 +213,20 @@ timeline-check:
 	  --scale 64 --metrics-out _build/timeline_off.json
 	$(DUNE) exec bin/pcolor_cli.exe -- diff _build/timeline_off.json \
 	  _build/timeline_record.json --exact --ignore timeline
+
+FIGURES = figure6 figure7 figure8 figure9 table2
+
+figures-check:
+	$(DUNE) build bench/main.exe bin/pcolor_cli.exe
+	@rm -rf _build/figures-check && mkdir -p _build/figures-check
+	@# The harness writes BENCH_<section>.json into its working directory.
+	cd _build/figures-check && env -u PCOLOR_FAST PCOLOR_SCALE=4 \
+	  ../default/bench/main.exe $(FIGURES) > stdout.txt
+	@for s in $(FIGURES); do \
+	  echo "figures-check: $$s"; \
+	  _build/default/bin/pcolor_cli.exe diff BENCH_$$s.json \
+	    _build/figures-check/BENCH_$$s.json --exact --ignore seconds || exit 1; \
+	done
 
 exports-check:
 	DUNE=$(DUNE) tools/exports_check.sh

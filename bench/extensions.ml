@@ -8,12 +8,10 @@
 open Harness
 module Colorer = Pcolor.Cdpc.Colorer
 
-let run_with ?(policy = cdpc) ?(ablation = Colorer.full_algorithm) ~bench ~n_cpus () =
-  let d = Spec.find bench in
-  let cfg = machine_cfg "sgi" ~n_cpus in
+let run_with ?(policy = Run.cdpc) ?(ablation = Colorer.full_algorithm) ~bench ~n_cpus () =
   Run.run
     {
-      (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy) with
+      (Cell.setup (cell ~bench ~machine:"sgi" ~n_cpus ~policy ())) with
       cdpc_ablation = ablation;
     }
 
@@ -105,16 +103,14 @@ let scale_sensitivity () =
   in
   List.iter
     (fun sc ->
-      let d = Spec.find "tomcatv" in
       let row =
         List.map
           (fun n_cpus ->
-            let cfg = Config.scale (Config.sgi_base ~n_cpus ()) sc in
             let run policy =
-              (Run.run (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale:sc ()) ~policy))
-                .Run.report
+              let c = Cell.make ~scale:sc ~bench:"tomcatv" ~machine:"sgi" ~n_cpus ~policy () in
+              (Run.run (Cell.setup c)).Run.report
             in
-            let pc = run Run.Page_coloring and cd = run cdpc in
+            let pc = run Run.Page_coloring and cd = run Run.cdpc in
             Table.fcell (Report.speedup ~base:pc cd))
           [ 2; 4; 8; 16 ]
       in

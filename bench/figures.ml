@@ -39,21 +39,13 @@ let figure2 () =
   section
     (Printf.sprintf
        "Figure 2: High-level characterization (page coloring, 1MB-DM machine / scale %d)" scale);
-  prefill
-    (List.concat_map
-       (fun (d : Spec.descriptor) ->
-         List.map
-           (fun n_cpus -> exp ~bench:d.name ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring ())
-           cpu_counts)
-       Spec.all);
+  let report =
+    grid
+      (fun (bench, n_cpus) -> cell ~bench ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring ())
+      (Spec.names *** cpu_counts)
+  in
   let runs =
-    List.map
-      (fun (d : Spec.descriptor) ->
-        ( d.name,
-          List.map
-            (fun p -> (p, experiment ~bench:d.name ~machine:"sgi" ~n_cpus:p ~policy:Run.Page_coloring ()))
-            cpu_counts ))
-      Spec.all
+    List.map (fun bench -> (bench, List.map (fun p -> (p, report (bench, p))) cpu_counts)) Spec.names
   in
   (* panel 1: combined execution time *)
   let t1 =
@@ -158,13 +150,12 @@ let access_patterns () =
   let n_cpus = 16 in
   List.iter
     (fun bench ->
-      let d = Spec.find bench in
-      let cfg = machine_cfg "sgi" ~n_cpus in
-      let prepared =
-        Run.prepare (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy:cdpc)
-      in
+      let setup = Cell.setup (cell ~bench ~machine:"sgi" ~n_cpus ~policy:Run.cdpc ()) in
+      let prepared = Run.prepare setup in
       (* Figure 3: virtual-address order *)
-      let pts = Footprint.touch_points prepared.program ~n_cpus ~page_size:cfg.page_size in
+      let pts =
+        Footprint.touch_points prepared.program ~n_cpus ~page_size:setup.cfg.Config.page_size
+      in
       let x_max = 1 + List.fold_left (fun m (pg, _) -> max m pg) 0 pts in
       print_string
         (Chart.scatter
@@ -193,43 +184,40 @@ let access_patterns () =
 
 (* ---------- Figure 6 ---------- *)
 
+(* [pc_vs_cdpc] prints the page coloring vs CDPC table of one machine
+   and returns the (pc, cdpc) report pair of a benchmark and CPU count. *)
 let pc_vs_cdpc ~machine ~benches ~cpus ~title () =
   section title;
-  prefill
-    (List.concat_map
-       (fun bench ->
-         List.concat_map
-           (fun n_cpus ->
-             [
-               exp ~bench ~machine ~n_cpus ~policy:Run.Page_coloring ();
-               exp ~bench ~machine ~n_cpus ~policy:cdpc ();
-             ])
-           cpus)
-       benches);
+  let report =
+    grid
+      (fun (bench, (n_cpus, policy)) -> cell ~bench ~machine ~n_cpus ~policy ())
+      (benches *** cpus *** [ Run.Page_coloring; Run.cdpc ])
+  in
+  let pair bench n = (report (bench, (n, Run.Page_coloring)), report (bench, (n, Run.cdpc))) in
   let t =
     Table.create ~title:"combined execution time, page coloring vs CDPC (cycles x 1e6; speedup)"
       ("benchmark" :: List.map string_of_int cpus)
   in
-  let speedups = ref [] in
   List.iter
     (fun bench ->
       Table.add_row t
         (bench
         :: List.map
              (fun n_cpus ->
-               let pc = experiment ~bench ~machine ~n_cpus ~policy:Run.Page_coloring () in
-               let cd = experiment ~bench ~machine ~n_cpus ~policy:cdpc () in
-               let s = Report.speedup ~base:pc cd in
-               speedups := (bench, n_cpus, s, pc, cd) :: !speedups;
+               let pc, cd = pair bench n_cpus in
                Printf.sprintf "%.0f -> %.0f (%.2fx)" (pc.Report.combined_cycles /. 1e6)
-                 (cd.Report.combined_cycles /. 1e6) s)
+                 (cd.Report.combined_cycles /. 1e6) (Report.speedup ~base:pc cd))
              cpus))
     benches;
   Table.print t;
-  !speedups
+  pair
+
+let speedup pair bench n_cpus =
+  let pc, cd = pair bench n_cpus in
+  Report.speedup ~base:pc cd
 
 let figure6 () =
-  let speedups =
+  let pair =
     pc_vs_cdpc ~machine:"sgi"
       ~benches:(List.map (fun (d : Spec.descriptor) -> d.name) Spec.figure6_benchmarks)
       ~cpus:cpu_counts
@@ -238,10 +226,7 @@ let figure6 () =
            scale)
       ()
   in
-  let s b p = match List.find_opt (fun (b', p', _, _, _) -> b = b' && p = p') speedups with
-    | Some (_, _, s, _, _) -> s
-    | None -> 0.0
-  in
+  let s = speedup pair in
   let pmax = List.fold_left max 1 cpu_counts in
   note "shape checks:";
   note "  - gains grow with CPU count (tomcatv: %.2fx @1 -> %.2fx @%d; swim: %.2fx -> %.2fx)"
@@ -249,11 +234,9 @@ let figure6 () =
   note "  - conflict misses nearly eliminated when the working set fits the aggregate cache:";
   List.iter
     (fun bench ->
-      match List.find_opt (fun (b, p, _, _, _) -> b = bench && p = pmax) speedups with
-      | Some (_, _, _, pc, cd) ->
-        note "      %s @%d: %.0f -> %.0f conflicts" bench pmax (Report.conflict_misses pc)
-          (Report.conflict_misses cd)
-      | None -> ())
+      let pc, cd = pair bench pmax in
+      note "      %s @%d: %.0f -> %.0f conflicts" bench pmax (Report.conflict_misses pc)
+        (Report.conflict_misses cd))
     [ "tomcatv"; "swim"; "hydro2d" ];
   note "  - su2cor slightly degraded (non-contiguous gauge field excluded from CDPC): %.2fx @%d"
     (s "su2cor" pmax) pmax;
@@ -265,29 +248,26 @@ let figure7 () =
   let benches = [ "tomcatv"; "swim"; "hydro2d"; "su2cor"; "mgrid"; "applu" ] in
   let cpus = if fast then [ 4; 16 ] else [ 2; 4; 8; 16 ] in
   let s2 =
-    pc_vs_cdpc ~machine:"sgi-2way" ~benches ~cpus
-      ~title:
-        (Printf.sprintf "Figure 7a: CDPC on a 1MB two-way set-associative cache (scale %d)" scale)
-      ()
+    speedup
+      (pc_vs_cdpc ~machine:"sgi-2way" ~benches ~cpus
+         ~title:
+           (Printf.sprintf "Figure 7a: CDPC on a 1MB two-way set-associative cache (scale %d)" scale)
+         ())
   in
   let s4 =
-    pc_vs_cdpc ~machine:"sgi-4mb" ~benches ~cpus
-      ~title:(Printf.sprintf "Figure 7b: CDPC on a 4MB direct-mapped cache (scale %d)" scale)
-      ()
-  in
-  let sp l b p =
-    match List.find_opt (fun (b', p', _, _, _) -> b = b' && p = p') l with
-    | Some (_, _, s, _, _) -> s
-    | None -> 0.0
+    speedup
+      (pc_vs_cdpc ~machine:"sgi-4mb" ~benches ~cpus
+         ~title:(Printf.sprintf "Figure 7b: CDPC on a 4MB direct-mapped cache (scale %d)" scale)
+         ())
   in
   let pmax = List.fold_left max 1 cpus in
   note "shape checks:";
   note "  - two-way associativity does not remove CDPC's advantage (tomcatv @%d: %.2fx, swim: %.2fx)"
-    pmax (sp s2 "tomcatv" pmax) (sp s2 "swim" pmax);
+    pmax (s2 "tomcatv" pmax) (s2 "swim" pmax);
   note "  - with the 4MB cache, benefits appear at fewer CPUs (tomcatv @4: %.2fx vs 1MB)"
-    (sp s4 "tomcatv" 4);
+    (s4 "tomcatv" 4);
   note "  - applu (31MB) shows benefit only with the larger cache: 4MB @%d %.2fx" pmax
-    (sp s4 "applu" pmax)
+    (s4 "applu" pmax)
 
 (* ---------- Figure 8 ---------- *)
 
@@ -295,19 +275,12 @@ let figure8 () =
   section (Printf.sprintf "Figure 8: CDPC combined with compiler-inserted prefetching (scale %d)" scale);
   let benches = [ "tomcatv"; "swim"; "hydro2d"; "su2cor"; "applu" ] in
   let cpus = if fast then [ 4; 16 ] else [ 4; 8; 16 ] in
-  prefill
-    (List.concat_map
-       (fun bench ->
-         List.concat_map
-           (fun n_cpus ->
-             [
-               exp ~bench ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring ();
-               exp ~bench ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring ~prefetch:true ();
-               exp ~bench ~machine:"sgi" ~n_cpus ~policy:cdpc ();
-               exp ~bench ~machine:"sgi" ~n_cpus ~policy:cdpc ~prefetch:true ();
-             ])
-           cpus)
-       benches);
+  let report =
+    grid
+      (fun (bench, (n_cpus, (policy, prefetch))) ->
+        cell ~prefetch ~bench ~machine:"sgi" ~n_cpus ~policy ())
+      (benches *** cpus *** [ Run.Page_coloring; Run.cdpc ] *** [ false; true ])
+  in
   let t =
     Table.create
       ~title:"speedup over page coloring without prefetching (pc+pf / cdpc / cdpc+pf)"
@@ -320,10 +293,10 @@ let figure8 () =
         (bench
         :: List.map
              (fun n_cpus ->
-               let base = experiment ~bench ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring () in
-               let pf = experiment ~bench ~machine:"sgi" ~n_cpus ~policy:Run.Page_coloring ~prefetch:true () in
-               let cd = experiment ~bench ~machine:"sgi" ~n_cpus ~policy:cdpc () in
-               let cdpf = experiment ~bench ~machine:"sgi" ~n_cpus ~policy:cdpc ~prefetch:true () in
+               let base = report (bench, (n_cpus, (Run.Page_coloring, false))) in
+               let pf = report (bench, (n_cpus, (Run.Page_coloring, true))) in
+               let cd = report (bench, (n_cpus, (Run.cdpc, false))) in
+               let cdpf = report (bench, (n_cpus, (Run.cdpc, true))) in
                let s r = Report.speedup ~base r in
                if bench = "tomcatv" && n_cpus = 4 then tom4 := (s pf, s cd, s cdpf);
                Printf.sprintf "%.2f / %.2f / %.2f" (s pf) (s cd) (s cdpf))
@@ -345,8 +318,10 @@ let alpha_policies =
     ("bh-unaligned", Run.Bin_hopping_unaligned);
     ("bin-hopping", Run.Bin_hopping);
     ("page-coloring", Run.Page_coloring);
-    ("cdpc", cdpc_touch);
+    ("cdpc", Run.cdpc_touch);
   ]
+
+let alpha_cell (bench, (n_cpus, policy)) = cell ~bench ~machine:"alpha" ~n_cpus ~policy ()
 
 let figure9 () =
   section
@@ -354,16 +329,7 @@ let figure9 () =
        "Figure 9: AlphaServer-style validation (4MB-DM machine / scale %d; CDPC realized by \
         page-touch order on the bin-hopping kernel, as on Digital UNIX)"
        scale);
-  prefill
-    (List.concat_map
-       (fun (d : Spec.descriptor) ->
-         List.concat_map
-           (fun n_cpus ->
-             List.map
-               (fun (_, policy) -> exp ~bench:d.name ~machine:"alpha" ~n_cpus ~policy ())
-               alpha_policies)
-           alpha_cpu_counts)
-       Spec.all);
+  let report = grid alpha_cell (Spec.names *** alpha_cpu_counts *** List.map snd alpha_policies) in
   let t =
     Table.create
       ~title:"wall time (cycles x 1e6) per policy"
@@ -380,22 +346,19 @@ let figure9 () =
              (fun n_cpus ->
                List.map
                  (fun (_, policy) ->
-                   let r = experiment ~bench:d.name ~machine:"alpha" ~n_cpus ~policy () in
-                   Printf.sprintf "%.0f" (r.Report.wall_cycles /. 1e6))
+                   Printf.sprintf "%.0f" ((report (d.name, (n_cpus, policy))).Report.wall_cycles /. 1e6))
                  alpha_policies)
              alpha_cpu_counts))
     Spec.all;
   Table.print t;
   let pmax = List.fold_left max 1 alpha_cpu_counts in
-  let wall bench policy =
-    (experiment ~bench ~machine:"alpha" ~n_cpus:pmax ~policy ()).Report.wall_cycles
-  in
+  let wall bench policy = (report (bench, (pmax, policy))).Report.wall_cycles in
   note "shape checks at %d CPUs:" pmax;
   List.iter
     (fun bench ->
       let bh = wall bench Run.Bin_hopping
       and pc = wall bench Run.Page_coloring
-      and cd = wall bench cdpc_touch in
+      and cd = wall bench Run.cdpc_touch in
       note "  - %s: CDPC %.2fx over bin hopping, %.2fx over page coloring (paper: %s)" bench
         (bh /. cd) (pc /. cd)
         (match bench with
@@ -418,27 +381,20 @@ let figure9 () =
 let table2 () =
   section "Table 2: synthetic SPEC95fp-style ratings on the AlphaServer-style machine";
   let pmax = List.fold_left max 1 alpha_cpu_counts in
-  prefill
-    (List.concat_map
-       (fun (d : Spec.descriptor) ->
-         exp ~bench:d.name ~machine:"alpha" ~n_cpus:1 ~policy:Run.Page_coloring ()
-         :: List.concat_map
-              (fun n_cpus ->
-                List.map
-                  (fun (_, policy) -> exp ~bench:d.name ~machine:"alpha" ~n_cpus ~policy ())
-                  alpha_policies)
-              alpha_cpu_counts)
-       Spec.all);
+  let at4 = List.mem 4 alpha_cpu_counts in
+  (* uniprocessor page coloring (the references), every policy at the
+     largest CPU count, and CDPC at 4 CPUs for the speedup check *)
+  let report =
+    grid alpha_cell
+      ((Spec.names *** [ 1 ] *** [ Run.Page_coloring ])
+      @ (Spec.names *** [ pmax ] *** List.map snd alpha_policies)
+      @ if at4 then Spec.names *** [ 4 ] *** [ Run.cdpc_touch ] else [])
+  in
+  let uni bench = (report (bench, (1, Run.Page_coloring))).Report.wall_cycles in
   (* reference times: uniprocessor page-coloring walls, reweighted by the
      real SPEC95 reference-time ratios *)
   let refs =
-    Pcolor.Stats.Spec_ratio.make_references
-      (List.map
-         (fun (d : Spec.descriptor) ->
-           ( d.name,
-             (experiment ~bench:d.name ~machine:"alpha" ~n_cpus:1 ~policy:Run.Page_coloring ())
-               .Report.wall_cycles ))
-         Spec.all)
+    Pcolor.Stats.Spec_ratio.make_references (List.map (fun b -> (b, uni b)) Spec.names)
   in
   let t =
     Table.create
@@ -451,10 +407,9 @@ let table2 () =
         ( name,
           List.map
             (fun (d : Spec.descriptor) ->
-              let r = experiment ~bench:d.name ~machine:"alpha" ~n_cpus:pmax ~policy () in
               ( d.name,
                 Pcolor.Stats.Spec_ratio.ratio ~ref_cycles:(refs d.name)
-                  ~measured_cycles:r.Report.wall_cycles ))
+                  ~measured_cycles:(report (d.name, (pmax, policy))).Report.wall_cycles ))
             Spec.all ))
       alpha_policies
   in
@@ -483,15 +438,9 @@ let table2 () =
   let cdpc_speedup p =
     Pcolor.Stats.Spec_ratio.rating
       (List.map
-         (fun (d : Spec.descriptor) ->
-           let uni =
-             (experiment ~bench:d.name ~machine:"alpha" ~n_cpus:1 ~policy:Run.Page_coloring ())
-               .Report.wall_cycles
-           in
-           let r = experiment ~bench:d.name ~machine:"alpha" ~n_cpus:p ~policy:cdpc_touch () in
-           uni /. r.Report.wall_cycles)
-         Spec.all)
+         (fun b -> uni b /. (report (b, (p, Run.cdpc_touch))).Report.wall_cycles)
+         Spec.names)
   in
-  if List.mem 4 alpha_cpu_counts then
+  if at4 then
     note "  - geometric-mean improvement over uniprocessor: %.1fx at 4 CPUs, %.1fx at %d (paper: 2.9x, 4.2x)"
       (cdpc_speedup 4) (cdpc_speedup pmax) pmax

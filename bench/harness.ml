@@ -1,13 +1,14 @@
 (* Shared plumbing for the reproduction harness: run configuration,
-   experiment execution with progress reporting, and result caching so
-   Table 2 can reuse Figure 9's runs.
+   the experiment grids sections read, progress reporting and the
+   per-section artifacts.
 
-   Every experiment is an independent trace-driven simulation owning its
-   private machine/kernel/program, so sections fan their full experiment
-   grid out across PCOLOR_JOBS domains up front (prefill) and then
-   render tables from the cache sequentially — stdout is byte-identical
-   for any job count, and PCOLOR_JOBS=1 restores the sequential order
-   exactly. *)
+   Every experiment is a {!Cell}, an independent trace-driven
+   simulation owning its private machine/kernel/program.  A section
+   states its grid once ([grid]); the cells no earlier section
+   simulated fan out across PCOLOR_JOBS domains up front (so Table 2
+   reuses Figure 9's runs), and the section renders its tables from the
+   grid's reports sequentially — stdout is byte-identical for any job
+   count, and PCOLOR_JOBS=1 restores the sequential order exactly. *)
 
 module Run = Pcolor.Runtime.Run
 module Report = Pcolor.Stats.Report
@@ -15,6 +16,7 @@ module Config = Pcolor.Memsim.Config
 module Spec = Pcolor.Workloads.Spec
 module Table = Pcolor.Util.Table
 module Pool = Pcolor.Util.Pool
+module Cell = Pcolor.Runtime.Cell
 
 (* A bad environment value is one stderr line and exit 2, never an
    uncaught exception. *)
@@ -27,7 +29,7 @@ let usage_error fmt =
 
 (* Scale divisor for data sets and caches.  4 preserves the paper's
    color-space geometry closely (64 colors on the base machine) and
-   keeps the full harness to tens of minutes; override with
+   keeps the full harness to about 20 s on two cores; override with
    PCOLOR_SCALE=1|4|16|64|256 (1 = the paper's exact geometry, slow;
    64 = smoke-sized, what CI runs).  256 leaves the 1 MB L2 of the sgi
    and sgi-2way models fewer than two colors, so every section that
@@ -47,18 +49,23 @@ let cpu_counts = if fast then [ 1; 4; 16 ] else [ 1; 2; 4; 8; 16 ]
 
 let alpha_cpu_counts = if fast then [ 1; 8 ] else [ 1; 2; 4; 8 ]
 
+let too_deep machine msg =
+  usage_error "PCOLOR_SCALE=%d is too large for the %s machine model (%s)" scale machine msg
+
 (* [machine] is a {!Config.models} name. *)
 let machine_cfg machine ~n_cpus =
   try Config.scale ((List.assoc machine Config.models) ~n_cpus ()) scale
-  with Invalid_argument msg ->
-    usage_error "PCOLOR_SCALE=%d is too large for the %s machine model (%s)" scale machine msg
+  with Invalid_argument msg -> too_deep machine msg
 
-let cdpc = Run.Cdpc { fallback = `Page_coloring; via_touch = false }
+(* [cell] is an experiment at the harness scale; a scale too deep for
+   the machine is refused here, on the main domain, before any cell
+   simulates. *)
+let cell ?prefetch ~bench ~machine ~n_cpus ~policy () =
+  try Cell.make ?prefetch ~scale ~bench ~machine ~n_cpus ~policy ()
+  with Invalid_argument msg -> too_deep machine msg
 
-let cdpc_touch = Run.Cdpc { fallback = `Bin_hopping; via_touch = true }
-
-(* Parallelism: number of worker domains for prefilled experiment
-   grids.  PCOLOR_JOBS=1 restores strictly sequential execution. *)
+(* Parallelism: number of worker domains for experiment grids.
+   PCOLOR_JOBS=1 restores strictly sequential execution. *)
 let jobs = Pool.default_jobs ()
 
 (* Optional structured tracing: PCOLOR_TRACE=path streams every
@@ -80,93 +87,42 @@ let obs_ctx () =
   | None -> Pcolor.Obs.Ctx.disabled
   | Some sink -> Pcolor.Obs.Ctx.create ~trace:(Pcolor.Obs.Trace.buffer sink) ()
 
-(* Result cache: one experiment may be referenced by several tables.
-   The mutex makes it safe to fill from several domains; Report.t values
-   are immutable once published. *)
-let cache : (string, Report.t) Hashtbl.t = Hashtbl.create 256
+(* Every cell simulated so far, each printed to stderr as it ends. *)
+let simulated = Atomic.make 0
 
-let cache_mutex = Mutex.create ()
+let reports =
+  Cell.runner ~obs:obs_ctx ~jobs
+    ~progress:(fun c seconds ->
+      Atomic.incr simulated;
+      Printf.eprintf "  [%5.1fs] %s\n%!" seconds (Cell.key c))
 
-let cache_find k = Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache k)
+(* The (key, report) of every cell the running section has read. *)
+let read = ref []
 
-let cache_add k r = Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache k r)
+(* [xs *** ys] is every (x, y) pair, x-major: a product of grid
+   coordinates (right-associative: [a *** b *** c] pairs are
+   (a, (b, c))). *)
+let ( *** ) xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
-let cache_size () = Mutex.protect cache_mutex (fun () -> Hashtbl.length cache)
+(* [grid f coords] is a section's grid, stated once: the cell [f c] of
+   every coordinate [c] is simulated (the ones no earlier section ran,
+   in parallel, costliest first) and recorded as read, and the result
+   looks a coordinate's report up.  Coordinates outside [coords] raise
+   [Not_found]: a table reads only the grid it declared. *)
+let grid f coords =
+  let cells = List.map f coords in
+  let rs = reports cells in
+  read := List.map2 (fun c r -> (Cell.key c, r)) cells rs @ !read;
+  let by_coord = Hashtbl.create 64 in
+  List.iter2 (Hashtbl.replace by_coord) coords rs;
+  Hashtbl.find by_coord
 
-let key ~bench ~machine ~n_cpus ~policy ~prefetch =
-  Printf.sprintf "%s/%s/%d/%s/%b" bench machine n_cpus (Run.policy_name policy) prefetch
-
-let experiment ?(prefetch = false) ~bench ~machine ~n_cpus ~policy () =
-  let k = key ~bench ~machine ~n_cpus ~policy ~prefetch in
-  match cache_find k with
-  | Some r -> r
-  | None ->
-    let t0 = Unix.gettimeofday () in
-    let d = Spec.find bench in
-    let cfg = machine_cfg machine ~n_cpus in
-    let setup =
-      {
-        (Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy) with
-        prefetch;
-        obs = obs_ctx ();
-      }
-    in
-    let r = (Run.run setup).report in
-    cache_add k r;
-    Printf.eprintf "  [%5.1fs] %s\n%!" (Unix.gettimeofday () -. t0) k;
-    r
-
-(* An experiment grid entry for prefill. *)
-type exp = {
-  e_bench : string;
-  e_machine : string;
-  e_n_cpus : int;
-  e_policy : Run.policy_choice;
-  e_prefetch : bool;
-}
-
-let exp ?(prefetch = false) ~bench ~machine ~n_cpus ~policy () =
-  { e_bench = bench; e_machine = machine; e_n_cpus = n_cpus; e_policy = policy; e_prefetch = prefetch }
-
-(* Estimated simulation cost of an experiment, for scheduling only: work
-   scales with CPU count (each CPU runs the partitioned nests) and with
-   the workload's data-set size (Table 1).  Units are arbitrary. *)
-let exp_cost e = float_of_int e.e_n_cpus *. (Spec.find e.e_bench).Spec.table1_mb
-
-(* [prefill exps] computes every not-yet-cached experiment of the grid
-   with [Pool.run_all].  Results land in the cache only; callers then
-   render tables sequentially, so table output is independent of the
-   completion order.
-
-   Tasks are listed longest-processing-time-first, and the pool starts
-   them in list order: grid order groups cheap single-CPU runs before
-   expensive 8/16-CPU ones, so grid order regularly started a
-   multi-minute experiment last and left every other domain idle for its
-   whole tail. *)
-let prefill exps =
-  let seen = Hashtbl.create 64 in
-  let todo =
-    List.filter
-      (fun e ->
-        let k =
-          key ~bench:e.e_bench ~machine:e.e_machine ~n_cpus:e.e_n_cpus ~policy:e.e_policy
-            ~prefetch:e.e_prefetch
-        in
-        if Hashtbl.mem seen k || cache_find k <> None then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      exps
-  in
-  let todo = List.stable_sort (fun a b -> compare (exp_cost b) (exp_cost a)) todo in
-  Pool.run_all ~jobs
-    (List.map
-       (fun e () ->
-         ignore
-           (experiment ~prefetch:e.e_prefetch ~bench:e.e_bench ~machine:e.e_machine
-              ~n_cpus:e.e_n_cpus ~policy:e.e_policy ()))
-       todo)
+(* [take_read ()] is every cell read since the last call, sorted by
+   key, and forgets them. *)
+let take_read () =
+  let cells = List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) !read in
+  read := [];
+  cells
 
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
@@ -174,11 +130,6 @@ let section title =
 let note fmt = Printf.printf (fmt ^^ "\n")
 
 (* ---- machine-readable section artifacts ---- *)
-
-(* [cache_keys ()] is the sorted key set currently cached. *)
-let cache_keys () =
-  Mutex.protect cache_mutex (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) cache [])
-  |> List.sort compare
 
 (* [provenance ()] stamps scale/jobs into the artifact header; one
    stamp per bench process, shared by every artifact it writes. *)
@@ -191,18 +142,13 @@ let provenance =
 let sanitize_section name =
   String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') then c else '_') name
 
-(* [write_section_artifact ~section ~seconds ~keys] dumps the named
-   experiments' reports (JSON per DESIGN §9) to BENCH_<section>.json.
-   [keys] is the set of cache keys the section populated. *)
-let write_section_artifact ~section:name ~seconds ~keys =
+(* [write_section_artifact ~section ~seconds ~cells] dumps the
+   section's (key, report) cells (JSON per DESIGN §9) to
+   BENCH_<section>.json. *)
+let write_section_artifact ~section:name ~seconds ~cells =
   let module J = Pcolor.Obs.Json in
   let experiments =
-    List.filter_map
-      (fun k ->
-        Option.map
-          (fun r -> J.Obj [ ("key", J.Str k); ("report", Report.to_json r) ])
-          (cache_find k))
-      keys
+    List.map (fun (k, r) -> J.Obj [ ("key", J.Str k); ("report", Report.to_json r) ]) cells
   in
   let file = Printf.sprintf "BENCH_%s.json" (sanitize_section name) in
   let oc = open_out file in

@@ -40,7 +40,7 @@ let hash_cells =
 let policy_cells =
   [
     ("page-coloring", Run.Page_coloring);
-    ("cdpc", cdpc);
+    ("cdpc", Run.cdpc);
     ("cdpc-hash", Run.Cdpc_hash { fallback = `Page_coloring });
   ]
 
@@ -57,11 +57,7 @@ let cfg_with hash =
   Config.validate { base with Config.l2_slices = n_slices; l2_hash = hash }
 
 let run_cell ~bench ~hash ~policy =
-  let d = Spec.find bench in
-  Run.run
-    (Run.default_setup ~cfg:(cfg_with hash)
-       ~make_program:(fun () -> d.build ~scale ())
-       ~policy)
+  Run.run { (Cell.setup (cell ~bench ~machine:"sgi" ~n_cpus ~policy ())) with cfg = cfg_with hash }
 
 (* One pass over the grid; cells are (bench, hash, policy) -> conflict
    misses. *)

@@ -9,10 +9,10 @@
      PCOLOR_JOBS=8   dune exec bench/main.exe experiment grids on 8 domains
      PCOLOR_JOBS=1   dune exec bench/main.exe strictly sequential
 
-   Experiments fan out across PCOLOR_JOBS domains (default: the
-   machine's recommended domain count); tables are rendered from the
-   result cache afterwards, so stdout is byte-identical for any job
-   count.
+   Each section's experiment cells fan out across PCOLOR_JOBS domains
+   (default: the machine's recommended domain count); tables are
+   rendered from the cells' reports afterwards, so stdout is
+   byte-identical for any job count.
 
    Absolute cycle counts are per representative window on a scaled
    machine (see DESIGN.md); the shapes — who wins, by what factor, where
@@ -61,20 +61,16 @@ let () =
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (name, f) ->
-      let keys_before = Harness.cache_keys () in
       let t = Unix.gettimeofday () in
       f ();
       let seconds = Unix.gettimeofday () -. t in
       Printf.eprintf "[section %s: %.1fs]\n%!" name seconds;
-      (* machine-readable per-section artifact: the experiments this
-         section added to the cache (mix and hash write their own
-         richer BENCH_*.json; micro has no cached experiments) *)
-      if name <> "mix" && name <> "hash" && name <> "micro" then begin
-        let keys =
-          List.filter (fun k -> not (List.mem k keys_before)) (Harness.cache_keys ())
-        in
-        Harness.write_section_artifact ~section:name ~seconds ~keys
-      end)
+      (* machine-readable per-section artifact: every cell this section
+         read, whichever section simulated it (mix and hash write their
+         own richer BENCH_*.json; micro reads no cells) *)
+      let cells = Harness.take_read () in
+      if not (List.mem name [ "mix"; "hash"; "micro" ]) then
+        Harness.write_section_artifact ~section:name ~seconds ~cells)
     to_run;
   Printf.printf "\ntotal: %.1fs over %d experiment runs\n" (Unix.gettimeofday () -. t0)
-    (Harness.cache_size ())
+    (Atomic.get Harness.simulated)

@@ -395,18 +395,11 @@ let all_tests =
 let warm_up_pair () =
   List.iter
     (fun prefetch ->
-      let d = Pcolor.Workloads.Spec.find "tomcatv" in
-      let cfg = Harness.machine_cfg "sgi" ~n_cpus:4 in
-      let setup =
-        {
-          (Harness.Run.default_setup ~cfg
-             ~make_program:(fun () -> d.build ~scale:Harness.scale ())
-             ~policy:Harness.Run.Page_coloring)
-          with
-          prefetch;
-        }
+      let c =
+        Harness.cell ~prefetch ~bench:"tomcatv" ~machine:"sgi" ~n_cpus:4
+          ~policy:Harness.Run.Page_coloring ()
       in
-      ignore (Harness.Run.run setup))
+      ignore (Harness.Run.run (Harness.Cell.setup c)))
     [ false; true ]
 
 let run () =

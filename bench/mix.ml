@@ -23,7 +23,7 @@ let mixes =
     ("4job", [ "tomcatv"; "swim"; "hydro2d"; "mgrid" ]);
   ]
 
-let policies = [ Run.Page_coloring; Run.Bin_hopping; cdpc ]
+let policies = [ Run.Page_coloring; Run.Bin_hopping; Run.cdpc ]
 
 let run_mix ~benches ~policy =
   let cfg = machine_cfg "sgi" ~n_cpus:8 in
@@ -34,32 +34,27 @@ let run_mix ~benches ~policy =
   in
   Mix.run ~cfg ~sched:Scheduler.default specs
 
-let mix_cost (_, benches) = List.fold_left (fun a b -> a +. (Spec.find b).Spec.table1_mb) 0.0 benches
+(* scheduling cost of a cell: every mix runs on 8 CPUs, so its jobs'
+   Table-1 data-set sizes *)
+let mix_cost ((_, benches), _) =
+  List.fold_left (fun a b -> a +. (Spec.find b).Spec.table1_mb) 0.0 benches
 
 let run () =
   section "Mix throughput: CDPC under multiprogramming (gang, 8 CPUs, shared pool)";
   let grid = List.concat_map (fun m -> List.map (fun p -> (m, p)) policies) mixes in
-  let n = List.length grid in
-  let outcomes = Array.make n None in
-  (* costliest cells first; each writes its own index slot, so the
-     result order is the grid's whatever the completion order *)
-  let tasks =
-    List.mapi
-      (fun i ((_, benches), policy) ->
-        (mix_cost ("", benches), fun () -> outcomes.(i) <- Some (run_mix ~benches ~policy)))
+  let outcomes =
+    Pool.map_costliest_first ~jobs ~cost:mix_cost
+      (fun ((_, benches), policy) -> run_mix ~benches ~policy)
       grid
   in
-  Pcolor.Util.Pool.run_all ~jobs
-    (List.map snd (List.stable_sort (fun (ca, _) (cb, _) -> compare cb ca) tasks));
   let t =
     Table.create ~title:"aggregate measured window per mix and policy"
       [ "mix"; "policy"; "wall cycles"; "MCPI"; "conflict"; "honored%"; "switches" ]
   in
   let conflict (r : Report.t) = Report.conflict_misses r in
   let results =
-    List.mapi
-      (fun i ((label, benches), policy) ->
-        let o = Option.get outcomes.(i) in
+    List.map2
+      (fun ((label, benches), policy) o ->
         let r = o.Mix.aggregate in
         let honored_pct =
           let tot = r.Report.hints_honored + r.Report.hints_fallback in
@@ -76,7 +71,7 @@ let run () =
             string_of_int o.Mix.sched_stats.Scheduler.switches;
           ];
         (label, benches, policy, o))
-      grid
+      grid outcomes
   in
   Table.print t;
   (* shape: alone, CDPC must beat page coloring on conflict misses (the
@@ -91,7 +86,7 @@ let run () =
         in
         conflict o.Mix.aggregate
       in
-      let pc = get Run.Page_coloring and cd = get cdpc in
+      let pc = get Run.Page_coloring and cd = get Run.cdpc in
       let verdict =
         if label = "1job" then
           if cd <= pc then "CDPC advantage holds (paper claim)"

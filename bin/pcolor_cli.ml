@@ -77,7 +77,7 @@ let policy_conv =
 let policy_arg =
   Arg.(
     value
-    & opt policy_conv (Run.Cdpc { fallback = `Page_coloring; via_touch = false })
+    & opt policy_conv Run.cdpc
     & info [ "policy" ]
         ~doc:"Mapping policy: $(b,pc), $(b,bh), $(b,bh-unaligned), $(b,random), $(b,cdpc), \
               $(b,cdpc-bh), $(b,cdpc-touch), $(b,cdpc-hash), $(b,cdpc-hash-bh), $(b,dynamic), \
@@ -359,12 +359,7 @@ let compare_cmd =
   let action bench m prefetch seed cap engine open_outputs =
     let hashed = m.cfg.Config.l2_slices > 1 in
     let policies =
-      [
-        Run.Page_coloring;
-        Run.Bin_hopping;
-        Run.Random_colors;
-        Run.Cdpc { fallback = `Page_coloring; via_touch = false };
-      ]
+      [ Run.Page_coloring; Run.Bin_hopping; Run.Random_colors; Run.cdpc ]
       (* on a hashed machine the interesting fifth column is the
          hash-aware variant — what coloring recovers once the OS knows
          the hash *)
@@ -768,7 +763,7 @@ let cdpc_prepare m bench =
   Run.prepare
     (Run.default_setup ~cfg:m.cfg
        ~make_program:(fun () -> d.build ~scale:m.scale ())
-       ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }))
+       ~policy:Run.cdpc)
 
 let pattern_cmd =
   let order_arg =

@@ -59,7 +59,7 @@ let () =
     [
       ("page-coloring", Run.Page_coloring);
       ("bin-hopping", Run.Bin_hopping);
-      ("cdpc", Run.Cdpc { fallback = `Page_coloring; via_touch = false });
+      ("cdpc", Run.cdpc);
     ];
   Pcolor.Util.Table.print t;
   print_endline "Higher associativity absorbs conflicts the mapping policy leaves behind;";

@@ -6,20 +6,13 @@
    Run with:  dune exec examples/policy_comparison.exe [-- scale]   *)
 
 module Run = Pcolor.Runtime.Run
+module Cell = Pcolor.Runtime.Cell
 module Report = Pcolor.Stats.Report
 module Table = Pcolor.Util.Table
 
 let () =
   let scale = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 16 in
-  let bench = Pcolor.Workloads.Spec.find "swim" in
-  let policies =
-    [
-      Run.Page_coloring;
-      Run.Bin_hopping;
-      Run.Random_colors;
-      Run.Cdpc { fallback = `Page_coloring; via_touch = false };
-    ]
-  in
+  let policies = [ Run.Page_coloring; Run.Bin_hopping; Run.Random_colors; Run.cdpc ] in
   let table =
     Table.create ~title:(Printf.sprintf "swim, scale 1/%d: wall cycles (and MCPI)" scale)
       ("policy" :: List.map (fun p -> Printf.sprintf "%d cpu" p) [ 1; 2; 4; 8 ])
@@ -29,11 +22,8 @@ let () =
       let cells =
         List.map
           (fun n_cpus ->
-            let cfg = Pcolor.Memsim.Config.scale (Pcolor.Memsim.Config.sgi_base ~n_cpus ()) scale in
-            let r =
-              (Run.run (Run.default_setup ~cfg ~make_program:(fun () -> bench.build ~scale ()) ~policy))
-                .report
-            in
+            let cell = Cell.make ~scale ~bench:"swim" ~machine:"sgi" ~n_cpus ~policy () in
+            let r = (Run.run (Cell.setup cell)).report in
             Printf.sprintf "%.2e (%.2f)" r.wall_cycles r.mcpi)
           [ 1; 2; 4; 8 ]
       in

@@ -19,15 +19,14 @@ let () =
        { (Run.default_setup ~cfg ~make_program:(fun () -> bench.build ~scale ()) ~policy) with prefetch })
       .report
   in
-  let cdpc = Run.Cdpc { fallback = `Page_coloring; via_touch = false } in
   Printf.printf "tomcatv on %s, %d CPUs (scale 1/%d)\n\n" cfg.name n_cpus scale;
   let base = run ~policy:Run.Page_coloring ~prefetch:false in
   let cases =
     [
       ("page coloring (baseline)", base);
-      ("cdpc alone", run ~policy:cdpc ~prefetch:false);
+      ("cdpc alone", run ~policy:Run.cdpc ~prefetch:false);
       ("prefetch alone", run ~policy:Run.Page_coloring ~prefetch:true);
-      ("cdpc + prefetch", run ~policy:cdpc ~prefetch:true);
+      ("cdpc + prefetch", run ~policy:Run.cdpc ~prefetch:true);
     ]
   in
   List.iter

@@ -59,7 +59,7 @@ let () =
     (Run.run (Run.default_setup ~cfg ~make_program ~policy)).report
   in
   let pc = run Run.Page_coloring in
-  let cdpc = run (Run.Cdpc { fallback = `Page_coloring; via_touch = false }) in
+  let cdpc = run Run.cdpc in
   List.iter
     (fun r ->
       Format.printf "%a@.@." Report.pp r)

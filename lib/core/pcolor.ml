@@ -84,6 +84,7 @@ module Runtime = struct
   module Run = Pcolor_runtime.Run
   module Btrace = Pcolor_runtime.Btrace
   module Audit = Pcolor_runtime.Audit
+  module Cell = Pcolor_runtime.Cell
 end
 
 (** Multiprogramming: concurrent ASID-tagged address spaces competing
@@ -144,26 +145,14 @@ module Quick = struct
       external cache, scaled together with the data set) and returns the
       report.  [policy] defaults to CDPC; [scale] defaults to 16 (fast;
       use 4 or 1 for paper-geometry runs). *)
-  let run ?(n_cpus = 8) ?(scale = 16) ?(policy = Runtime.Run.Cdpc { fallback = `Page_coloring; via_touch = false })
-      ?(prefetch = false) benchmark =
-    let d = Workloads.Spec.find benchmark in
-    let cfg = Memsim.Config.scale (Memsim.Config.sgi_base ~n_cpus ()) scale in
-    let setup =
-      {
-        (Runtime.Run.default_setup ~cfg ~make_program:(fun () -> d.build ~scale ()) ~policy) with
-        prefetch;
-      }
-    in
-    (Runtime.Run.run setup).report
+  let run ?(n_cpus = 8) ?(scale = 16) ?(policy = Runtime.Run.cdpc) ?(prefetch = false) benchmark =
+    let cell = Runtime.Cell.make ~prefetch ~scale ~bench:benchmark ~machine:"sgi" ~n_cpus ~policy () in
+    (Runtime.Run.run (Runtime.Cell.setup cell)).report
 
   (** [compare ?n_cpus ?scale benchmark] runs page coloring, bin hopping
       and CDPC on one benchmark and returns the three reports. *)
   let compare ?(n_cpus = 8) ?(scale = 16) benchmark =
     List.map
       (fun policy -> run ~n_cpus ~scale ~policy benchmark)
-      [
-        Runtime.Run.Page_coloring;
-        Runtime.Run.Bin_hopping;
-        Runtime.Run.Cdpc { fallback = `Page_coloring; via_touch = false };
-      ]
+      [ Runtime.Run.Page_coloring; Runtime.Run.Bin_hopping; Runtime.Run.cdpc ]
 end

@@ -13,7 +13,7 @@
     job that can use it, sleeps between jobs and leaves after a second
     without one; the next job spawns it again.  Everywhere else the
     consumer fills each slot itself, in the same loop: on any other
-    domain, inside a {!Pcolor_util.Pool.run_all} that spawned workers
+    domain, inside a {!Pcolor_util.Pool.map} that spawned workers
     (their cores are taken), and when the process may use one core
     only. *)
 

@@ -34,6 +34,13 @@ type policy_choice =
           multiprocessor costs (copy, TLB shootdowns, cache
           invalidations) charged *)
 
+(** The paper's two CDPC realizations: the IRIX madvise-style kernel
+    extension (Figures 6-8) and page touching in coloring order on the
+    bin-hopping kernel (Digital UNIX, Figure 9 and Table 2). *)
+let cdpc = Cdpc { fallback = `Page_coloring; via_touch = false }
+
+let cdpc_touch = Cdpc { fallback = `Bin_hopping; via_touch = true }
+
 (** [policy_name c] is the report label. *)
 let policy_name = function
   | Page_coloring -> "page-coloring"
@@ -56,9 +63,9 @@ let policy_of_name = function
   | "bh" | "bin-hopping" -> Ok Bin_hopping
   | "bh-unaligned" | "bin-hopping-unaligned" -> Ok Bin_hopping_unaligned
   | "random" -> Ok Random_colors
-  | "cdpc" -> Ok (Cdpc { fallback = `Page_coloring; via_touch = false })
+  | "cdpc" -> Ok cdpc
   | "cdpc-bh" -> Ok (Cdpc { fallback = `Bin_hopping; via_touch = false })
-  | "cdpc-touch" -> Ok (Cdpc { fallback = `Bin_hopping; via_touch = true })
+  | "cdpc-touch" -> Ok cdpc_touch
   | "cdpc-hash" -> Ok (Cdpc_hash { fallback = `Page_coloring })
   | "cdpc-hash-bh" -> Ok (Cdpc_hash { fallback = `Bin_hopping })
   | "dynamic" | "dynamic(pc)" -> Ok (Dynamic_recoloring { base = `Page_coloring })

@@ -26,6 +26,16 @@ type policy_choice =
           so hints target true (slice, set-group) bins *)
   | Dynamic_recoloring of { base : [ `Page_coloring | `Bin_hopping ] }
 
+(** [cdpc] is the paper's IRIX realization of CDPC: hints through a
+    madvise-style kernel extension, page coloring for unhinted pages
+    (Figures 6-8). *)
+val cdpc : policy_choice
+
+(** [cdpc_touch] is the paper's Digital UNIX realization: hinted pages
+    touched in coloring order on the bin-hopping kernel (Figure 9,
+    Table 2). *)
+val cdpc_touch : policy_choice
+
 (** [policy_name c] is the report label. *)
 val policy_name : policy_choice -> string
 

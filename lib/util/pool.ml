@@ -1,5 +1,6 @@
-(* Workers claim list indices from one [Atomic] counter, so tasks start
-   in list order; the calling domain is one of the workers.  A failing
+(* Workers claim positions of the start order (costliest first, list
+   order among equals) from one [Atomic] counter; the calling domain is
+   one of the workers.  A failing
    task does not stop the others: its exception is kept (first one wins)
    and re-raised once every worker domain has been joined. *)
 
@@ -21,17 +22,25 @@ let sharing = Domain.DLS.new_key (fun () -> ref false)
 
 let parallel () = !(Domain.DLS.get sharing)
 
-let run_all ~jobs tasks =
-  if jobs <= 1 then List.iter (fun task -> task ()) tasks
+let map_costliest_first ~jobs ~cost f xs =
+  let input = Array.of_list xs in
+  let n = Array.length input in
+  let order =
+    Array.of_list
+      (List.stable_sort
+         (fun a b -> Float.compare (cost input.(b)) (cost input.(a)))
+         (List.init n Fun.id))
+  in
+  let out = Array.make n None in
+  let task k = out.(order.(k)) <- Some (f input.(order.(k))) in
+  if jobs <= 1 then Array.iteri (fun k _ -> task k) order
   else begin
-    let tasks = Array.of_list tasks in
-    let n = Array.length tasks in
     let next = Atomic.make 0 in
     let failure = Atomic.make None in
     let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        (try tasks.(i) () with e -> ignore (Atomic.compare_and_set failure None (Some e)));
+      let k = Atomic.fetch_and_add next 1 in
+      if k < n then begin
+        (try task k with e -> ignore (Atomic.compare_and_set failure None (Some e)));
         worker ()
       end
     in
@@ -43,11 +52,7 @@ let run_all ~jobs tasks =
     flag := was;
     List.iter Domain.join helpers;
     Option.iter raise (Atomic.get failure)
-  end
-
-let map ~jobs f xs =
-  let input = Array.of_list xs in
-  let out = Array.make (Array.length input) None in
-  run_all ~jobs
-    (List.init (Array.length input) (fun i () -> out.(i) <- Some (f input.(i))));
+  end;
   Array.to_list (Array.map Option.get out)
+
+let map ~jobs f xs = map_costliest_first ~jobs ~cost:(fun _ -> 0.0) f xs

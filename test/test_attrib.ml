@@ -69,7 +69,7 @@ let test_attrib_growth () =
 
 (* ---- 2. reconciliation invariant ---- *)
 
-let run_with_attrib ?(policy = Run.Cdpc { fallback = `Page_coloring; via_touch = false }) () =
+let run_with_attrib ?(policy = Run.cdpc) () =
   let cfg = Helpers.tiny_cfg () in
   let attrib = A.create ~n_colors:(Config.n_colors cfg) ~n_classes () in
   let reg = Metrics.create () in

@@ -17,6 +17,7 @@ module Mclass = Pcolor.Memsim.Mclass
 module Bitset = Pcolor.Util.Bitset
 module Pool = Pcolor.Util.Pool
 module Spec = Pcolor.Workloads.Spec
+module Cell = Pcolor.Runtime.Cell
 
 let render r = Format.asprintf "%a" Report.pp r
 
@@ -48,26 +49,57 @@ let batch_setups () =
 let run_batch ~jobs =
   Pool.map ~jobs (fun s -> render (Run.run s).Run.report) (batch_setups ())
 
-(* The bench harness's pattern (bench/mix.ml, Harness.prefill): tasks
-   are submitted costliest first, so not in result order, and each
-   writes its own index slot. *)
-let run_batch_slots ~jobs =
-  let setups = Array.of_list (batch_setups ()) in
-  let slots = Array.make (Array.length setups) "" in
-  let cost i = setups.(i).Run.cfg.Config.n_cpus in
-  List.init (Array.length setups) Fun.id
-  |> List.stable_sort (fun a b -> compare (cost b) (cost a))
-  |> List.map (fun i () -> slots.(i) <- render (Run.run setups.(i)).Run.report)
-  |> Pool.run_all ~jobs;
-  Array.to_list slots
+(* The bench harness's order (bench/mix.ml, Cell.runner): tasks start
+   costliest first, so not in result order. *)
+let run_batch_costliest_first ~jobs =
+  Pool.map_costliest_first ~jobs
+    ~cost:(fun (s : Run.setup) -> float_of_int s.cfg.Config.n_cpus)
+    (fun s -> render (Run.run s).Run.report)
+    (batch_setups ())
+
+let disabled () = Pcolor.Obs.Ctx.disabled
+
+(* Harness cells at smoke scale, one listed twice. *)
+let smoke_cell ?prefetch ?(machine = "sgi") bench n_cpus policy =
+  Cell.make ?prefetch ~scale:64 ~bench ~machine ~n_cpus ~policy ()
+
+let run_cells ~jobs =
+  let tomcatv = smoke_cell "tomcatv" 1 Run.Page_coloring in
+  Cell.runner ~obs:disabled ~progress:(fun _ _ -> ()) ~jobs
+    [
+      tomcatv;
+      smoke_cell "swim" 2 Run.cdpc;
+      smoke_cell ~prefetch:true "tomcatv" 2 Run.cdpc;
+      tomcatv;
+      smoke_cell ~machine:"alpha" "fpppp" 4 Run.cdpc_touch;
+    ]
+  |> List.map render
 
 let test_pool_matches_sequential () =
   let seq = run_batch ~jobs:1 in
   Alcotest.(check (list string)) "jobs=4 output equals jobs=1" seq (run_batch ~jobs:4);
-  Alcotest.(check (list string)) "cost-sorted run_all into slots, jobs=1" seq
-    (run_batch_slots ~jobs:1);
-  Alcotest.(check (list string)) "cost-sorted run_all into slots, jobs=4" seq
-    (run_batch_slots ~jobs:4)
+  Alcotest.(check (list string)) "costliest-first map, jobs=1" seq
+    (run_batch_costliest_first ~jobs:1);
+  Alcotest.(check (list string)) "costliest-first map, jobs=4" seq
+    (run_batch_costliest_first ~jobs:4);
+  Alcotest.(check (list string)) "cell runner, jobs=2 output equals jobs=1" (run_cells ~jobs:1)
+    (run_cells ~jobs:2)
+
+(* The runner's memo: a cell listed twice, or asked for again by a
+   later grid, simulates once and returns the same report. *)
+let test_cell_runner_memo () =
+  let runs = Atomic.make 0 in
+  let reports = Cell.runner ~obs:disabled ~progress:(fun _ _ -> Atomic.incr runs) ~jobs:2 in
+  let fig7 = smoke_cell ~machine:"sgi-2way" "swim" 4 Run.cdpc in
+  Alcotest.(check string) "Figure-7 key" "swim/sgi-2way/4/cdpc/false" (Cell.key fig7);
+  let first = reports [ fig7; fig7 ] in
+  Alcotest.(check bool) "listed twice: one report" true (List.nth first 0 == List.nth first 1);
+  let later = reports [ smoke_cell "swim" 4 Run.cdpc; fig7 ] in
+  Alcotest.(check bool) "asked again: the same report" true (List.nth later 1 == List.hd first);
+  Alcotest.(check int) "two distinct cells, two runs" 2 (Atomic.get runs);
+  match Cell.make ~scale:256 ~bench:"swim" ~machine:"sgi" ~n_cpus:4 ~policy:Run.cdpc () with
+  | _ -> Alcotest.fail "scale 256 on the 1 MB sgi machine must be refused"
+  | exception Invalid_argument _ -> ()
 
 (* ---- 3. golden miss-class counts (pre-refactor capture) ---- *)
 
@@ -156,8 +188,7 @@ let test_pool_map_order () =
 
 let test_pool_propagates_failure () =
   Alcotest.check_raises "worker exception re-raised" (Failure "boom") (fun () ->
-      Pool.run_all ~jobs:4
-        (List.init 8 (fun i () -> if i = 5 then failwith "boom")));
+      ignore (Pool.map ~jobs:4 (fun i -> if i = 5 then failwith "boom") (List.init 8 Fun.id)));
   (* every domain was joined: the next map runs to completion, in order *)
   let xs = List.init 20 Fun.id in
   Alcotest.(check (list int)) "map after a failure" (List.map succ xs) (Pool.map ~jobs:4 succ xs)
@@ -174,5 +205,6 @@ let suite =
         Alcotest.test_case "bitset unit" `Quick test_bitset;
         Alcotest.test_case "pool map order" `Quick test_pool_map_order;
         Alcotest.test_case "pool failure propagation" `Quick test_pool_propagates_failure;
+        Alcotest.test_case "cell runner memo" `Quick test_cell_runner_memo;
       ] );
   ]

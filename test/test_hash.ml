@@ -452,7 +452,7 @@ let setup ?(l2_slices = 1) ?(l2_hash = Ahash.Identity) ~policy () =
 (* Under the identity hash, hash-aware CDPC must coincide with plain
    CDPC bit for bit: the classifier is frame mod n_colors. *)
 let test_hcdpc_identity_coincides () =
-  let cdpc = Run.run (setup ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }) ()) in
+  let cdpc = Run.run (setup ~policy:Run.cdpc ()) in
   let hcdpc = Run.run (setup ~policy:(Run.Cdpc_hash { fallback = `Page_coloring }) ()) in
   let strip r = { r with Pcolor.Stats.Report.policy = "x" } in
   Alcotest.(check string) "identical reports"

@@ -4,7 +4,7 @@
 
    1. random programs give the same artifact and the same tape bytes on
       the main domain (where a spare core lets the helper fill) and
-      inside a two-domain Pool.run_all (where the consumer fills);
+      inside a two-domain Pool.map (where the consumer fills);
    2. a run that runs out of frames in the middle of a nest leaves the
       producer ready: the next run on the same domain finishes and its
       artifact equals the one a run before the failure produced;
@@ -50,7 +50,7 @@ let policies =
   [|
     Run.Page_coloring;
     Run.Bin_hopping;
-    Run.Cdpc { fallback = `Page_coloring; via_touch = false };
+    Run.cdpc;
     Run.Cdpc { fallback = `Page_coloring; via_touch = true };
   |]
 
@@ -86,11 +86,10 @@ let prop_helper_matches_inline =
       in
       let on_main = recorded (setup ()) in
       (* two tasks on two domains: whichever runs on the main domain
-         runs inside a multi-domain run_all, the other on a worker
-         domain — both fill their own batches *)
-      let slots = Array.make 2 None in
-      Pool.run_all ~jobs:2 (List.init 2 (fun i () -> slots.(i) <- Some (recorded (setup ()))));
-      Array.for_all (fun r -> r = Some on_main) slots)
+         runs inside a multi-domain map, the other on a worker domain —
+         both fill their own batches *)
+      Pool.map ~jobs:2 (fun () -> recorded (setup ())) [ (); () ]
+      |> List.for_all (fun r -> r = on_main))
 
 (* Two arrays of 64 pages each over a tiny machine's 1 KB pages: every
    CPU share of the sweep spans several batches. *)

@@ -153,7 +153,7 @@ let prop_pipeline_deterministic =
           {
             (Run.default_setup ~cfg:(cfg ())
                ~make_program:(fun () -> build spec)
-               ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }))
+               ~policy:Run.cdpc)
             with
             check_bounds = true;
             cap = 1;
@@ -179,7 +179,7 @@ let prop_policies_agree_on_instructions =
       in
       let i1 = run Run.Page_coloring in
       let i2 = run Run.Bin_hopping in
-      let i3 = run (Run.Cdpc { fallback = `Page_coloring; via_touch = false }) in
+      let i3 = run Run.cdpc in
       i1 = i2 && i2 = i3)
 
 let prop_miss_classes_partition_misses =

@@ -126,7 +126,7 @@ let test_bounds_check_catches_oob () =
      with Invalid_argument _ -> true)
 
 let test_cdpc_honors_all_hints () =
-  let o = Run.run (setup ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }) ()) in
+  let o = Run.run (setup ~policy:Run.cdpc ()) in
   Alcotest.(check int) "no fallbacks under ample memory" 0 o.report.hints_fallback;
   (* ground truth: every hinted page landed on its advised color *)
   match o.hints_info with
@@ -146,8 +146,8 @@ let test_cdpc_via_touch_equals_madvise () =
          (fun (vp, _) -> Option.map (fun c -> (vp, c)) (Pcolor.Vm.Kernel.color_of_vpage k vp))
          o.trace)
   in
-  let madvise = run (Run.Cdpc { fallback = `Page_coloring; via_touch = false }) in
-  let touch = run (Run.Cdpc { fallback = `Bin_hopping; via_touch = true }) in
+  let madvise = run Run.cdpc in
+  let touch = run Run.cdpc_touch in
   Alcotest.(check bool) "same page->color map" true (madvise = touch)
 
 (* The paper's §5.2 objective 1 as a theorem: with each CPU's data
@@ -162,7 +162,7 @@ let test_cdpc_eliminates_conflicts_when_fitting () =
     {
       (Run.default_setup ~cfg
          ~make_program:(fun () -> Helpers.figure4_program ~rows:4 ~cols:128 ())
-         ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }))
+         ~policy:Run.cdpc)
       with
       check_bounds = true;
     }
@@ -190,7 +190,7 @@ let test_memory_pressure_fallback_completes () =
   Alcotest.(check bool) "run completed" true (r.wall_cycles > 0.0);
   Alcotest.(check bool) "pressure forced fallbacks" true (r.hints_fallback > 0);
   (* CDPC under the same pressure also completes *)
-  let s' = { s with policy = Run.Cdpc { fallback = `Page_coloring; via_touch = false } } in
+  let s' = { s with policy = Run.cdpc } in
   let r' = (Run.run s').report in
   Alcotest.(check bool) "cdpc under pressure completes" true (r'.wall_cycles > 0.0)
 

@@ -35,9 +35,9 @@ let all_policies =
     Run.Bin_hopping;
     Run.Bin_hopping_unaligned;
     Run.Random_colors;
-    Run.Cdpc { fallback = `Page_coloring; via_touch = false };
+    Run.cdpc;
     Run.Cdpc { fallback = `Bin_hopping; via_touch = false };
-    Run.Cdpc { fallback = `Bin_hopping; via_touch = true };
+    Run.cdpc_touch;
     Run.Cdpc_hash { fallback = `Page_coloring };
     Run.Cdpc_hash { fallback = `Bin_hopping };
     Run.Dynamic_recoloring { base = `Page_coloring };

@@ -130,7 +130,7 @@ let test_text_runs_end_to_end () =
     {
       (Run.default_setup ~cfg
          ~make_program:(fun () -> Text.of_string sample_text)
-         ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }))
+         ~policy:Run.cdpc)
       with
       check_bounds = true;
     }

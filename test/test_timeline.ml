@@ -89,7 +89,7 @@ let test_engines_identical_timeline () =
     [
       (Run.Page_coloring, false);
       (Run.Page_coloring, true);
-      (Run.Cdpc { fallback = `Page_coloring; via_touch = false }, false);
+      (Run.cdpc, false);
       (Run.Bin_hopping, true);
     ]
 
@@ -892,7 +892,7 @@ let test_mix_timeline () =
     { Pcolor.Sched.Scheduler.policy = Gang; quantum = 20_000; switch_cost = 1_000; tlb = Asid }
   in
   let spec name =
-    Pcolor.Sched.Job.spec ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false })
+    Pcolor.Sched.Job.spec ~policy:Run.cdpc
       ~name (fun () -> Helpers.figure4_program ())
   in
   let mix = Pcolor.Sched.Mix.run ~cfg ~sched ~obs [ spec "a"; spec "b" ] in

@@ -323,7 +323,7 @@ let test_engines_identical () =
       Run.Page_coloring;
       Run.Bin_hopping;
       Run.Random_colors;
-      Run.Cdpc { fallback = `Page_coloring; via_touch = false };
+      Run.cdpc;
       Run.Cdpc { fallback = `Page_coloring; via_touch = true };
     ]
 
@@ -392,7 +392,7 @@ let test_btrace_roundtrip () =
       Run.Bin_hopping;
       Run.Bin_hopping_unaligned;
       Run.Random_colors;
-      Run.Cdpc { fallback = `Page_coloring; via_touch = false };
+      Run.cdpc;
       Run.Cdpc { fallback = `Bin_hopping; via_touch = false };
       Run.Cdpc { fallback = `Page_coloring; via_touch = true };
       Run.Cdpc_hash { fallback = `Page_coloring };

@@ -117,7 +117,7 @@ let test_all_benchmarks_bounds_checked () =
             {
               (Run.default_setup ~cfg
                  ~make_program:(fun () -> d.build ~scale:64 ())
-                 ~policy:(Run.Cdpc { fallback = `Page_coloring; via_touch = false }))
+                 ~policy:Run.cdpc)
               with
               check_bounds = true;
               cap = 1;
