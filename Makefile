@@ -35,9 +35,13 @@
 #                     byte-identical to the committed golden artifact
 #                     (and to a run with no slice flags at all), a
 #                     4-slice sandybridge mix under reclaim must match
-#                     its golden artifact exactly, and
+#                     its golden artifact exactly,
 #                     `pcolor probe` must recover each configured hash
-#                     from eviction sets exactly
+#                     from eviction sets exactly, and the harness's hash
+#                     section, regenerated at PCOLOR_SCALE=64
+#                     PCOLOR_FAST=1 into _build/hash-check/, must equal
+#                     the committed BENCH_hash.json under `pcolor diff
+#                     --exact` (provenance aside)
 #   make figures-check  regenerate the figure6-9 and table2 harness
 #                     sections at PCOLOR_SCALE=4 into _build/figures-check/
 #                     and `pcolor diff --exact --ignore seconds` each
@@ -168,6 +172,12 @@ hash-check:
 	$(DUNE) exec bin/pcolor_cli.exe -- probe --scale 64 --slices 2 --llc-hash xor-fold
 	$(DUNE) exec bin/pcolor_cli.exe -- probe --scale 64 --slices 2 --llc-hash sandybridge
 	$(DUNE) exec bin/pcolor_cli.exe -- probe --scale 64 --slices 4 --llc-hash sandybridge
+	@# Section gate: the harness's hashed-LLC grid (18 sliced cells and
+	@# the probe self-tests) must reproduce the committed BENCH_hash.json.
+	$(DUNE) build bench/main.exe bin/pcolor_cli.exe
+	@rm -rf _build/hash-check && mkdir -p _build/hash-check
+	cd _build/hash-check && PCOLOR_SCALE=64 PCOLOR_FAST=1 ../default/bench/main.exe hash > stdout.txt
+	_build/default/bin/pcolor_cli.exe diff BENCH_hash.json _build/hash-check/BENCH_hash.json --exact
 
 timeline-check:
 	@# Replay observability-parity gate: replaying a taped run with the

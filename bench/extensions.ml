@@ -107,14 +107,15 @@ let scale_sensitivity () =
         List.map
           (fun n_cpus ->
             let run policy =
-              let c = Cell.make ~scale:sc ~bench:"tomcatv" ~machine:"sgi" ~n_cpus ~policy () in
+              let machine = machine ~scale:sc "sgi" ~n_cpus in
+              let c = Cell.make ~machine ~bench:"tomcatv" ~policy () in
               (Run.run (Cell.setup c)).Run.report
             in
             let pc = run Run.Page_coloring and cd = run Run.cdpc in
             Table.fcell (Report.speedup ~base:pc cd))
           [ 2; 4; 8; 16 ]
       in
-      let colors = Config.n_colors (Config.scale (Config.sgi_base ~n_cpus:2 ()) sc) in
+      let colors = Config.n_colors (machine ~scale:sc "sgi" ~n_cpus:2).cfg in
       Table.add_row t (Printf.sprintf "1/%d (%d)" sc colors :: row))
     scales;
   Table.print t;

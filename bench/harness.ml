@@ -30,16 +30,17 @@ let usage_error fmt =
 (* Scale divisor for data sets and caches.  4 preserves the paper's
    color-space geometry closely (64 colors on the base machine) and
    keeps the full harness to about 20 s on two cores; override with
-   PCOLOR_SCALE=1|4|16|64|256 (1 = the paper's exact geometry, slow;
-   64 = smoke-sized, what CI runs).  256 leaves the 1 MB L2 of the sgi
-   and sgi-2way models fewer than two colors, so every section that
-   simulates them refuses it. *)
+   PCOLOR_SCALE, one of {!Pcolor.Workloads.Gen.scales} (1 = the paper's
+   exact geometry, slow; 64 = smoke-sized, what CI runs).  256 leaves
+   the 1 MB L2 of the sgi and sgi-2way models fewer than two colors, so
+   every section that simulates them refuses it. *)
 let scale =
+  let module Gen = Pcolor.Workloads.Gen in
   match Sys.getenv_opt "PCOLOR_SCALE" with
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some (1 | 4 | 16 | 64 | 256 as v) -> v
-    | _ -> usage_error "PCOLOR_SCALE=%S: use 1, 4, 16, 64 or 256" s)
+    | Some v when List.mem v Gen.scales -> v
+    | _ -> usage_error "PCOLOR_SCALE=%S: %s" s Gen.scales_doc)
   | None -> 4
 
 (* Fast mode trims CPU sweeps; used by CI-style smoke runs. *)
@@ -49,20 +50,17 @@ let cpu_counts = if fast then [ 1; 4; 16 ] else [ 1; 2; 4; 8; 16 ]
 
 let alpha_cpu_counts = if fast then [ 1; 8 ] else [ 1; 2; 4; 8 ]
 
-let too_deep machine msg =
-  usage_error "PCOLOR_SCALE=%d is too large for the %s machine model (%s)" scale machine msg
+(* [machine ?scale ?slices ?hash model ~n_cpus] is a {!Cell.machine}
+   at the harness scale unless [scale] says otherwise.  The sections fix
+   every other input, so only the scale can be refused: here, on the
+   main domain, before any cell simulates. *)
+let machine ?(scale = scale) ?slices ?hash model ~n_cpus =
+  match Cell.machine ?slices ?hash ~model ~n_cpus ~scale () with
+  | Ok m -> m
+  | Error (_, msg) -> usage_error "PCOLOR_SCALE=%s" msg
 
-(* [machine] is a {!Config.models} name. *)
-let machine_cfg machine ~n_cpus =
-  try Config.scale ((List.assoc machine Config.models) ~n_cpus ()) scale
-  with Invalid_argument msg -> too_deep machine msg
-
-(* [cell] is an experiment at the harness scale; a scale too deep for
-   the machine is refused here, on the main domain, before any cell
-   simulates. *)
-let cell ?prefetch ~bench ~machine ~n_cpus ~policy () =
-  try Cell.make ?prefetch ~scale ~bench ~machine ~n_cpus ~policy ()
-  with Invalid_argument msg -> too_deep machine msg
+let cell ?prefetch ?slices ?hash ~bench ~machine:model ~n_cpus ~policy () =
+  Cell.make ?prefetch ~machine:(machine ?slices ?hash model ~n_cpus) ~bench ~policy ()
 
 (* Parallelism: number of worker domains for experiment grids.
    PCOLOR_JOBS=1 restores strictly sequential execution. *)
@@ -129,13 +127,26 @@ let section title =
 
 let note fmt = Printf.printf (fmt ^^ "\n")
 
-(* ---- machine-readable section artifacts ---- *)
+(* ---- machine-readable artifacts ---- *)
 
 (* [provenance ()] stamps scale/jobs into the artifact header; one
    stamp per bench process, shared by every artifact it writes. *)
 let provenance =
   let stamp = lazy (Pcolor.Obs.Provenance.collect ~scale ~jobs ()) in
   fun () -> Lazy.force stamp
+
+(* [write_artifact ?before file fields] writes [file] as pretty JSON:
+   the schema version, the [before] fields, this process's provenance
+   stamp, then [fields]. *)
+let write_artifact ?(before = []) file fields =
+  let module J = Pcolor.Obs.Json in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc
+        (J.pretty
+           (J.Obj
+              ((("schema_version", J.Int Pcolor.Obs.Provenance.schema_version) :: before)
+              @ (("provenance", Pcolor.Obs.Provenance.to_json (provenance ())) :: fields))));
+      output_char oc '\n')
 
 (* [sanitize_section name] maps a section name to a filename fragment
    ("figure3+5" -> "figure3_5"). *)
@@ -147,21 +158,13 @@ let sanitize_section name =
    BENCH_<section>.json. *)
 let write_section_artifact ~section:name ~seconds ~cells =
   let module J = Pcolor.Obs.Json in
-  let experiments =
-    List.map (fun (k, r) -> J.Obj [ ("key", J.Str k); ("report", Report.to_json r) ]) cells
-  in
   let file = Printf.sprintf "BENCH_%s.json" (sanitize_section name) in
-  let oc = open_out file in
-  output_string oc
-    (J.pretty
-       (J.Obj
-          [
-            ("schema_version", J.Int Pcolor.Obs.Provenance.schema_version);
-            ("section", J.Str name);
-            ("seconds", J.Float seconds);
-            ("provenance", Pcolor.Obs.Provenance.to_json (provenance ()));
-            ("experiments", J.Arr experiments);
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "  wrote %s (%d experiments)\n%!" file (List.length experiments)
+  write_artifact file
+    ~before:[ ("section", J.Str name); ("seconds", J.Float seconds) ]
+    [
+      ( "experiments",
+        J.Arr
+          (List.map (fun (k, r) -> J.Obj [ ("key", J.Str k); ("report", Report.to_json r) ]) cells)
+      );
+    ];
+  Printf.eprintf "  wrote %s (%d experiments)\n%!" file (List.length cells)

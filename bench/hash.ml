@@ -34,6 +34,8 @@ let n_cpus = 4
 
 let n_slices = 2
 
+(* the identity first: the hashes after it are the ones a colorer can
+   lose to *)
 let hash_cells =
   [ ("identity", Ahash.Identity); ("xor-fold", Ahash.Xor_fold); ("sandybridge", Ahash.Sandybridge) ]
 
@@ -52,37 +54,31 @@ let policy_cells =
    meaningless. *)
 let benches = [ "turb3d"; "hydro2d" ]
 
-let cfg_with hash =
-  let base = machine_cfg "sgi" ~n_cpus in
-  Config.validate { base with Config.l2_slices = n_slices; l2_hash = hash }
+(* The grid, stated once and simulated on the harness's pool:
+   (bench, hash, policy) -> conflict misses, every cell on the sgi
+   machine sliced [n_slices] ways by its hash. *)
+let conflict_grid () =
+  let coords = benches *** hash_cells *** policy_cells in
+  let report =
+    grid
+      (fun (bench, ((_, hash), (_, policy))) ->
+        cell ~slices:n_slices ~hash ~bench ~machine:"sgi" ~n_cpus ~policy ())
+      coords
+  in
+  List.map
+    (fun ((bench, ((hname, _), (pname, _))) as c) ->
+      ((bench, hname, pname), Report.conflict_misses (report c)))
+    coords
 
-let run_cell ~bench ~hash ~policy =
-  Run.run { (Cell.setup (cell ~bench ~machine:"sgi" ~n_cpus ~policy ())) with cfg = cfg_with hash }
-
-(* One pass over the grid; cells are (bench, hash, policy) -> conflict
-   misses. *)
-let grid () =
-  List.concat_map
-    (fun bench ->
-      List.concat_map
-        (fun (hname, hash) ->
-          List.map
-            (fun (pname, policy) ->
-              let o = run_cell ~bench ~hash ~policy in
-              ((bench, hname, pname), Report.conflict_misses o.Run.report))
-            policy_cells)
-        hash_cells)
-    benches
-
-let cell cells bench h p = List.assoc (bench, h, p) cells
+let conflicts cells bench h p = List.assoc (bench, h, p) cells
 
 (* Fraction of the conflict-miss advantage plain CDPC loses under
    [hname] that the hash-aware colorer wins back; 1.0 = full
    recovery. *)
 let recovered_fraction cells bench hname =
-  let id = cell cells bench "identity" "cdpc" in
-  let deg = cell cells bench hname "cdpc" in
-  let rec_ = cell cells bench hname "cdpc-hash" in
+  let id = conflicts cells bench "identity" "cdpc" in
+  let deg = conflicts cells bench hname "cdpc" in
+  let rec_ = conflicts cells bench hname "cdpc-hash" in
   if deg > id then (deg -. rec_) /. (deg -. id) else 1.0
 
 let conflict_table cells =
@@ -97,12 +93,12 @@ let conflict_table cells =
           Table.add_row t
             ([ bench; hname ]
             @ List.map
-                (fun (pname, _) -> Printf.sprintf "%.0f" (cell cells bench hname pname))
+                (fun (pname, _) -> Printf.sprintf "%.0f" (conflicts cells bench hname pname))
                 policy_cells
             @ [
                 (if
                    hname = "identity"
-                   || cell cells bench hname "cdpc" <= cell cells bench "identity" "cdpc"
+                   || conflicts cells bench hname "cdpc" <= conflicts cells bench "identity" "cdpc"
                  then "-" (* nothing lost, nothing to recover *)
                  else Printf.sprintf "%.2f" (recovered_fraction cells bench hname));
               ]))
@@ -111,92 +107,70 @@ let conflict_table cells =
   Table.print t
 
 let probe_checks () =
-  List.filter_map
+  List.map
     (fun (hname, hash) ->
-      if hash = Ahash.Identity then None
-      else
-        let cfg = cfg_with hash in
-        match Probe.self_test cfg with
-        | Ok r ->
-          note "  probe self-test (%s): recovered exactly (%d conflict tests)" hname r.Probe.tests;
-          Some (hname, true)
-        | Error (_, msg) ->
-          note "  probe self-test (%s): MISMATCH — %s" hname msg;
-          Some (hname, false))
-    hash_cells
+      match Probe.self_test (machine ~slices:n_slices ~hash "sgi" ~n_cpus).cfg with
+      | Ok r ->
+        note "  probe self-test (%s): recovered exactly (%d conflict tests)" hname r.Probe.tests;
+        (hname, true)
+      | Error (_, msg) ->
+        note "  probe self-test (%s): MISMATCH — %s" hname msg;
+        (hname, false))
+    (List.tl hash_cells)
 
-let write_json ~file ~cells ~probe =
+let write_json ~cells ~probe =
   let module J = Pcolor.Obs.Json in
-  let json =
-    J.Obj
-      [
-        ("schema_version", J.Int Pcolor.Obs.Provenance.schema_version);
-        ("section", J.Str "hash");
-        ("provenance", Pcolor.Obs.Provenance.to_json (provenance ()));
-        ("scale", J.Int scale);
-        ("n_cpus", J.Int n_cpus);
-        ("slices", J.Int n_slices);
-        ( "cells",
-          J.Arr
-            (List.map
-               (fun ((bench, h, p), conflicts) ->
-                 J.Obj
-                   [
-                     ("bench", J.Str bench);
-                     ("hash", J.Str h);
-                     ("policy", J.Str p);
-                     ("conflict_misses", J.Float conflicts);
-                   ])
-               cells) );
-        ( "recovery",
-          J.Obj
-            (List.concat_map
-               (fun bench ->
-                 List.filter_map
-                   (fun (hname, _) ->
-                     if hname = "identity" then None
-                     else
-                       Some
-                         ( Printf.sprintf "%s/%s" bench hname,
-                           J.Float (recovered_fraction cells bench hname) ))
-                   hash_cells)
-               benches) );
-        ( "probe",
-          J.Obj (List.map (fun (hname, ok) -> (hname, J.Bool ok)) probe) );
-      ]
-  in
-  let oc = open_out file in
-  output_string oc (J.pretty json);
-  output_char oc '\n';
-  close_out oc;
-  note "  wrote %s" file
+  write_artifact "BENCH_hash.json" ~before:[ ("section", J.Str "hash") ]
+    [
+      ("scale", J.Int scale);
+      ("n_cpus", J.Int n_cpus);
+      ("slices", J.Int n_slices);
+      ( "cells",
+        J.Arr
+          (List.map
+             (fun ((bench, h, p), conflicts) ->
+               J.Obj
+                 [
+                   ("bench", J.Str bench);
+                   ("hash", J.Str h);
+                   ("policy", J.Str p);
+                   ("conflict_misses", J.Float conflicts);
+                 ])
+             cells) );
+      ( "recovery",
+        J.Obj
+          (List.map
+             (fun (bench, (hname, _)) ->
+               (bench ^ "/" ^ hname, J.Float (recovered_fraction cells bench hname)))
+             (benches *** List.tl hash_cells)) );
+      ("probe", J.Obj (List.map (fun (hname, ok) -> (hname, J.Bool ok)) probe));
+    ];
+  note "  wrote BENCH_hash.json"
 
 let run () =
   section
     (Printf.sprintf "Hashed LLC: CDPC vs hash-aware CDPC under sliced index hashes (%d slices)"
        n_slices);
-  let cells = grid () in
+  let cells = conflict_grid () in
   conflict_table cells;
   note "";
   (* shape checks *)
   List.iter
     (fun bench ->
       let same =
-        cell cells bench "identity" "cdpc-hash" = cell cells bench "identity" "cdpc"
+        conflicts cells bench "identity" "cdpc-hash" = conflicts cells bench "identity" "cdpc"
       in
       note "  check: %s cdpc-hash(identity) == cdpc: %b" bench same)
     benches;
   List.iter
     (fun bench ->
-      List.iter
-        (fun hname ->
-          let degrades =
-            cell cells bench hname "cdpc" > cell cells bench "identity" "cdpc"
-          in
-          let f = recovered_fraction cells bench hname in
-          note "  check: %s cdpc degrades under %s: %b; hash-aware recovers %.0f%% (>= 50%%: %b)"
-            bench hname degrades (100.0 *. f) (f >= 0.5))
-        [ "sandybridge" ])
+      let degrades =
+        conflicts cells bench "sandybridge" "cdpc" > conflicts cells bench "identity" "cdpc"
+      in
+      let f = recovered_fraction cells bench "sandybridge" in
+      note
+        "  check: %s cdpc degrades under sandybridge: %b; hash-aware recovers %.0f%% (>= 50%%: %b)"
+        bench degrades (100.0 *. f) (f >= 0.5))
     benches;
   let probe = probe_checks () in
-  write_json ~file:"BENCH_hash.json" ~cells ~probe
+  write_json ~cells ~probe

@@ -10,7 +10,12 @@ module Config = Pcolor.Memsim.Config
 module Cache = Pcolor.Memsim.Cache
 module Shadow = Pcolor.Memsim.Shadow
 
-let cfg_small = Config.scale (Config.sgi_base ~n_cpus:8 ()) 16
+(* the 8-CPU sgi machine at scale 16, and the same machine with a
+   4-slice sandybridge-hashed external cache *)
+let machine ?slices ?hash () =
+  Result.get_ok (Pcolor.Runtime.Cell.machine ?slices ?hash ~model:"sgi" ~n_cpus:8 ~scale:16 ())
+
+let cfg_small = (machine ()).cfg
 
 (* figure2/figure6 substrate: raw cache and shadow access throughput *)
 let test_cache_access =
@@ -132,7 +137,7 @@ let test_machine_access =
    an L1 miss served by a slice, and the page teardown every reclaim
    eviction performs *)
 let cfg_sliced =
-  Config.validate { cfg_small with l2_slices = 4; l2_hash = Pcolor.Memsim.Ahash.Sandybridge }
+  (machine ~slices:4 ~hash:Pcolor.Memsim.Ahash.Sandybridge ()).cfg
 
 let test_slice_hash =
   let h = Config.resolved_hash cfg_sliced in
@@ -309,32 +314,16 @@ let test_partition =
 let btrace_decode () =
   let module Btrace = Pcolor.Runtime.Btrace in
   let module Run = Pcolor.Runtime.Run in
-  let setup =
-    Run.default_setup ~cfg:cfg_small
-      ~make_program:(fun () -> Pcolor.Workloads.Tomcatv.program ~scale:16 ())
-      ~policy:Run.Page_coloring
-  in
+  let module Cell = Pcolor.Runtime.Cell in
+  let cell = Cell.make ~machine:(machine ()) ~bench:"tomcatv" ~policy:Run.Page_coloring () in
   let path = Filename.temp_file "pcolor_micro" ".pcbt" in
   let tape =
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
         let oc = open_out_bin path in
-        let w =
-          Btrace.create_writer oc
-            {
-              Btrace.bench = "tomcatv";
-              machine = "sgi";
-              n_cpus = cfg_small.n_cpus;
-              scale = 16;
-              policy = Run.policy_name setup.policy;
-              prefetch = false;
-              seed = setup.seed;
-              cap = setup.cap;
-              provenance = "";
-            }
-        in
-        ignore (Run.run ~recorder:(Btrace.recorder w) setup);
+        let w = Btrace.create_writer oc (Cell.header ~provenance:"" cell) in
+        ignore (Run.run ~recorder:(Btrace.recorder w) (Cell.setup cell));
         Btrace.finish w;
         close_out oc;
         In_channel.with_open_bin path In_channel.input_all)

@@ -26,7 +26,7 @@ let mixes =
 let policies = [ Run.Page_coloring; Run.Bin_hopping; Run.cdpc ]
 
 let run_mix ~benches ~policy =
-  let cfg = machine_cfg "sgi" ~n_cpus:8 in
+  let cfg = (machine "sgi" ~n_cpus:8).cfg in
   let specs =
     List.map
       (fun bench -> Job.spec ~policy ~name:bench (fun () -> (Spec.find bench).build ~scale ()))
@@ -133,19 +133,11 @@ let run () =
             ] );
       ]
   in
-  let json =
-    J.Obj
-      [
-        ("schema_version", J.Int Pcolor.Obs.Provenance.schema_version);
-        ("provenance", Pcolor.Obs.Provenance.to_json (provenance ()));
-        ("scale", J.Int scale);
-        ("sched", J.Str (Scheduler.policy_name Scheduler.default.Scheduler.policy));
-        ("quantum", J.Int Scheduler.default.Scheduler.quantum);
-        ("mixes", J.Arr (List.map mix_json results));
-      ]
-  in
-  let oc = open_out "BENCH_mix.json" in
-  output_string oc (J.pretty json);
-  output_char oc '\n';
-  close_out oc;
+  write_artifact "BENCH_mix.json"
+    [
+      ("scale", J.Int scale);
+      ("sched", J.Str (Scheduler.policy_name Scheduler.default.Scheduler.policy));
+      ("quantum", J.Int Scheduler.default.Scheduler.quantum);
+      ("mixes", J.Arr (List.map mix_json results));
+    ];
   note "  wrote BENCH_mix.json"

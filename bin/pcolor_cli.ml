@@ -14,6 +14,7 @@ open Cmdliner
 module Run = Pcolor.Runtime.Run
 module Engine = Pcolor.Runtime.Engine
 module Btrace = Pcolor.Runtime.Btrace
+module Cell = Pcolor.Runtime.Cell
 module Report = Pcolor.Stats.Report
 module Config = Pcolor.Memsim.Config
 module Spec = Pcolor.Workloads.Spec
@@ -150,37 +151,6 @@ let check_scale scale =
   if not (List.mem scale Pcolor.Workloads.Gen.scales) then
     usage_error "--scale: %s (got %d)" Pcolor.Workloads.Gen.scales_doc scale
 
-(* The CPU count and scale are checked here, before anything is built,
-   because every command that simulates goes through [machine_term].  An
-   accepted scale can still be too large for a machine model (256 leaves
-   the 1 MB direct-mapped L2 one color), which is a usage error too.
-   [slices]/[llc_hash] (the hashed/sliced LLC, DESIGN §16) are applied
-   AFTER scaling — the scaled geometry determines the color count the
-   hash must divide — and re-validated, so an impossible combination
-   (slices > colors, rank-deficient masks) fails with a message rather
-   than a backtrace. *)
-let config_of ?slices ?llc_hash model n_cpus scale =
-  if n_cpus < 1 then usage_error "--cpus: need at least one CPU (got %d)" n_cpus;
-  if n_cpus > Config.max_cpus then
-    usage_error "--cpus: at most %d CPUs (got %d)" Config.max_cpus n_cpus;
-  check_scale scale;
-  let cfg =
-    try Config.scale ((List.assoc model Config.models) ~n_cpus ()) scale
-    with Invalid_argument msg ->
-      usage_error "--scale: %d is too large for the %s machine model (%s)" scale model msg
-  in
-  match (slices, llc_hash) with
-  | None, None -> cfg
-  | _ -> (
-    try
-      Config.validate
-        {
-          cfg with
-          Config.l2_slices = Option.value slices ~default:cfg.Config.l2_slices;
-          l2_hash = Option.value llc_hash ~default:cfg.Config.l2_hash;
-        }
-    with Invalid_argument msg -> usage_error "--slices/--llc-hash: %s" msg)
-
 let slices_arg =
   Arg.(
     value
@@ -207,21 +177,35 @@ let llc_hash_arg =
           "Slice-selection hash: $(b,identity) (classic positional colors), $(b,xor-fold), \
            $(b,sandybridge), or $(b,masks:0x..,..) (explicit GF(2) mask rows over frame bits).")
 
-(* A simulating command's machine: the checked config, its
-   [Config.models] name and the scale divisor. *)
-type machine = { cfg : Config.t; model : string; scale : int }
-
-(* [--machine/-p/-s], plus [--slices/--llc-hash] when [sliced], checked
-   through [config_of] before the command runs. *)
+(* [--machine/-p/-s], plus [--slices/--llc-hash] when [sliced]: the
+   machine half of a cell, checked by [Cell.machine] before the command
+   runs (every command that simulates goes through here), so a refused
+   CPU count, scale or slicing is one line naming its flag. *)
 let machine_term ~sliced =
-  let machine model n_cpus scale (slices, llc_hash) =
-    { cfg = config_of ?slices ?llc_hash model n_cpus scale; model; scale }
+  let machine model n_cpus scale (slices, hash) =
+    match Cell.machine ?slices ?hash ~model ~n_cpus ~scale () with
+    | Ok m -> m
+    | Error (axis, msg) ->
+      let flag =
+        match axis with
+        | Cell.Model -> "--machine"
+        | Cpus -> "--cpus"
+        | Scale -> "--scale"
+        | Slicing -> "--slices/--llc-hash"
+      in
+      usage_error "%s: %s" flag msg
   in
   let slicing =
     if sliced then Term.(const (fun s h -> (s, h)) $ slices_arg $ llc_hash_arg)
     else Term.const (None, None)
   in
   Term.(const machine $ machine_arg $ cpus_arg $ scale_arg $ slicing)
+
+(* [cell m bench policy] is a built-in benchmark's run on machine [m];
+   an unknown benchmark is [Spec.find]'s one-line refusal. *)
+let cell ?prefetch ?seed ?cap m bench policy =
+  try Cell.make ?prefetch ?seed ?cap ~machine:m ~bench ~policy ()
+  with Invalid_argument msg -> usage_error "%s" msg
 
 (* The run outputs, opened: a trace sink (when tracing), the artifact
    path, the host profiler (when [--prof]) and a constructor for per-run
@@ -288,8 +272,8 @@ let finish_outputs io m ~what ~seed ?(jobs = 1) json =
   Option.iter
     (fun path ->
       let provenance =
-        Pcolor.Obs.Provenance.collect ~scale:m.scale ~jobs ~seed
-          ~config_hash:(Pcolor.Obs.Provenance.hash_value m.cfg)
+        Pcolor.Obs.Provenance.collect ~scale:m.Cell.scale ~jobs ~seed
+          ~config_hash:(Pcolor.Obs.Provenance.hash_value m.Cell.cfg)
           ()
       in
       Option.iter (fun p -> Prof.start p Prof.Serialize) io.prof;
@@ -304,15 +288,6 @@ let finish_outputs io m ~what ~seed ?(jobs = 1) json =
   Option.iter (fun p -> print_string (Prof.render p)) io.prof;
   Option.iter Pcolor.Obs.Trace.close io.sink;
   Option.iter (fun path -> Printf.eprintf "wrote trace to %s\n%!" path) io.trace_path
-
-let setup_of m bench policy prefetch seed cap =
-  let d = find_bench bench in
-  {
-    (Run.default_setup ~cfg:m.cfg ~make_program:(fun () -> d.build ~scale:m.scale ()) ~policy) with
-    prefetch;
-    seed;
-    cap;
-  }
 
 (* ---- list ---- *)
 
@@ -341,10 +316,9 @@ let list_cmd =
 
 let run_cmd =
   let action bench m policy prefetch seed cap engine open_outputs =
-    let io = open_outputs m.cfg in
-    let o =
-      Run.run { (setup_of m bench policy prefetch seed cap) with obs = io.fresh_ctx (); engine }
-    in
+    let c = cell ~prefetch ~seed ~cap m bench policy in
+    let io = open_outputs m.Cell.cfg in
+    let o = Run.run { (Cell.setup ~obs:(io.fresh_ctx ()) c) with engine } in
     Format.printf "%a@." Report.pp o.report;
     finish_outputs io m ~what:"run" ~seed (fun provenance -> Run.artifact_json ~provenance o)
   in
@@ -357,7 +331,7 @@ let run_cmd =
 
 let compare_cmd =
   let action bench m prefetch seed cap engine open_outputs =
-    let hashed = m.cfg.Config.l2_slices > 1 in
+    let hashed = m.Cell.cfg.l2_slices > 1 in
     let policies =
       [ Run.Page_coloring; Run.Bin_hopping; Run.Random_colors; Run.cdpc ]
       (* on a hashed machine the interesting fifth column is the
@@ -365,9 +339,9 @@ let compare_cmd =
          the hash *)
       @ (if hashed then [ Run.Cdpc_hash { fallback = `Page_coloring } ] else [])
     in
-    (* look the bench up before fanning out, so a bad name is reported once *)
-    ignore (find_bench bench);
-    let io = open_outputs m.cfg in
+    (* the cells are made before fanning out, so a bad name is reported once *)
+    let cells = List.map (cell ~prefetch ~seed ~cap m bench) policies in
+    let io = open_outputs m.Cell.cfg in
     let jobs = min (Pcolor.Util.Pool.default_jobs ()) (List.length policies) in
     (* each policy is an independent simulation: fan them out across
        PCOLOR_JOBS domains (PCOLOR_JOBS=1 for strictly sequential); the
@@ -377,15 +351,13 @@ let compare_cmd =
        independent and deterministic. *)
     let outcomes =
       Pcolor.Util.Pool.map ~jobs
-        (fun policy ->
-          Run.run
-            { (setup_of m bench policy prefetch seed cap) with obs = io.fresh_ctx (); engine })
-        policies
+        (fun c -> Run.run { (Cell.setup ~obs:(io.fresh_ctx ()) c) with engine })
+        cells
     in
     let reports = List.map (fun (o : Run.outcome) -> o.report) outcomes in
     let t =
       Pcolor.Util.Table.create
-        ~title:(Printf.sprintf "%s, %d CPUs, scale 1/%d" bench m.cfg.Config.n_cpus m.scale)
+        ~title:(Printf.sprintf "%s, %d CPUs, scale 1/%d" bench m.Cell.cfg.n_cpus m.Cell.scale)
         [ "policy"; "wall cycles"; "MCPI"; "conflict"; "capacity"; "comm"; "bus%" ]
     in
     let base = ref None in
@@ -481,10 +453,10 @@ let mix_cmd =
             "Per-job mapping policies, comma-separated (same names as $(b,pcolor run)); one \
              value is broadcast to every job. Default: $(b,cdpc).")
   in
-  let action benches m sched_policy quantum switch_cost tlb mem_frames policy_str prefetch seed
-      cap engine open_outputs =
+  let action benches ({ Cell.cfg; _ } as m) sched_policy quantum switch_cost tlb mem_frames
+      policy_str prefetch seed cap engine open_outputs =
     let module Sched = Pcolor.Sched.Scheduler in
-    let k = List.length benches and n_cpus = m.cfg.Config.n_cpus in
+    let k = List.length benches and n_cpus = cfg.n_cpus in
     let policies =
       let names =
         match policy_str with None -> [ "cdpc" ] | Some s -> String.split_on_char ',' s
@@ -507,17 +479,17 @@ let mix_cmd =
     | _ -> ());
     if sched_policy = Sched.Space && k > n_cpus then
       usage_error "--sched: %d space-shared jobs on %d CPUs (need a CPU per job)" k n_cpus;
-    let io = open_outputs m.cfg in
+    let io = open_outputs cfg in
     let specs =
       List.map2
         (fun bench policy ->
           let d = find_bench bench in
           Pcolor.Sched.Job.spec ~policy ~prefetch ~seed ~engine_kind:engine ~name:bench (fun () ->
-              d.build ~scale:m.scale ()))
+              d.build ~scale:m.Cell.scale ()))
         benches policies
     in
     let sched = { Sched.policy = sched_policy; quantum; switch_cost; tlb } in
-    match Pcolor.Sched.Mix.run ~cfg:m.cfg ~sched ?mem_frames ~cap ~obs:(io.fresh_ctx ()) specs with
+    match Pcolor.Sched.Mix.run ~cfg ~sched ?mem_frames ~cap ~obs:(io.fresh_ctx ()) specs with
     | exception Pcolor.Vm.Kernel.Out_of_frames { cpu; vpage } ->
       Printf.eprintf
         "out of physical frames (cpu%d, vpage %d): the mix's working set exceeds --mem-frames \
@@ -530,7 +502,7 @@ let mix_cmd =
           ~title:
             (Printf.sprintf "%d-job %s mix, %d CPUs, scale 1/%d, quantum %d" k
                (Sched.policy_name sched_policy)
-               n_cpus m.scale quantum)
+               n_cpus m.Cell.scale quantum)
           [ "job"; "policy"; "cpus"; "wall cycles"; "MCPI"; "conflict"; "faults"; "honored%" ]
       in
       let module C = Pcolor.Memsim.Mclass in
@@ -596,7 +568,7 @@ let probe_cmd =
             "Frame bits probed above the group bits (the hash must not tap bits at or above \
              group_bits + $(docv)).")
   in
-  let action { cfg; _ } window =
+  let action { Cell.cfg; _ } window =
     let module Probe = Pcolor.Workloads.Probe in
     let module Ahash = Pcolor.Memsim.Ahash in
     let bound = Probe.max_window cfg in
@@ -638,26 +610,17 @@ let record_cmd =
       usage_error "record: dynamic recoloring depends on runtime feedback and cannot be \
                    replayed deterministically — pick a static policy"
     | _ -> ());
-    let header =
-      {
-        Btrace.bench;
-        machine = m.model;
-        n_cpus = m.cfg.Config.n_cpus;
-        scale = m.scale;
-        policy = Run.policy_name policy;
-        prefetch;
-        seed;
-        cap;
-        provenance = Option.value ~default:"" (Pcolor.Obs.Provenance.git_describe ());
-      }
-    in
+    let c = cell ~prefetch ~seed ~cap m bench policy in
     check_out_path ~flag:"-o" out;
     (* every other output opens first: a refused one leaves no empty tape *)
-    let io = open_outputs m.cfg in
+    let io = open_outputs m.Cell.cfg in
     let oc = try open_out_bin out with Sys_error msg -> usage_error "-o: %s" msg in
-    let w = Btrace.create_writer oc header in
-    let setup = { (setup_of m bench policy prefetch seed cap) with obs = io.fresh_ctx () } in
-    let o = Run.run ~recorder:(Btrace.recorder w) setup in
+    let w =
+      Btrace.create_writer oc
+        (Cell.header c
+           ~provenance:(Option.value ~default:"" (Pcolor.Obs.Provenance.git_describe ())))
+    in
+    let o = Run.run ~recorder:(Btrace.recorder w) (Cell.setup ~obs:(io.fresh_ctx ()) c) in
     Btrace.finish w;
     let bytes = pos_out oc in
     close_out oc;
@@ -698,42 +661,19 @@ let replay_cmd =
       try Btrace.open_reader ic with Btrace.Error c -> die "%s" (Btrace.corruption_message c)
     in
     let h = Btrace.header r in
-    let model =
-      match List.assoc_opt h.Btrace.machine Config.models with
-      | Some model -> model
-      | None -> die "unknown machine model %S in trace header" h.Btrace.machine
+    let c =
+      match Cell.of_header h with Ok c -> c | Error msg -> die "%s (trace header)" msg
     in
-    let policy =
-      match Run.policy_of_name h.Btrace.policy with
-      | Ok p -> p
-      | Error _ -> die "unknown policy %S in trace header" h.Btrace.policy
-    in
-    if not (List.mem h.Btrace.bench Spec.names) then
-      die "unknown benchmark %S in trace header" h.Btrace.bench;
-    let m =
-      try
-        {
-          cfg = Config.scale (model ~n_cpus:h.Btrace.n_cpus ()) h.Btrace.scale;
-          model = h.Btrace.machine;
-          scale = h.Btrace.scale;
-        }
-      with Invalid_argument msg -> die "%s (trace header)" msg
-    in
+    let m = c.Cell.machine in
     (* the sink an error below leaves open is flushed by [exit] *)
-    let io = open_outputs m.cfg in
-    let setup =
-      {
-        (setup_of m h.Btrace.bench policy h.Btrace.prefetch h.Btrace.seed h.Btrace.cap) with
-        obs = io.fresh_ctx ();
-      }
-    in
+    let io = open_outputs m.Cell.cfg in
+    let setup = Cell.setup ~obs:(io.fresh_ctx ()) c in
     let o =
       try Btrace.replay r ~setup with
       | Btrace.Error c -> die "%s" (Btrace.corruption_message c)
       | Sys_error msg -> die "%s" msg
       | Invalid_argument msg ->
-        (* the header passed the reader's checks but the workload
-           cannot be built from it (e.g. a scale the kernel lacks) *)
+        (* the header named a cell but its run cannot be built *)
         die "%s (trace header)" msg
     in
     close_in ic;
@@ -756,15 +696,6 @@ let replay_cmd =
 
 (* ---- pattern (Figures 3 and 5) ---- *)
 
-(* The benchmark through the run's own compile-time pipeline under CDPC:
-   the laid-out program and its §5.2 placement. *)
-let cdpc_prepare m bench =
-  let d = find_bench bench in
-  Run.prepare
-    (Run.default_setup ~cfg:m.cfg
-       ~make_program:(fun () -> d.build ~scale:m.scale ())
-       ~policy:Run.cdpc)
-
 let pattern_cmd =
   let order_arg =
     Arg.(
@@ -774,9 +705,11 @@ let pattern_cmd =
           ~doc:"X axis: $(b,va) = virtual-address order (Figure 3), $(b,cdpc) = coloring order \
                 (Figure 5).")
   in
-  let action bench ({ cfg; _ } as m) order =
-    let n_cpus = cfg.Config.n_cpus in
-    let p = cdpc_prepare m bench in
+  let action bench ({ Cell.cfg; _ } as m) order =
+    let n_cpus = cfg.n_cpus in
+    (* the run's own compile-time pipeline under CDPC: the laid-out
+       program and its §5.2 placement *)
+    let p = Run.prepare (Cell.setup (cell m bench Run.cdpc)) in
     let points, x_max, what =
       match order with
       | `Va ->
@@ -811,7 +744,7 @@ let pattern_cmd =
 
 let hints_cmd =
   let action bench m =
-    let p = cdpc_prepare m bench in
+    let p = Run.prepare (Cell.setup (cell m bench Run.cdpc)) in
     Format.printf "%a@." Pcolor.Cdpc.Colorer.pp_placement (snd (Option.get p.Run.hints_info))
   in
   Cmd.v (Cmd.info "hints" ~doc:"Dump the CDPC hint placement for a benchmark.")
@@ -823,7 +756,7 @@ let run_file_cmd =
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Program file (.sexp).")
   in
-  let action file { cfg; _ } policy prefetch seed cap =
+  let action file { Cell.cfg; _ } policy prefetch seed cap =
     let setup =
       {
         (Run.default_setup ~cfg

@@ -22,7 +22,8 @@ let () =
       let cells =
         List.map
           (fun n_cpus ->
-            let cell = Cell.make ~scale ~bench:"swim" ~machine:"sgi" ~n_cpus ~policy () in
+            let machine = Result.get_ok (Cell.machine ~model:"sgi" ~n_cpus ~scale ()) in
+            let cell = Cell.make ~machine ~bench:"swim" ~policy () in
             let r = (Run.run (Cell.setup cell)).report in
             Printf.sprintf "%.2e (%.2f)" r.wall_cycles r.mcpi)
           [ 1; 2; 4; 8 ]

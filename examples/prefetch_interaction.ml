@@ -7,19 +7,17 @@
    Run with:  dune exec examples/prefetch_interaction.exe [-- scale cpus] *)
 
 module Run = Pcolor.Runtime.Run
+module Cell = Pcolor.Runtime.Cell
 module Report = Pcolor.Stats.Report
 
 let () =
   let scale = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 4 in
   let n_cpus = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 8 in
-  let bench = Pcolor.Workloads.Spec.find "tomcatv" in
-  let cfg = Pcolor.Memsim.Config.scale (Pcolor.Memsim.Config.sgi_base ~n_cpus ()) scale in
+  let machine = Result.get_ok (Cell.machine ~model:"sgi" ~n_cpus ~scale ()) in
   let run ~policy ~prefetch =
-    (Run.run
-       { (Run.default_setup ~cfg ~make_program:(fun () -> bench.build ~scale ()) ~policy) with prefetch })
-      .report
+    (Run.run (Cell.setup (Cell.make ~prefetch ~machine ~bench:"tomcatv" ~policy ()))).report
   in
-  Printf.printf "tomcatv on %s, %d CPUs (scale 1/%d)\n\n" cfg.name n_cpus scale;
+  Printf.printf "tomcatv on %s, %d CPUs (scale 1/%d)\n\n" machine.cfg.name n_cpus scale;
   let base = run ~policy:Run.Page_coloring ~prefetch:false in
   let cases =
     [

@@ -144,10 +144,14 @@ module Quick = struct
       SPEC95fp kernel on the paper's base machine (1 MB direct-mapped
       external cache, scaled together with the data set) and returns the
       report.  [policy] defaults to CDPC; [scale] defaults to 16 (fast;
-      use 4 or 1 for paper-geometry runs). *)
+      use 4 or 1 for paper-geometry runs).  Raises [Invalid_argument]
+      for a CPU count, scale or benchmark the cell refuses. *)
   let run ?(n_cpus = 8) ?(scale = 16) ?(policy = Runtime.Run.cdpc) ?(prefetch = false) benchmark =
-    let cell = Runtime.Cell.make ~prefetch ~scale ~bench:benchmark ~machine:"sgi" ~n_cpus ~policy () in
-    (Runtime.Run.run (Runtime.Cell.setup cell)).report
+    match Runtime.Cell.machine ~model:"sgi" ~n_cpus ~scale () with
+    | Error (_, msg) -> invalid_arg msg
+    | Ok machine ->
+      let cell = Runtime.Cell.make ~prefetch ~machine ~bench:benchmark ~policy () in
+      (Runtime.Run.run (Runtime.Cell.setup cell)).report
 
   (** [compare ?n_cpus ?scale benchmark] runs page coloring, bin hopping
       and CDPC on one benchmark and returns the three reports. *)

@@ -38,19 +38,19 @@ let class_fields counts =
     (fun c -> (Pcolor_memsim.Mclass.to_string c, J.Int counts.(Pcolor_memsim.Mclass.index c)))
     Pcolor_memsim.Mclass.all
 
-(** [attribution_json_spaces ~spaces ~page_size attrib] is the
+(** [attribution_json ~spaces ~page_size attrib] is the
     artifact's ["attribution"] section for one or more address spaces
     (kernel × program pairs — a multiprogrammed mix passes one pair per
     job, a single run exactly one): per-class totals, per-color miss
     histograms, and the hottest eviction pairs / frames / cache sets —
     each physical frame enriched with its color and, when some space's
     page table still maps it, its virtual page and owning array. *)
-let attribution_json_spaces ~(spaces : (Pcolor_vm.Kernel.t * Ir.program) list) ~page_size attrib =
+let attribution_json ~(spaces : (Pcolor_vm.Kernel.t * Ir.program) list) ~page_size attrib =
   let module A = Pcolor_obs.Attrib in
   let pool =
     match spaces with
     | (k, _) :: _ -> Pcolor_vm.Kernel.pool k
-    | [] -> invalid_arg "Audit.attribution_json_spaces: no address spaces"
+    | [] -> invalid_arg "Audit.attribution_json: no address spaces"
   in
   let find_mapping frame =
     let rec go = function
@@ -123,11 +123,6 @@ let attribution_json_spaces ~(spaces : (Pcolor_vm.Kernel.t * Ir.program) list) ~
              (take sets_cap sets)) );
       ("colors", J.Arr colors);
     ]
-
-(** [attribution_json ~kernel ~program ~page_size attrib] is the
-    single-address-space form of {!attribution_json_spaces}. *)
-let attribution_json ~kernel ~program ~page_size attrib =
-  attribution_json_spaces ~spaces:[ (kernel, program) ] ~page_size attrib
 
 (** [decisions_json ?hash info] is the artifact's
     ["coloring_decisions"] section: which §5.2 steps ran, the step-2

@@ -3,24 +3,16 @@
     machine-readable audit sections ([pcolor explain] renders them,
     [pcolor diff] compares them). *)
 
-(** [attribution_json ~kernel ~program ~page_size attrib] is the
-    artifact's ["attribution"] section: per-class totals, per-color
-    histograms, hottest eviction pairs / frames / cache sets, each
-    frame enriched with color, virtual page and owning array where the
-    page table still maps it.  Hot lists are capped (caps recorded
-    alongside the full cardinalities). *)
+(** [attribution_json ~spaces ~page_size attrib] is the artifact's
+    ["attribution"] section: per-class totals, per-color histograms,
+    hottest eviction pairs / frames / cache sets, each frame enriched
+    with color, virtual page and owning array where some page table
+    still maps it.  [spaces] is one kernel × program pair per address
+    space (a single run passes one, a multiprogrammed mix one per job);
+    each frame is resolved against every page table in order.  Hot
+    lists are capped (caps recorded alongside the full
+    cardinalities). *)
 val attribution_json :
-  kernel:Pcolor_vm.Kernel.t ->
-  program:Pcolor_comp.Ir.program ->
-  page_size:int ->
-  Pcolor_obs.Attrib.t ->
-  Pcolor_obs.Json.t
-
-(** [attribution_json_spaces ~spaces ~page_size attrib] is the same
-    section joined across several address spaces (one kernel × program
-    pair per multiprogrammed job): each frame is resolved against every
-    page table in order. *)
-val attribution_json_spaces :
   spaces:(Pcolor_vm.Kernel.t * Pcolor_comp.Ir.program) list ->
   page_size:int ->
   Pcolor_obs.Attrib.t ->

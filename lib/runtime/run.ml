@@ -400,7 +400,7 @@ let artifact_json ?provenance outcome =
       | Some a ->
         [
           ( "attribution",
-            Audit.attribution_json ~kernel:outcome.kernel ~program:outcome.program
+            Audit.attribution_json ~spaces:[ (outcome.kernel, outcome.program) ]
               ~page_size:outcome.cfg.page_size a );
         ]
       | None -> [])

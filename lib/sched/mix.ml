@@ -276,7 +276,7 @@ let artifact_json ?provenance outcome =
       in
       [
         ( "attribution",
-          Audit.attribution_json_spaces ~spaces ~page_size:outcome.cfg.Config.page_size a );
+          Audit.attribution_json ~spaces ~page_size:outcome.cfg.Config.page_size a );
       ]
     | None -> []
   in

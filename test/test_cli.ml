@@ -41,6 +41,29 @@ let good_tape =
 
 let rejects_replay ~flag args () = rejects ~flag ("replay" :: Lazy.force good_tape :: args) ()
 
+(* [rejects_header name edit] writes a tape whose header is a good
+   one changed by [edit] and expects its replay refused in one line
+   naming the tape. *)
+let rejects_header name edit () =
+  let module Btrace = Pcolor.Runtime.Btrace in
+  let path = Filename.concat (Filename.get_temp_dir_name ()) ("pcolor_cli_" ^ name ^ ".pcbt") in
+  Out_channel.with_open_bin path (fun oc ->
+      Btrace.finish
+        (Btrace.create_writer oc
+           (edit
+              {
+                Btrace.bench = "tomcatv";
+                machine = "sgi";
+                n_cpus = 2;
+                scale = 64;
+                policy = "cdpc";
+                prefetch = false;
+                seed = 42;
+                cap = 2;
+                provenance = "";
+              })));
+  rejects ~flag:path [ "replay"; path ] ()
+
 let contains s sub =
   let n = String.length sub in
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
@@ -403,6 +426,10 @@ let suite =
         Alcotest.test_case "replay a directory" `Quick
           (let dir = Filename.get_temp_dir_name () in
            rejects ~flag:dir [ "replay"; dir ]);
+        Alcotest.test_case "replay a tape of an unknown machine model" `Quick
+          (rejects_header "unknown_model" (fun h -> { h with machine = "cray" }));
+        Alcotest.test_case "replay a tape too deep for its machine model" `Quick
+          (rejects_header "too_deep" (fun h -> { h with scale = 256 }));
         Alcotest.test_case "run --trace in a missing directory" `Quick
           (rejects ~flag:"--trace"
              [ "run"; "tomcatv"; "-s"; "64"; "-p"; "2"; "--trace"; missing "t.json" ]);

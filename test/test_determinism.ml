@@ -61,7 +61,8 @@ let disabled () = Pcolor.Obs.Ctx.disabled
 
 (* Harness cells at smoke scale, one listed twice. *)
 let smoke_cell ?prefetch ?(machine = "sgi") bench n_cpus policy =
-  Cell.make ?prefetch ~scale:64 ~bench ~machine ~n_cpus ~policy ()
+  let machine = Result.get_ok (Cell.machine ~model:machine ~n_cpus ~scale:64 ()) in
+  Cell.make ?prefetch ~machine ~bench ~policy ()
 
 let run_cells ~jobs =
   let tomcatv = smoke_cell "tomcatv" 1 Run.Page_coloring in
@@ -91,15 +92,38 @@ let test_cell_runner_memo () =
   let runs = Atomic.make 0 in
   let reports = Cell.runner ~obs:disabled ~progress:(fun _ _ -> Atomic.incr runs) ~jobs:2 in
   let fig7 = smoke_cell ~machine:"sgi-2way" "swim" 4 Run.cdpc in
-  Alcotest.(check string) "Figure-7 key" "swim/sgi-2way/4/cdpc/false" (Cell.key fig7);
+  Alcotest.(check string) "Figure-7 key" "swim/sgi-2way/4/scale64/cdpc/false" (Cell.key fig7);
   let first = reports [ fig7; fig7 ] in
   Alcotest.(check bool) "listed twice: one report" true (List.nth first 0 == List.nth first 1);
   let later = reports [ smoke_cell "swim" 4 Run.cdpc; fig7 ] in
   Alcotest.(check bool) "asked again: the same report" true (List.nth later 1 == List.hd first);
   Alcotest.(check int) "two distinct cells, two runs" 2 (Atomic.get runs);
-  match Cell.make ~scale:256 ~bench:"swim" ~machine:"sgi" ~n_cpus:4 ~policy:Run.cdpc () with
-  | _ -> Alcotest.fail "scale 256 on the 1 MB sgi machine must be refused"
-  | exception Invalid_argument _ -> ()
+  (* a scale no kernel is built at, and one the 1 MB sgi machine cannot
+     be shrunk by, are refused before any cell exists *)
+  List.iter
+    (fun scale ->
+      match Cell.machine ~model:"sgi" ~n_cpus:4 ~scale () with
+      | Ok _ -> Alcotest.failf "scale %d on the sgi machine must be refused" scale
+      | Error (axis, _) -> Alcotest.(check bool) "refused for its scale" true (axis = Cell.Scale))
+    [ 2; 256 ]
+
+(* A key names the slicing, seed and cap when they are not the
+   default; a tape header names an unsliced cell and rebuilds it. *)
+let test_cell_key_and_header () =
+  let sliced =
+    Result.get_ok
+      (Cell.machine ~slices:2 ~hash:Pcolor.Memsim.Ahash.Sandybridge ~model:"sgi" ~n_cpus:4
+         ~scale:64 ())
+  in
+  Alcotest.(check string) "sliced key" "turb3d/sgi+2xsandybridge/4/scale64/cdpc/false/seed7"
+    (Cell.key (Cell.make ~seed:7 ~machine:sliced ~bench:"turb3d" ~policy:Run.cdpc ()));
+  let c = smoke_cell ~machine:"alpha" "fpppp" 4 Run.cdpc_touch in
+  (match Cell.of_header (Cell.header ~provenance:"" c) with
+  | Ok c' -> Alcotest.(check bool) "header round trip" true (c = c')
+  | Error msg -> Alcotest.fail msg);
+  match Cell.of_header { (Cell.header ~provenance:"" c) with bench = "fppp" } with
+  | Ok _ -> Alcotest.fail "an unknown benchmark must be refused"
+  | Error _ -> ()
 
 (* ---- 3. golden miss-class counts (pre-refactor capture) ---- *)
 
@@ -206,5 +230,6 @@ let suite =
         Alcotest.test_case "pool map order" `Quick test_pool_map_order;
         Alcotest.test_case "pool failure propagation" `Quick test_pool_propagates_failure;
         Alcotest.test_case "cell runner memo" `Quick test_cell_runner_memo;
+        Alcotest.test_case "cell keys and tape headers" `Quick test_cell_key_and_header;
       ] );
   ]
